@@ -1,6 +1,6 @@
 //! Criterion benches for the Discrete exact solver (Theorem 4:
 //! exponential growth on PARTITION chains) and the warm-start
-//! ablation (DESIGN.md decision 4).
+//! ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use models::{DiscreteModes, PowerLaw};
@@ -35,7 +35,7 @@ fn bench_bnb_growth(c: &mut Criterion) {
     g.finish();
 }
 
-/// Ablation (DESIGN.md decision 4): the chain-cover lower bound vs the
+/// Ablation: the chain-cover lower bound vs the
 /// static per-task bound, on a mapped execution graph where several
 /// processor chains are serialized.
 fn bench_chain_bound_ablation(c: &mut Criterion) {

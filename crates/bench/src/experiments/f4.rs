@@ -4,7 +4,7 @@
 //! The heuristic freezes the continuous optimum's per-task durations
 //! and mixes the two bracketing modes; the LP can additionally
 //! rebalance durations across tasks. The gap quantifies the value of
-//! solving the full LP (DESIGN.md decision 3).
+//! solving the full LP.
 
 use super::{Outcome, P};
 use crate::instances::{dmin, random_execution_graph, spread_modes};

@@ -1,8 +1,8 @@
-//! One module per experiment (see DESIGN.md §4 for the index).
+//! One module per experiment (the crate docs hold the index).
 //!
-//! Every experiment returns a [`report::Table`] whose header row
-//! matches the columns recorded in EXPERIMENTS.md, plus a one-line
-//! verdict comparing the paper's claim with the measurement.
+//! Every experiment returns a [`report::Table`] of its measurements
+//! plus a one-line verdict comparing the paper's claim with the
+//! measurement.
 
 pub mod f1;
 pub mod f2;

@@ -3,7 +3,7 @@
 //!
 //! The Continuous reference is the box-restricted optimum over
 //! `[s_min, s_max]` (the Incremental model cannot run slower than
-//! `s_min`, so this is the honest common baseline; see DESIGN.md).
+//! `s_min`, so this is the honest common baseline).
 
 use super::{cont_energy_boxed, Outcome, P};
 use crate::instances::{dmin, random_execution_graph};

@@ -4,8 +4,8 @@
 //! suite reproduces **every theorem and proposition as an executable
 //! experiment** plus the "comparative study of energy models" that the
 //! paper's conclusion announces (in the style of the companion
-//! research report's simulations). See DESIGN.md §4 for the
-//! experiment index and EXPERIMENTS.md for recorded results.
+//! research report's simulations). The experiment index follows;
+//! `experiments <id> --json DIR` records a run as `DIR/BENCH_<ID>.json`.
 //!
 //! * `T1`–`T7` — one experiment per theorem/proposition;
 //! * `F1`–`F4` — comparative figures (energy vs deadline, vs mode

@@ -315,15 +315,13 @@ fn ask_command(args: &[String]) {
                 for (i, w) in s.workers.iter().enumerate() {
                     println!(
                         "worker {i}: {} requests | {} solves | {} µs solving | {} warm lost | \
-                         {} bnb nodes | {} steals | {} cancelled | \
-                         {} splices ({} miss) | {} cone nodes",
+                         {} bnb nodes | {} steals | {} splices ({} miss) | {} cone nodes",
                         w.requests,
                         w.solves,
                         w.solve_ns / 1_000,
                         w.warm_lost,
                         w.bnb_nodes,
                         w.bnb_steals,
-                        w.bnb_cancelled,
                         w.sp_splice,
                         w.sp_splice_miss,
                         w.cone_nodes

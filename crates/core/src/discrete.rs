@@ -26,8 +26,6 @@
 use crate::continuous;
 use crate::error::SolveError;
 use models::{DiscreteModes, PowerLaw};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use taskgraph::analysis::{critical_path_weight, topo_order};
 use taskgraph::{PreparedGraph, TaskGraph, TaskId};
 
@@ -112,19 +110,6 @@ impl Default for BnbConfig {
     }
 }
 
-/// Candidate-mode order within each task — the portfolio's branching
-/// axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BranchOrder {
-    /// Slowest admissible (cheapest) mode first: the sequential
-    /// default. With the static bound this order lets a bound failure
-    /// backtrack (faster candidates only cost more).
-    SlowestFirst,
-    /// Fastest (most expensive) mode first: the alternate portfolio
-    /// arm — reaches feasible leaves quickly on tight deadlines.
-    FastestFirst,
-}
-
 /// A search incumbent: best energy seen plus the mode assignment that
 /// achieved it (`None` while only an externally seeded bound exists).
 #[derive(Debug, Clone)]
@@ -149,66 +134,6 @@ pub(crate) enum SubtreeOutcome {
     Complete,
     /// The per-subtree node budget tripped.
     Budget,
-    /// A shared stop flag cancelled the search (portfolio racing).
-    Stopped,
-}
-
-/// The incumbent bound shared across parallel subtree searches: the
-/// energy lives in an `AtomicU64` as `f64` bits maintained by a
-/// CAS-min loop (readable every node without a lock), and the
-/// assignment that achieved it is stored at the same time under a
-/// mutex touched only on improvements (rare).
-pub(crate) struct SharedIncumbent {
-    bits: AtomicU64,
-    best: Mutex<Option<(f64, Vec<usize>)>>,
-}
-
-impl SharedIncumbent {
-    pub(crate) fn new() -> SharedIncumbent {
-        SharedIncumbent {
-            bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            best: Mutex::new(None),
-        }
-    }
-
-    /// The current bound (∞ until the first publish).
-    pub(crate) fn bound(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// CAS-min the bound and record the assignment when it improves.
-    pub(crate) fn publish(&self, energy: f64, modes: &[usize]) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            if energy >= f64::from_bits(cur) {
-                return;
-            }
-            match self.bits.compare_exchange_weak(
-                cur,
-                energy.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        let mut guard = match self.best.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if guard.as_ref().is_none_or(|(e, _)| energy < *e) {
-            *guard = Some((energy, modes.to_vec()));
-        }
-    }
-
-    /// The best published assignment, if any improvement was found.
-    pub(crate) fn take_best(&self) -> Option<(f64, Vec<usize>)> {
-        match self.best.lock() {
-            Ok(g) => g.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
-    }
 }
 
 /// All precomputed state of one branch-and-bound instance: bounds,
@@ -233,7 +158,6 @@ pub(crate) struct SearchCtx<'a> {
     s_top: f64,
     s_bottom: f64,
     chain_bound: bool,
-    branch: BranchOrder,
     cand: Vec<Vec<usize>>,
 }
 
@@ -247,7 +171,6 @@ impl<'a> SearchCtx<'a> {
         modes: &DiscreteModes,
         p: PowerLaw,
         chain_bound: bool,
-        branch: BranchOrder,
     ) -> Result<SearchCtx<'a>, SolveError> {
         continuous::check_feasible(g, deadline, Some(modes.s_max()))?;
         let n = g.n();
@@ -363,16 +286,9 @@ impl<'a> SearchCtx<'a> {
             }
         }
 
-        // Candidate mode order per task: the slowest possibly feasible
-        // mode up to the fastest, in the arm's branching order.
-        let mut cand: Vec<Vec<usize>> = Vec::with_capacity(n);
-        for &lo in &min_mode_idx {
-            let asc: Vec<usize> = (lo..m).collect();
-            cand.push(match branch {
-                BranchOrder::SlowestFirst => asc,
-                BranchOrder::FastestFirst => asc.into_iter().rev().collect(),
-            });
-        }
+        // Candidate modes per task: the slowest possibly feasible mode
+        // up to the fastest.
+        let cand: Vec<Vec<usize>> = min_mode_idx.iter().map(|&lo| (lo..m).collect()).collect();
 
         Ok(SearchCtx {
             g,
@@ -393,7 +309,6 @@ impl<'a> SearchCtx<'a> {
             s_top,
             s_bottom: modes.s_min(),
             chain_bound,
-            branch,
             cand,
         })
     }
@@ -468,9 +383,9 @@ impl<'a> SearchCtx<'a> {
     /// deepen a breadth-first expansion of the search tree — children
     /// in candidate order, prefixes in lexicographic order — until at
     /// least `target` live prefixes exist (or the tree is shallower).
-    /// The result is a pure function of the instance, the branching
-    /// order, and `incumbent_energy`, so two runs with the same
-    /// partition target enumerate byte-identical partitions.
+    /// The result is a pure function of the instance and
+    /// `incumbent_energy`, so two runs with the same partition target
+    /// enumerate byte-identical partitions.
     ///
     /// Returns `(depth, prefixes)`; an empty frontier means the whole
     /// tree was pruned against `incumbent_energy` (the seed is
@@ -563,24 +478,16 @@ impl<'a> SearchCtx<'a> {
     ///
     /// * `incumbent` — in/out: pruning bound and best assignment. Seed
     ///   `energy` with a known feasible value (round-up) to start with
-    ///   a strong bound.
-    /// * `shared` — optional cross-thread incumbent cell: improvements
-    ///   are always published; the cell's bound additionally joins the
-    ///   pruning bound only when `prune_shared` is set. Deterministic
-    ///   partitioned search leaves `prune_shared` off — each subtree's
-    ///   node count then depends only on `(prefix, seed, budget)`, not
-    ///   on scheduling — while racing arms turn it on.
-    /// * `stop` — optional cancellation flag, polled every 64 nodes.
+    ///   a strong bound. The search prunes against nothing else, so a
+    ///   subtree's node count depends only on `(prefix, seed, budget)`
+    ///   — never on what sibling subtrees found — which is what makes
+    ///   the parallel partition sweep reproducible.
     /// * `node_budget` — cap on nodes charged to `stats` by this call.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn search_subtree(
         &self,
         prefix: &[usize],
         node_budget: u64,
         incumbent: &mut Incumbent,
-        shared: Option<&SharedIncumbent>,
-        prune_shared: bool,
-        stop: Option<&AtomicBool>,
         stats: &mut BnbStats,
     ) -> SubtreeOutcome {
         let g = self.g;
@@ -616,9 +523,6 @@ impl<'a> SearchCtx<'a> {
                 if energy_prefix[n] < incumbent.energy {
                     incumbent.energy = energy_prefix[n];
                     incumbent.modes = Some(assign.clone());
-                    if let Some(cell) = shared {
-                        cell.publish(energy_prefix[n], &assign);
-                    }
                 }
                 frames.pop();
                 continue;
@@ -638,11 +542,6 @@ impl<'a> SearchCtx<'a> {
                 if stats.nodes > node_budget {
                     return SubtreeOutcome::Budget;
                 }
-                if let Some(flag) = stop {
-                    if stats.nodes & 0x3F == 0 && flag.load(Ordering::Relaxed) {
-                        return SubtreeOutcome::Stopped;
-                    }
-                }
                 let s = self.speeds_list[mode_idx];
                 let d = g.weights()[i] / s;
                 let start = g
@@ -661,28 +560,17 @@ impl<'a> SearchCtx<'a> {
                 // Energy lower bound for the unassigned suffix.
                 ecl[i] = completion; // chain frontiers read it
                 let rem_lb = self.rem_lb(depth + 1, &ecl);
-                let bound = if prune_shared {
-                    match shared {
-                        Some(cell) => incumbent.energy.min(cell.bound()),
-                        None => incumbent.energy,
-                    }
-                } else {
-                    incumbent.energy
-                };
-                if e + rem_lb >= bound * (1.0 - 1e-12) {
+                if e + rem_lb >= incumbent.energy * (1.0 - 1e-12) {
                     stats.pruned_bound += 1;
-                    if self.chain_bound || self.branch == BranchOrder::FastestFirst {
+                    if self.chain_bound {
                         // The dynamic chain bound is not monotone in
                         // the mode index (a faster mode frees the
-                        // chain windows), and fastest-first candidates
-                        // get *cheaper* as the index advances: in both
-                        // cases try the next candidate.
+                        // chain windows): try the next candidate.
                         continue;
                     }
-                    // Static bound, slowest-first: candidates are
-                    // ordered by increasing speed, hence increasing
-                    // energy — once a mode's bound fails, all faster
-                    // modes fail too.
+                    // Static bound: candidates are ordered by
+                    // increasing speed, hence increasing energy — once
+                    // a mode's bound fails, all faster modes fail too.
                     assign[i] = usize::MAX;
                     frames.pop();
                     continue 'search;
@@ -805,14 +693,7 @@ pub fn exact_with_config(
     p: PowerLaw,
     cfg: BnbConfig,
 ) -> Result<ExactSolution, SolveError> {
-    let ctx = SearchCtx::new(
-        g,
-        deadline,
-        modes,
-        p,
-        cfg.chain_bound,
-        BranchOrder::SlowestFirst,
-    )?;
+    let ctx = SearchCtx::new(g, deadline, modes, p, cfg.chain_bound)?;
     let mut stats = BnbStats::default();
     let mut incumbent = Incumbent::new();
     let mut relax_lb = 0.0f64;
@@ -826,15 +707,7 @@ pub fn exact_with_config(
             relax_lb = lb;
         }
     }
-    let outcome = ctx.search_subtree(
-        &[],
-        cfg.node_budget,
-        &mut incumbent,
-        None,
-        false,
-        None,
-        &mut stats,
-    );
+    let outcome = ctx.search_subtree(&[], cfg.node_budget, &mut incumbent, &mut stats);
     ctx.conclude(
         incumbent,
         outcome == SubtreeOutcome::Complete,
@@ -1380,7 +1253,7 @@ mod tests {
         let g = generators::diamond([1.0, 2.0, 3.0, 1.5]);
         let ms = modes(&[0.8, 1.6, 2.4]);
         let d = 5.0;
-        let ctx = SearchCtx::new(&g, d, &ms, P, true, BranchOrder::SlowestFirst).unwrap();
+        let ctx = SearchCtx::new(&g, d, &ms, P, true).unwrap();
         let mut s1 = BnbStats::default();
         let mut s2 = BnbStats::default();
         let (d1, f1) = ctx.enumerate_frontier(4, f64::INFINITY, &mut s1);
@@ -1393,8 +1266,7 @@ mod tests {
         let mut best = Incumbent::new();
         let mut stats = BnbStats::default();
         for prefix in &f1 {
-            let out =
-                ctx.search_subtree(prefix, u64::MAX, &mut best, None, false, None, &mut stats);
+            let out = ctx.search_subtree(prefix, u64::MAX, &mut best, &mut stats);
             assert_eq!(out, SubtreeOutcome::Complete);
         }
         let seq = exact(&g, d, &ms, P).unwrap();
@@ -1448,18 +1320,5 @@ mod tests {
         let sol = exact(&g, d, &ms, P).unwrap();
         // Optimal: fast set of weight exactly 5 → energy 4·5 + 1·5 = 25.
         assert!((sol.energy - 25.0).abs() < 1e-9, "energy {}", sol.energy);
-    }
-
-    #[test]
-    fn shared_incumbent_cas_min_keeps_the_best() {
-        let cell = SharedIncumbent::new();
-        assert!(cell.bound().is_infinite());
-        cell.publish(5.0, &[1, 1]);
-        cell.publish(7.0, &[2, 2]); // worse: ignored
-        cell.publish(4.0, &[0, 1]);
-        assert_eq!(cell.bound(), 4.0);
-        let (e, m) = cell.take_best().unwrap();
-        assert_eq!(e, 4.0);
-        assert_eq!(m, vec![0, 1]);
     }
 }

@@ -9,9 +9,13 @@
 //!
 //! * [`taskgraph::PreparedGraph`] caches the graph analysis once per
 //!   graph (lazily, thread-safely);
-//! * an [`Algorithm`] registry makes dispatch data-driven — each paper
-//!   algorithm declares its own applicability, and the provenance tag
-//!   on [`Solution`] is the name of whichever entry won;
+//! * one private routing `match` holds the paper's model → algorithm
+//!   table (Continuous → Theorem 1/2 closed forms or the §2.1
+//!   geometric program; Vdd-Hopping → the Theorem 3 LP; Discrete →
+//!   Theorem 4 branch-and-bound, else the Proposition 1(b) round-up;
+//!   Incremental → the Theorem 5 approximation). Point solves and the
+//!   adaptive curve sampler both go through it, and the provenance
+//!   tag on [`Solution`] names the route taken;
 //! * [`Engine::solve_batch`] / [`Engine::solve_deadlines`] fan
 //!   independent instances out over scoped threads (no external
 //!   dependencies — plain [`std::thread::scope`]);
@@ -25,22 +29,21 @@
 //! route through a transient engine, so every caller gets the same
 //! dispatch — existing call sites compile and behave unchanged.
 
-mod algorithms;
 mod key;
 pub mod par_bnb;
 pub mod profiling;
 
-pub use algorithms::{registry, Algorithm, Step};
 pub use key::{content_key, patched_key};
 
-use crate::continuous;
 use crate::error::SolveError;
 use crate::solver::{Solution, SolveOptions};
-use crate::vdd;
 pub use crate::vdd::VddWarm;
-use models::{EnergyModel, PowerLaw, Schedule, SpeedProfile};
+use crate::{continuous, discrete, incremental, vdd};
+use models::{DiscreteModes, EnergyModel, PowerLaw, Schedule, SpeedProfile};
+use par_bnb::ParBnbConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
 pub use taskgraph::edit::GraphEdit;
+use taskgraph::structure::Shape;
 use taskgraph::TaskGraph;
 pub use taskgraph::{PreparedGraph, PreparedInstance};
 
@@ -175,40 +178,31 @@ impl ExactCurve {
     }
 }
 
-/// Everything an [`Algorithm`] needs to attempt one instance.
-pub struct Ctx<'a> {
-    /// The prepared (analysis-cached) graph.
-    pub prep: &'a PreparedGraph<'a>,
-    /// The energy model.
-    pub model: &'a EnergyModel,
-    /// The deadline `D`.
-    pub deadline: f64,
-    /// The power law `P(s) = s^α`.
-    pub power: PowerLaw,
-    /// Engine tuning knobs.
-    pub opts: &'a SolveOptions,
-    /// Worker threads this solve may use (≥ 2 opts exact searches into
-    /// `par_bnb`; the engine's fan-out entry points split their thread
-    /// cap across concurrent jobs so a batch never oversubscribes).
-    pub workers: usize,
-}
+/// Provenance tags of one exact branch-and-bound route: sequential
+/// complete, parallel complete, budget-tripped anytime incumbent.
+type BnbTags = (&'static str, &'static str, &'static str);
 
-impl Ctx<'_> {
-    /// Build the ASAP schedule for constant per-task speeds using the
-    /// cached topological order (no re-analysis).
-    pub fn schedule_from_speeds(&self, speeds: &[f64]) -> Schedule {
-        let g = self.prep.graph();
-        assert_eq!(speeds.len(), g.n());
-        let durations: Vec<f64> = speeds
-            .iter()
-            .zip(g.weights())
-            .map(|(&s, &w)| w / s)
-            .collect();
-        let ecl = self.prep.earliest_completion(&durations);
-        let starts: Vec<f64> = ecl.iter().zip(&durations).map(|(c, d)| c - d).collect();
-        let profiles = speeds.iter().map(|&s| SpeedProfile::Constant(s)).collect();
-        Schedule::new(starts, profiles)
-    }
+const DISCRETE_BNB: BnbTags = ("discrete-bnb", "discrete-bnb-par", "discrete-bnb-anytime");
+const INCREMENTAL_BNB: BnbTags = (
+    "incremental-bnb",
+    "incremental-bnb-par",
+    "incremental-bnb-anytime",
+);
+
+/// The ASAP schedule for constant per-task speeds, using the cached
+/// topological order (no re-analysis).
+fn schedule_from_speeds(prep: &PreparedGraph<'_>, speeds: &[f64]) -> Schedule {
+    let g = prep.graph();
+    assert_eq!(speeds.len(), g.n());
+    let durations: Vec<f64> = speeds
+        .iter()
+        .zip(g.weights())
+        .map(|(&s, &w)| w / s)
+        .collect();
+    let ecl = prep.earliest_completion(&durations);
+    let starts: Vec<f64> = ecl.iter().zip(&durations).map(|(c, d)| c - d).collect();
+    let profiles = speeds.iter().map(|&s| SpeedProfile::Constant(s)).collect();
+    Schedule::new(starts, profiles)
 }
 
 /// The solver engine: a power law plus tuning options, with batch and
@@ -270,8 +264,8 @@ impl Engine {
     }
 
     /// Solve one prepared instance: pre-check feasibility against the
-    /// cached critical path, then dispatch through the algorithm
-    /// [`registry`]. The returned schedule is always validated against
+    /// cached critical path, then route the model to its paper
+    /// algorithm. The returned schedule is always validated against
     /// the model and deadline.
     pub fn solve(
         &self,
@@ -279,7 +273,7 @@ impl Engine {
         model: &EnergyModel,
         deadline: f64,
     ) -> Result<Solution, SolveError> {
-        self.solve_inner(prep, model, deadline, self.ctx_workers())
+        self.solve_inner(prep, model, deadline, self.ctx_workers(), None)
     }
 
     /// Worker threads a single top-level solve may use. Parallel
@@ -297,49 +291,155 @@ impl Engine {
         (self.ctx_workers() / n.max(1)).max(1)
     }
 
+    /// Pre-check feasibility, [`Engine::route`], validate and package.
     fn solve_inner(
         &self,
         prep: &PreparedGraph<'_>,
         model: &EnergyModel,
         deadline: f64,
         workers: usize,
+        chain: Option<&mut continuous::SweepWarm>,
     ) -> Result<Solution, SolveError> {
-        crate::continuous::check_feasible_prepared(prep, deadline, model.top_speed())?;
-        let ctx = Ctx {
-            prep,
-            model,
-            deadline,
-            power: self.power,
-            opts: &self.opts,
-            workers,
-        };
-        for alg in registry() {
-            if !alg.applies(&ctx) {
-                continue;
-            }
-            match alg.run(&ctx)? {
-                Step::Solved(schedule) => return self.finish(&ctx, schedule, alg.name()),
-                Step::Tagged(tag, schedule) => return self.finish(&ctx, schedule, tag),
-                Step::Deferred => continue,
-            }
-        }
-        Err(SolveError::Unsupported(format!(
-            "no registered algorithm applies to model {}",
-            model.name()
-        )))
+        continuous::check_feasible_prepared(prep, deadline, model.top_speed())?;
+        let (algorithm, schedule) = self.route(prep, model, deadline, workers, chain)?;
+        self.finish(prep, model, deadline, schedule, algorithm)
     }
 
-    /// Validate and package a schedule produced by an algorithm.
+    /// The paper's model → algorithm table, in dispatch-preference
+    /// order within each model (exact before approximate):
+    ///
+    /// * Continuous — Theorem 1/2 closed forms on recognized shapes,
+    ///   the §2.1 geometric program on a general DAG;
+    /// * Vdd-Hopping — the Theorem 3 LP;
+    /// * Discrete — Theorem 4 branch-and-bound while tractable, else
+    ///   (or on a budget trip with nothing in hand) the Proposition
+    ///   1(b) round-up;
+    /// * Incremental — the Theorem 5 approximation, or
+    ///   branch-and-bound on the grid when
+    ///   [`SolveOptions::exact_incremental`] asks for it.
+    ///
+    /// `workers ≥ 2` runs the exact searches as the `par_bnb`
+    /// partition sweep. `chain` threads one barrier warm start through
+    /// the numerical routes (general-DAG geometric program, round-up,
+    /// approximation) across an ascending deadline sweep; a point
+    /// solve passes `None` and runs them cold.
+    fn route(
+        &self,
+        prep: &PreparedGraph<'_>,
+        model: &EnergyModel,
+        deadline: f64,
+        workers: usize,
+        chain: Option<&mut continuous::SweepWarm>,
+    ) -> Result<(&'static str, Schedule), SolveError> {
+        let mut cold = continuous::SweepWarm::new();
+        let chain = chain.unwrap_or(&mut cold);
+        let (p, k) = (self.power, self.opts.precision_k);
+        let (algorithm, speeds) = match model {
+            EnergyModel::Continuous { s_max } => {
+                let speeds = match prep.shape() {
+                    Shape::General => continuous::solve_general_warm(
+                        prep, deadline, None, *s_max, p, None, chain,
+                    )?,
+                    _ => continuous::solve_dispatched(prep, deadline, *s_max, p, None)?,
+                };
+                ("continuous", speeds)
+            }
+            EnergyModel::VddHopping(modes) => {
+                return Ok(("vdd-lp", vdd::solve_lp_prepared(prep, deadline, modes, p)?));
+            }
+            EnergyModel::Discrete(modes) => {
+                match self.exact_bnb(prep, deadline, modes, workers, DISCRETE_BNB)? {
+                    Some(found) => found,
+                    None => (
+                        "discrete-round-up",
+                        discrete::round_up_warm(prep, deadline, modes, p, Some(k), chain)?,
+                    ),
+                }
+            }
+            EnergyModel::Incremental(modes) => {
+                let exact = if self.opts.exact_incremental {
+                    let grid = modes.to_discrete();
+                    self.exact_bnb(prep, deadline, &grid, workers, INCREMENTAL_BNB)?
+                } else {
+                    None
+                };
+                match exact {
+                    Some(found) => found,
+                    None => (
+                        "incremental-approx",
+                        incremental::approx_warm(prep, deadline, modes, p, k, chain)?,
+                    ),
+                }
+            }
+        };
+        Ok((algorithm, schedule_from_speeds(prep, &speeds)))
+    }
+
+    /// Theorem 4 branch-and-bound, when the search space is plausibly
+    /// tractable (it is exponential in general): the `par_bnb`
+    /// partition sweep at `workers ≥ 2`, the sequential search
+    /// otherwise. A budget trip **with** an incumbent comes back as an
+    /// anytime result; `None` defers to the rounding route — the
+    /// instance is too large, or the budget tripped with nothing in
+    /// hand (matched structurally on [`SolveError::BudgetExhausted`],
+    /// never on message strings).
+    fn exact_bnb(
+        &self,
+        prep: &PreparedGraph<'_>,
+        deadline: f64,
+        modes: &DiscreteModes,
+        workers: usize,
+        (seq_tag, par_tag, anytime_tag): BnbTags,
+    ) -> Result<Option<(&'static str, Vec<f64>)>, SolveError> {
+        let g = prep.graph();
+        let n = g.n();
+        if n > self.opts.exact_discrete_limit || (modes.m() as f64).powi(n as i32) > 5e9 {
+            return Ok(None);
+        }
+        let parallel = workers >= 2;
+        let (complete, speeds) = if parallel {
+            // par_bnb folds its own node and steal totals into this
+            // thread's profiling counters.
+            let cfg = ParBnbConfig::with_workers(workers);
+            match par_bnb::exact_par(g, deadline, modes, self.power, &cfg) {
+                Ok(sol) => (sol.complete, sol.speeds),
+                Err(SolveError::BudgetExhausted { .. }) => return Ok(None),
+                Err(e) => return Err(e),
+            }
+        } else {
+            match discrete::exact(g, deadline, modes, self.power) {
+                Ok(sol) => {
+                    profiling::add_bnb(sol.stats.nodes, 0);
+                    (sol.complete, sol.speeds)
+                }
+                Err(SolveError::BudgetExhausted { nodes, .. }) => {
+                    profiling::add_bnb(nodes, 0);
+                    return Ok(None);
+                }
+                Err(e) => return Err(e),
+            }
+        };
+        let tag = match (complete, parallel) {
+            (false, _) => anytime_tag,
+            (true, true) => par_tag,
+            (true, false) => seq_tag,
+        };
+        Ok(Some((tag, speeds)))
+    }
+
+    /// Validate and package a schedule produced by a solver.
     fn finish(
         &self,
-        ctx: &Ctx<'_>,
+        prep: &PreparedGraph<'_>,
+        model: &EnergyModel,
+        deadline: f64,
         schedule: Schedule,
         algorithm: &'static str,
     ) -> Result<Solution, SolveError> {
         schedule
-            .validate(ctx.prep.graph(), ctx.model, ctx.deadline)
+            .validate(prep.graph(), model, deadline)
             .map_err(|e| SolveError::Numerical(format!("produced schedule invalid: {e}")))?;
-        let energy = schedule.energy(ctx.prep.graph(), self.power);
+        let energy = schedule.energy(prep.graph(), self.power);
         Ok(Solution {
             schedule,
             energy,
@@ -381,35 +481,25 @@ impl Engine {
         {
             *warm = None;
         }
-        crate::continuous::check_feasible_prepared(prep, deadline, model.top_speed())?;
+        continuous::check_feasible_prepared(prep, deadline, model.top_speed())?;
         if let Some(w) = warm.as_mut() {
-            // Feasibility was just established, so a warm Infeasible
-            // (or any other failure) means the basis is spent, not
-            // that the instance is unsolvable: fall through to cold.
-            if let Ok(sched) = w.resolve(prep, deadline) {
-                if sched.validate(prep.graph(), model, deadline).is_ok() {
-                    let energy = sched.energy(prep.graph(), self.power);
-                    return Ok(Solution {
-                        schedule: sched,
-                        energy,
-                        algorithm: "vdd-lp-warm",
-                    });
-                }
+            // Feasibility was just established, so a warm Infeasible,
+            // an invalid warm schedule, or any other failure means the
+            // basis is spent, not that the instance is unsolvable:
+            // fall through to cold.
+            let warm_sol = w
+                .resolve(prep, deadline)
+                .and_then(|sched| self.finish(prep, model, deadline, sched, "vdd-lp-warm"));
+            if warm_sol.is_ok() {
+                return warm_sol;
             }
             profiling::bump_warm_lost();
             *warm = None;
         }
         let (sched, handle) = vdd::solve_lp_warm(prep, deadline, modes, self.power)?;
-        sched
-            .validate(prep.graph(), model, deadline)
-            .map_err(|e| SolveError::Numerical(format!("produced schedule invalid: {e}")))?;
-        let energy = sched.energy(prep.graph(), self.power);
+        let sol = self.finish(prep, model, deadline, sched, "vdd-lp")?;
         *warm = Some(handle);
-        Ok(Solution {
-            schedule: sched,
-            energy,
-            algorithm: "vdd-lp",
-        })
+        Ok(sol)
     }
 
     /// Apply an edit batch to a prepared instance and solve the
@@ -500,7 +590,7 @@ impl Engine {
             .collect();
         let share = self.job_share(jobs.len());
         self.run_ordered(jobs.len(), |i| {
-            self.solve_inner(&preps[prep_of[i]], model, jobs[i].1, share)
+            self.solve_inner(&preps[prep_of[i]], model, jobs[i].1, share, None)
         })
     }
 
@@ -545,7 +635,7 @@ impl Engine {
         }
         let share = self.job_share(deadlines.len());
         self.run_ordered(deadlines.len(), |i| {
-            self.solve_inner(prep, model, deadlines[i], share)
+            self.solve_inner(prep, model, deadlines[i], share, None)
         })
     }
 
@@ -828,84 +918,12 @@ impl Engine {
         })
     }
 
-    /// One point solve for the adaptive-sampling curve, mirroring the
-    /// registry's Discrete/Incremental routing but threading the
-    /// barrier warm-start chain through the round-up paths.
-    fn curve_sample(
-        &self,
-        prep: &PreparedGraph<'_>,
-        model: &EnergyModel,
-        d: f64,
-        chain: &mut continuous::SweepWarm,
-    ) -> Result<f64, SolveError> {
-        let n = prep.graph().n();
-        match model {
-            EnergyModel::Discrete(modes)
-                if !algorithms::bnb_tractable_for(n, &self.opts, modes.m()) =>
-            {
-                let speeds = crate::discrete::round_up_warm(
-                    prep,
-                    d,
-                    modes,
-                    self.power,
-                    Some(self.opts.precision_k),
-                    chain,
-                )?;
-                Ok(continuous::energy_of_speeds(
-                    prep.graph(),
-                    &speeds,
-                    self.power,
-                ))
-            }
-            EnergyModel::Incremental(modes)
-                if !(self.opts.exact_incremental
-                    && algorithms::bnb_tractable_for(n, &self.opts, modes.m())) =>
-            {
-                let speeds = crate::incremental::approx_warm(
-                    prep,
-                    d,
-                    modes,
-                    self.power,
-                    self.opts.precision_k,
-                    chain,
-                )?;
-                Ok(continuous::energy_of_speeds(
-                    prep.graph(),
-                    &speeds,
-                    self.power,
-                ))
-            }
-            // Capped Continuous on a general DAG: the dispatch would
-            // run the same barrier solve cold; thread the chain
-            // through it. (Recognized shapes keep their closed forms —
-            // cheaper than any warm-started barrier.)
-            EnergyModel::Continuous { s_max: Some(sm) }
-                if matches!(prep.shape(), taskgraph::structure::Shape::General) =>
-            {
-                let speeds = continuous::solve_general_warm(
-                    prep,
-                    d,
-                    None,
-                    Some(*sm),
-                    self.power,
-                    None,
-                    chain,
-                )?;
-                Ok(continuous::energy_of_speeds(
-                    prep.graph(),
-                    &speeds,
-                    self.power,
-                ))
-            }
-            _ => Ok(self.solve(prep, model, d)?.energy),
-        }
-    }
-
     /// The sampled fallback of [`Engine::energy_curve_exact`]: a
     /// geometric starter grid, then rounds of midpoint refinement
     /// wherever linear interpolation disagrees with a real solve.
     /// Every round solves its new points in ascending-deadline order
-    /// through one fresh barrier warm-start chain.
+    /// through [`Engine::route`] with one fresh barrier warm-start
+    /// chain.
     fn adaptive_curve(
         &self,
         prep: &PreparedGraph<'_>,
@@ -922,6 +940,11 @@ impl Engine {
             stats.barrier_newton_steps += chain.stats.newton_steps;
             stats.barrier_warm_seeded += chain.stats.warm_seeded;
         };
+        let workers = self.ctx_workers();
+        let sample = |d: f64, chain: &mut continuous::SweepWarm| {
+            self.solve_inner(prep, model, d, workers, Some(chain))
+                .map(|sol| sol.energy)
+        };
         // Starter grid (geometric, ascending) through one warm chain.
         let ratio = (d_hi / d_lo).powf(1.0 / (INIT_POINTS - 1) as f64);
         let mut samples: Vec<(f64, f64)> = Vec::with_capacity(MAX_SAMPLES);
@@ -930,7 +953,7 @@ impl Engine {
         for k in 0..INIT_POINTS {
             // Pin the endpoints exactly despite powf drift.
             let dk = if k == INIT_POINTS - 1 { d_hi } else { d };
-            samples.push((dk, self.curve_sample(prep, model, dk, &mut chain)?));
+            samples.push((dk, sample(dk, &mut chain)?));
             d *= ratio;
         }
         stats.samples += INIT_POINTS;
@@ -953,7 +976,7 @@ impl Engine {
                 if mid <= lo || mid >= hi {
                     continue; // interval at float resolution
                 }
-                let e_mid = self.curve_sample(prep, model, mid, &mut chain)?;
+                let e_mid = sample(mid, &mut chain)?;
                 solved += 1;
                 let (e_lo, e_hi) = (
                     samples
@@ -1446,6 +1469,48 @@ mod tests {
                 "interpolated {e} outside [{lo_true}, {hi_true}] at D = {d}"
             );
         }
+    }
+
+    #[test]
+    fn adaptive_curve_threads_the_barrier_chain_through_routing() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let seeded = |engine: &Engine, g: &TaskGraph, model: &EnergyModel| {
+            let curve = engine
+                .energy_curve_exact(&PreparedGraph::new(g), model, 1.05, 3.0)
+                .unwrap();
+            assert!(!curve.exact);
+            curve.stats.barrier_warm_seeded
+        };
+        let diamond = generators::diamond([1.0, 2.0, 3.0, 1.5]);
+        let modes = DiscreteModes::new(&[0.5, 1.0, 2.0]).unwrap();
+        let discrete = EnergyModel::Discrete(modes);
+
+        // Discrete past the exact limit: the round-up route.
+        let past_limit = Engine::with_options(
+            P,
+            SolveOptions {
+                exact_discrete_limit: 2,
+                ..Default::default()
+            },
+        );
+        assert!(seeded(&past_limit, &diamond, &discrete) > 0);
+        // Incremental: the approximation route.
+        let incremental = EnergyModel::Incremental(IncrementalModes::new(0.5, 2.0, 0.25).unwrap());
+        assert!(seeded(&Engine::new(P), &diamond, &incremental) > 0);
+        // Capped Continuous on a layered (general) DAG: the geometric
+        // program route.
+        let layered = generators::layered_dag(4, 3, 0.5, 1.0, 3.0, &mut StdRng::seed_from_u64(7));
+        assert!(matches!(
+            PreparedGraph::new(&layered).shape(),
+            Shape::General
+        ));
+        assert!(seeded(&Engine::new(P), &layered, &EnergyModel::continuous(3.0)) > 0);
+        // A tractable Discrete curve is all branch-and-bound, whose
+        // round-up seed runs cold inside the search: the chain seeds
+        // nothing.
+        assert_eq!(seeded(&Engine::new(P), &diamond, &discrete), 0);
     }
 
     #[test]

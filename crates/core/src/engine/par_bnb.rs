@@ -1,4 +1,4 @@
-//! Deterministic parallel branch-and-bound with portfolio racing.
+//! Deterministic parallel branch-and-bound.
 //!
 //! The Discrete exact solver (`discrete::exact`, the paper's Theorem-4
 //! problem) is a depth-first search over per-task mode assignments.
@@ -14,33 +14,22 @@
 //!    subtree: two runs with the same partition target enumerate
 //!    byte-identical partition sets, independent of thread scheduling.
 //! 2. **Explore.** The subtrees run on a `std::thread::scope` fan-out
-//!    pulling from an atomic work queue. The incumbent bound is shared
-//!    through a `SharedIncumbent` — an `f64`-as-bits CAS-min
-//!    `AtomicU64` readable every node without a lock.
-//! 3. **Determinism contract.** In the default (deterministic) mode a
-//!    subtree *publishes* improvements to the shared cell but prunes
-//!    only against its own seed + local incumbent, so every subtree's
-//!    node count is a pure function of `(instance, prefix, seed,
+//!    pulling from an atomic work queue. Each subtree prunes only
+//!    against the warm seed and its own local incumbent — it never
+//!    sees what its siblings found.
+//! 3. **Determinism contract.** Every subtree's node count is
+//!    therefore a pure function of `(instance, prefix, seed,
 //!    per-subtree budget)` — identical across repeated runs at any
 //!    worker count, which is what the X10 manifest `cmp` gate checks.
 //!    Which *thread* runs a subtree is irrelevant to its node count,
 //!    so dynamic work pickup ("steals") costs no determinism.
-//! 4. **Portfolio racing** ([`ParBnbConfig::racing`]). Two
-//!    heterogeneous arms race on split worker pools: arm
-//!    `"warm-slowest"` (round-up warm seed, slowest-first branching)
-//!    vs. arm `"cold-fastest"` (cold, fastest-first branching). Both
-//!    prune against the shared bound (`prune_shared`), and the first
-//!    arm to exhaust **all** its subtrees proves the optimum and
-//!    cancels the other through a shared stop flag. Racing trades the
-//!    node-count determinism for earlier completion — the returned
-//!    *values* are still exact, node counts are not reproducible.
 //!
 //! Correctness of the combine step: the optimal assignment lives in
 //! exactly one partition (the frontier tiles the unpruned space), the
 //! bounds are admissible, and the lexicographic combine with strict
 //! `<` reproduces the sequential DFS's tie-breaking — a complete
-//! deterministic parallel solve returns bit-identical energy *and
-//! speeds* to the sequential search.
+//! parallel solve returns bit-identical energy *and speeds* to the
+//! sequential search.
 //!
 //! Budget trips degrade to **anytime** results exactly like the
 //! sequential path: the best incumbent (the warm seed at worst) comes
@@ -49,13 +38,12 @@
 
 use crate::continuous;
 use crate::discrete::{
-    round_up_with_bound, BnbStats, BranchOrder, Incumbent, SearchCtx, SharedIncumbent,
-    SubtreeOutcome, DEFAULT_NODE_BUDGET,
+    round_up_with_bound, BnbStats, Incumbent, SearchCtx, SubtreeOutcome, DEFAULT_NODE_BUDGET,
 };
 use crate::engine::profiling;
 use crate::error::SolveError;
 use models::{DiscreteModes, PowerLaw};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use taskgraph::TaskGraph;
 
@@ -77,9 +65,6 @@ pub struct ParBnbConfig {
     pub warm_start: bool,
     /// Use the dynamic chain-cover lower bound.
     pub chain_bound: bool,
-    /// Race heterogeneous arms instead of the single deterministic
-    /// partition sweep (exact values, nondeterministic node counts).
-    pub racing: bool,
 }
 
 impl ParBnbConfig {
@@ -108,7 +93,6 @@ impl Default for ParBnbConfig {
             node_budget: DEFAULT_NODE_BUDGET,
             warm_start: true,
             chain_bound: true,
-            racing: false,
         }
     }
 }
@@ -116,9 +100,6 @@ impl Default for ParBnbConfig {
 /// Per-subtree search report (the X10 partition manifest rows).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionReport {
-    /// Which portfolio arm searched this subtree (`"det"` outside
-    /// racing).
-    pub arm: &'static str,
     /// The subtree's content-stable key: the mode indices of the fixed
     /// assignment prefix, in topological task order.
     pub key: Vec<usize>,
@@ -128,8 +109,7 @@ pub struct PartitionReport {
     pub pruned_infeasible: u64,
     /// Bound prunes inside the subtree.
     pub pruned_bound: u64,
-    /// Whether the subtree was exhausted (not budget-tripped or
-    /// cancelled).
+    /// Whether the subtree was exhausted (not budget-tripped).
     pub complete: bool,
     /// Best energy found *inside* this subtree, when it improved on
     /// the seed bound the subtree started from.
@@ -146,7 +126,7 @@ pub struct ParSolution {
     /// Aggregated search statistics (partition enumeration included).
     pub stats: BnbStats,
     /// Whether the searched space proves `energy` optimal: every
-    /// partition of the winning sweep ran to completion.
+    /// partition ran to completion.
     pub complete: bool,
     /// Certified lower bound on the optimum (equals `energy` when
     /// `complete`).
@@ -159,11 +139,6 @@ pub struct ParSolution {
     /// rebalancing activity (telemetry; not part of the deterministic
     /// contract).
     pub steals: u64,
-    /// Subtrees cancelled by a racing stop flag.
-    pub cancellations: u64,
-    /// The racing arm that proved the optimum, if racing was on and
-    /// one finished.
-    pub winner: Option<&'static str>,
 }
 
 impl ParSolution {
@@ -176,70 +151,23 @@ impl ParSolution {
     }
 }
 
-const ARM_DET: &str = "det";
-const ARM_WARM: &str = "warm-slowest";
-const ARM_COLD: &str = "cold-fastest";
-
-/// Parallel exact Discrete solve. See the module docs for the
-/// partition scheme, the determinism contract, and racing.
-pub fn exact_par(
-    g: &TaskGraph,
-    deadline: f64,
-    modes: &DiscreteModes,
-    p: PowerLaw,
-    cfg: &ParBnbConfig,
-) -> Result<ParSolution, SolveError> {
-    // Racing needs two pools; degrade to the deterministic sweep at
-    // one worker.
-    if cfg.racing && cfg.workers >= 2 {
-        exact_par_racing(g, deadline, modes, p, cfg)
-    } else {
-        exact_par_deterministic(g, deadline, modes, p, cfg)
-    }
-}
-
 struct SubtreeResult {
     report: PartitionReport,
     best: Option<(f64, Vec<usize>)>,
-    outcome: SubtreeOutcome,
 }
 
 /// Search one subtree from a clean per-subtree incumbent seeded at
 /// `seed_energy` (determinism: the result depends only on the
-/// arguments, never on sibling progress unless `prune_shared`).
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    ctx: &SearchCtx<'_>,
-    arm: &'static str,
-    prefix: &[usize],
-    budget: u64,
-    seed_energy: f64,
-    shared: Option<&SharedIncumbent>,
-    prune_shared: bool,
-    stop: Option<&AtomicBool>,
-) -> SubtreeResult {
+/// arguments, never on sibling progress).
+fn run_one(ctx: &SearchCtx<'_>, prefix: &[usize], budget: u64, seed_energy: f64) -> SubtreeResult {
     let mut stats = BnbStats::default();
     let mut inc = Incumbent {
         energy: seed_energy,
         modes: None,
     };
-    let outcome = if stop.is_some_and(|f| f.load(Ordering::Relaxed)) {
-        // Cancelled before it started (race already decided).
-        SubtreeOutcome::Stopped
-    } else {
-        ctx.search_subtree(
-            prefix,
-            budget,
-            &mut inc,
-            shared,
-            prune_shared,
-            stop,
-            &mut stats,
-        )
-    };
+    let outcome = ctx.search_subtree(prefix, budget, &mut inc, &mut stats);
     SubtreeResult {
         report: PartitionReport {
-            arm,
             key: prefix.to_vec(),
             nodes: stats.nodes,
             pruned_infeasible: stats.pruned_infeasible,
@@ -248,41 +176,24 @@ fn run_one(
             energy: inc.modes.as_ref().map(|_| inc.energy),
         },
         best: inc.modes.map(|m| (inc.energy, m)),
-        outcome,
     }
 }
 
 /// Fan the subtrees out over `workers` scoped threads pulling from an
 /// atomic queue. Results come back in partition order; the second
 /// return is the steal count (pickups beyond each worker's first).
-#[allow(clippy::too_many_arguments)]
 fn run_subtrees(
     ctx: &SearchCtx<'_>,
-    arm: &'static str,
     prefixes: &[Vec<usize>],
     workers: usize,
     per_budget: u64,
     seed_energy: f64,
-    shared: Option<&SharedIncumbent>,
-    prune_shared: bool,
-    stop: Option<&AtomicBool>,
 ) -> (Vec<SubtreeResult>, u64) {
     let nworkers = workers.clamp(1, prefixes.len().max(1));
     if nworkers <= 1 {
         let results = prefixes
             .iter()
-            .map(|prefix| {
-                run_one(
-                    ctx,
-                    arm,
-                    prefix,
-                    per_budget,
-                    seed_energy,
-                    shared,
-                    prune_shared,
-                    stop,
-                )
-            })
+            .map(|prefix| run_one(ctx, prefix, per_budget, seed_energy))
             .collect();
         return (results, 0);
     }
@@ -300,16 +211,7 @@ fn run_subtrees(
                         break;
                     }
                     picked += 1;
-                    let res = run_one(
-                        ctx,
-                        arm,
-                        &prefixes[idx],
-                        per_budget,
-                        seed_energy,
-                        shared,
-                        prune_shared,
-                        stop,
-                    );
+                    let res = run_one(ctx, &prefixes[idx], per_budget, seed_energy);
                     *slots[idx].lock().expect("subtree slot poisoned") = Some(res);
                 }
                 if picked > 1 {
@@ -349,21 +251,16 @@ fn warm_seed(
     }
 }
 
-fn exact_par_deterministic(
+/// Parallel exact Discrete solve. See the module docs for the
+/// partition scheme and the determinism contract.
+pub fn exact_par(
     g: &TaskGraph,
     deadline: f64,
     modes: &DiscreteModes,
     p: PowerLaw,
     cfg: &ParBnbConfig,
 ) -> Result<ParSolution, SolveError> {
-    let ctx = SearchCtx::new(
-        g,
-        deadline,
-        modes,
-        p,
-        cfg.chain_bound,
-        BranchOrder::SlowestFirst,
-    )?;
+    let ctx = SearchCtx::new(g, deadline, modes, p, cfg.chain_bound)?;
     let mut stats = BnbStats::default();
     let (seed, relax_lb) = if cfg.warm_start {
         warm_seed(&ctx, g, deadline, modes, p)
@@ -378,7 +275,7 @@ fn exact_par_deterministic(
         // The whole tree was pruned against the seed during
         // enumeration: the seed is optimal (or the instance holds no
         // feasible assignment at all).
-        profiling::add_bnb(stats.nodes, 0, 0);
+        profiling::add_bnb(stats.nodes, 0);
         return match seed {
             Some((energy, mi)) => Ok(ParSolution {
                 speeds: ctx.speeds_of(&mi),
@@ -389,8 +286,6 @@ fn exact_par_deterministic(
                 depth,
                 partitions: Vec::new(),
                 steals: 0,
-                cancellations: 0,
-                winner: None,
             }),
             None => Err(SolveError::Infeasible {
                 deadline,
@@ -400,21 +295,7 @@ fn exact_par_deterministic(
     }
 
     let per_budget = cfg.node_budget.div_ceil(prefixes.len() as u64).max(1);
-    // Publish-only shared cell: improvements become visible (racing
-    // callers and telemetry read it) but deterministic subtrees never
-    // prune against it.
-    let shared = SharedIncumbent::new();
-    let (results, steals) = run_subtrees(
-        &ctx,
-        ARM_DET,
-        &prefixes,
-        cfg.workers,
-        per_budget,
-        seed_energy,
-        Some(&shared),
-        false,
-        None,
-    );
+    let (results, steals) = run_subtrees(&ctx, &prefixes, cfg.workers, per_budget, seed_energy);
 
     // Lexicographic combine with strict `<`: reproduces the
     // sequential DFS's first-optimal-leaf tie-breaking exactly.
@@ -422,7 +303,7 @@ fn exact_par_deterministic(
     let mut complete = true;
     let mut partitions = Vec::with_capacity(results.len());
     for r in results {
-        complete &= r.outcome == SubtreeOutcome::Complete;
+        complete &= r.report.complete;
         if let Some((e, mi)) = r.best {
             if best.as_ref().is_none_or(|(b, _)| e < *b) {
                 best = Some((e, mi));
@@ -435,7 +316,7 @@ fn exact_par_deterministic(
         });
         partitions.push(r.report);
     }
-    profiling::add_bnb(stats.nodes, steals, 0);
+    profiling::add_bnb(stats.nodes, steals);
 
     match best {
         Some((energy, mi)) => {
@@ -453,8 +334,6 @@ fn exact_par_deterministic(
                 depth,
                 partitions,
                 steals,
-                cancellations: 0,
-                winner: None,
             })
         }
         None if complete => Err(SolveError::Infeasible {
@@ -466,223 +345,6 @@ fn exact_par_deterministic(
             budget: cfg.node_budget,
         }),
     }
-}
-
-struct ArmOutcome {
-    stats: BnbStats,
-    depth: usize,
-    partitions: Vec<PartitionReport>,
-    steals: u64,
-    cancellations: u64,
-}
-
-/// One racing arm: enumerate its own frontier (under its own branching
-/// order), sweep the subtrees pruning against the shared bound, and —
-/// if every subtree completed — declare victory and stop the race.
-#[allow(clippy::too_many_arguments)]
-fn run_arm(
-    ctx: &SearchCtx<'_>,
-    arm: &'static str,
-    arm_idx: usize,
-    workers: usize,
-    target_partitions: usize,
-    node_budget: u64,
-    shared: &SharedIncumbent,
-    stop: &AtomicBool,
-    winner: &AtomicUsize,
-) -> ArmOutcome {
-    let mut stats = BnbStats::default();
-    // Enumeration prunes against whatever the race has already
-    // published (at least the warm seed, when one exists).
-    let (depth, prefixes) = ctx.enumerate_frontier(target_partitions, shared.bound(), &mut stats);
-    let (results, steals) = if prefixes.is_empty() {
-        (Vec::new(), 0)
-    } else {
-        let per_budget = node_budget.div_ceil(prefixes.len() as u64).max(1);
-        run_subtrees(
-            ctx,
-            arm,
-            &prefixes,
-            workers,
-            per_budget,
-            f64::INFINITY,
-            Some(shared),
-            true,
-            Some(stop),
-        )
-    };
-    let mut complete = true;
-    let mut cancellations = 0u64;
-    let mut partitions = Vec::with_capacity(results.len());
-    for r in results {
-        complete &= r.outcome == SubtreeOutcome::Complete;
-        if r.outcome == SubtreeOutcome::Stopped {
-            cancellations += 1;
-        }
-        stats.absorb(BnbStats {
-            nodes: r.report.nodes,
-            pruned_infeasible: r.report.pruned_infeasible,
-            pruned_bound: r.report.pruned_bound,
-        });
-        partitions.push(r.report);
-    }
-    if complete {
-        // First fully-finished arm wins and cancels the rest: its
-        // sweep covered the whole space, so the shared bound is now
-        // the proven optimum.
-        if winner
-            .compare_exchange(usize::MAX, arm_idx, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            stop.store(true, Ordering::Relaxed);
-        }
-    }
-    ArmOutcome {
-        stats,
-        depth,
-        partitions,
-        steals,
-        cancellations,
-    }
-}
-
-fn exact_par_racing(
-    g: &TaskGraph,
-    deadline: f64,
-    modes: &DiscreteModes,
-    p: PowerLaw,
-    cfg: &ParBnbConfig,
-) -> Result<ParSolution, SolveError> {
-    let ctx_warm = SearchCtx::new(
-        g,
-        deadline,
-        modes,
-        p,
-        cfg.chain_bound,
-        BranchOrder::SlowestFirst,
-    )?;
-    let ctx_cold = SearchCtx::new(
-        g,
-        deadline,
-        modes,
-        p,
-        cfg.chain_bound,
-        BranchOrder::FastestFirst,
-    )?;
-    let shared = SharedIncumbent::new();
-    let stop = AtomicBool::new(false);
-    let winner = AtomicUsize::new(usize::MAX);
-
-    let (seed, relax_lb) = if cfg.warm_start {
-        warm_seed(&ctx_warm, g, deadline, modes, p)
-    } else {
-        (None, 0.0)
-    };
-    if let Some((energy, mi)) = &seed {
-        // The seed enters the race through the shared cell, so every
-        // arm prunes against it and the final result can never be
-        // worse than the round-up.
-        shared.publish(*energy, mi);
-    }
-
-    let w_warm = cfg.workers.div_ceil(2);
-    let w_cold = cfg.workers - w_warm;
-    let target = cfg.target_partitions();
-    let (warm_out, cold_out) = std::thread::scope(|s| {
-        let warm_handle = s.spawn(|| {
-            run_arm(
-                &ctx_warm,
-                ARM_WARM,
-                0,
-                w_warm,
-                target,
-                cfg.node_budget,
-                &shared,
-                &stop,
-                &winner,
-            )
-        });
-        let cold_out = run_arm(
-            &ctx_cold,
-            ARM_COLD,
-            1,
-            w_cold.max(1),
-            target,
-            cfg.node_budget,
-            &shared,
-            &stop,
-            &winner,
-        );
-        (warm_handle.join().expect("racing arm panicked"), cold_out)
-    });
-
-    let winner_idx = winner.load(Ordering::Acquire);
-    let winner_name = match winner_idx {
-        0 => Some(ARM_WARM),
-        1 => Some(ARM_COLD),
-        _ => None,
-    };
-    let complete = winner_name.is_some();
-    // Report the winning arm's split depth (the warm arm's when the
-    // race was inconclusive).
-    let depth = if winner_idx == 1 {
-        cold_out.depth
-    } else {
-        warm_out.depth
-    };
-    let mut stats = BnbStats::default();
-    let mut partitions = Vec::new();
-    let mut steals = 0u64;
-    let mut cancellations = 0u64;
-    for arm in [warm_out, cold_out] {
-        stats.absorb(arm.stats);
-        steals += arm.steals;
-        cancellations += arm.cancellations;
-        partitions.extend(arm.partitions);
-    }
-    profiling::add_bnb(stats.nodes, steals, cancellations);
-
-    match shared.take_best().or(seed) {
-        Some((energy, mi)) => {
-            let lower_bound = if complete {
-                energy
-            } else {
-                relax_lb.max(ctx_warm.root_lower_bound()).min(energy)
-            };
-            Ok(ParSolution {
-                speeds: ctx_warm.speeds_of(&mi),
-                energy,
-                stats,
-                complete,
-                lower_bound,
-                depth,
-                partitions,
-                steals,
-                cancellations,
-                winner: winner_name,
-            })
-        }
-        None if complete => Err(SolveError::Infeasible {
-            deadline,
-            min_makespan: ctx_warm.min_makespan(),
-        }),
-        None => Err(SolveError::BudgetExhausted {
-            nodes: stats.nodes,
-            budget: cfg.node_budget,
-        }),
-    }
-}
-
-/// Convenience wrapper mirroring [`crate::discrete::exact`]: parallel
-/// solve with deterministic defaults at `workers` threads.
-pub fn exact_par_workers(
-    g: &TaskGraph,
-    deadline: f64,
-    modes: &DiscreteModes,
-    p: PowerLaw,
-    workers: usize,
-) -> Result<ParSolution, SolveError> {
-    exact_par(g, deadline, modes, p, &ParBnbConfig::with_workers(workers))
 }
 
 #[cfg(test)]
@@ -723,7 +385,7 @@ mod tests {
         let (g, d, ms) = fixture();
         let seq = discrete::exact(&g, d, &ms, P).unwrap();
         for workers in [1, 2, 4] {
-            let par = exact_par_workers(&g, d, &ms, P, workers).unwrap();
+            let par = exact_par(&g, d, &ms, P, &ParBnbConfig::with_workers(workers)).unwrap();
             assert!(par.complete);
             assert_eq!(
                 par.energy.to_bits(),
@@ -763,26 +425,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn racing_returns_exact_values() {
-        let (g, d, ms) = fixture();
-        let seq = discrete::exact(&g, d, &ms, P).unwrap();
-        let cfg = ParBnbConfig {
-            workers: 4,
-            racing: true,
-            ..Default::default()
-        };
-        let par = exact_par(&g, d, &ms, P, &cfg).unwrap();
-        assert!(par.complete, "some arm must finish");
-        assert!(par.winner.is_some());
-        assert!(
-            (par.energy - seq.energy).abs() <= 1e-12 * seq.energy,
-            "racing {} vs sequential {}",
-            par.energy,
-            seq.energy
-        );
     }
 
     #[test]
@@ -834,7 +476,7 @@ mod tests {
     fn profiling_counters_fold_into_calling_thread() {
         let (g, d, ms) = fixture();
         let before = profiling::counts();
-        let sol = exact_par_workers(&g, d, &ms, P, 4).unwrap();
+        let sol = exact_par(&g, d, &ms, P, &ParBnbConfig::with_workers(4)).unwrap();
         let delta = profiling::counts() - before;
         assert_eq!(delta.bnb_nodes, sol.stats.nodes);
         assert_eq!(delta.bnb_steals, sol.steals);

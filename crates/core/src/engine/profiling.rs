@@ -22,7 +22,6 @@ thread_local! {
     static WARM_LOST: Cell<u64> = const { Cell::new(0) };
     static BNB_NODES: Cell<u64> = const { Cell::new(0) };
     static BNB_STEALS: Cell<u64> = const { Cell::new(0) };
-    static BNB_CANCELLED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Snapshot of this thread's engine warm-start counters.
@@ -40,8 +39,6 @@ pub struct Counts {
     /// Subtree pickups beyond each parallel worker's first — how much
     /// the atomic work-queue rebalanced beyond the static split.
     pub bnb_steals: u64,
-    /// Subtrees cancelled mid-search by a portfolio race's stop flag.
-    pub bnb_cancelled: u64,
 }
 
 impl std::ops::Sub for Counts {
@@ -51,7 +48,6 @@ impl std::ops::Sub for Counts {
             warm_lost: self.warm_lost - rhs.warm_lost,
             bnb_nodes: self.bnb_nodes - rhs.bnb_nodes,
             bnb_steals: self.bnb_steals - rhs.bnb_steals,
-            bnb_cancelled: self.bnb_cancelled - rhs.bnb_cancelled,
         }
     }
 }
@@ -62,7 +58,6 @@ pub fn counts() -> Counts {
         warm_lost: WARM_LOST.with(Cell::get),
         bnb_nodes: BNB_NODES.with(Cell::get),
         bnb_steals: BNB_STEALS.with(Cell::get),
-        bnb_cancelled: BNB_CANCELLED.with(Cell::get),
     }
 }
 
@@ -73,10 +68,9 @@ pub(crate) fn bump_warm_lost() {
 /// Fold one exact solve's branch-and-bound totals into this thread's
 /// counters (called once per solve by the sequential and parallel
 /// entry points).
-pub(crate) fn add_bnb(nodes: u64, steals: u64, cancelled: u64) {
+pub(crate) fn add_bnb(nodes: u64, steals: u64) {
     BNB_NODES.with(|c| c.set(c.get() + nodes));
     BNB_STEALS.with(|c| c.set(c.get() + steals));
-    BNB_CANCELLED.with(|c| c.set(c.get() + cancelled));
 }
 
 #[cfg(test)]
@@ -88,11 +82,10 @@ mod tests {
         let before = counts();
         bump_warm_lost();
         bump_warm_lost();
-        add_bnb(100, 3, 1);
+        add_bnb(100, 3);
         let delta = counts() - before;
         assert_eq!(delta.warm_lost, 2);
         assert_eq!(delta.bnb_nodes, 100);
         assert_eq!(delta.bnb_steals, 3);
-        assert_eq!(delta.bnb_cancelled, 1);
     }
 }

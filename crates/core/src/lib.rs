@@ -20,8 +20,8 @@
 //! [`models::EnergyModel`] and the detected graph shape. Repeated
 //! solves on one graph (sweeps, bisections, model comparisons) should
 //! go through the prepared-instance [`engine`] instead: it caches the
-//! graph analysis, dispatches through a pluggable algorithm registry,
-//! and fans batches out over threads.
+//! graph analysis, routes each model to its algorithm through one
+//! `match`, and fans batches out over threads.
 
 pub mod bicriteria;
 pub mod certify;

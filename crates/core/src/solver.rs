@@ -3,8 +3,8 @@
 //!
 //! [`solve`] and [`solve_with`] are thin compatibility wrappers over
 //! the [`crate::engine`]: they prepare the graph transiently and run
-//! one dispatch through the algorithm registry. Callers that solve
-//! the same graph repeatedly should hold a
+//! it through the engine's model → algorithm routing. Callers that
+//! solve the same graph repeatedly should hold a
 //! [`taskgraph::PreparedGraph`] and an [`crate::engine::Engine`]
 //! instead, so the analysis is paid once.
 
@@ -37,13 +37,6 @@ pub struct SolveOptions {
     /// instead of the Theorem 5 approximation, subject to the same
     /// task-count limit.
     pub exact_incremental: bool,
-    /// When an exact search runs in parallel (an
-    /// [`crate::engine::Engine`] with `threads ≥ 2`), race
-    /// heterogeneous portfolio arms (warm/slowest-first vs.
-    /// cold/fastest-first) instead of the deterministic partition
-    /// sweep. Values stay exact; node counts stop being reproducible
-    /// (see [`crate::engine::par_bnb`]).
-    pub bnb_racing: bool,
 }
 
 impl Default for SolveOptions {
@@ -52,7 +45,6 @@ impl Default for SolveOptions {
             precision_k: 10_000,
             exact_discrete_limit: 24,
             exact_incremental: false,
-            bnb_racing: false,
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Small presentation substrate used by the experiment binaries: an
 //! ASCII [`Table`] renderer, CSV output, and the summary statistics
-//! ([`stats`]) that the experiment index in DESIGN.md reports
-//! (mean, geometric mean, max ratios).
+//! ([`stats`]) the experiment tables report (mean, geometric mean,
+//! max ratios).
 
 pub mod spark;
 pub mod stats;

@@ -282,7 +282,6 @@ struct WorkerCounters {
     warm_lost: AtomicU64,
     bnb_nodes: AtomicU64,
     bnb_steals: AtomicU64,
-    bnb_cancelled: AtomicU64,
     sp_splice: AtomicU64,
     sp_splice_miss: AtomicU64,
     cone_nodes: AtomicU64,
@@ -743,6 +742,7 @@ impl EventLoop {
                         // framing-violation path produces.
                         self.queue_inline_error(
                             conn,
+                            0,
                             ErrorBody::new(
                                 ErrorKind::Protocol,
                                 "connection closed mid-frame".to_string(),
@@ -774,6 +774,7 @@ impl EventLoop {
                     // reading — resynchronization is not possible.
                     self.queue_inline_error(
                         conn,
+                        0,
                         ErrorBody::new(ErrorKind::Protocol, e.to_string()),
                     );
                     conn.read_closed = true;
@@ -812,7 +813,7 @@ impl EventLoop {
                     _ => {} // worker-pool work; the worker re-decodes
                 },
                 Err(e) => {
-                    self.queue_inline_error(conn, e);
+                    self.queue_inline_error(conn, RequestEnvelope::id_of(&payload), e);
                     return;
                 }
             }
@@ -831,13 +832,13 @@ impl EventLoop {
 
     /// Queue an error the poll loop produced itself (framing or
     /// decode): answered at the minimum version every supported
-    /// client accepts, under id 0 — byte-identical to what the worker
-    /// path answered for the same violations before the poll loop
-    /// existed.
-    fn queue_inline_error(&mut self, conn: &mut Conn, e: ErrorBody) {
+    /// client accepts, under the frame's own `id` when it has one
+    /// ([`RequestEnvelope::id_of`]) and 0 for framing violations —
+    /// byte-identical to the worker path's answer for the same frame.
+    fn queue_inline_error(&mut self, conn: &mut Conn, id: u64, e: ErrorBody) {
         let resp = ResponseEnvelope {
             version: MIN_PROTOCOL_VERSION,
-            id: 0,
+            id,
             response: Response::Error(e),
         };
         conn.wqueue.push_back(frame_bytes(&resp.encode()));
@@ -1015,9 +1016,6 @@ fn worker_loop(
             .bnb_steals
             .fetch_add(delta.bnb_steals, Ordering::Relaxed);
         counters
-            .bnb_cancelled
-            .fetch_add(delta.bnb_cancelled, Ordering::Relaxed);
-        counters
             .sp_splice
             .fetch_add(tg_delta.sp_splice, Ordering::Relaxed);
         counters
@@ -1027,12 +1025,15 @@ fn worker_loop(
             .cone_nodes
             .fetch_add(tg_delta.cone_nodes, Ordering::Relaxed);
         state.active.fetch_sub(1 + extra, Ordering::AcqRel);
+        // Encode outside the lock: nothing that runs while it is held
+        // may panic and poison the poll loop's completion queue.
+        let payload = resp.encode();
         completions
             .lock()
             .expect("completion queue lock poisoned")
             .push(Completion {
                 token: job.token,
-                payload: resp.encode(),
+                payload,
                 stop,
             });
         // Wake the poll loop so the answer reaches its write queue.
@@ -1058,7 +1059,6 @@ fn stats_report(state: &State) -> StatsReport {
                 warm_lost: w.warm_lost.load(Ordering::Relaxed),
                 bnb_nodes: w.bnb_nodes.load(Ordering::Relaxed),
                 bnb_steals: w.bnb_steals.load(Ordering::Relaxed),
-                bnb_cancelled: w.bnb_cancelled.load(Ordering::Relaxed),
                 sp_splice: w.sp_splice.load(Ordering::Relaxed),
                 sp_splice_miss: w.sp_splice_miss.load(Ordering::Relaxed),
                 cone_nodes: w.cone_nodes.load(Ordering::Relaxed),
@@ -1088,7 +1088,7 @@ fn handle_payload(
             return (
                 ResponseEnvelope {
                     version: MIN_PROTOCOL_VERSION,
-                    id: 0,
+                    id: RequestEnvelope::id_of(payload),
                     response: Response::Error(e),
                 },
                 false,

@@ -355,8 +355,10 @@ impl From<&SolveError> for ErrorBody {
             } => ErrorBody {
                 kind: ErrorKind::Infeasible,
                 message: e.to_string(),
-                deadline: Some(*deadline),
-                min_makespan: Some(*min_makespan),
+                // JSON has no ∞ (a non-positive deadline reports an
+                // infinite minimum makespan): omit the field instead.
+                deadline: Some(*deadline).filter(|d| d.is_finite()),
+                min_makespan: Some(*min_makespan).filter(|m| m.is_finite()),
             },
             SolveError::Numerical(_) => ErrorBody::new(ErrorKind::Numerical, e.to_string()),
             SolveError::Unsupported(_) => ErrorBody::new(ErrorKind::Unsupported, e.to_string()),
@@ -898,6 +900,17 @@ impl RequestEnvelope {
         Json::Obj(pairs).encode()
     }
 
+    /// The `id` of a payload that parses as JSON with an integer
+    /// `id`, else 0: a frame that fails [`RequestEnvelope::decode`] is
+    /// answered under it, so a pipelined client can still match the
+    /// error to its request.
+    pub fn id_of(payload: &str) -> u64 {
+        json::parse(payload)
+            .ok()
+            .and_then(|v| v.get("id").and_then(Json::as_u64))
+            .unwrap_or(0)
+    }
+
     /// Decode a payload. Version/JSON failures come back as
     /// [`ErrorKind::Protocol`], content failures as
     /// [`ErrorKind::BadRequest`].
@@ -1179,8 +1192,6 @@ pub struct WorkerStatsReport {
     /// how much the atomic work-queue rebalanced past the static
     /// split.
     pub bnb_steals: u64,
-    /// Subtrees cancelled mid-search by a portfolio race's stop flag.
-    pub bnb_cancelled: u64,
     /// Structural patches whose SP decomposition was locally spliced
     /// instead of re-recognized ([`taskgraph::profiling`]).
     pub sp_splice: u64,
@@ -1839,7 +1850,6 @@ fn stats_to_json(s: &StatsReport) -> Json {
                             ("warm_lost".into(), Json::num(w.warm_lost as f64)),
                             ("bnb_nodes".into(), Json::num(w.bnb_nodes as f64)),
                             ("bnb_steals".into(), Json::num(w.bnb_steals as f64)),
-                            ("bnb_cancelled".into(), Json::num(w.bnb_cancelled as f64)),
                             ("sp_splice".into(), Json::num(w.sp_splice as f64)),
                             ("sp_splice_miss".into(), Json::num(w.sp_splice_miss as f64)),
                             ("cone_nodes".into(), Json::num(w.cone_nodes as f64)),
@@ -1917,7 +1927,6 @@ fn stats_from_json(v: &Json) -> Result<StatsReport, ErrorBody> {
                     warm_lost: wu0("warm_lost"),
                     bnb_nodes: wu0("bnb_nodes"),
                     bnb_steals: wu0("bnb_steals"),
-                    bnb_cancelled: wu0("bnb_cancelled"),
                     sp_splice: wu0("sp_splice"),
                     sp_splice_miss: wu0("sp_splice_miss"),
                     cone_nodes: wu0("cone_nodes"),
@@ -2118,7 +2127,6 @@ mod tests {
                         warm_lost: 2,
                         bnb_nodes: 123_456,
                         bnb_steals: 7,
-                        bnb_cancelled: 3,
                         sp_splice: 11,
                         sp_splice_miss: 1,
                         cone_nodes: 42,

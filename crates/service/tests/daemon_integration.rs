@@ -99,6 +99,24 @@ fn expect_stats(resp: Response) -> StatsReport {
     }
 }
 
+/// Send one raw frame and decode its answer.
+fn raw_exchange(
+    raw: &mut std::os::unix::net::UnixStream,
+    frame: &str,
+) -> reclaim_service::proto::ResponseEnvelope {
+    use reclaim_service::proto::{read_frame, write_frame, ResponseEnvelope};
+    write_frame(raw, frame).unwrap();
+    let payload = read_frame(raw).unwrap().expect("an answer");
+    ResponseEnvelope::decode(&payload).unwrap()
+}
+
+fn expect_error(resp: Response) -> reclaim_service::proto::ErrorBody {
+    match resp {
+        Response::Error(e) => e,
+        other => panic!("expected an error, got {other:?}"),
+    }
+}
+
 /// The v2 patch path, end to end over the wire: cache an instance,
 /// mutate it in place by content key, chain a second patch off the
 /// returned key, and check the stats ledger kept patch traffic apart
@@ -456,19 +474,14 @@ fn exact_curve_over_the_wire_with_retained_ray() {
 /// bad-request errors, and the daemon keeps serving afterwards.
 #[test]
 fn malformed_requests_get_structured_answers() {
-    use reclaim_service::proto::{read_frame, write_frame, ResponseEnvelope};
     let daemon = Spawned::new("malformed", &[]);
     let mut client = daemon.client();
 
     // An unknown version, sent raw over a second connection.
     {
         let mut raw = std::os::unix::net::UnixStream::connect(&daemon.socket).unwrap();
-        write_frame(&mut raw, r#"{"v":99,"id":5,"type":"stats"}"#).unwrap();
-        let payload = read_frame(&mut raw).unwrap().expect("an answer");
-        let resp = ResponseEnvelope::decode(&payload).unwrap();
-        let Response::Error(e) = resp.response else {
-            panic!("expected an error response");
-        };
+        let resp = raw_exchange(&mut raw, r#"{"v":99,"id":5,"type":"stats"}"#);
+        let e = expect_error(resp.response);
         assert_eq!(e.kind, ErrorKind::Protocol);
         assert!(e.message.contains("version"), "{}", e.message);
     }
@@ -477,6 +490,67 @@ fn malformed_requests_get_structured_answers() {
     let stats = expect_stats(client.roundtrip(Request::Stats).unwrap().response);
     assert_eq!(stats.cache.entries, 0);
 
+    daemon.shutdown(client);
+}
+
+/// A non-positive deadline under unbounded Continuous has an infinite
+/// minimum makespan, which JSON cannot carry: the answer omits the
+/// field instead of killing the worker, and the pool keeps serving
+/// with no request left in flight.
+#[test]
+fn infinite_min_makespan_is_answered_not_fatal() {
+    use reclaim_service::proto::RequestEnvelope;
+    let daemon = Spawned::new("inf-makespan", &["--workers", "2"]);
+    let mut client = daemon.client();
+    let mut raw = std::os::unix::net::UnixStream::connect(&daemon.socket).unwrap();
+    let g = generators::chain(&[1.0, 2.0]);
+    let frame = RequestEnvelope::new(
+        77,
+        Request::Solve {
+            graph: g.clone(),
+            model: EnergyModel::continuous_unbounded(),
+            deadline: -3.0,
+        },
+    )
+    .encode();
+    let resp = raw_exchange(&mut raw, &frame);
+    assert_eq!(resp.id, 77, "answered under the frame's own id");
+    let e = expect_error(resp.response);
+    assert_eq!(e.kind, ErrorKind::Infeasible);
+    assert_eq!(e.deadline, Some(-3.0));
+    assert_eq!(e.min_makespan, None, "a non-finite number is omitted");
+
+    expect_solve(client.roundtrip(solve_req(&g)).unwrap().response);
+    let stats = expect_stats(client.roundtrip(Request::Stats).unwrap().response);
+    assert_eq!(stats.net.inflight, 0, "every admitted request answered");
+    drop(raw);
+    daemon.shutdown(client);
+}
+
+/// A frame that fails to decode is answered under its own `id`, both
+/// inline (small frames) and on the worker path (frames past the
+/// inline limit), so a pipelined client can match the error.
+#[test]
+fn decode_errors_echo_the_request_id() {
+    let daemon = Spawned::new("echo-id", &["--workers", "2"]);
+    let client = daemon.client();
+    let mut raw = std::os::unix::net::UnixStream::connect(&daemon.socket).unwrap();
+
+    let small = r#"{"v":1,"id":42,"type":"nope"}"#;
+    let resp = raw_exchange(&mut raw, small);
+    assert_eq!(resp.id, 42);
+    assert_eq!(expect_error(resp.response).kind, ErrorKind::BadRequest);
+
+    let large = format!(
+        r#"{{"v":1,"id":43,"type":"nope","pad":"{}"}}"#,
+        "x".repeat(600)
+    );
+    assert!(large.len() > 512, "must take the worker path");
+    let resp = raw_exchange(&mut raw, &large);
+    assert_eq!(resp.id, 43);
+    assert_eq!(expect_error(resp.response).kind, ErrorKind::BadRequest);
+
+    drop(raw);
     daemon.shutdown(client);
 }
 
@@ -541,11 +615,6 @@ fn parallel_bnb_borrows_spare_workers_and_flushes_counters() {
     let s1 = expect_stats(client.roundtrip(Request::Stats).unwrap().response);
     let nodes1: u64 = s1.workers.iter().map(|w| w.bnb_nodes).sum();
     assert!(nodes1 > 0, "bnb nodes not flushed before the response");
-    assert_eq!(
-        s1.workers.iter().map(|w| w.bnb_cancelled).sum::<u64>(),
-        0,
-        "no racing configured, nothing may be cancelled"
-    );
 
     // Requests 3 and 4: a second identical solve must add its own
     // node count once — the ledger grows, it never double-drains.
