@@ -20,7 +20,8 @@
 //!   round-trip), so the speedup is understated, not flattered.
 //!
 //! `BENCH_X8.json` records both arms (`cold_mean_ns`,
-//! `patch_mean_ns`, `speedup_x`) for the perf trail.
+//! `patch_mean_ns`, `speedup_x`) for the perf trail, plus the pass
+//! conditions CI gates on (`warm_lp_hits`, `prep_zero`, `max_drift`).
 
 use super::Outcome;
 use rand::rngs::StdRng;
@@ -171,6 +172,8 @@ pub fn run() -> Outcome {
                 "warm_lp_hits",
                 patch_reports.iter().filter(|(p, _)| p.warm_lp).count() as f64,
             ),
+            ("prep_zero", if all_prep_zero { 1.0 } else { 0.0 }),
+            ("max_drift", max_drift),
             ("seed_ns", seed_wall as f64),
         ],
         table,

@@ -42,8 +42,9 @@
 //! re-verify content on hit.
 
 use models::EnergyModel;
+use std::collections::HashMap;
 use taskgraph::edit::GraphEdit;
-use taskgraph::TaskGraph;
+use taskgraph::{TaskGraph, TaskId};
 
 /// 128-bit FNV-1a (offset basis / prime per the FNV reference).
 #[derive(Debug, Clone)]
@@ -154,7 +155,10 @@ pub fn content_key(g: &TaskGraph, model: &EnergyModel) -> u128 {
 
 /// Update `base` — the [`content_key`] of `(old, model)` for **any**
 /// model — to the key of the edited instance, touching only the terms
-/// the edits name. `O(edits)`, independent of graph size.
+/// the edits name. `O(edits)`, independent of graph size: the batch's
+/// own overrides (costs by task, edges inserted or removed) are kept
+/// apart, and everything else is read from `old` — one weight lookup,
+/// or one adjacency scan of the edge's source, per edit.
 ///
 /// Returns `None` only for [`GraphEdit::RemoveTask`]: removal
 /// renumbers every id above the removed task, so the honest move is a
@@ -183,38 +187,51 @@ pub fn content_key(g: &TaskGraph, model: &EnergyModel) -> u128 {
 /// ```
 pub fn patched_key(base: u128, old: &TaskGraph, edits: &[GraphEdit]) -> Option<u128> {
     let mut key = base;
-    // Weights/edges as the delta walks the batch (edits see the state
-    // left by their predecessors, exactly like `apply_edits`).
-    let mut weights: Vec<f64> = old.weights().to_vec();
-    let mut edges: Vec<(usize, usize)> = old.edges().iter().map(|&(u, v)| (u.0, v.0)).collect();
+    // The batch's overrides of `old` as the delta walks it (edits see
+    // the state left by their predecessors, exactly like
+    // `apply_edits`): costs by task, and edge presence.
+    let mut n = old.n();
+    let mut weights: HashMap<usize, f64> = HashMap::new();
+    let mut edges: HashMap<(usize, usize), bool> = HashMap::new();
+    let present = |edges: &HashMap<(usize, usize), bool>, (u, v): (usize, usize)| {
+        edges
+            .get(&(u, v))
+            .copied()
+            .unwrap_or_else(|| u < old.n() && old.has_edge(TaskId(u), TaskId(v)))
+    };
     for edit in edits {
         match edit {
             GraphEdit::SetWeight { task, weight } => {
-                key ^= weight_term(*task, *weights.get(*task)?);
+                let prev = match weights.get(task) {
+                    Some(&w) => w,
+                    None => *old.weights().get(*task)?,
+                };
+                key ^= weight_term(*task, prev);
                 key ^= weight_term(*task, *weight);
-                weights[*task] = *weight;
+                weights.insert(*task, *weight);
             }
             GraphEdit::InsertEdge { from, to } => {
-                if !edges.contains(&(*from, *to)) {
+                if !present(&edges, (*from, *to)) {
                     key ^= edge_term(*from, *to);
-                    edges.push((*from, *to));
+                    edges.insert((*from, *to), true);
                 }
             }
             GraphEdit::RemoveEdge { from, to } => {
-                let pos = edges.iter().position(|e| e == &(*from, *to))?;
-                edges.remove(pos);
+                if !present(&edges, (*from, *to)) {
+                    return None;
+                }
                 key ^= edge_term(*from, *to);
+                edges.insert((*from, *to), false);
             }
             GraphEdit::AddTask {
                 weight,
                 preds,
                 succs,
             } => {
-                let n = weights.len();
                 key ^= size_term(n);
                 key ^= size_term(n + 1);
                 key ^= weight_term(n, *weight);
-                weights.push(*weight);
+                weights.insert(n, *weight);
                 // Mirror `apply_edits` / `TaskGraph::new`: duplicate
                 // entries in preds/succs collapse to one edge (and one
                 // term — a repeated XOR would cancel itself out).
@@ -223,11 +240,12 @@ pub fn patched_key(base: u128, old: &TaskGraph, edits: &[GraphEdit]) -> Option<u
                     .map(|&p| (p, n))
                     .chain(succs.iter().map(|&s| (n, s)))
                 {
-                    if !edges.contains(&e) {
+                    if !present(&edges, e) {
                         key ^= edge_term(e.0, e.1);
-                        edges.push(e);
+                        edges.insert(e, true);
                     }
                 }
+                n += 1;
             }
             GraphEdit::RemoveTask { .. } => return None,
         }
@@ -348,6 +366,67 @@ mod tests {
             patched_key(content_key(&g, m), &g, &noop),
             Some(content_key(&g, m))
         );
+    }
+
+    #[test]
+    fn in_batch_overrides_patch_like_a_rehash() {
+        let g =
+            TaskGraph::new(vec![1.0, 2.0, 3.0, 4.0], &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
+        let m = EnergyModel::VddHopping(modes());
+        let base = content_key(&g, &m);
+        let batches: Vec<Vec<GraphEdit>> = vec![
+            // The same task set twice: the second edit sees the first.
+            vec![
+                GraphEdit::SetWeight {
+                    task: 2,
+                    weight: 5.0,
+                },
+                GraphEdit::SetWeight {
+                    task: 2,
+                    weight: 0.75,
+                },
+            ],
+            // An edge inserted, then removed again.
+            vec![
+                GraphEdit::InsertEdge { from: 1, to: 2 },
+                GraphEdit::RemoveEdge { from: 1, to: 2 },
+            ],
+            // An existing edge re-inserted, alone and after its removal.
+            vec![GraphEdit::InsertEdge { from: 0, to: 1 }],
+            vec![
+                GraphEdit::RemoveEdge { from: 0, to: 1 },
+                GraphEdit::InsertEdge { from: 0, to: 1 },
+                GraphEdit::InsertEdge { from: 0, to: 1 },
+            ],
+            // Overrides on a task the batch itself added.
+            vec![
+                GraphEdit::AddTask {
+                    weight: 1.5,
+                    preds: vec![3],
+                    succs: vec![],
+                },
+                GraphEdit::SetWeight {
+                    task: 4,
+                    weight: 2.5,
+                },
+                GraphEdit::RemoveEdge { from: 3, to: 4 },
+                GraphEdit::InsertEdge { from: 1, to: 4 },
+            ],
+        ];
+        for edits in &batches {
+            let (edited, _) = apply_edits(&g, edits).unwrap();
+            assert_eq!(
+                patched_key(base, &g, edits),
+                Some(content_key(&edited, &m)),
+                "delta diverged for {edits:?}"
+            );
+        }
+        // Removing an edge the batch already removed is refused.
+        let twice = [
+            GraphEdit::RemoveEdge { from: 0, to: 1 },
+            GraphEdit::RemoveEdge { from: 0, to: 1 },
+        ];
+        assert_eq!(patched_key(base, &g, &twice), None);
     }
 
     #[test]

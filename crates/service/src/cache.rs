@@ -27,12 +27,20 @@
 //! (`patch_hits` / `patch_misses` / `rekeys`) so `stats` can tell a
 //! patched-in-place instance from plain cache hits.
 //!
-//! Eviction is least-recently-used under a dual budget: a maximum
-//! entry count and a maximum (estimated) byte footprint
-//! ([`taskgraph::PreparedInstance::approx_bytes`]). The most recently
-//! inserted entry is never evicted by its own insertion, so a single
-//! over-budget instance still serves its request (and is dropped on
-//! the next insertion instead).
+//! Eviction keeps a dual budget: a maximum entry count and a maximum
+//! (estimated) byte footprint
+//! ([`taskgraph::PreparedInstance::approx_bytes`]). Each entry records
+//! whether it was ever **reused** — looked up again, or patched — and
+//! a patched entry inherits that mark from its base, so the head of a
+//! live patch chain always carries it. The victim is the least recently
+//! used never-reused entry, as long as reused entries hold at most 4/5
+//! of the entry budget; past that share, or when every other entry is
+//! reused, it is the least recently used entry. A burst of one-off
+//! solves therefore evicts its own kind and leaves the chains clients
+//! are still patching resident. The most recently inserted entry is
+//! never evicted by its own insertion, so a single over-budget
+//! instance still serves its request (and is dropped on the next
+//! insertion instead).
 //!
 //! # The disk store (protocol v5)
 //!
@@ -117,7 +125,15 @@ struct Entry {
     curve: CurveSlot,
     bytes: usize,
     last_used: u64,
+    /// Looked up or patched since its insertion (or inherited from a
+    /// patched base): spared by eviction while reused entries hold at
+    /// most [`REUSED_SHARE`] of the entry budget.
+    reused: bool,
 }
+
+/// The share of `max_entries` (numerator, denominator) reused entries
+/// may hold and still be spared by eviction.
+const REUSED_SHARE: (usize, usize) = (4, 5);
 
 struct Inner {
     map: HashMap<u128, Entry>,
@@ -265,6 +281,7 @@ impl InstanceCache {
             // (and refresh) the winner, drop our copy.
             Some(e) => {
                 e.last_used = tick;
+                e.reused = true;
                 Arc::clone(&e.inst)
             }
             None => {
@@ -278,6 +295,7 @@ impl InstanceCache {
                         curve: Arc::new(Mutex::new(curve)),
                         bytes,
                         last_used: tick,
+                        reused: false,
                     },
                 );
                 self.enforce_budget(&mut inner, key);
@@ -396,6 +414,7 @@ impl InstanceCache {
             // undoes a previous one): keep the existing entry.
             Some(e) => {
                 e.last_used = tick;
+                e.reused = true;
                 let existing = Arc::clone(&e.inst);
                 let warm = Arc::clone(&e.warm);
                 drop(inner);
@@ -427,6 +446,9 @@ impl InstanceCache {
                         curve: Arc::new(Mutex::new(None)),
                         bytes,
                         last_used: tick,
+                        // Inherited from the base, which this patch
+                        // just reused.
+                        reused: true,
                     },
                 );
                 self.enforce_budget(&mut inner, key);
@@ -462,8 +484,8 @@ impl InstanceCache {
         found
     }
 
-    /// [`Self::lookup`] without touching the hit counter (LRU recency
-    /// is still refreshed) — the read half of `patch`.
+    /// [`Self::lookup`] without touching the hit counter (recency and
+    /// the reuse mark are still refreshed) — the read half of `patch`.
     fn lookup_quiet(&self, key: u128) -> Option<(Arc<PreparedInstance>, (EnergyModel, WarmSlot))> {
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         inner.tick += 1;
@@ -471,24 +493,34 @@ impl InstanceCache {
         match inner.map.get_mut(&key) {
             Some(e) => {
                 e.last_used = tick;
+                e.reused = true;
                 Some((Arc::clone(&e.inst), (e.model.clone(), Arc::clone(&e.warm))))
             }
             None => None,
         }
     }
 
-    /// Evict LRU entries until both budgets hold, never evicting
-    /// `keep` (the entry whose insertion triggered enforcement).
+    /// Evict entries until both budgets hold, never evicting `keep`
+    /// (the entry whose insertion triggered enforcement). The victim
+    /// is the least recently used never-reused entry while reused
+    /// entries hold at most [`REUSED_SHARE`] of `max_entries`, else
+    /// the least recently used entry (see the module docs).
     fn enforce_budget(&self, inner: &mut Inner, keep: u128) {
         while inner.map.len() > self.cfg.max_entries
             || (inner.bytes > self.cfg.max_bytes && inner.map.len() > 1)
         {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(k, _)| **k != keep)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
+            let (num, den) = REUSED_SHARE;
+            let reused = inner.map.values().filter(|e| e.reused).count();
+            let spare_reused = reused * den <= self.cfg.max_entries * num;
+            let lru = |spare: bool| {
+                inner
+                    .map
+                    .iter()
+                    .filter(|(k, e)| **k != keep && !(spare && e.reused))
+                    .min_by_key(|(_, e)| e.last_used)
+                    .map(|(k, _)| *k)
+            };
+            let victim = lru(spare_reused).or_else(|| lru(false));
             let Some(victim) = victim else { break };
             if let Some(e) = inner.map.remove(&victim) {
                 inner.bytes -= e.bytes;
@@ -598,6 +630,69 @@ mod tests {
         assert_eq!(outcome, Prepared::Hit);
         let (_, outcome) = cache.get_or_prepare(2, &model(), || prep(2.0));
         assert_eq!(outcome, Prepared::Built, "2 must have been evicted");
+    }
+
+    #[test]
+    fn one_off_burst_spares_reused_entries() {
+        let cache = InstanceCache::new(CacheConfig {
+            max_entries: 5,
+            max_bytes: usize::MAX,
+        });
+        // Four reused entries: exactly 4/5 of the entry budget.
+        for k in 1..=4 {
+            cache.get_or_prepare(k, &model(), || prep(k as f64));
+        }
+        for k in 1..=4 {
+            cache.get_or_prepare(k, &model(), || panic!("hit expected"));
+        }
+        // A burst of one-off solves twice the budget evicts only its
+        // own kind.
+        for k in 100..110 {
+            cache.get_or_prepare(k, &model(), || prep(1.0));
+        }
+        assert_eq!(cache.stats().evictions, 9);
+        for k in 1..=4 {
+            assert!(cache.peek(k).is_some(), "reused entry {k} must stay");
+        }
+        // Reusing the last one-off too puts reused entries past 4/5 of
+        // the budget: the least recently used entry goes, reused or
+        // not — here 1, peeked first above.
+        cache.get_or_prepare(109, &model(), || panic!("hit expected"));
+        cache.get_or_prepare(200, &model(), || prep(2.0));
+        assert_eq!(cache.stats().evictions, 10);
+        assert!(cache.peek(1).is_none(), "LRU reused entry evicted");
+        for k in [2, 3, 4, 109, 200] {
+            assert!(cache.peek(k).is_some(), "entry {k} must stay");
+        }
+    }
+
+    #[test]
+    fn patched_entry_inherits_reuse() {
+        let cache = InstanceCache::new(CacheConfig {
+            max_entries: 3,
+            max_bytes: usize::MAX,
+        });
+        let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
+        let m = model();
+        let k0 = instance_key(&g, &m);
+        cache.get_or_prepare(k0, &m, || PreparedInstance::new(StdArc::new(g)));
+        let head = cache
+            .patch(
+                k0,
+                &[GraphEdit::SetWeight {
+                    task: 1,
+                    weight: 5.0,
+                }],
+            )
+            .unwrap()
+            .key;
+        // The chain head was never looked up under its own key, yet
+        // one-off inserts past the budget leave it resident.
+        for k in 100..104 {
+            cache.get_or_prepare(k, &m, || prep(1.0));
+        }
+        assert_eq!(cache.stats().evictions, 2);
+        assert!(cache.patch(head, &[]).is_ok(), "chain head must stay");
     }
 
     #[test]

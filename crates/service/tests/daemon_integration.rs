@@ -294,6 +294,44 @@ fn tiny_budget_evicts_lru() {
     daemon.shutdown(client);
 }
 
+/// A burst of one-off solves larger than the entry budget does not
+/// evict the head of a patch chain a client is still patching.
+#[test]
+fn one_off_burst_keeps_patch_chain_alive() {
+    use taskgraph::edit::GraphEdit;
+
+    let daemon = Spawned::new("chain", &["--cache-entries", "4"]);
+    let mut client = daemon.client();
+    let g = big_graph(20);
+    let deadline = 1.5 * taskgraph::analysis::critical_path_weight(&g);
+    let patch_key = |client: &mut Client, base: u128, weight: f64| -> u128 {
+        let edits = [GraphEdit::SetWeight { task: 3, weight }];
+        match client.patch(base, &edits, deadline).unwrap().response {
+            Response::Patch(p) => p.key,
+            other => panic!("expected a patch report, got {other:?}"),
+        }
+    };
+
+    expect_solve(client.roundtrip(solve_req(&g)).unwrap().response);
+    let base = reclaim_core::engine::content_key(&g, &EnergyModel::continuous_unbounded());
+    let head = patch_key(&mut client, base, 2.5);
+    for seed in 30..34 {
+        expect_solve(
+            client
+                .roundtrip(solve_req(&big_graph(seed)))
+                .unwrap()
+                .response,
+        );
+    }
+    let stats = expect_stats(client.roundtrip(Request::Stats).unwrap().response);
+    assert_eq!(stats.cache.entries, 4, "budget holds");
+    assert_eq!(stats.cache.evictions, 1, "one one-off made room");
+    // The chain head survived the burst: patching it gets an answer.
+    patch_key(&mut client, head, 3.5);
+
+    daemon.shutdown(client);
+}
+
 /// The multi-solve request types work over the wire, and errors come
 /// back structured.
 #[test]

@@ -346,11 +346,14 @@ pub fn repair_earliest_completion(
         pos[t.0] = k;
     }
     let mut ecl = old.to_vec();
-    let mut queued: std::collections::HashSet<usize> = seeds.iter().copied().collect();
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(usize, usize)>> = queued
-        .iter()
-        .map(|&s| std::cmp::Reverse((pos[s], s)))
-        .collect();
+    let mut queued = vec![false; g.n()];
+    let mut heap = std::collections::BinaryHeap::new();
+    for &s in seeds {
+        if !queued[s] {
+            queued[s] = true;
+            heap.push(std::cmp::Reverse((pos[s], s)));
+        }
+    }
     let mut visited = 0u64;
     while let Some(std::cmp::Reverse((_, t))) = heap.pop() {
         visited += 1;
@@ -363,7 +366,8 @@ pub fn repair_earliest_completion(
         if val != ecl[t] {
             ecl[t] = val;
             for &TaskId(s) in g.succs(TaskId(t)) {
-                if queued.insert(s) {
+                if !queued[s] {
+                    queued[s] = true;
                     heap.push(std::cmp::Reverse((pos[s], s)));
                 }
             }
@@ -394,10 +398,15 @@ pub fn repair_latest_completion(
         pos[t.0] = k;
     }
     let mut lcl = old.to_vec();
-    let mut queued: std::collections::HashSet<usize> = seeds.iter().copied().collect();
+    let mut queued = vec![false; g.n()];
     // Max-heap on position: process in reverse topological order.
-    let mut heap: std::collections::BinaryHeap<(usize, usize)> =
-        queued.iter().map(|&s| (pos[s], s)).collect();
+    let mut heap = std::collections::BinaryHeap::new();
+    for &s in seeds {
+        if !queued[s] {
+            queued[s] = true;
+            heap.push((pos[s], s));
+        }
+    }
     let mut visited = 0u64;
     while let Some((_, t)) = heap.pop() {
         visited += 1;
@@ -409,7 +418,8 @@ pub fn repair_latest_completion(
         if lim != lcl[t] {
             lcl[t] = lim;
             for &TaskId(p) in g.preds(TaskId(t)) {
-                if queued.insert(p) {
+                if !queued[p] {
+                    queued[p] = true;
                     heap.push((pos[p], p));
                 }
             }

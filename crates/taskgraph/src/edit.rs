@@ -16,8 +16,9 @@
 //! carryover itself lives in [`crate::PreparedInstance::apply`]:
 //!
 //! * weight-only batches preserve *every* structural cache (topological
-//!   order, shape class, SP tree, transitive reduction) — only the
-//!   completion times must be re-evaluated, by a cone-bounded
+//!   order, shape class, SP tree, transitive reduction), and the edited
+//!   graph shares its base's topology ([`TaskGraph::with_weights`]) —
+//!   only the completion times must be re-evaluated, by a cone-bounded
 //!   relaxation seeded at the re-weighted tasks;
 //! * edge edits keep the topological order (repaired in place by a
 //!   localized Pearce–Kelly shift when an insertion breaks it) and
@@ -239,8 +240,11 @@ pub fn apply_edits_ordered(
         "old_order must be a topological order of the pre-edit graph"
     );
     let mut weights: Vec<f64> = g.weights().to_vec();
-    let mut edges: Vec<(usize, usize)> = g.edges().iter().map(|&(u, v)| (u.0, v.0)).collect();
-    let mut weight_only = true;
+    // The edge list is copied on the batch's first edge or task edit;
+    // while it is `None` the batch is weight-only.
+    let mut edges: Option<Vec<(usize, usize)>> = None;
+    let edge_list =
+        || -> Vec<(usize, usize)> { g.edges().iter().map(|&(u, v)| (u.0, v.0)).collect() };
     let mut task_set_changed = false;
     let mut edges_inserted = false;
 
@@ -261,7 +265,7 @@ pub fn apply_edits_ordered(
                 weights[*task] = *weight;
             }
             GraphEdit::InsertEdge { from, to } => {
-                weight_only = false;
+                let edges = edges.get_or_insert_with(edge_list);
                 if *from >= n {
                     return Err(EditError::BadTask(*from));
                 }
@@ -277,7 +281,7 @@ pub fn apply_edits_ordered(
                 }
             }
             GraphEdit::RemoveEdge { from, to } => {
-                weight_only = false;
+                let edges = edges.get_or_insert_with(edge_list);
                 let Some(pos) = edges.iter().position(|e| e == &(*from, *to)) else {
                     return Err(EditError::MissingEdge {
                         from: *from,
@@ -291,7 +295,7 @@ pub fn apply_edits_ordered(
                 preds,
                 succs,
             } => {
-                weight_only = false;
+                let edges = edges.get_or_insert_with(edge_list);
                 task_set_changed = true;
                 for &p in preds.iter().chain(succs) {
                     if p >= n {
@@ -303,7 +307,7 @@ pub fn apply_edits_ordered(
                 edges.extend(succs.iter().map(|&s| (n, s)));
             }
             GraphEdit::RemoveTask { task } => {
-                weight_only = false;
+                let edges = edges.get_or_insert_with(edge_list);
                 task_set_changed = true;
                 if *task >= n {
                     return Err(EditError::BadTask(*task));
@@ -314,19 +318,54 @@ pub fn apply_edits_ordered(
                 weights.remove(*task);
                 let shift = |i: usize| if i > *task { i - 1 } else { i };
                 edges.retain(|&(u, v)| u != *task && v != *task);
-                for e in &mut edges {
+                for e in edges.iter_mut() {
                     *e = (shift(e.0), shift(e.1));
                 }
             }
         }
     }
 
+    // Tasks whose cost actually changed. Set-weight ids name stable
+    // tasks whenever the task set is unchanged.
+    let reweighted = if task_set_changed {
+        Vec::new()
+    } else {
+        let mut rew: Vec<usize> = edits
+            .iter()
+            .filter_map(|e| match e {
+                GraphEdit::SetWeight { task, .. } => Some(*task),
+                _ => None,
+            })
+            .collect();
+        rew.sort_unstable();
+        rew.dedup();
+        rew.retain(|&i| g.weights()[i] != weights[i]);
+        rew
+    };
+
+    // A weight-only batch leaves the edge set, and so the topology and
+    // every order of it, exactly as they were: share them.
+    let Some(edges) = edges else {
+        return Ok((
+            g.with_weights(weights)?,
+            EditEffect {
+                weight_only: true,
+                topo_preserved: true,
+                task_set_changed: false,
+                inserted_edges: Vec::new(),
+                removed_edges: Vec::new(),
+                touched: Vec::new(),
+                reweighted,
+                repaired_order: None,
+            },
+        ));
+    };
     let edited = TaskGraph::new(weights, &edges)?;
 
-    // Touched-region summary: net edge/weight changes between the two
-    // graphs. Only meaningful while the id space is stable.
-    let (inserted_edges, removed_edges, touched, reweighted) = if task_set_changed {
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new())
+    // Touched-region summary: net edge changes between the two graphs.
+    // Only meaningful while the id space is stable.
+    let (inserted_edges, removed_edges, touched) = if task_set_changed {
+        (Vec::new(), Vec::new(), Vec::new())
     } else {
         let old_set: std::collections::HashSet<(usize, usize)> =
             g.edges().iter().map(|&(u, v)| (u.0, v.0)).collect();
@@ -347,15 +386,7 @@ pub fn apply_edits_ordered(
         let mut tch: Vec<usize> = ins.iter().chain(&rem).flat_map(|&(u, v)| [u, v]).collect();
         tch.sort_unstable();
         tch.dedup();
-        let rew: Vec<usize> = g
-            .weights()
-            .iter()
-            .zip(edited.weights())
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(i, _)| i)
-            .collect();
-        (ins, rem, tch, rew)
+        (ins, rem, tch)
     };
 
     // An order valid for the old edge set stays valid when edges are
@@ -389,7 +420,7 @@ pub fn apply_edits_ordered(
     Ok((
         edited,
         EditEffect {
-            weight_only,
+            weight_only: false,
             topo_preserved,
             task_set_changed,
             inserted_edges,

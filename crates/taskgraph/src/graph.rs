@@ -1,6 +1,7 @@
 //! Core DAG data structure.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a task in a [`TaskGraph`].
 ///
@@ -62,13 +63,34 @@ impl std::error::Error for GraphError {}
 ///
 /// The structure is immutable once built (all solvers treat the
 /// mapping, and hence the execution graph, as frozen — that is the
-/// paper's core assumption).
+/// paper's core assumption). Only the costs vary between instances, so
+/// a graph keeps them apart from its topology (adjacency lists and
+/// edge list), which sits behind an [`Arc`]: graphs that differ only in
+/// weights — built by [`TaskGraph::with_weights`] — share one topology,
+/// and `Clone` copies only the weights.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskGraph {
     weights: Vec<f64>,
+    topology: Arc<Topology>,
+}
+
+/// The weight-independent part of a [`TaskGraph`].
+#[derive(Debug, PartialEq, Eq)]
+struct Topology {
     succs: Vec<Vec<TaskId>>,
     preds: Vec<Vec<TaskId>>,
     edges: Vec<(TaskId, TaskId)>,
+}
+
+/// Every cost must be strictly positive and finite.
+fn check_weights(weights: &[f64]) -> Result<(), GraphError> {
+    match weights.iter().position(|w| !(w.is_finite() && *w > 0.0)) {
+        Some(i) => Err(GraphError::BadWeight {
+            task: i,
+            weight: weights[i],
+        }),
+        None => Ok(()),
+    }
 }
 
 impl TaskGraph {
@@ -86,11 +108,7 @@ impl TaskGraph {
     /// ```
     pub fn new(weights: Vec<f64>, edges: &[(usize, usize)]) -> Result<Self, GraphError> {
         let n = weights.len();
-        for (i, &w) in weights.iter().enumerate() {
-            if !(w.is_finite() && w > 0.0) {
-                return Err(GraphError::BadWeight { task: i, weight: w });
-            }
-        }
+        check_weights(&weights)?;
         let mut succs = vec![Vec::new(); n];
         let mut preds = vec![Vec::new(); n];
         let mut uniq = std::collections::HashSet::with_capacity(edges.len());
@@ -113,14 +131,46 @@ impl TaskGraph {
         }
         let g = TaskGraph {
             weights,
-            succs,
-            preds,
-            edges: elist,
+            topology: Arc::new(Topology {
+                succs,
+                preds,
+                edges: elist,
+            }),
         };
         if let Some(c) = g.find_cycle_node() {
             return Err(GraphError::Cycle(c));
         }
         Ok(g)
+    }
+
+    /// The same graph under new task costs: validates `weights` exactly
+    /// like [`TaskGraph::new`] and shares this graph's topology instead
+    /// of rebuilding it.
+    ///
+    /// # Panics
+    ///
+    /// If `weights` does not hold one cost per task.
+    ///
+    /// ```
+    /// use taskgraph::TaskGraph;
+    /// let g = TaskGraph::new(vec![1.0, 2.0], &[(0, 1)]).unwrap();
+    /// let h = g.with_weights(vec![3.0, 4.0]).unwrap();
+    /// assert_eq!(h, TaskGraph::new(vec![3.0, 4.0], &[(0, 1)]).unwrap());
+    /// assert!(g.with_weights(vec![3.0, 0.0]).is_err());
+    /// ```
+    pub fn with_weights(&self, weights: Vec<f64>) -> Result<TaskGraph, GraphError> {
+        assert_eq!(weights.len(), self.n(), "one cost per task");
+        check_weights(&weights)?;
+        Ok(TaskGraph {
+            weights,
+            topology: Arc::clone(&self.topology),
+        })
+    }
+
+    /// Whether `self` and `other` share one topology allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_topology(&self, other: &TaskGraph) -> bool {
+        Arc::ptr_eq(&self.topology, &other.topology)
     }
 
     /// A single-task graph (convenience for tests and SP leaves).
@@ -137,7 +187,7 @@ impl TaskGraph {
     /// Number of precedence edges `|Ê|`.
     #[inline]
     pub fn m(&self) -> usize {
-        self.edges.len()
+        self.topology.edges.len()
     }
 
     /// Cost `w_i` of a task.
@@ -160,19 +210,19 @@ impl TaskGraph {
     /// Successors of `t` (tasks that must wait for `t`).
     #[inline]
     pub fn succs(&self, t: TaskId) -> &[TaskId] {
-        &self.succs[t.0]
+        &self.topology.succs[t.0]
     }
 
     /// Predecessors of `t`.
     #[inline]
     pub fn preds(&self, t: TaskId) -> &[TaskId] {
-        &self.preds[t.0]
+        &self.topology.preds[t.0]
     }
 
     /// All edges in insertion order.
     #[inline]
     pub fn edges(&self) -> &[(TaskId, TaskId)] {
-        &self.edges
+        &self.topology.edges
     }
 
     /// Iterator over all task ids.
@@ -192,7 +242,7 @@ impl TaskGraph {
 
     /// Whether edge `(u, v)` is present.
     pub fn has_edge(&self, u: TaskId, v: TaskId) -> bool {
-        self.succs[u.0].contains(&v)
+        self.succs(u).contains(&v)
     }
 
     /// Returns a graph with the same tasks and every edge reversed.
@@ -202,14 +252,15 @@ impl TaskGraph {
     /// (reversing time preserves both the precedence structure and the
     /// energy of any schedule).
     pub fn reversed(&self) -> TaskGraph {
-        let edges: Vec<(usize, usize)> = self.edges.iter().map(|&(u, v)| (v.0, u.0)).collect();
+        let edges: Vec<(usize, usize)> = self.edges().iter().map(|&(u, v)| (v.0, u.0)).collect();
         TaskGraph::new(self.weights.clone(), &edges).expect("reversing a DAG yields a DAG")
     }
 
     /// Returns a new graph equal to `self` plus the given extra edges
     /// (used by the `mapping` crate to add serialization edges).
     pub fn with_extra_edges(&self, extra: &[(usize, usize)]) -> Result<TaskGraph, GraphError> {
-        let mut edges: Vec<(usize, usize)> = self.edges.iter().map(|&(u, v)| (u.0, v.0)).collect();
+        let mut edges: Vec<(usize, usize)> =
+            self.edges().iter().map(|&(u, v)| (u.0, v.0)).collect();
         edges.extend_from_slice(extra);
         TaskGraph::new(self.weights.clone(), &edges)
     }
@@ -218,12 +269,12 @@ impl TaskGraph {
     /// set is cyclic, `None` for a DAG.
     fn find_cycle_node(&self) -> Option<usize> {
         let n = self.n();
-        let mut indeg: Vec<usize> = (0..n).map(|i| self.preds[i].len()).collect();
+        let mut indeg: Vec<usize> = self.topology.preds.iter().map(Vec::len).collect();
         let mut stack: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut seen = 0usize;
         while let Some(u) = stack.pop() {
             seen += 1;
-            for &TaskId(v) in &self.succs[u] {
+            for &TaskId(v) in &self.topology.succs[u] {
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
                     stack.push(v);
@@ -320,6 +371,38 @@ mod tests {
         assert!(g2.has_edge(TaskId(1), TaskId(2)));
         // Adding an edge that would create a cycle fails.
         assert!(g2.with_extra_edges(&[(3, 0)]).is_err());
+    }
+
+    #[test]
+    fn with_weights_shares_topology_and_equals_rebuild() {
+        let g = diamond();
+        let h = g.with_weights(vec![4.0, 3.0, 2.0, 1.0]).unwrap();
+        assert!(h.shares_topology(&g));
+        let rebuilt =
+            TaskGraph::new(vec![4.0, 3.0, 2.0, 1.0], &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
+        assert_eq!(h, rebuilt);
+        assert_eq!(h.edges(), rebuilt.edges());
+        assert!(!rebuilt.shares_topology(&g));
+        // The base keeps its own costs; a clone shares the topology too.
+        assert_eq!(g.weights(), &[1.0, 2.0, 3.0, 4.0]);
+        assert!(g.clone().shares_topology(&g));
+    }
+
+    #[test]
+    fn with_weights_rejects_bad_weights_like_new() {
+        let g = TaskGraph::new(vec![1.0, 1.0], &[(0, 1)]).unwrap();
+        for w in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let via_new = TaskGraph::new(vec![1.0, w], &[(0, 1)]).unwrap_err();
+            let via_share = g.with_weights(vec![1.0, w]).unwrap_err();
+            assert!(matches!(via_share, GraphError::BadWeight { task: 1, .. }));
+            assert_eq!(via_share.to_string(), via_new.to_string());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one cost per task")]
+    fn with_weights_needs_one_cost_per_task() {
+        let _ = diamond().with_weights(vec![1.0; 3]);
     }
 
     #[test]

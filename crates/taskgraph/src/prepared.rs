@@ -28,7 +28,9 @@ use crate::structure::{self, Shape};
 #[derive(Debug, Default)]
 struct Caches {
     topo: OnceLock<Vec<TaskId>>,
-    class: OnceLock<(Shape, Option<SpTree>)>,
+    /// Shape and SP tree, behind an [`Arc`] so weight-only carryover
+    /// shares the tree instead of copying it.
+    class: OnceLock<Arc<(Shape, Option<SpTree>)>>,
     cp_weight: OnceLock<f64>,
     reduced: OnceLock<TaskGraph>,
     /// Earliest completion times at unit speed (durations = weights):
@@ -51,7 +53,7 @@ impl Caches {
 
     fn classification(&self, g: &TaskGraph) -> &(Shape, Option<SpTree>) {
         self.class
-            .get_or_init(|| structure::classify_with_tree_ordered(g, self.topo(g)))
+            .get_or_init(|| Arc::new(structure::classify_with_tree_ordered(g, self.topo(g))))
     }
 
     fn ecl(&self, g: &TaskGraph) -> &[f64] {
@@ -248,8 +250,10 @@ impl PreparedInstance {
     ///
     /// * **weight-only** ([`GraphEdit::SetWeight`] throughout) — the
     ///   topological order, shape class, SP tree, reachability, and
-    ///   transitive reduction all survive (the reduction's weights are
-    ///   refreshed without re-running the reduction); completion times
+    ///   transitive reduction all survive: the edited graph and the
+    ///   reduction share their base's topology
+    ///   ([`TaskGraph::with_weights`]) and the classification is
+    ///   shared as it is, so only the weights are new; completion times
     ///   and the critical path are repaired by a cone-bounded
     ///   relaxation seeded at the re-weighted tasks;
     /// * **edge edits** — every analysis is repaired within the edit's
@@ -340,22 +344,21 @@ impl PreparedInstance {
             }
 
             if effect.weight_only {
-                // Structure untouched: classification, reachability,
-                // and the reduced edge set survive verbatim (the
-                // reduction's weights are refreshed without re-running
-                // the reduction — TaskGraph::new is plain construction,
-                // no profiling bump).
+                // Structure untouched: the edited graph already shares
+                // the base's topology; the classification and the
+                // reachability matrix are shared as they are, and the
+                // reduction keeps its own topology under the new
+                // weights (no reduction pass, no profiling bump).
                 if let Some(c) = self.caches.class.get() {
-                    let _ = caches.class.set(c.clone());
+                    let _ = caches.class.set(Arc::clone(c));
                 }
                 if let Some(r) = self.caches.reach.get() {
                     let _ = caches.reach.set(Arc::clone(r));
                 }
                 if let Some(r) = self.caches.reduced.get() {
-                    let redges: Vec<(usize, usize)> =
-                        r.edges().iter().map(|&(u, v)| (u.0, v.0)).collect();
-                    let refreshed = TaskGraph::new(edited.weights().to_vec(), &redges)
-                        .expect("reduction of a DAG stays a valid DAG under new weights");
+                    let refreshed = r
+                        .with_weights(edited.weights().to_vec())
+                        .expect("the edited graph's weights are valid");
                     let _ = caches.reduced.set(refreshed);
                 }
             } else if let Some(order) = &order {
@@ -364,11 +367,15 @@ impl PreparedInstance {
                 //   classify); otherwise splice the SP tree around the
                 //   touched region. A miss drops the cache.
                 if let Some(s) = structure::specific_shape(&edited) {
-                    let _ = caches.class.set((s, None));
-                } else if let Some((Shape::SeriesParallel, Some(tree))) = self.caches.class.get() {
+                    let _ = caches.class.set(Arc::new((s, None)));
+                } else if let Some((Shape::SeriesParallel, Some(tree))) =
+                    self.caches.class.get().map(|c| &**c)
+                {
                     let touched: Vec<TaskId> = effect.touched.iter().map(|&i| TaskId(i)).collect();
                     if let Some(repaired) = tree.splice(&edited, order, &touched) {
-                        let _ = caches.class.set((Shape::SeriesParallel, Some(repaired)));
+                        let _ = caches
+                            .class
+                            .set(Arc::new((Shape::SeriesParallel, Some(repaired))));
                     }
                 }
 
@@ -423,7 +430,7 @@ impl PreparedInstance {
                 .topo
                 .get()
                 .map(|t| t.iter().map(|id| id.0).collect()),
-            class: self.caches.class.get().cloned(),
+            class: self.caches.class.get().map(|c| (**c).clone()),
             cp_weight: self.caches.cp_weight.get().copied(),
             reduced_edges: self
                 .caches
@@ -454,7 +461,7 @@ impl PreparedInstance {
                 .as_ref()
                 .is_none_or(|t| t.leaves().iter().all(|id| id.0 < n));
             if leaves_ok {
-                let _ = caches.class.set((*shape, tree.clone()));
+                let _ = caches.class.set(Arc::new((*shape, tree.clone())));
             }
         }
         if let Some(cp) = snap.cp_weight {
@@ -489,7 +496,7 @@ impl PreparedInstance {
         if let Some(t) = self.caches.topo.get() {
             total += 8 * t.len();
         }
-        if let Some((_, tree)) = self.caches.class.get() {
+        if let Some((_, tree)) = self.caches.class.get().map(|c| &**c) {
             // SP tree: roughly one node per task plus internal nodes.
             if tree.is_some() {
                 total += 64 * self.g.n();
@@ -630,6 +637,30 @@ mod tests {
         assert_eq!(delta.classify, 0, "classification must be carried");
         assert_eq!(delta.sp_from_graph, 0, "SP tree must be carried");
         assert_eq!(delta.transitive_reduction, 0, "reduction must be carried");
+    }
+
+    #[test]
+    fn weight_only_apply_shares_topology_with_base() {
+        let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
+        let inst = PreparedInstance::new(Arc::new(g.clone()));
+        inst.warm();
+        let patched = inst
+            .apply(&[GraphEdit::SetWeight {
+                task: 2,
+                weight: 6.0,
+            }])
+            .unwrap();
+        assert!(patched.graph().shares_topology(inst.graph()));
+        let (base_view, view) = (inst.view(), patched.view());
+        let (base_red, red) = (base_view.reduced(), view.reduced());
+        assert!(red.shares_topology(base_red));
+        assert_eq!(red.weights(), patched.graph().weights());
+        let (base_class, class) = (inst.caches.class.get(), patched.caches.class.get());
+        assert!(Arc::ptr_eq(base_class.unwrap(), class.unwrap()));
+        // The base is untouched.
+        assert_eq!(inst.graph(), &g);
+        assert_eq!(base_red.weights(), g.weights());
+        assert_eq!(inst.view().critical_path_weight(), 8.0);
     }
 
     #[test]

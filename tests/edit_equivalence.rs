@@ -14,6 +14,10 @@
 //!    structure at most once per splice miss — while every analysis
 //!    and every model's solve stays bit-identical to a from-scratch
 //!    rebuild.
+//! 4. **weight-only chains stay exact** — every step of a chain of
+//!    weight-only batches (which share the base's topology) equals a
+//!    rebuild: same graph, same edge sequence, same reduced edges,
+//!    and bit-identical energies under all four models.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -324,6 +328,59 @@ proptest! {
                 via_rebuild.energy.to_bits(),
                 "model {}: {} vs {}", model.name(), via_apply.energy, via_rebuild.energy
             );
+        }
+    }
+
+    /// Chains of weight-only batches equal a rebuild at every step.
+    #[test]
+    fn weight_only_chains_equal_rebuild(seed in any::<u64>(), steps in 1usize..5) {
+        let g = base_graph(seed);
+        let edges: Vec<(usize, usize)> =
+            g.edges().iter().map(|&(u, v)| (u.index(), v.index())).collect();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x3e1);
+        let mut weights = g.weights().to_vec();
+        let mut cur = PreparedInstance::new(Arc::new(g.clone()));
+        cur.warm();
+        let engine = Engine::new(P).threads(1);
+        for _ in 0..steps {
+            let edits: Vec<GraphEdit> = (0..rng.gen_range(1..4))
+                .map(|_| GraphEdit::SetWeight {
+                    task: rng.gen_range(0..g.n()),
+                    weight: rng.gen_range(0.25..4.0),
+                })
+                .collect();
+            for e in &edits {
+                if let GraphEdit::SetWeight { task, weight } = e {
+                    weights[*task] = *weight;
+                }
+            }
+            cur = cur.apply(&edits).unwrap();
+
+            let rebuilt = TaskGraph::new(weights.clone(), &edges).unwrap();
+            prop_assert_eq!(cur.graph(), &rebuilt);
+            prop_assert_eq!(cur.graph().edges(), rebuilt.edges());
+            let fresh = PreparedInstance::new(Arc::new(rebuilt.clone()));
+            let (pv, fv) = (cur.view(), fresh.view());
+            prop_assert_eq!(pv.reduced().edges(), fv.reduced().edges());
+            prop_assert_eq!(pv.reduced().weights(), rebuilt.weights());
+            prop_assert_eq!(
+                pv.critical_path_weight().to_bits(),
+                fv.critical_path_weight().to_bits()
+            );
+            for model in all_models() {
+                let d = match model.top_speed() {
+                    Some(s) => 1.5 * fv.critical_path_weight() / s,
+                    None => fv.critical_path_weight(),
+                };
+                let via_apply = engine.solve(&pv, &model, d).unwrap();
+                let via_rebuild = engine.solve(&fv, &model, d).unwrap();
+                prop_assert_eq!(via_apply.algorithm, via_rebuild.algorithm);
+                prop_assert_eq!(
+                    via_apply.energy.to_bits(),
+                    via_rebuild.energy.to_bits(),
+                    "model {}: {} vs {}", model.name(), via_apply.energy, via_rebuild.energy
+                );
+            }
         }
     }
 }
