@@ -77,8 +77,11 @@ pub fn cont_energy(g: &TaskGraph, d: f64, s_max: Option<f64>) -> f64 {
 /// provable lower bound on any Discrete/Incremental optimum over the
 /// same speed range.
 pub fn cont_energy_boxed(g: &TaskGraph, d: f64, s_min: f64, s_max: f64) -> f64 {
-    let speeds = continuous::solve_general_boxed(g, d, Some(s_min), Some(s_max), P, None)
-        .expect("feasible instance");
+    let prep = taskgraph::PreparedGraph::new(g);
+    let mut cold = continuous::SweepWarm::new();
+    let speeds =
+        continuous::solve_general_warm(&prep, d, Some(s_min), Some(s_max), P, None, &mut cold)
+            .expect("feasible instance");
     continuous::energy_of_speeds(g, &speeds, P)
 }
 

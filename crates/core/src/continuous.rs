@@ -298,33 +298,14 @@ pub fn solve_general(
     p: PowerLaw,
     precision_k: Option<u32>,
 ) -> Result<Vec<f64>, SolveError> {
-    solve_general_boxed(g, deadline, None, s_max, p, precision_k)
-}
-
-/// The geometric program with a **box** on the speeds:
-/// `s_min ≤ s_i ≤ s_max` per task.
-///
-/// The lower bound is what makes the rounding-based approximation
-/// algorithms (Theorem 5, Proposition 1) provable: the optimum of the
-/// continuous problem restricted to `s ≥ s_1` is still a lower bound
-/// on the Discrete/Incremental optimum (whose speeds are all `≥ s_1`),
-/// and rounding **that** optimum up to the next mode inflates each
-/// speed by at most a factor `1 + gap/s_1`.
-pub fn solve_general_boxed(
-    g: &TaskGraph,
-    deadline: f64,
-    s_min: Option<f64>,
-    s_max: Option<f64>,
-    p: PowerLaw,
-    precision_k: Option<u32>,
-) -> Result<Vec<f64>, SolveError> {
-    solve_general_prepared(
+    solve_general_warm(
         &PreparedGraph::new(g),
         deadline,
-        s_min,
+        None,
         s_max,
         p,
         precision_k,
+        &mut SweepWarm::new(),
     )
 }
 
@@ -346,7 +327,7 @@ pub struct BarrierStats {
 /// plus the barrier weight it stopped at.
 ///
 /// The rescaling argument: the barrier solves at deadline exactly 1
-/// (time-normalized, see [`solve_general_boxed`]), so a point that was
+/// (time-normalized, see [`solve_general_warm`]), so a point that was
 /// strictly feasible at deadline `D₁` becomes, after multiplying by
 /// `D₁/D₂`, strictly feasible at any `D₂ ≥ D₁` — same physical
 /// schedule, smaller normalized coordinates. Sweeps that walk
@@ -370,26 +351,23 @@ impl SweepWarm {
     }
 }
 
-/// [`solve_general_boxed`] on a prepared graph: critical path,
-/// topological order, and transitive reduction come from the shared
-/// cache instead of being re-derived per call.
-pub fn solve_general_prepared(
-    prep: &PreparedGraph<'_>,
-    deadline: f64,
-    s_min: Option<f64>,
-    s_max: Option<f64>,
-    p: PowerLaw,
-    precision_k: Option<u32>,
-) -> Result<Vec<f64>, SolveError> {
-    let mut cold = SweepWarm::new();
-    solve_general_warm(prep, deadline, s_min, s_max, p, precision_k, &mut cold)
-}
-
-/// [`solve_general_prepared`] with a [`SweepWarm`] chain threaded
-/// through: the barrier is seeded from the previous sweep point's
-/// primal whenever the deadline did not decrease, shrinking Newton
-/// iterations measurably (see `BarrierStats`). Results match the cold
-/// path up to the solver tolerance.
+/// The geometric program on a prepared graph with a **box** on the
+/// speeds, `s_min ≤ s_i ≤ s_max` per task, and a [`SweepWarm`] chain
+/// threaded through. Critical path, topological order and transitive
+/// reduction come from the shared cache; a point solve passes a fresh
+/// [`SweepWarm::new`].
+///
+/// The lower bound is what makes the rounding-based approximation
+/// algorithms (Theorem 5, Proposition 1) provable: the optimum of the
+/// continuous problem restricted to `s ≥ s_1` is still a lower bound
+/// on the Discrete/Incremental optimum (whose speeds are all `≥ s_1`),
+/// and rounding **that** optimum up to the next mode inflates each
+/// speed by at most a factor `1 + gap/s_1`.
+///
+/// The barrier is seeded from the previous sweep point's primal
+/// whenever the deadline did not decrease, shrinking Newton
+/// iterations measurably (see `BarrierStats`). Results match a cold
+/// chain up to the solver tolerance.
 pub fn solve_general_warm(
     prep: &PreparedGraph<'_>,
     deadline: f64,
@@ -467,7 +445,7 @@ pub fn solve_general_warm(
 }
 
 /// The barrier solve at deadline exactly 1 (see
-/// [`solve_general_boxed`] for the scaling). Bounds are already
+/// [`solve_general_warm`] for the scaling). Bounds are already
 /// scaled; returned speeds are in normalized units (divide by the real
 /// deadline to recover them). The raw [`BarrierSolution`] rides along
 /// so sweep callers can chain warm starts and account Newton steps.
@@ -610,18 +588,21 @@ pub fn solve_dispatched(
         Shape::General => None,
     };
     match closed_form {
-        Some(speeds) => {
-            // Chain/fork handle s_max internally and exactly; the
-            // tree/SP closed forms assume unbounded speeds (Theorem 2's
-            // caveat) — if the cap binds, defer to the numerical solver.
-            let within_cap = s_max.is_none_or(|sm| speeds.iter().all(|&s| s <= sm * (1.0 + 1e-9)));
-            if within_cap {
-                Ok(speeds)
-            } else {
-                solve_general_prepared(prep, deadline, None, s_max, p, precision_k)
-            }
+        // Chain/fork handle s_max internally and exactly; the tree/SP
+        // closed forms assume unbounded speeds (Theorem 2's caveat) —
+        // if the cap binds, defer to the numerical solver.
+        Some(speeds) if s_max.is_none_or(|sm| speeds.iter().all(|&s| s <= sm * (1.0 + 1e-9))) => {
+            Ok(speeds)
         }
-        None => solve_general_prepared(prep, deadline, None, s_max, p, precision_k),
+        _ => solve_general_warm(
+            prep,
+            deadline,
+            None,
+            s_max,
+            p,
+            precision_k,
+            &mut SweepWarm::new(),
+        ),
     }
 }
 

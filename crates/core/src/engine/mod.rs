@@ -23,7 +23,8 @@
 //!   with two sweep-specific shortcuts: the unbounded-Continuous
 //!   scaling law `E*(D) = E*(D₀)·(D₀/D)^{α−1}` collapses the sweep to
 //!   one solve, and Vdd-Hopping points reuse the previous point's LP
-//!   basis ([`vdd::solve_lp_sweep`]).
+//!   basis through the one [`VddWarm`] chain of
+//!   [`Engine::solve_deadlines`].
 //!
 //! The legacy [`crate::solve`] / [`crate::solve_with`] wrappers now
 //! route through a transient engine, so every caller gets the same
@@ -453,8 +454,9 @@ impl Engine {
     /// For [`EnergyModel::VddHopping`], a populated `warm` handle is
     /// re-optimized from its retained basis
     /// ([`VddWarm::resolve`] → [`lp::PreparedLp::resolve_rhs`]) — the
-    /// same parametric-RHS chain [`Engine::energy_curve`] runs across
-    /// deadline sweeps, here extended to weight edits. The resulting
+    /// one warm path behind deadline sweeps
+    /// ([`Engine::solve_deadlines`], [`Engine::energy_curve`]) and
+    /// patch chains ([`vdd_basis_survives`]). The resulting
     /// schedule gets the same validation as every cold solve; on any
     /// warm failure the handle is dropped and the instance re-solved
     /// cold (so this never fails where [`Engine::solve`] would
@@ -500,48 +502,6 @@ impl Engine {
         let sol = self.finish(prep, model, deadline, sched, "vdd-lp")?;
         *warm = Some(handle);
         Ok(sol)
-    }
-
-    /// Apply an edit batch to a prepared instance and solve the
-    /// edited instance, invalidating only what the edits can have
-    /// dirtied ([`PreparedInstance::apply`]) and routing Vdd-Hopping
-    /// re-solves through the retained LP basis ([`Engine::solve_warm`])
-    /// whenever it still describes the patched LP. The Vdd LP matrix
-    /// is a function of the task count, the mode ladder, and the
-    /// **transitively reduced** precedence rows — so the handle
-    /// survives not just weight-only batches but any structural edit
-    /// that leaves the reduced edge sequence unchanged (e.g. inserting
-    /// or removing a transitive edge). Edits that change the reduction
-    /// (or the task set) spend the handle: the LP they imply is a
-    /// different one, and a stale basis could validate as feasible yet
-    /// be suboptimal.
-    ///
-    /// Returns the patched instance alongside the solution so callers
-    /// (the daemon's `patch` handler, sweep drivers) can keep solving
-    /// — or keep editing — without re-preparation.
-    pub fn solve_edited(
-        &self,
-        base: &PreparedInstance,
-        edits: &[GraphEdit],
-        model: &EnergyModel,
-        deadline: f64,
-        warm: &mut Option<VddWarm>,
-    ) -> Result<(PreparedInstance, Solution), SolveError> {
-        let patched = base
-            .apply(edits)
-            .map_err(|e| SolveError::Unsupported(format!("invalid edit batch: {e}")))?;
-        if !edits.iter().all(GraphEdit::is_weight_only) {
-            // Row order matters (basis indices are positional), so the
-            // reduced edge *sequences* must match exactly.
-            let same_lp = warm.is_some()
-                && !edits.iter().any(|e| e.changes_task_set())
-                && base.view().reduced().edges() == patched.view().reduced().edges();
-            if !same_lp {
-                *warm = None;
-            }
-        }
-        let sol = self.solve_warm(&patched.view(), model, deadline, warm)?;
-        Ok((patched, sol))
     }
 
     /// Solve one graph (convenience: prepares it transiently).
@@ -653,7 +613,7 @@ impl Engine {
     ///   instead of N;
     /// * Vdd-Hopping: consecutive points re-optimize the previous LP
     ///   basis under the moved deadline rows instead of solving cold
-    ///   ([`vdd::solve_lp_sweep`]);
+    ///   (the [`VddWarm`] chain of [`Engine::solve_deadlines`]);
     /// * everything else: the points are independent solves fanned out
     ///   over threads.
     pub fn energy_curve(
@@ -701,44 +661,8 @@ impl Engine {
                 .collect());
         }
 
-        // Vdd-Hopping: warm-started LP chain over the sweep. Each
-        // schedule gets the same validation every other solve path
-        // applies (warm re-optimization must not smuggle in drift); a
-        // warm point that fails it is re-solved cold, so the sweep
-        // never fails where 32 independent solves would succeed.
-        if let EnergyModel::VddHopping(modes) = model {
-            let g = prep.graph();
-            let mut out = Vec::with_capacity(points);
-            for (sched, &d) in vdd::solve_lp_sweep(prep, &deadlines, modes, self.power)
-                .into_iter()
-                .zip(&deadlines)
-            {
-                let energy = match sched {
-                    Ok(s) if s.validate(g, model, d).is_ok() => s.energy(g, self.power),
-                    Ok(_) => {
-                        // A warm re-optimization produced a schedule
-                        // that failed validation: the basis is not
-                        // trustworthy at this point — ledger the loss
-                        // and re-solve cold.
-                        profiling::bump_warm_lost();
-                        match self.solve(prep, model, d) {
-                            Ok(sol) => sol.energy,
-                            Err(SolveError::Infeasible { .. }) => continue,
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    Err(SolveError::Infeasible { .. }) => continue,
-                    Err(e) => return Err(e),
-                };
-                out.push(CurvePoint {
-                    deadline: d,
-                    energy,
-                });
-            }
-            return Ok(out);
-        }
-
-        // General case: independent solves, fanned out over threads.
+        // Vdd-Hopping runs as one warm chain, every other model as
+        // independent solves fanned out over threads.
         let solutions = self.solve_deadlines(prep, model, &deadlines);
         let mut out = Vec::with_capacity(points);
         for (sol, d) in solutions.into_iter().zip(deadlines) {
@@ -855,28 +779,22 @@ impl Engine {
             {
                 *warm = None;
             }
-            let ray = match warm.as_mut() {
-                Some(w) => match w.deadline_ray(prep, d_lo, d_hi) {
-                    Ok(ray) => Ok(ray),
-                    Err(e @ SolveError::Infeasible { .. }) => return Err(e),
-                    Err(_) => {
+            let ray = match warm.as_mut().map(|w| w.deadline_ray(prep, d_lo, d_hi)) {
+                Some(held @ (Ok(_) | Err(SolveError::Infeasible { .. }))) => held,
+                spent => {
+                    if spent.is_some() {
                         // Spent basis: ledger it and rebuild cold.
                         profiling::bump_warm_lost();
                         *warm = None;
-                        vdd::deadline_ray_prepared(prep, d_lo, d_hi, modes, self.power).map(
-                            |(ray, handle)| {
-                                *warm = Some(handle);
-                                ray
-                            },
-                        )
                     }
-                },
-                None => vdd::deadline_ray_prepared(prep, d_lo, d_hi, modes, self.power).map(
-                    |(ray, handle)| {
-                        *warm = Some(handle);
-                        ray
-                    },
-                ),
+                    // The fresh handle is kept only once its walk
+                    // succeeded.
+                    vdd::solve_lp_warm(prep, d_lo, modes, self.power).and_then(|(_, mut fresh)| {
+                        let ray = fresh.deadline_ray(prep, d_lo, d_hi)?;
+                        *warm = Some(fresh);
+                        Ok(ray)
+                    })
+                }
             };
             match ray {
                 Ok(ray) => {
@@ -1061,6 +979,30 @@ impl Engine {
     }
 }
 
+/// Whether a Vdd warm basis retained for `base` still describes the LP
+/// of `patched`, the result of `base.apply(edits)` — the one rule every
+/// patch path follows before handing the basis to
+/// [`Engine::solve_warm`].
+///
+/// The Theorem 3 LP's matrix is a function of the task count, the mode
+/// ladder and the **transitively reduced** precedence rows, so the
+/// basis survives a weight-only batch (only the RHS moves) and any
+/// structural batch that keeps the task set and the reduced edge
+/// sequence (e.g. inserting or removing a transitive edge). Row order
+/// matters, since basis indices are positional, so the sequences must
+/// match exactly. Every other batch spends the basis: the LP it
+/// implies is a different one, and a stale basis could validate as
+/// feasible yet be suboptimal.
+pub fn vdd_basis_survives(
+    base: &PreparedInstance,
+    patched: &PreparedInstance,
+    edits: &[GraphEdit],
+) -> bool {
+    edits.iter().all(GraphEdit::is_weight_only)
+        || (!edits.iter().any(GraphEdit::changes_task_set)
+            && base.view().reduced().edges() == patched.view().reduced().edges())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1068,6 +1010,26 @@ mod tests {
     use taskgraph::{generators, profiling};
 
     const P: PowerLaw = PowerLaw::CUBIC;
+
+    /// The patch flow every caller follows: apply the batch, keep the
+    /// Vdd basis only where [`vdd_basis_survives`], solve warm.
+    fn patch_then_solve(
+        engine: &Engine,
+        base: &PreparedInstance,
+        edits: &[GraphEdit],
+        model: &EnergyModel,
+        deadline: f64,
+        warm: &mut Option<VddWarm>,
+    ) -> Result<(PreparedInstance, Solution), SolveError> {
+        let patched = base
+            .apply(edits)
+            .map_err(|e| SolveError::Unsupported(format!("invalid edit batch: {e}")))?;
+        if !vdd_basis_survives(base, &patched, edits) {
+            *warm = None;
+        }
+        let sol = engine.solve_warm(&patched.view(), model, deadline, warm)?;
+        Ok((patched, sol))
+    }
 
     #[test]
     fn analysis_runs_exactly_once_per_prepared_graph() {
@@ -1190,7 +1152,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_edited_weight_only_recomputes_no_structure() {
+    fn weight_only_patch_recomputes_no_structure() {
         use std::sync::Arc;
 
         let g = generators::diamond([1.0, 2.0, 3.0, 1.5]);
@@ -1200,18 +1162,18 @@ mod tests {
         let model = EnergyModel::continuous_unbounded();
         let mut warm = None;
         let before = profiling::counts();
-        let (patched, sol) = engine
-            .solve_edited(
-                &inst,
-                &[GraphEdit::SetWeight {
-                    task: 1,
-                    weight: 4.0,
-                }],
-                &model,
-                8.0,
-                &mut warm,
-            )
-            .unwrap();
+        let (patched, sol) = patch_then_solve(
+            &engine,
+            &inst,
+            &[GraphEdit::SetWeight {
+                task: 1,
+                weight: 4.0,
+            }],
+            &model,
+            8.0,
+            &mut warm,
+        )
+        .unwrap();
         let delta = profiling::counts() - before;
         assert_eq!(delta.topo_order, 0);
         assert_eq!(delta.classify, 0);
@@ -1238,33 +1200,33 @@ mod tests {
         let mut warm = None;
         let d = 6.0;
         // First edited solve: no warm state yet → cold LP, handle filled.
-        let (i1, s1) = engine
-            .solve_edited(
-                &inst,
-                &[GraphEdit::SetWeight {
-                    task: 1,
-                    weight: 2.5,
-                }],
-                &model,
-                d,
-                &mut warm,
-            )
-            .unwrap();
+        let (i1, s1) = patch_then_solve(
+            &engine,
+            &inst,
+            &[GraphEdit::SetWeight {
+                task: 1,
+                weight: 2.5,
+            }],
+            &model,
+            d,
+            &mut warm,
+        )
+        .unwrap();
         assert_eq!(s1.algorithm, "vdd-lp");
         assert!(warm.is_some());
         // Second edit: warm path.
-        let (i2, s2) = engine
-            .solve_edited(
-                &i1,
-                &[GraphEdit::SetWeight {
-                    task: 2,
-                    weight: 4.0,
-                }],
-                &model,
-                d,
-                &mut warm,
-            )
-            .unwrap();
+        let (i2, s2) = patch_then_solve(
+            &engine,
+            &i1,
+            &[GraphEdit::SetWeight {
+                task: 2,
+                weight: 4.0,
+            }],
+            &model,
+            d,
+            &mut warm,
+        )
+        .unwrap();
         assert_eq!(s2.algorithm, "vdd-lp-warm");
         let cold = engine.solve(&i2.view(), &model, d).unwrap();
         assert!(
@@ -1276,49 +1238,49 @@ mod tests {
         // A structural edit that leaves the transitively reduced
         // precedence rows unchanged keeps the handle: inserting the
         // transitive edge 0→4 changes the graph but not the LP.
-        let (i3, s3) = engine
-            .solve_edited(
-                &i2,
-                &[GraphEdit::InsertEdge { from: 0, to: 4 }],
-                &model,
-                d,
-                &mut warm,
-            )
-            .unwrap();
+        let (i3, s3) = patch_then_solve(
+            &engine,
+            &i2,
+            &[GraphEdit::InsertEdge { from: 0, to: 4 }],
+            &model,
+            d,
+            &mut warm,
+        )
+        .unwrap();
         assert_eq!(s3.algorithm, "vdd-lp-warm", "same LP: handle survives");
         let cold = engine.solve(&i3.view(), &model, d).unwrap();
         assert!((s3.energy - cold.energy).abs() <= 1e-6 * (1.0 + cold.energy));
         // A structural edit that changes the reduction spends the
         // handle: the next solve is cold again.
-        let (_, s4) = engine
-            .solve_edited(
-                &i3,
-                &[GraphEdit::InsertEdge { from: 1, to: 2 }],
-                &model,
-                d,
-                &mut warm,
-            )
-            .unwrap();
+        let (_, s4) = patch_then_solve(
+            &engine,
+            &i3,
+            &[GraphEdit::InsertEdge { from: 1, to: 2 }],
+            &model,
+            d,
+            &mut warm,
+        )
+        .unwrap();
         assert_eq!(s4.algorithm, "vdd-lp");
     }
 
     #[test]
-    fn solve_edited_rejects_invalid_batches() {
+    fn invalid_patch_batches_are_rejected() {
         use std::sync::Arc;
 
         let g = generators::chain(&[1.0, 2.0]);
         let engine = Engine::new(P);
         let inst = PreparedInstance::new(Arc::new(g));
         let mut warm = None;
-        let err = engine
-            .solve_edited(
-                &inst,
-                &[GraphEdit::InsertEdge { from: 1, to: 0 }],
-                &EnergyModel::continuous_unbounded(),
-                3.0,
-                &mut warm,
-            )
-            .unwrap_err();
+        let err = patch_then_solve(
+            &engine,
+            &inst,
+            &[GraphEdit::InsertEdge { from: 1, to: 0 }],
+            &EnergyModel::continuous_unbounded(),
+            3.0,
+            &mut warm,
+        )
+        .unwrap_err();
         assert!(matches!(err, SolveError::Unsupported(_)));
     }
 
@@ -1633,6 +1595,56 @@ mod tests {
             .unwrap();
         let delta = super::profiling::counts() - before;
         assert_eq!(delta.warm_lost, 1, "spent handle must be counted");
+    }
+
+    #[test]
+    fn warm_handle_across_a_task_count_change_is_lost_not_fatal() {
+        // A handle built before an `AddTask` patch no longer matches
+        // the LP's size: both warm entry points must ledger it and
+        // answer exactly what a cold solve answers.
+        let g = generators::fork_join(1.0, &[2.0, 3.0, 1.0], 1.5);
+        let engine = Engine::new(P);
+        let modes = DiscreteModes::new(&[0.5, 1.0, 1.5, 2.0]).unwrap();
+        let model = EnergyModel::VddHopping(modes);
+        let inst = PreparedInstance::new(std::sync::Arc::new(g));
+        let patched = inst
+            .apply(&[GraphEdit::AddTask {
+                weight: 2.0,
+                preds: vec![1],
+                succs: vec![4],
+            }])
+            .unwrap();
+        let stale = || {
+            let mut warm = None;
+            engine
+                .solve_warm(&inst.view(), &model, 6.0, &mut warm)
+                .unwrap();
+            warm
+        };
+
+        let mut warm = stale();
+        let before = super::profiling::counts();
+        let sol = engine
+            .solve_warm(&patched.view(), &model, 6.0, &mut warm)
+            .unwrap();
+        assert_eq!((super::profiling::counts() - before).warm_lost, 1);
+        let cold = engine.solve(&patched.view(), &model, 6.0).unwrap();
+        assert_eq!(sol.algorithm, "vdd-lp");
+        assert_eq!(sol.energy.to_bits(), cold.energy.to_bits());
+        assert!(warm.is_some(), "the cold solve refills the handle");
+
+        let mut warm = stale();
+        let before = super::profiling::counts();
+        let curve = engine
+            .energy_curve_exact_warm(&patched.view(), &model, 1.05, 3.0, &mut warm)
+            .unwrap();
+        assert_eq!((super::profiling::counts() - before).warm_lost, 1);
+        let cold = engine
+            .energy_curve_exact(&patched.view(), &model, 1.05, 3.0)
+            .unwrap();
+        assert!(curve.exact);
+        assert_eq!(curve, cold);
+        assert!(warm.is_some(), "the cold walk refills the handle");
     }
 
     #[test]

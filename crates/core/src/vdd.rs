@@ -60,90 +60,28 @@ pub fn solve_lp_prepared(
     modes: &DiscreteModes,
     p: PowerLaw,
 ) -> Result<Schedule, SolveError> {
-    continuous::check_feasible_prepared(prep, deadline, Some(modes.s_max()))?;
-    let (prob, _) = build_lp(prep, deadline, modes, p);
-    let sol = prob
-        .solve()
-        .map_err(|e| lp_error(prep, deadline, modes, e))?;
-    Ok(extract_schedule(prep.graph(), modes, &sol))
-}
-
-/// Solve the Theorem 3 LP at many deadlines on one graph, reusing the
-/// optimal basis between consecutive points (parametric-RHS warm
-/// start: only the `t_i ≤ D` rows move, so the previous basis stays
-/// dual feasible and a few dual-simplex pivots re-optimize it — see
-/// [`lp::PreparedLp`]). Results are returned in input order; each
-/// entry matches what [`solve_lp`] would return at that deadline, up
-/// to LP tolerance.
-pub fn solve_lp_sweep(
-    prep: &PreparedGraph<'_>,
-    deadlines: &[f64],
-    modes: &DiscreteModes,
-    p: PowerLaw,
-) -> Vec<Result<Schedule, SolveError>> {
-    let g = prep.graph();
-    let mut out: Vec<Result<Schedule, SolveError>> = Vec::with_capacity(deadlines.len());
-    let mut warm: Option<(lp::PreparedLp, Vec<usize>)> = None;
-    for &d in deadlines {
-        if let Err(e) = continuous::check_feasible_prepared(prep, d, Some(modes.s_max())) {
-            out.push(Err(e));
-            continue;
-        }
-        // Warm path: move the deadline rows, re-optimize dually.
-        let warm_sol = match &mut warm {
-            Some((lp, rows)) => {
-                let changes: Vec<(usize, f64)> = rows.iter().map(|&r| (r, d)).collect();
-                match lp.resolve_rhs(&changes) {
-                    Ok(sol) => Some(sol),
-                    Err(_) => {
-                        // The retained basis could not be re-optimized;
-                        // ledger the loss and restart cold below.
-                        crate::engine::profiling::bump_warm_lost();
-                        None
-                    }
-                }
-            }
-            None => None,
-        };
-        let sol = match warm_sol {
-            Some(sol) => Ok(sol),
-            None => {
-                // Cold (re)start: also refreshes the warm handle after
-                // a failed or never-started warm chain.
-                let (prob, rows) = build_lp(prep, d, modes, p);
-                match prob.solve_prepared() {
-                    Ok((sol, handle)) => {
-                        warm = Some((handle, rows));
-                        Ok(sol)
-                    }
-                    Err(e) => {
-                        warm = None;
-                        Err(lp_error(prep, d, modes, e))
-                    }
-                }
-            }
-        };
-        out.push(sol.map(|s| extract_schedule(g, modes, &s)));
-    }
-    out
+    solve_lp_warm(prep, deadline, modes, p).map(|(sched, _)| sched)
 }
 
 /// A retained, re-optimizable Theorem 3 LP for **one graph structure
-/// and mode ladder** — the warm-start substrate of edited re-solves.
+/// and mode ladder** — the warm-start substrate of deadline sweeps,
+/// edited re-solves and exact curves, all driven through
+/// [`crate::engine::Engine::solve_warm`] and
+/// [`crate::engine::Engine::energy_curve_exact_warm`].
 ///
-/// [`solve_lp_sweep`] already reuses the previous optimal basis when
-/// only the deadline rows move. Weight edits are the same parametric
-/// situation one row-block over: a task cost `w_i` is the RHS of the
-/// work-completion row `Σ_j s_j·x_{ij} = w_i`, so a weight-only edit
-/// keeps the LP's *matrix* (hence the retained basis's dual
+/// A deadline move shifts the RHS of the `t_i ≤ D` rows. Weight edits
+/// are the same parametric situation one row-block over: a task cost
+/// `w_i` is the RHS of the work-completion row `Σ_j s_j·x_{ij} = w_i`.
+/// Either keeps the LP's *matrix* (hence the retained basis's dual
 /// feasibility) intact and moves only `b`. [`VddWarm::resolve`]
 /// re-optimizes with a few dual-simplex pivots
 /// ([`lp::PreparedLp::resolve_rhs`]) instead of a cold two-phase run.
 ///
 /// The handle is tied to the precedence structure the LP was built
 /// over: it stays valid across any number of weight and deadline
-/// changes, and must be discarded after structural edits (edge or
-/// task changes) — the engine's edit routing does exactly that.
+/// changes, and must be discarded after edits that change the LP
+/// ([`crate::engine::vdd_basis_survives`] decides). Offered a graph
+/// with another task count, it reports itself spent.
 pub struct VddWarm {
     lp: lp::PreparedLp,
     deadline_rows: Vec<usize>,
@@ -185,38 +123,16 @@ impl VddWarm {
     /// was built over — weight-only edits qualify, structural edits do
     /// not. Errors other than [`SolveError::Infeasible`] mean the warm
     /// basis could not be re-optimized (e.g.
-    /// [`lp::LpError::WarmStartLost`]); the handle is then spent and
-    /// the caller should fall back to a cold solve.
+    /// [`lp::LpError::WarmStartLost`], or a changed task count); the
+    /// handle is then spent and the caller should fall back to a cold
+    /// solve.
     pub fn resolve(
         &mut self,
         prep: &PreparedGraph<'_>,
         deadline: f64,
     ) -> Result<Schedule, SolveError> {
-        let g = prep.graph();
-        assert_eq!(
-            g.n(),
-            self.n,
-            "VddWarm is per graph structure; task set changed"
-        );
-        continuous::check_feasible_prepared(prep, deadline, Some(self.modes.s_max()))?;
-        // Work rows are rows 0..n by construction (`build_lp` adds
-        // them first); unchanged RHS entries are skipped inside
-        // `resolve_rhs`, so passing the full block is O(changed).
-        let mut changes: Vec<(usize, f64)> = g
-            .weights()
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (i, w))
-            .collect();
-        changes.extend(self.deadline_rows.iter().map(|&r| (r, deadline)));
-        let sol = self.lp.resolve_rhs(&changes).map_err(|e| match e {
-            lp::LpError::Infeasible => SolveError::Infeasible {
-                deadline,
-                min_makespan: prep.critical_path_weight() / self.modes.s_max(),
-            },
-            other => SolveError::Numerical(format!("warm Vdd LP: {other}")),
-        })?;
-        Ok(extract_schedule(g, &self.modes, &sol))
+        let sol = self.reposition(prep, deadline)?;
+        Ok(extract_schedule(prep.graph(), &self.modes, &sol))
     }
 
     /// The mode ladder the handle was built over.
@@ -248,35 +164,14 @@ impl VddWarm {
         d_lo: f64,
         d_hi: f64,
     ) -> Result<lp::RhsRay, SolveError> {
-        let g = prep.graph();
-        assert_eq!(
-            g.n(),
-            self.n,
-            "VddWarm is per graph structure; task set changed"
-        );
-        continuous::check_feasible_prepared(prep, d_lo, Some(self.modes.s_max()))?;
-        // Reposition at d_lo (work rows refreshed so edited weights are
-        // honored, exactly as `resolve` does).
-        let mut changes: Vec<(usize, f64)> = g
-            .weights()
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (i, w))
-            .collect();
-        changes.extend(self.deadline_rows.iter().map(|&r| (r, d_lo)));
-        let sol = self.lp.resolve_rhs(&changes).map_err(|e| match e {
-            lp::LpError::Infeasible => SolveError::Infeasible {
-                deadline: d_lo,
-                min_makespan: prep.critical_path_weight() / self.modes.s_max(),
-            },
-            other => SolveError::Numerical(format!("deadline ray reposition: {other}")),
-        })?;
+        let sol = self.reposition(prep, d_lo)?;
         // The handle carries the *matrix* it was built over. A stale
         // handle — same task count, different precedence — would walk
         // a curve for the wrong constraint set and label it exact, so
         // validate the repositioned optimum against the caller's graph
         // exactly as the warm solve paths do; a stale basis fails the
         // precedence check and routes the caller to a cold rebuild.
+        let g = prep.graph();
         let sched = extract_schedule(g, &self.modes, &sol);
         sched
             .validate(
@@ -299,22 +194,42 @@ impl VddWarm {
         }
         Ok(ray)
     }
-}
 
-/// Build the Theorem-3 LP at `d_lo` and walk the exact energy curve up
-/// to `d_hi` in one go (cold entry point of [`VddWarm::deadline_ray`]).
-/// The warm handle rides back so the caller can keep re-solving — or
-/// re-walking — without another cold LP.
-pub fn deadline_ray_prepared(
-    prep: &PreparedGraph<'_>,
-    d_lo: f64,
-    d_hi: f64,
-    modes: &DiscreteModes,
-    p: PowerLaw,
-) -> Result<(lp::RhsRay, VddWarm), SolveError> {
-    let (_, mut warm) = solve_lp_warm(prep, d_lo, modes, p)?;
-    let ray = warm.deadline_ray(prep, d_lo, d_hi)?;
-    Ok((ray, warm))
+    /// Move the retained LP onto `prep`'s weights and `deadline` and
+    /// re-optimize it from the retained basis — the step both
+    /// [`VddWarm::resolve`] and [`VddWarm::deadline_ray`] start with.
+    fn reposition(
+        &mut self,
+        prep: &PreparedGraph<'_>,
+        deadline: f64,
+    ) -> Result<LpSolution, SolveError> {
+        let g = prep.graph();
+        if g.n() != self.n {
+            return Err(SolveError::Numerical(format!(
+                "warm Vdd LP was built over {} tasks, not {}",
+                self.n,
+                g.n()
+            )));
+        }
+        continuous::check_feasible_prepared(prep, deadline, Some(self.modes.s_max()))?;
+        // Work rows are rows 0..n by construction (`build_lp` adds
+        // them first); unchanged RHS entries are skipped inside
+        // `resolve_rhs`, so passing the full block is O(changed).
+        let mut changes: Vec<(usize, f64)> = g
+            .weights()
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| (i, w))
+            .collect();
+        changes.extend(self.deadline_rows.iter().map(|&r| (r, deadline)));
+        self.lp.resolve_rhs(&changes).map_err(|e| match e {
+            lp::LpError::Infeasible => SolveError::Infeasible {
+                deadline,
+                min_makespan: prep.critical_path_weight() / self.modes.s_max(),
+            },
+            other => SolveError::Numerical(format!("warm Vdd LP: {other}")),
+        })
+    }
 }
 
 /// Build the Theorem 3 LP. Returns the problem and the row indices of
@@ -650,7 +565,8 @@ mod tests {
         let prep = PreparedGraph::new(&g);
         let cp = taskgraph::analysis::critical_path_weight(&g);
         let (d_lo, d_hi) = (1.05 * cp / ms.s_max(), 3.0 * cp / ms.s_max());
-        let (ray, _warm) = deadline_ray_prepared(&prep, d_lo, d_hi, &ms, P).unwrap();
+        let (_, mut warm) = solve_lp_warm(&prep, d_lo, &ms, P).unwrap();
+        let ray = warm.deadline_ray(&prep, d_lo, d_hi).unwrap();
         assert!(!ray.segments.is_empty());
         // Contiguous, monotone segment boundaries spanning [d_lo, d_hi].
         assert!((ray.segments[0].t_lo - d_lo).abs() < 1e-9 * d_lo);

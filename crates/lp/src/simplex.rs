@@ -175,10 +175,10 @@ impl PreparedLp {
     /// Any row kind qualifies, `Eq` rows included: the basis stays
     /// dual feasible because reduced costs do not depend on `b`. The
     /// two parametric families this crate is used for are deadline
-    /// sweeps (`t_i ≤ D` rows, see `reclaim_core::vdd::solve_lp_sweep`)
-    /// and **weight deltas** (the `Σ s_j·x_{ij} = w_i` work rows, see
-    /// `reclaim_core::vdd::VddWarm` — the substrate of the daemon's
-    /// `patch` request).
+    /// sweeps (the `t_i ≤ D` rows) and **weight deltas** (the
+    /// `Σ s_j·x_{ij} = w_i` work rows); `reclaim_core::vdd::VddWarm`
+    /// moves both, behind the engine's deadline sweeps and the
+    /// daemon's `patch` request.
     ///
     /// Errors: `Infeasible` when the perturbed problem has no feasible
     /// point; `IterationLimit` / `WarmStartLost` when the warm basis
@@ -1114,7 +1114,7 @@ mod tests {
             LpError::Infeasible
         );
         // Note: after an infeasible perturbation the handle is spent;
-        // sweeps fall back to a cold solve (see `vdd::solve_lp_sweep`).
+        // callers fall back to a cold solve (see `Engine::solve_warm`).
     }
 
     #[test]

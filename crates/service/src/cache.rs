@@ -21,9 +21,9 @@
 //! the base slot is replaced by the patched instance under its new
 //! key, modelling "this cached instance just changed" rather than
 //! growing a second copy per edit. The base's Vdd warm-start slot
-//! travels with the patched entry across weight-only batches (the LP
-//! matrix is unchanged — only its RHS moved) and is reset by
-//! structural ones. Patch traffic is counted separately
+//! travels with the patched entry whenever the LP matrix is unchanged
+//! ([`reclaim_core::engine::vdd_basis_survives`]) and is reset
+//! otherwise. Patch traffic is counted separately
 //! (`patch_hits` / `patch_misses` / `rekeys`) so `stats` can tell a
 //! patched-in-place instance from plain cache hits.
 //!
@@ -66,7 +66,7 @@
 //! is not worth the accounting ambiguity yet.
 
 use models::EnergyModel;
-use reclaim_core::engine::{content_key, patched_key, VddWarm};
+use reclaim_core::engine::{content_key, patched_key, vdd_basis_survives, VddWarm};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -387,14 +387,8 @@ impl InstanceCache {
         let key = patched_key(base, base_inst.graph(), edits)
             .unwrap_or_else(|| content_key(patched.graph(), &model));
         // The retained Vdd basis travels whenever the patched LP is
-        // the same matrix: weight-only batches only move the RHS, and
-        // structural batches that leave the transitively reduced
-        // precedence rows unchanged (same rule as
-        // `Engine::solve_edited`) don't move anything else either.
-        let same_lp = weight_only
-            || (!edits.iter().any(|e| e.changes_task_set())
-                && base_inst.view().reduced().edges() == patched.view().reduced().edges());
-        let warm = if same_lp {
+        // the same matrix.
+        let warm = if vdd_basis_survives(&base_inst, &patched, edits) {
             base_warm
         } else {
             Arc::new(Mutex::new(None))

@@ -23,8 +23,9 @@
 
 use models::{EnergyModel, PowerLaw};
 use reclaim_core::engine::content_key;
-use reclaim_core::{Engine, SolveError};
+use reclaim_core::{Engine, Solution, SolveError};
 use std::path::{Path, PathBuf};
+use taskgraph::TaskGraph;
 
 use crate::json::Json;
 use crate::proto::ErrorBody;
@@ -152,7 +153,69 @@ impl ShardOutcome {
 
 /// The shard a job lands on: a pure function of content.
 pub fn shard_of(job: &CorpusJob, shards: usize) -> usize {
-    (content_key(&job.graph, &job.model) % shards as u128) as usize
+    bucket_of(content_key(&job.graph, &job.model), shards)
+}
+
+fn bucket_of(key: u128, shards: usize) -> usize {
+    (key % shards as u128) as usize
+}
+
+/// Partition `jobs` into `shards` buckets of `(content key, job)`,
+/// entries sorted by name within a bucket — the one assignment both
+/// [`run_corpus`] and the daemon's v4 `corpus` request use, so their
+/// manifests match by construction. One hash per job: the key that
+/// picks the shard is the key the manifest records.
+pub(crate) fn partition(jobs: Vec<CorpusJob>, shards: usize) -> Vec<Vec<(u128, CorpusJob)>> {
+    let mut buckets: Vec<Vec<(u128, CorpusJob)>> = (0..shards).map(|_| Vec::new()).collect();
+    for job in jobs {
+        let key = content_key(&job.graph, &job.model);
+        buckets[bucket_of(key, shards)].push((key, job));
+    }
+    for bucket in &mut buckets {
+        bucket.sort_by(|a, b| a.1.name.cmp(&b.1.name));
+    }
+    buckets
+}
+
+/// Solve one bucket of [`partition`] in order, `solve` answering each
+/// job from its content key, graph, model and deadline, and assemble
+/// the shard's outcome with the loop's wall-clock.
+pub(crate) fn run_shard(
+    shard: usize,
+    shards: usize,
+    bucket: Vec<(u128, CorpusJob)>,
+    mut solve: impl FnMut(u128, TaskGraph, &EnergyModel, f64) -> Result<Solution, SolveError>,
+) -> ShardOutcome {
+    let start = std::time::Instant::now();
+    let entries = bucket
+        .into_iter()
+        .map(|(key, job)| {
+            let CorpusJob {
+                name,
+                graph,
+                model,
+                deadline,
+            } = job;
+            let tasks = graph.n();
+            let result = solve(key, graph, &model, deadline)
+                .map(|sol| (sol.energy, sol.algorithm.to_string()))
+                .map_err(|e| ErrorBody::from(&e));
+            CorpusEntry {
+                name,
+                key,
+                tasks,
+                deadline,
+                model: model.name().to_string(),
+                result,
+            }
+        })
+        .collect();
+    ShardOutcome {
+        shard,
+        shards,
+        entries,
+        elapsed_ns: start.elapsed().as_nanos(),
+    }
 }
 
 /// Partition `jobs` across `shards` engine shards and solve each shard
@@ -161,47 +224,16 @@ pub fn shard_of(job: &CorpusJob, shards: usize) -> usize {
 /// shard are sorted by name.
 pub fn run_corpus(jobs: Vec<CorpusJob>, shards: usize, power: PowerLaw) -> Vec<ShardOutcome> {
     let shards = shards.max(1);
-    // One hash per job: the key that picks the shard is the key the
-    // manifest records (they cannot diverge).
-    let mut buckets: Vec<Vec<(u128, CorpusJob)>> = (0..shards).map(|_| Vec::new()).collect();
-    for job in jobs {
-        let key = content_key(&job.graph, &job.model);
-        buckets[(key % shards as u128) as usize].push((key, job));
-    }
-    for bucket in &mut buckets {
-        bucket.sort_by(|a, b| a.1.name.cmp(&b.1.name));
-    }
     std::thread::scope(|s| {
-        let handles: Vec<_> = buckets
+        let handles: Vec<_> = partition(jobs, shards)
             .into_iter()
             .enumerate()
             .map(|(shard, bucket)| {
                 s.spawn(move || {
                     let engine = Engine::new(power).threads(1);
-                    let start = std::time::Instant::now();
-                    let entries: Vec<CorpusEntry> = bucket
-                        .into_iter()
-                        .map(|(key, job)| {
-                            let result = engine
-                                .solve_graph(&job.graph, &job.model, job.deadline)
-                                .map(|sol| (sol.energy, sol.algorithm.to_string()))
-                                .map_err(|e: SolveError| ErrorBody::from(&e));
-                            CorpusEntry {
-                                name: job.name,
-                                key,
-                                tasks: job.graph.n(),
-                                deadline: job.deadline,
-                                model: job.model.name().to_string(),
-                                result,
-                            }
-                        })
-                        .collect();
-                    ShardOutcome {
-                        shard,
-                        shards,
-                        entries,
-                        elapsed_ns: start.elapsed().as_nanos(),
-                    }
+                    run_shard(shard, shards, bucket, |_, graph, model, deadline| {
+                        engine.solve_graph(&graph, model, deadline)
+                    })
                 })
             })
             .collect();

@@ -1255,9 +1255,10 @@ fn handle_payload(
 }
 
 /// Handle one v4 `corpus` request: the same deterministic
-/// content-addressed sharding as [`crate::corpus::run_corpus`]
-/// (`shard = content_key mod N`, entries sorted by name within a
-/// shard), but solved through the daemon's content-addressed cache —
+/// content-addressed sharding and shard assembly as
+/// [`crate::corpus::run_corpus`] ([`crate::corpus::partition`],
+/// [`crate::corpus::run_shard`]), but solved through the daemon's
+/// content-addressed cache —
 /// repeat instances skip preparation, and Vdd-Hopping solves ride the
 /// entry's retained LP basis. Shards run sequentially on this worker;
 /// cross-shard parallelism comes from the pool, not from nested
@@ -1272,63 +1273,25 @@ fn corpus_one(
     shards: usize,
     jobs: Vec<crate::corpus::CorpusJob>,
 ) -> Response {
-    use crate::corpus::{CorpusEntry, CorpusJob, ShardOutcome};
     let engine = &engine.clone().threads(1);
     let shards = shards.max(1);
-    let mut buckets: Vec<Vec<(u128, CorpusJob)>> = (0..shards).map(|_| Vec::new()).collect();
-    for job in jobs {
-        let key = content_key(&job.graph, &job.model);
-        buckets[(key % shards as u128) as usize].push((key, job));
-    }
-    for bucket in &mut buckets {
-        bucket.sort_by(|a, b| a.1.name.cmp(&b.1.name));
-    }
-    let outcomes = buckets
+    let outcomes = crate::corpus::partition(jobs, shards)
         .into_iter()
         .enumerate()
         .map(|(shard, bucket)| {
-            let t0 = Instant::now();
-            let entries: Vec<CorpusEntry> = bucket
-                .into_iter()
-                .map(|(key, job)| {
-                    let CorpusJob {
-                        name,
-                        graph,
-                        model,
-                        deadline,
-                    } = job;
-                    let tasks = graph.n();
-                    let (inst, _, _, cache_key) = prepare(state, graph, &model);
+            let outcome =
+                crate::corpus::run_shard(shard, shards, bucket, |key, graph, model, deadline| {
+                    let (inst, _, _, cache_key) = prepare(state, graph, model);
                     debug_assert_eq!(key, cache_key);
-                    let result = match state.cache.warm_slot(cache_key) {
-                        Some(slot) if matches!(model, EnergyModel::VddHopping(_)) => {
-                            solve_with_slot(engine, &inst, &model, deadline, &slot)
-                        }
-                        _ => engine.solve(&inst.view(), &model, deadline),
-                    }
-                    .map(|sol| (sol.energy, sol.algorithm.to_string()))
-                    .map_err(|e| ErrorBody::from(&e));
                     counters.solves.fetch_add(1, Ordering::Relaxed);
-                    CorpusEntry {
-                        name,
-                        key,
-                        tasks,
-                        deadline,
-                        model: model.name().to_string(),
-                        result,
-                    }
-                })
-                .collect();
-            let elapsed = t0.elapsed();
+                    with_entry_warm(state, cache_key, |warm| {
+                        engine.solve_warm(&inst.view(), model, deadline, warm)
+                    })
+                });
             counters
                 .solve_ns
-                .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-            ShardOutcome {
-                shard,
-                shards,
-                entries,
-                elapsed_ns: elapsed.as_nanos(),
-            }
+                .fetch_add(outcome.elapsed_ns as u64, Ordering::Relaxed);
+            outcome
         })
         .collect();
     Response::Corpus(outcomes)
@@ -1365,13 +1328,9 @@ fn patch_one(
         }
     };
     let t0 = Instant::now();
-    let result = solve_with_slot(
-        engine,
-        &patched.inst,
-        &patched.model,
-        deadline,
-        &patched.warm,
-    );
+    let result = with_warm_slot(&patched.warm, |warm| {
+        engine.solve_warm(&patched.inst.view(), &patched.model, deadline, warm)
+    });
     let solve_ns = t0.elapsed().as_nanos() as u64;
     counters.solves.fetch_add(1, Ordering::Relaxed);
     counters.solve_ns.fetch_add(solve_ns, Ordering::Relaxed);
@@ -1505,17 +1464,19 @@ fn with_warm_slot<T>(
     out
 }
 
-/// Solve through the entry's Vdd warm slot (see [`with_warm_slot`]).
-fn solve_with_slot(
-    engine: &Engine,
-    inst: &PreparedInstance,
-    model: &EnergyModel,
-    deadline: f64,
-    slot: &crate::cache::WarmSlot,
-) -> Result<reclaim_core::Solution, reclaim_core::SolveError> {
-    with_warm_slot(slot, |warm| {
-        engine.solve_warm(&inst.view(), model, deadline, warm)
-    })
+/// [`with_warm_slot`] on the live cache entry `key`, or on an empty
+/// local handle when the entry has been evicted since it was prepared.
+/// Any model may pass: the warm engine entry points equal their cold
+/// twins for every model but Vdd-Hopping, which alone fills the slot.
+fn with_entry_warm<T>(
+    state: &State,
+    key: u128,
+    f: impl FnOnce(&mut Option<reclaim_core::engine::VddWarm>) -> T,
+) -> T {
+    match state.cache.warm_slot(key) {
+        Some(slot) => with_warm_slot(&slot, f),
+        None => f(&mut None),
+    }
 }
 
 /// Handle one v3 exact `energy_curve`: serve the cached instance's
@@ -1548,14 +1509,9 @@ fn curve_exact_one(
             }
         }
     }
-    let result = match state.cache.warm_slot(key) {
-        Some(warm_slot) if matches!(model, EnergyModel::VddHopping(_)) => {
-            with_warm_slot(&warm_slot, |warm| {
-                engine.energy_curve_exact_warm(&inst.view(), model, lo, hi, warm)
-            })
-        }
-        _ => engine.energy_curve_exact(&inst.view(), model, lo, hi),
-    };
+    let result = with_entry_warm(state, key, |warm| {
+        engine.energy_curve_exact_warm(&inst.view(), model, lo, hi, warm)
+    });
     match result {
         Ok(curve) => {
             let curve = Arc::new(curve);
@@ -1625,12 +1581,9 @@ fn timed_solve(
     // solve retains its optimal LP basis there, so later solves — and
     // especially weight-only `patch` re-solves — re-optimize instead
     // of running the two phases cold.
-    let result = match state.cache.warm_slot(key) {
-        Some(slot) if matches!(model, EnergyModel::VddHopping(_)) => {
-            solve_with_slot(engine, inst, model, deadline, &slot)
-        }
-        _ => engine.solve(&inst.view(), model, deadline),
-    };
+    let result = with_entry_warm(state, key, |warm| {
+        engine.solve_warm(&inst.view(), model, deadline, warm)
+    });
     let solve_ns = t0.elapsed().as_nanos() as u64;
     counters.solves.fetch_add(1, Ordering::Relaxed);
     counters.solve_ns.fetch_add(solve_ns, Ordering::Relaxed);

@@ -378,61 +378,6 @@ pub fn repair_earliest_completion(
     ecl
 }
 
-/// Backward analogue of [`repair_earliest_completion`]: repair cached
-/// latest-completion times by a cone-bounded relaxation from the seeds
-/// (tasks whose duration or successor set may have changed), walking
-/// predecessors only while values actually move.
-pub fn repair_latest_completion(
-    g: &TaskGraph,
-    durations: &[f64],
-    deadline: f64,
-    order: &[TaskId],
-    old: &[f64],
-    seeds: &[usize],
-) -> Vec<f64> {
-    assert_eq!(durations.len(), g.n());
-    assert_eq!(old.len(), g.n());
-    debug_assert!(is_topo_order(g, order));
-    let mut pos = vec![0usize; g.n()];
-    for (k, &t) in order.iter().enumerate() {
-        pos[t.0] = k;
-    }
-    let mut lcl = old.to_vec();
-    let mut queued = vec![false; g.n()];
-    // Max-heap on position: process in reverse topological order.
-    let mut heap = std::collections::BinaryHeap::new();
-    for &s in seeds {
-        if !queued[s] {
-            queued[s] = true;
-            heap.push((pos[s], s));
-        }
-    }
-    let mut visited = 0u64;
-    while let Some((_, t)) = heap.pop() {
-        visited += 1;
-        let lim = g
-            .succs(TaskId(t))
-            .iter()
-            .map(|&s| lcl[s.0] - durations[s.0])
-            .fold(deadline, f64::min);
-        if lim != lcl[t] {
-            lcl[t] = lim;
-            for &TaskId(p) in g.preds(TaskId(t)) {
-                if !queued[p] {
-                    queued[p] = true;
-                    heap.push((pos[p], p));
-                }
-            }
-        }
-    }
-    crate::profiling::add_cone_nodes(visited);
-    debug_assert_eq!(
-        lcl,
-        latest_completion_ordered(g, durations, deadline, order)
-    );
-    lcl
-}
-
 /// Repair a cached reachability matrix and transitive reduction after
 /// edge edits, touching only the affected cone — no full reduction
 /// pass (and no [`crate::profiling::Counts::transitive_reduction`]

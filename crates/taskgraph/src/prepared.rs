@@ -695,6 +695,52 @@ mod tests {
         );
     }
 
+    /// Apply `edit` to a warm instance over `edges` (four unit tasks)
+    /// and check the locally repaired reduction against a fresh one;
+    /// returns the repaired reduced edges.
+    fn repaired_reduction(edges: &[(usize, usize)], edit: GraphEdit) -> Vec<(usize, usize)> {
+        let g = crate::TaskGraph::new(vec![1.0; 4], edges).unwrap();
+        let inst = PreparedInstance::new(Arc::new(g));
+        inst.warm();
+        let before = profiling::counts();
+        let patched = inst.apply(&[edit]).unwrap();
+        let repaired: Vec<(usize, usize)> = patched
+            .view()
+            .reduced()
+            .edges()
+            .iter()
+            .map(|&(u, v)| (u.0, v.0))
+            .collect();
+        let delta = profiling::counts() - before;
+        assert_eq!(delta.transitive_reduction, 0, "reduction repaired locally");
+        let fresh = analysis::transitive_reduction(patched.graph());
+        assert_eq!(patched.view().reduced().edges(), fresh.edges());
+        repaired
+    }
+
+    #[test]
+    fn removing_a_kept_edge_re_exposes_an_ancestor_to_descendant_edge() {
+        // 0→3 is implied by 0→1→2→3 until the kept edge 1→2 goes: the
+        // re-exposed edge leaves an ancestor of 1 and enters a
+        // descendant of 2, touching neither endpoint.
+        let kept = repaired_reduction(
+            &[(0, 1), (1, 2), (2, 3), (0, 3)],
+            GraphEdit::RemoveEdge { from: 1, to: 2 },
+        );
+        assert!(kept.contains(&(0, 3)), "0→3 must be re-exposed: {kept:?}");
+    }
+
+    #[test]
+    fn inserting_an_edge_makes_an_ancestor_to_descendant_edge_redundant() {
+        // Inserting 1→2 closes the path 0→1→2→3, so 0→3 — an edge from
+        // an ancestor of 1 to a descendant of 2 — becomes redundant.
+        let kept = repaired_reduction(
+            &[(0, 3), (0, 1), (2, 3)],
+            GraphEdit::InsertEdge { from: 1, to: 2 },
+        );
+        assert!(!kept.contains(&(0, 3)), "0→3 must be dropped: {kept:?}");
+    }
+
     #[test]
     fn sp_preserving_edit_splices_tree() {
         // Two diamond blocks in series:

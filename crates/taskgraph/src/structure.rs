@@ -82,11 +82,6 @@ pub fn is_in_tree(g: &TaskGraph) -> bool {
     is_out_tree(&g.reversed())
 }
 
-/// Children of `root` in an out-tree (just its successors).
-pub fn tree_children(g: &TaskGraph, t: TaskId) -> &[TaskId] {
-    g.succs(t)
-}
-
 /// Classify the graph into the most specific [`Shape`].
 ///
 /// The order matters: every chain is an out-tree and an in-tree and an
