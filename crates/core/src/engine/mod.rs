@@ -206,6 +206,12 @@ fn schedule_from_speeds(prep: &PreparedGraph<'_>, speeds: &[f64]) -> Schedule {
     Schedule::new(starts, profiles)
 }
 
+/// A curve's factor range scaled past f64's range: its deadlines
+/// cannot be solved, reported or compared.
+fn finite_range_error() -> SolveError {
+    SolveError::Unsupported("the factor range's deadlines are not finite numbers".into())
+}
+
 /// The solver engine: a power law plus tuning options, with batch and
 /// sweep entry points that amortize graph analysis and fan out over
 /// threads.
@@ -441,6 +447,13 @@ impl Engine {
             .validate(prep.graph(), model, deadline)
             .map_err(|e| SolveError::Numerical(format!("produced schedule invalid: {e}")))?;
         let energy = schedule.energy(prep.graph(), self.power);
+        // An energy past f64's range (extreme weights or deadlines) is
+        // no answer: no caller can report, store or compare it.
+        if !energy.is_finite() {
+            return Err(SolveError::Numerical(format!(
+                "energy {energy} is not a finite number"
+            )));
+        }
         Ok(Solution {
             schedule,
             energy,
@@ -645,6 +658,9 @@ impl Engine {
             deadlines.push(f * base);
             f *= ratio;
         }
+        if deadlines.iter().any(|d| !d.is_finite()) {
+            return Err(finite_range_error());
+        }
 
         // Unbounded Continuous: the optimum scales as D^{1−α}, so one
         // solve pins the whole curve.
@@ -744,6 +760,9 @@ impl Engine {
             d_lo = d_lo.max(dm);
         }
         let d_hi = hi_factor * base;
+        if !d_hi.is_finite() {
+            return Err(finite_range_error());
+        }
         if d_hi <= d_lo {
             return Err(SolveError::Infeasible {
                 deadline: d_hi,
@@ -756,15 +775,18 @@ impl Engine {
         if matches!(model, EnergyModel::Continuous { s_max: None }) {
             let e0 = self.solve(prep, model, d_lo)?.energy;
             let p = self.power.alpha() - 1.0;
+            let c = e0 * d_lo.powf(p);
+            if !c.is_finite() {
+                return Err(SolveError::Numerical(format!(
+                    "curve coefficient {c} is not a finite number"
+                )));
+            }
             stats.samples = 1;
             return Ok(ExactCurve {
                 segments: vec![CurveSegment {
                     deadline_lo: d_lo,
                     deadline_hi: d_hi,
-                    energy: CurveEnergy::Power {
-                        c: e0 * d_lo.powf(p),
-                        p,
-                    },
+                    energy: CurveEnergy::Power { c, p },
                 }],
                 exact: true,
                 stats,

@@ -18,10 +18,10 @@
 //! # Envelopes and versions
 //!
 //! Every request carries `"v"` (the protocol version), an optional
-//! client-chosen `"id"` (echoed verbatim in the response so pipelined
-//! requests can be matched even when the worker pool completes them
-//! out of order), and a `"type"` tag. Responses carry `"ok"` plus
-//! either a typed `"result"` or an `"error"` object.
+//! client-chosen `"id"` (an integer in `0..=2^53`, echoed in the
+//! response so pipelined requests can be matched even when the worker
+//! pool completes them out of order), and a `"type"` tag. Responses
+//! carry `"ok"` plus either a typed `"result"` or an `"error"` object.
 //!
 //! This build speaks versions **1 through 5** ([`MIN_PROTOCOL_VERSION`]
 //! ..= [`PROTOCOL_VERSION`]). Negotiation is per request: the server
@@ -58,10 +58,35 @@
 //! ← {"v":2,"id":8,"ok":true,"type":"patch","result":{"energy":27.8,…,
 //!    "prep_ns":0,"key":"0x…","warm_lp":false}}
 //! ```
+//!
+//! # Codec
+//!
+//! Each wire object is declared once, and the declaration generates
+//! both directions of its JSON codec (the crate-private `Wire` trait,
+//! which the store's records share):
+//!
+//! * `wire_struct!` covers objects whose JSON keys are their field
+//!   names, listed in wire order. A bare field is required; `f = d`
+//!   reads as `d` when absent or malformed (counters newer than the
+//!   peer); `f: opt` is left off the wire while unset (`None`, or a
+//!   `false` flag), so older peers never see it.
+//! * `wire_enum!` covers objects told apart by a tag: requests by
+//!   `type`, edits by `op`, curve-segment energies by `form`.
+//! * The rest is written by hand, only where the JSON shape is not the
+//!   Rust shape: scalars (content keys are hex strings), graphs and
+//!   models (validated on decode), flattened curve segments, patch
+//!   reports and corpus entries, sweep items, and the two envelopes
+//!   (version gates; an `energy_curve` result that is an array or an
+//!   object).
+//!
+//! Malformed content decodes to an [`ErrorKind::BadRequest`] error that
+//! names its field: `missing "deadline"`, `"deadline": expected a
+//! number`.
 
+use crate::corpus::{CorpusEntry, CorpusJob, ShardOutcome};
 use crate::json::{self, Json};
 use models::{DiscreteModes, EnergyModel, IncrementalModes};
-use reclaim_core::SolveError;
+use reclaim_core::{CurveEnergy, CurveSegment, SolveError};
 use std::fmt;
 use std::io::{self, Read, Write};
 use taskgraph::edit::GraphEdit;
@@ -286,32 +311,25 @@ pub enum ErrorKind {
     Timeout,
 }
 
+/// Every error kind with its wire name.
+const ERROR_KINDS: [(ErrorKind, &str); 8] = [
+    (ErrorKind::Infeasible, "infeasible"),
+    (ErrorKind::Numerical, "numerical"),
+    (ErrorKind::Unsupported, "unsupported"),
+    (ErrorKind::BudgetExhausted, "budget_exhausted"),
+    (ErrorKind::BadRequest, "bad_request"),
+    (ErrorKind::UnknownBase, "unknown_base"),
+    (ErrorKind::Protocol, "protocol"),
+    (ErrorKind::Timeout, "timeout"),
+];
+
 impl ErrorKind {
     fn wire(self) -> &'static str {
-        match self {
-            ErrorKind::Infeasible => "infeasible",
-            ErrorKind::Numerical => "numerical",
-            ErrorKind::Unsupported => "unsupported",
-            ErrorKind::BudgetExhausted => "budget_exhausted",
-            ErrorKind::BadRequest => "bad_request",
-            ErrorKind::UnknownBase => "unknown_base",
-            ErrorKind::Protocol => "protocol",
-            ErrorKind::Timeout => "timeout",
-        }
-    }
-
-    fn from_wire(s: &str) -> Option<ErrorKind> {
-        Some(match s {
-            "infeasible" => ErrorKind::Infeasible,
-            "numerical" => ErrorKind::Numerical,
-            "unsupported" => ErrorKind::Unsupported,
-            "budget_exhausted" => ErrorKind::BudgetExhausted,
-            "bad_request" => ErrorKind::BadRequest,
-            "unknown_base" => ErrorKind::UnknownBase,
-            "protocol" => ErrorKind::Protocol,
-            "timeout" => ErrorKind::Timeout,
-            _ => return None,
-        })
+        ERROR_KINDS
+            .iter()
+            .find(|(kind, _)| *kind == self)
+            .map(|(_, name)| *name)
+            .expect("ERROR_KINDS lists every kind")
     }
 }
 
@@ -567,531 +585,6 @@ pub fn key_from_hex(s: &str) -> Option<u128> {
     u128::from_str_radix(digits, 16).ok()
 }
 
-pub(crate) fn graph_to_json(g: &TaskGraph) -> Json {
-    Json::Obj(vec![
-        (
-            "weights".into(),
-            Json::Arr(g.weights().iter().map(|&w| Json::num(w)).collect()),
-        ),
-        (
-            "edges".into(),
-            Json::Arr(
-                g.edges()
-                    .iter()
-                    .map(|&(u, v)| {
-                        Json::Arr(vec![
-                            Json::num(u.index() as f64),
-                            Json::num(v.index() as f64),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-pub(crate) fn model_to_json(m: &EnergyModel) -> Json {
-    let speeds = |m: &DiscreteModes| Json::Arr(m.speeds().iter().map(|&s| Json::num(s)).collect());
-    Json::Obj(match m {
-        EnergyModel::Continuous { s_max: None } => {
-            vec![("kind".into(), Json::str("continuous"))]
-        }
-        EnergyModel::Continuous { s_max: Some(s) } => vec![
-            ("kind".into(), Json::str("continuous")),
-            ("s_max".into(), Json::num(*s)),
-        ],
-        EnergyModel::Discrete(m) => vec![
-            ("kind".into(), Json::str("discrete")),
-            ("speeds".into(), speeds(m)),
-        ],
-        EnergyModel::VddHopping(m) => vec![
-            ("kind".into(), Json::str("vdd")),
-            ("speeds".into(), speeds(m)),
-        ],
-        EnergyModel::Incremental(m) => vec![
-            ("kind".into(), Json::str("incremental")),
-            ("s_min".into(), Json::num(m.s_min())),
-            ("s_max".into(), Json::num(m.s_max())),
-            ("delta".into(), Json::num(m.delta())),
-        ],
-    })
-}
-
-pub(crate) fn bad(msg: impl Into<String>) -> ErrorBody {
-    ErrorBody::new(ErrorKind::BadRequest, msg)
-}
-
-pub(crate) fn edit_to_json(e: &GraphEdit) -> Json {
-    let ids = |v: &[usize]| Json::Arr(v.iter().map(|&i| Json::num(i as f64)).collect());
-    Json::Obj(match e {
-        GraphEdit::SetWeight { task, weight } => vec![
-            ("op".into(), Json::str("set_weight")),
-            ("task".into(), Json::num(*task as f64)),
-            ("weight".into(), Json::num(*weight)),
-        ],
-        GraphEdit::InsertEdge { from, to } => vec![
-            ("op".into(), Json::str("insert_edge")),
-            ("from".into(), Json::num(*from as f64)),
-            ("to".into(), Json::num(*to as f64)),
-        ],
-        GraphEdit::RemoveEdge { from, to } => vec![
-            ("op".into(), Json::str("remove_edge")),
-            ("from".into(), Json::num(*from as f64)),
-            ("to".into(), Json::num(*to as f64)),
-        ],
-        GraphEdit::AddTask {
-            weight,
-            preds,
-            succs,
-        } => vec![
-            ("op".into(), Json::str("add_task")),
-            ("weight".into(), Json::num(*weight)),
-            ("preds".into(), ids(preds)),
-            ("succs".into(), ids(succs)),
-        ],
-        GraphEdit::RemoveTask { task } => vec![
-            ("op".into(), Json::str("remove_task")),
-            ("task".into(), Json::num(*task as f64)),
-        ],
-    })
-}
-
-pub(crate) fn edit_from_json(v: &Json) -> Result<GraphEdit, ErrorBody> {
-    let op = v
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("edit needs an \"op\""))?;
-    let task_field = |name: &str| -> Result<usize, ErrorBody> {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .map(|t| t as usize)
-            .ok_or_else(|| bad(format!("edit {op:?} needs integer \"{name}\"")))
-    };
-    let weight_field = || -> Result<f64, ErrorBody> {
-        v.get("weight")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(format!("edit {op:?} needs numeric \"weight\"")))
-    };
-    let id_list = |name: &str| -> Result<Vec<usize>, ErrorBody> {
-        v.get(name)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad(format!("edit {op:?} needs a \"{name}\" array")))?
-            .iter()
-            .map(|i| {
-                i.as_u64()
-                    .map(|i| i as usize)
-                    .ok_or_else(|| bad(format!("\"{name}\" entries must be task ids")))
-            })
-            .collect()
-    };
-    Ok(match op {
-        "set_weight" => GraphEdit::SetWeight {
-            task: task_field("task")?,
-            weight: weight_field()?,
-        },
-        "insert_edge" => GraphEdit::InsertEdge {
-            from: task_field("from")?,
-            to: task_field("to")?,
-        },
-        "remove_edge" => GraphEdit::RemoveEdge {
-            from: task_field("from")?,
-            to: task_field("to")?,
-        },
-        "add_task" => GraphEdit::AddTask {
-            weight: weight_field()?,
-            preds: id_list("preds")?,
-            succs: id_list("succs")?,
-        },
-        "remove_task" => GraphEdit::RemoveTask {
-            task: task_field("task")?,
-        },
-        other => return Err(bad(format!("unknown edit op {other:?}"))),
-    })
-}
-
-pub(crate) fn graph_from_json(v: &Json) -> Result<TaskGraph, ErrorBody> {
-    let weights: Vec<f64> = v
-        .get("weights")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("graph needs a \"weights\" array"))?
-        .iter()
-        .map(|w| w.as_f64().ok_or_else(|| bad("weights must be numbers")))
-        .collect::<Result<_, _>>()?;
-    let edges: Vec<(usize, usize)> = v
-        .get("edges")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("graph needs an \"edges\" array"))?
-        .iter()
-        .map(|e| {
-            let pair = e.as_arr().filter(|p| p.len() == 2);
-            let (u, v) = match pair {
-                Some([u, v]) => (u.as_u64(), v.as_u64()),
-                _ => (None, None),
-            };
-            match (u, v) {
-                (Some(u), Some(v)) => Ok((u as usize, v as usize)),
-                _ => Err(bad("each edge must be a [u, v] pair of task ids")),
-            }
-        })
-        .collect::<Result<_, _>>()?;
-    TaskGraph::new(weights, &edges).map_err(|e| bad(format!("invalid graph: {e}")))
-}
-
-pub(crate) fn model_from_json(v: &Json) -> Result<EnergyModel, ErrorBody> {
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("model needs a \"kind\""))?;
-    let speeds = || -> Result<Vec<f64>, ErrorBody> {
-        v.get("speeds")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("model needs a \"speeds\" array"))?
-            .iter()
-            .map(|s| s.as_f64().ok_or_else(|| bad("speeds must be numbers")))
-            .collect()
-    };
-    let field = |name: &str| -> Result<f64, ErrorBody> {
-        v.get(name)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(format!("model needs numeric \"{name}\"")))
-    };
-    match kind {
-        "continuous" => match v.get("s_max") {
-            None => Ok(EnergyModel::continuous_unbounded()),
-            Some(s) => {
-                let s = s.as_f64().filter(|s| *s > 0.0);
-                s.map(EnergyModel::continuous)
-                    .ok_or_else(|| bad("\"s_max\" must be a positive number"))
-            }
-        },
-        "discrete" | "vdd" => {
-            let modes = DiscreteModes::new(&speeds()?)
-                .map_err(|e| bad(format!("invalid mode ladder: {e}")))?;
-            Ok(if kind == "discrete" {
-                EnergyModel::Discrete(modes)
-            } else {
-                EnergyModel::VddHopping(modes)
-            })
-        }
-        "incremental" => {
-            let modes = IncrementalModes::new(field("s_min")?, field("s_max")?, field("delta")?)
-                .map_err(|e| bad(format!("invalid incremental grid: {e}")))?;
-            Ok(EnergyModel::Incremental(modes))
-        }
-        other => Err(bad(format!("unknown model kind {other:?}"))),
-    }
-}
-
-impl RequestEnvelope {
-    /// Encode to the one-line JSON payload (framing is separate).
-    pub fn encode(&self) -> String {
-        let mut pairs = vec![
-            ("v".into(), Json::num(self.version as f64)),
-            ("id".into(), Json::num(self.id as f64)),
-        ];
-        if let Some(t) = self.timeout_ms {
-            // Omitted when unset so v1–v3 wire bytes are unchanged.
-            pairs.push(("timeout_ms".into(), Json::num(t as f64)));
-        }
-        if let Some(d) = self.as_of {
-            // Omitted when unset so v1–v4 wire bytes are unchanged.
-            pairs.push(("as_of".into(), Json::num(d as f64)));
-        }
-        match &self.request {
-            Request::Solve {
-                graph,
-                model,
-                deadline,
-            } => {
-                pairs.push(("type".into(), Json::str("solve")));
-                pairs.push(("graph".into(), graph_to_json(graph)));
-                pairs.push(("model".into(), model_to_json(model)));
-                pairs.push(("deadline".into(), Json::num(*deadline)));
-            }
-            Request::SolveDeadlines {
-                graph,
-                model,
-                deadlines,
-            } => {
-                pairs.push(("type".into(), Json::str("solve_deadlines")));
-                pairs.push(("graph".into(), graph_to_json(graph)));
-                pairs.push(("model".into(), model_to_json(model)));
-                pairs.push((
-                    "deadlines".into(),
-                    Json::Arr(deadlines.iter().map(|&d| Json::num(d)).collect()),
-                ));
-            }
-            Request::EnergyCurve {
-                graph,
-                model,
-                points,
-                lo,
-                hi,
-                exact,
-            } => {
-                pairs.push(("type".into(), Json::str("energy_curve")));
-                pairs.push(("graph".into(), graph_to_json(graph)));
-                pairs.push(("model".into(), model_to_json(model)));
-                pairs.push(("points".into(), Json::num(*points as f64)));
-                pairs.push(("lo".into(), Json::num(*lo)));
-                pairs.push(("hi".into(), Json::num(*hi)));
-                if *exact {
-                    // Omitted when false so v1/v2 wire bytes are
-                    // unchanged.
-                    pairs.push(("exact".into(), Json::Bool(true)));
-                }
-            }
-            Request::Batch { model, jobs } => {
-                pairs.push(("type".into(), Json::str("batch")));
-                pairs.push(("model".into(), model_to_json(model)));
-                pairs.push((
-                    "jobs".into(),
-                    Json::Arr(
-                        jobs.iter()
-                            .map(|(g, d)| {
-                                Json::Obj(vec![
-                                    ("graph".into(), graph_to_json(g)),
-                                    ("deadline".into(), Json::num(*d)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            Request::Patch {
-                base,
-                edits,
-                deadline,
-            } => {
-                pairs.push(("type".into(), Json::str("patch")));
-                pairs.push(("base".into(), Json::str(key_to_hex(*base))));
-                pairs.push((
-                    "edits".into(),
-                    Json::Arr(edits.iter().map(edit_to_json).collect()),
-                ));
-                pairs.push(("deadline".into(), Json::num(*deadline)));
-            }
-            Request::Corpus { shards, jobs } => {
-                pairs.push(("type".into(), Json::str("corpus")));
-                pairs.push(("shards".into(), Json::num(*shards as f64)));
-                pairs.push((
-                    "jobs".into(),
-                    Json::Arr(
-                        jobs.iter()
-                            .map(|j| {
-                                Json::Obj(vec![
-                                    ("name".into(), Json::str(j.name.clone())),
-                                    ("graph".into(), graph_to_json(&j.graph)),
-                                    ("model".into(), model_to_json(&j.model)),
-                                    ("deadline".into(), Json::num(j.deadline)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            Request::Lineage { key } => {
-                pairs.push(("type".into(), Json::str("lineage")));
-                pairs.push(("key".into(), Json::str(key_to_hex(*key))));
-            }
-            Request::Stats => pairs.push(("type".into(), Json::str("stats"))),
-            Request::Shutdown => pairs.push(("type".into(), Json::str("shutdown"))),
-        }
-        Json::Obj(pairs).encode()
-    }
-
-    /// The `id` of a payload that parses as JSON with an integer
-    /// `id`, else 0: a frame that fails [`RequestEnvelope::decode`] is
-    /// answered under it, so a pipelined client can still match the
-    /// error to its request.
-    pub fn id_of(payload: &str) -> u64 {
-        json::parse(payload)
-            .ok()
-            .and_then(|v| v.get("id").and_then(Json::as_u64))
-            .unwrap_or(0)
-    }
-
-    /// Decode a payload. Version/JSON failures come back as
-    /// [`ErrorKind::Protocol`], content failures as
-    /// [`ErrorKind::BadRequest`].
-    pub fn decode(payload: &str) -> Result<RequestEnvelope, ErrorBody> {
-        let v =
-            json::parse(payload).map_err(|e| ErrorBody::new(ErrorKind::Protocol, e.to_string()))?;
-        let version = v.get("v").and_then(Json::as_u64);
-        let version = match version {
-            Some(n) if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&n) => n,
-            Some(n) => {
-                return Err(ErrorBody::new(
-                    ErrorKind::Protocol,
-                    format!(
-                        "unsupported protocol version {n} (this build speaks \
-                         {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
-                    ),
-                ))
-            }
-            None => {
-                return Err(ErrorBody::new(
-                    ErrorKind::Protocol,
-                    "missing protocol version \"v\"",
-                ))
-            }
-        };
-        let id = v.get("id").and_then(Json::as_u64).unwrap_or(0);
-        let typ = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing request \"type\""))?;
-        let num = |name: &str| -> Result<f64, ErrorBody> {
-            v.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| bad(format!("missing numeric \"{name}\"")))
-        };
-        let graph = || -> Result<TaskGraph, ErrorBody> {
-            graph_from_json(v.get("graph").ok_or_else(|| bad("missing \"graph\""))?)
-        };
-        let model = || -> Result<EnergyModel, ErrorBody> {
-            model_from_json(v.get("model").ok_or_else(|| bad("missing \"model\""))?)
-        };
-        let request = match typ {
-            "solve" => Request::Solve {
-                graph: graph()?,
-                model: model()?,
-                deadline: num("deadline")?,
-            },
-            "solve_deadlines" => Request::SolveDeadlines {
-                graph: graph()?,
-                model: model()?,
-                deadlines: v
-                    .get("deadlines")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("missing \"deadlines\" array"))?
-                    .iter()
-                    .map(|d| d.as_f64().ok_or_else(|| bad("deadlines must be numbers")))
-                    .collect::<Result<_, _>>()?,
-            },
-            "energy_curve" => Request::EnergyCurve {
-                graph: graph()?,
-                model: model()?,
-                points: v
-                    .get("points")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("missing integer \"points\""))?
-                    as usize,
-                lo: num("lo")?,
-                hi: num("hi")?,
-                exact: v.get("exact").and_then(Json::as_bool).unwrap_or(false),
-            },
-            "batch" => Request::Batch {
-                model: model()?,
-                jobs: v
-                    .get("jobs")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("missing \"jobs\" array"))?
-                    .iter()
-                    .map(|j| {
-                        let g = graph_from_json(
-                            j.get("graph").ok_or_else(|| bad("job missing \"graph\""))?,
-                        )?;
-                        let d = j
-                            .get("deadline")
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| bad("job missing \"deadline\""))?;
-                        Ok((g, d))
-                    })
-                    .collect::<Result<_, ErrorBody>>()?,
-            },
-            "patch" => Request::Patch {
-                base: v
-                    .get("base")
-                    .and_then(Json::as_str)
-                    .and_then(key_from_hex)
-                    .ok_or_else(|| bad("missing or malformed \"base\" content key"))?,
-                edits: v
-                    .get("edits")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("missing \"edits\" array"))?
-                    .iter()
-                    .map(edit_from_json)
-                    .collect::<Result<_, _>>()?,
-                deadline: num("deadline")?,
-            },
-            "corpus" => Request::Corpus {
-                shards: v
-                    .get("shards")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("missing integer \"shards\""))?
-                    as usize,
-                jobs: v
-                    .get("jobs")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("missing \"jobs\" array"))?
-                    .iter()
-                    .map(|j| {
-                        Ok(crate::corpus::CorpusJob {
-                            name: j
-                                .get("name")
-                                .and_then(Json::as_str)
-                                .ok_or_else(|| bad("corpus job missing \"name\""))?
-                                .to_string(),
-                            graph: graph_from_json(
-                                j.get("graph").ok_or_else(|| bad("job missing \"graph\""))?,
-                            )?,
-                            model: model_from_json(
-                                j.get("model").ok_or_else(|| bad("job missing \"model\""))?,
-                            )?,
-                            deadline: j
-                                .get("deadline")
-                                .and_then(Json::as_f64)
-                                .ok_or_else(|| bad("job missing \"deadline\""))?,
-                        })
-                    })
-                    .collect::<Result<_, ErrorBody>>()?,
-            },
-            "lineage" => Request::Lineage {
-                key: v
-                    .get("key")
-                    .and_then(Json::as_str)
-                    .and_then(key_from_hex)
-                    .ok_or_else(|| bad("missing or malformed \"key\" content key"))?,
-            },
-            "stats" => Request::Stats,
-            "shutdown" => Request::Shutdown,
-            other => return Err(bad(format!("unknown request type {other:?}"))),
-        };
-        if version < request.min_version() {
-            return Err(ErrorBody::new(
-                ErrorKind::Protocol,
-                format!(
-                    "request type {typ:?} requires protocol version \
-                     {} (request used {version})",
-                    request.min_version()
-                ),
-            ));
-        }
-        let timeout_ms = v.get("timeout_ms").and_then(Json::as_u64);
-        if timeout_ms.is_some() && version < 4 {
-            return Err(ErrorBody::new(
-                ErrorKind::Protocol,
-                format!("\"timeout_ms\" requires protocol version 4 (request used {version})"),
-            ));
-        }
-        let as_of = v.get("as_of").and_then(Json::as_u64);
-        if as_of.is_some() && version < 5 {
-            return Err(ErrorBody::new(
-                ErrorKind::Protocol,
-                format!("\"as_of\" requires protocol version 5 (request used {version})"),
-            ));
-        }
-        Ok(RequestEnvelope {
-            version,
-            id,
-            timeout_ms,
-            as_of,
-            request,
-        })
-    }
-}
-
 // ---------------------------------------------------------------
 // Responses
 // ---------------------------------------------------------------
@@ -1320,496 +813,713 @@ pub struct ResponseEnvelope {
     pub response: Response,
 }
 
-fn report_to_json(r: &SolveReport) -> Json {
-    Json::Obj(vec![
-        ("energy".into(), Json::num(r.energy)),
-        ("algorithm".into(), Json::str(r.algorithm.clone())),
-        ("makespan".into(), Json::num(r.makespan)),
-        ("solve_ns".into(), Json::num(r.solve_ns as f64)),
-        ("prep_ns".into(), Json::num(r.prep_ns as f64)),
-        ("cached".into(), Json::Bool(r.cached)),
-        ("worker".into(), Json::num(r.worker as f64)),
-    ])
+// ---------------------------------------------------------------
+// Codec: one declaration per wire object
+// ---------------------------------------------------------------
+
+/// A value with one JSON wire form.
+pub(crate) trait Wire: Sized {
+    /// The wire form.
+    fn to_json(&self) -> Json;
+
+    /// Read the wire form back; anything malformed is an
+    /// [`ErrorKind::BadRequest`] error.
+    fn from_json(v: &Json) -> Result<Self, ErrorBody>;
 }
 
-fn report_from_json(v: &Json) -> Result<SolveReport, ErrorBody> {
-    let f = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(format!("solve report missing \"{name}\"")))
-    };
-    let u = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad(format!("solve report missing \"{name}\"")))
-    };
-    Ok(SolveReport {
-        energy: f("energy")?,
-        algorithm: v
-            .get("algorithm")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("solve report missing \"algorithm\""))?
-            .to_string(),
-        makespan: f("makespan")?,
-        solve_ns: u("solve_ns")?,
-        prep_ns: u("prep_ns")?,
-        cached: v
-            .get("cached")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| bad("solve report missing \"cached\""))?,
-        worker: u("worker")?,
-    })
+fn bad(msg: impl Into<String>) -> ErrorBody {
+    ErrorBody::new(ErrorKind::BadRequest, msg)
 }
 
-pub(crate) fn segment_to_json(s: &reclaim_core::CurveSegment) -> Json {
-    use reclaim_core::CurveEnergy;
-    let mut pairs = vec![
-        ("lo".into(), Json::num(s.deadline_lo)),
-        ("hi".into(), Json::num(s.deadline_hi)),
-    ];
-    match s.energy {
-        CurveEnergy::Affine { a, b } => {
-            pairs.push(("form".into(), Json::str("affine")));
-            pairs.push(("a".into(), Json::num(a)));
-            pairs.push(("b".into(), Json::num(b)));
+/// A value of the wrong JSON shape. The [`field`] it was read from
+/// names itself in the message.
+fn shape(expected: &str) -> ErrorBody {
+    bad(format!("expected {expected}"))
+}
+
+/// Required field `key` of object `v`.
+fn field<T: Wire>(v: &Json, key: &str) -> Result<T, ErrorBody> {
+    let x = v
+        .get(key)
+        .ok_or_else(|| bad(format!("missing \"{key}\"")))?;
+    T::from_json(x).map_err(|e| {
+        if e.message.starts_with("expected ") {
+            bad(format!("\"{key}\": {}", e.message))
+        } else {
+            e // already names its own field, or a domain error
         }
-        CurveEnergy::Power { c, p } => {
-            pairs.push(("form".into(), Json::str("power")));
-            pairs.push(("c".into(), Json::num(c)));
-            pairs.push(("p".into(), Json::num(p)));
-        }
-    }
-    Json::Obj(pairs)
+    })
 }
 
-pub(crate) fn segment_from_json(v: &Json) -> Result<reclaim_core::CurveSegment, ErrorBody> {
-    use reclaim_core::CurveEnergy;
-    let f = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(format!("curve segment missing \"{name}\"")))
+/// Required field `key` of object `v`, borrowed through `read` (tags
+/// and arrays that are inspected, not decoded).
+fn read<'a, T>(
+    v: &'a Json,
+    key: &str,
+    expected: &str,
+    get: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, ErrorBody> {
+    let x = v
+        .get(key)
+        .ok_or_else(|| bad(format!("missing \"{key}\"")))?;
+    get(x).ok_or_else(|| bad(format!("\"{key}\": expected {expected}")))
+}
+
+/// An array of wire values.
+fn arr<T: Wire>(items: &[T]) -> Json {
+    Json::Arr(items.iter().map(T::to_json).collect())
+}
+
+fn put<T: Wire>(pairs: &mut Vec<(String, Json)>, key: &str, val: &T) {
+    pairs.push((key.to_string(), val.to_json()));
+}
+
+/// A field left off the wire while unset, so older peers never see
+/// it. Absent or malformed, it reads back as unset.
+trait OptWire {
+    fn to_wire(&self) -> Option<Json>;
+    fn from_wire(v: Option<&Json>) -> Self;
+}
+
+impl<T: Wire> OptWire for Option<T> {
+    fn to_wire(&self) -> Option<Json> {
+        self.as_ref().map(T::to_json)
+    }
+
+    fn from_wire(v: Option<&Json>) -> Self {
+        v.and_then(|v| T::from_json(v).ok())
+    }
+}
+
+/// A flag is unset while `false`.
+impl OptWire for bool {
+    fn to_wire(&self) -> Option<Json> {
+        self.then_some(Json::Bool(true))
+    }
+
+    fn from_wire(v: Option<&Json>) -> Self {
+        v.and_then(Json::as_bool).unwrap_or(false)
+    }
+}
+
+fn put_opt<T: OptWire>(pairs: &mut Vec<(String, Json)>, key: &str, val: &T) {
+    if let Some(j) = val.to_wire() {
+        pairs.push((key.to_string(), j));
+    }
+}
+
+/// One field of a table row, keyed by its Rust name: `f` is required,
+/// `f = d` reads as `d` when absent or malformed, and `f: opt` is an
+/// [`OptWire`] field.
+macro_rules! wire_field {
+    (put $pairs:ident, $val:expr, $key:ident : opt) => {
+        put_opt(&mut $pairs, stringify!($key), $val)
     };
-    let energy = match v.get("form").and_then(Json::as_str) {
-        Some("affine") => CurveEnergy::Affine {
-            a: f("a")?,
-            b: f("b")?,
-        },
-        Some("power") => CurveEnergy::Power {
-            c: f("c")?,
-            p: f("p")?,
-        },
-        other => return Err(bad(format!("unknown segment form {other:?}"))),
+    (put $pairs:ident, $val:expr, $key:ident) => {
+        put(&mut $pairs, stringify!($key), $val)
     };
-    Ok(reclaim_core::CurveSegment {
-        deadline_lo: f("lo")?,
-        deadline_hi: f("hi")?,
-        energy,
-    })
+    (get $v:ident, $key:ident : opt) => {
+        OptWire::from_wire($v.get(stringify!($key)))
+    };
+    (get $v:ident, $key:ident = $default:expr) => {
+        field($v, stringify!($key)).unwrap_or_else(|_| $default)
+    };
+    (get $v:ident, $key:ident) => {
+        field($v, stringify!($key))?
+    };
 }
 
-fn curve_exact_to_json(c: &CurveExactReport) -> Json {
-    Json::Obj(vec![
-        ("exact".into(), Json::Bool(c.exact)),
-        ("cached_curve".into(), Json::Bool(c.cached_curve)),
-        (
-            "segments".into(),
-            Json::Arr(c.segments.iter().map(segment_to_json).collect()),
-        ),
-    ])
-}
-
-fn curve_exact_from_json(v: &Json) -> Result<CurveExactReport, ErrorBody> {
-    Ok(CurveExactReport {
-        segments: v
-            .get("segments")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("exact curve missing \"segments\""))?
-            .iter()
-            .map(segment_from_json)
-            .collect::<Result<_, _>>()?,
-        exact: v
-            .get("exact")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| bad("exact curve missing \"exact\""))?,
-        cached_curve: v
-            .get("cached_curve")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
-    })
-}
-
-fn error_to_json(e: &ErrorBody) -> Json {
-    let mut pairs = vec![
-        ("kind".into(), Json::str(e.kind.wire())),
-        ("message".into(), Json::str(e.message.clone())),
-    ];
-    if let Some(d) = e.deadline {
-        pairs.push(("deadline".into(), Json::num(d)));
-    }
-    if let Some(m) = e.min_makespan {
-        pairs.push(("min_makespan".into(), Json::num(m)));
-    }
-    Json::Obj(pairs)
-}
-
-fn error_from_json(v: &Json) -> Result<ErrorBody, ErrorBody> {
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .and_then(ErrorKind::from_wire)
-        .ok_or_else(|| bad("error body missing a known \"kind\""))?;
-    Ok(ErrorBody {
-        kind,
-        message: v
-            .get("message")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string(),
-        deadline: v.get("deadline").and_then(Json::as_f64),
-        min_makespan: v.get("min_makespan").and_then(Json::as_f64),
-    })
-}
-
-fn item_to_json(item: &Result<SolveReport, ErrorBody>) -> Json {
-    match item {
-        Ok(r) => {
-            let mut pairs = vec![("ok".into(), Json::Bool(true))];
-            pairs.push(("result".into(), report_to_json(r)));
-            Json::Obj(pairs)
-        }
-        Err(e) => Json::Obj(vec![
-            ("ok".into(), Json::Bool(false)),
-            ("error".into(), error_to_json(e)),
-        ]),
-    }
-}
-
-fn item_from_json(v: &Json) -> Result<Result<SolveReport, ErrorBody>, ErrorBody> {
-    match v.get("ok").and_then(Json::as_bool) {
-        Some(true) => Ok(Ok(report_from_json(
-            v.get("result").ok_or_else(|| bad("item missing result"))?,
-        )?)),
-        Some(false) => Ok(Err(error_from_json(
-            v.get("error").ok_or_else(|| bad("item missing error"))?,
-        )?)),
-        None => Err(bad("item missing \"ok\"")),
-    }
-}
-
-fn shard_to_json(o: &crate::corpus::ShardOutcome) -> Json {
-    let entries = o
-        .entries
-        .iter()
-        .map(|e| {
-            let mut pairs = vec![
-                ("file".into(), Json::str(e.name.clone())),
-                ("key".into(), Json::str(key_to_hex(e.key))),
-                ("tasks".into(), Json::num(e.tasks as f64)),
-                ("deadline".into(), Json::num(e.deadline)),
-                ("model".into(), Json::str(e.model.clone())),
-            ];
-            match &e.result {
-                Ok((energy, algorithm)) => {
-                    pairs.push(("energy".into(), Json::num(*energy)));
-                    pairs.push(("algorithm".into(), Json::str(algorithm.clone())));
-                }
-                Err(err) => pairs.push(("error".into(), error_to_json(err))),
+/// [`Wire`] for a struct whose JSON keys are its field names, listed
+/// in wire order.
+macro_rules! wire_struct {
+    ($ty:ident { $($key:ident $(: $opt:ident)? $(= $default:expr)?),* $(,)? }) => {
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                let mut pairs = Vec::new();
+                $(wire_field!(put pairs, &self.$key, $key $(: $opt)?);)*
+                Json::Obj(pairs)
             }
-            Json::Obj(pairs)
-        })
-        .collect();
-    Json::Obj(vec![
-        ("shard".into(), Json::num(o.shard as f64)),
-        ("shards".into(), Json::num(o.shards as f64)),
-        ("elapsed_ns".into(), Json::num(o.elapsed_ns as f64)),
-        ("entries".into(), Json::Arr(entries)),
-    ])
-}
 
-fn shard_from_json(v: &Json) -> Result<crate::corpus::ShardOutcome, ErrorBody> {
-    let u = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad(format!("corpus shard missing \"{name}\"")))
+            fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+                Ok($ty { $($key: wire_field!(get v, $key $(: $opt)? $(= $default)?),)* })
+            }
+        }
     };
-    Ok(crate::corpus::ShardOutcome {
-        shard: u("shard")? as usize,
-        shards: u("shards")? as usize,
-        // Wall-clock survives the wire at f64 resolution — plenty for
-        // a throughput figure, and `Json::as_u64` would reject totals
-        // past 2^53 ns (~104 days) anyway.
-        elapsed_ns: v
-            .get("elapsed_ns")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad("corpus shard missing \"elapsed_ns\""))? as u128,
-        entries: v
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("corpus shard missing \"entries\""))?
-            .iter()
-            .map(|e| {
-                let result = match e.get("error") {
-                    Some(err) => Err(error_from_json(err)?),
-                    None => Ok((
-                        e.get("energy")
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| bad("corpus entry missing \"energy\""))?,
-                        e.get("algorithm")
-                            .and_then(Json::as_str)
-                            .ok_or_else(|| bad("corpus entry missing \"algorithm\""))?
-                            .to_string(),
-                    )),
-                };
-                Ok(crate::corpus::CorpusEntry {
-                    name: e
-                        .get("file")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("corpus entry missing \"file\""))?
-                        .to_string(),
-                    key: e
-                        .get("key")
-                        .and_then(Json::as_str)
-                        .and_then(key_from_hex)
-                        .ok_or_else(|| bad("corpus entry missing \"key\""))?,
-                    tasks: e
-                        .get("tasks")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("corpus entry missing \"tasks\""))?
-                        as usize,
-                    deadline: e
-                        .get("deadline")
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| bad("corpus entry missing \"deadline\""))?,
-                    model: e
-                        .get("model")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("corpus entry missing \"model\""))?
-                        .to_string(),
-                    result,
-                })
-            })
-            .collect::<Result<_, ErrorBody>>()?,
-    })
 }
 
-fn lineage_to_json(l: &LineageReport) -> Json {
-    Json::Obj(vec![
-        ("key".into(), Json::str(key_to_hex(l.key))),
-        ("depth".into(), Json::num(l.depth as f64)),
-        (
-            "hops".into(),
-            Json::Arr(
-                l.hops
-                    .iter()
-                    .map(|h| {
-                        Json::Obj(vec![
-                            ("parent".into(), Json::str(key_to_hex(h.parent))),
-                            (
-                                "edits".into(),
-                                Json::Arr(h.edits.iter().map(edit_to_json).collect()),
-                            ),
-                            ("child".into(), Json::str(key_to_hex(h.child))),
-                        ])
-                    })
-                    .collect(),
+/// [`Wire`] for an enum whose variants are told apart by the string
+/// under `tag`, each variant's fields as in `wire_struct!`. `what`
+/// names the tag in the error for an unknown one.
+macro_rules! wire_enum {
+    ($ty:ident, $tag:literal, $what:literal {
+        $($variant:ident = $wire:literal { $($key:ident $(: $opt:ident)?),* }),* $(,)?
+    }) => {
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                match self {
+                    $($ty::$variant { $($key),* } => {
+                        #[allow(unused_mut)]
+                        let mut pairs = vec![($tag.to_string(), Json::str($wire))];
+                        $(wire_field!(put pairs, $key, $key $(: $opt)?);)*
+                        Json::Obj(pairs)
+                    })*
+                }
+            }
+
+            fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+                Ok(match read(v, $tag, "a string", Json::as_str)? {
+                    $($wire => $ty::$variant { $($key: wire_field!(get v, $key $(: $opt)?)),* },)*
+                    other => return Err(bad(format!(concat!("unknown ", $what, " {:?}"), other))),
+                })
+            }
+        }
+    };
+}
+
+wire_enum!(Request, "type", "request type" {
+    Solve = "solve" { graph, model, deadline },
+    SolveDeadlines = "solve_deadlines" { graph, model, deadlines },
+    EnergyCurve = "energy_curve" { graph, model, points, lo, hi, exact: opt },
+    Batch = "batch" { model, jobs },
+    Patch = "patch" { base, edits, deadline },
+    Corpus = "corpus" { shards, jobs },
+    Lineage = "lineage" { key },
+    Stats = "stats" {},
+    Shutdown = "shutdown" {},
+});
+
+wire_enum!(GraphEdit, "op", "edit op" {
+    SetWeight = "set_weight" { task, weight },
+    InsertEdge = "insert_edge" { from, to },
+    RemoveEdge = "remove_edge" { from, to },
+    AddTask = "add_task" { weight, preds, succs },
+    RemoveTask = "remove_task" { task },
+});
+
+wire_enum!(CurveEnergy, "form", "segment form" {
+    Affine = "affine" { a, b },
+    Power = "power" { c, p },
+});
+
+wire_struct!(CorpusJob {
+    name,
+    graph,
+    model,
+    deadline
+});
+
+wire_struct!(SolveReport {
+    energy,
+    algorithm,
+    makespan,
+    solve_ns,
+    prep_ns,
+    cached,
+    worker
+});
+
+wire_struct!(CurveExactReport { exact, cached_curve = false, segments });
+
+wire_struct!(ErrorBody { kind, message = String::new(), deadline: opt, min_makespan: opt });
+
+wire_struct!(LineageHop {
+    parent,
+    edits,
+    child
+});
+
+wire_struct!(LineageReport { key, depth, hops });
+
+// Counters newer than a peer's build read as zero, and so do the
+// `net` (v4) and `store` (v5) blocks older daemons leave out.
+wire_struct!(CacheStatsReport {
+    entries,
+    bytes,
+    hits,
+    misses,
+    evictions,
+    patch_hits = 0,
+    patch_misses = 0,
+    rekeys = 0,
+});
+
+wire_struct!(WorkerStatsReport {
+    requests,
+    solves,
+    solve_ns,
+    warm_lost = 0,
+    bnb_nodes = 0,
+    bnb_steals = 0,
+    sp_splice = 0,
+    sp_splice_miss = 0,
+    cone_nodes = 0,
+});
+
+wire_struct!(NetStatsReport {
+    connections = 0,
+    queue_depth = 0,
+    inflight = 0,
+    rejected = 0,
+    timeouts = 0,
+});
+
+wire_struct!(StoreStatsReport {
+    entries = 0,
+    bytes = 0,
+    recovered = 0,
+    corrupt_skipped = 0,
+    replays = 0,
+});
+
+wire_struct!(StatsReport {
+    cache,
+    workers,
+    net = NetStatsReport::default(),
+    store = StoreStatsReport::default(),
+});
+
+// Written by hand: values whose JSON shape is not their Rust shape.
+
+/// [`Wire`] for JSON scalars: each type's expected shape, encoder and
+/// reader.
+macro_rules! wire_scalar {
+    ($($ty:ty: $expected:literal, $encode:expr, $decode:expr;)*) => {$(
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                $encode(self)
+            }
+
+            fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+                $decode(v).ok_or_else(|| shape($expected))
+            }
+        }
+    )*};
+}
+
+wire_scalar! {
+    f64: "a number", |x: &f64| Json::num(*x), Json::as_f64;
+    u64: "an integer in 0..=2^53", |x: &u64| Json::num(*x as f64), Json::as_u64;
+    usize: "an integer in 0..=2^53", |x: &usize| Json::num(*x as f64),
+        |v: &Json| v.as_u64().map(|n| n as usize);
+    bool: "a boolean", |x: &bool| Json::Bool(*x), Json::as_bool;
+    String: "a string", |x: &String| Json::str(x.clone()),
+        |v: &Json| v.as_str().map(str::to_string);
+    // Content keys travel as fixed-width hex strings.
+    u128: "a hex content key", |x: &u128| Json::str(key_to_hex(*x)),
+        |v: &Json| v.as_str().and_then(key_from_hex);
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn to_json(&self) -> Json {
+        arr(self)
+    }
+
+    fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+        v.as_arr()
+            .ok_or_else(|| shape("an array"))?
+            .iter()
+            .map(T::from_json)
+            .collect()
+    }
+}
+
+impl Wire for ErrorKind {
+    fn to_json(&self) -> Json {
+        Json::str(self.wire())
+    }
+
+    fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+        let name = v.as_str().ok_or_else(|| shape("a string"))?;
+        ERROR_KINDS
+            .iter()
+            .find(|(_, n)| *n == name)
+            .map(|(kind, _)| *kind)
+            .ok_or_else(|| bad(format!("unknown error kind {name:?}")))
+    }
+}
+
+/// Edges travel as `[u, v]` pairs, and [`TaskGraph::new`] validates.
+impl Wire for TaskGraph {
+    fn to_json(&self) -> Json {
+        let edge = |&(u, v): &(taskgraph::TaskId, taskgraph::TaskId)| {
+            Json::Arr(vec![u.index().to_json(), v.index().to_json()])
+        };
+        Json::Obj(vec![
+            ("weights".into(), arr(self.weights())),
+            (
+                "edges".into(),
+                Json::Arr(self.edges().iter().map(edge).collect()),
             ),
-        ),
-    ])
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+        let weights: Vec<f64> = field(v, "weights")?;
+        let edges = read(v, "edges", "an array", Json::as_arr)?
+            .iter()
+            .map(|e| match e.as_arr() {
+                Some([u, v]) => u.as_u64().zip(v.as_u64()),
+                _ => None,
+            })
+            .map(|pair| {
+                pair.map(|(u, v)| (u as usize, v as usize))
+                    .ok_or_else(|| bad("each edge must be a [u, v] pair of task ids"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        TaskGraph::new(weights, &edges).map_err(|e| bad(format!("invalid graph: {e}")))
+    }
 }
 
-fn lineage_from_json(v: &Json) -> Result<LineageReport, ErrorBody> {
-    let key_field = |v: &Json, name: &str| {
-        v.get(name)
-            .and_then(Json::as_str)
-            .and_then(key_from_hex)
-            .ok_or_else(|| bad(format!("lineage missing \"{name}\"")))
-    };
-    Ok(LineageReport {
-        key: key_field(v, "key")?,
-        depth: v
-            .get("depth")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("lineage missing \"depth\""))?,
-        hops: v
-            .get("hops")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("lineage missing \"hops\""))?
-            .iter()
-            .map(|h| {
-                Ok(LineageHop {
-                    parent: key_field(h, "parent")?,
-                    edits: h
-                        .get("edits")
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| bad("lineage hop missing \"edits\""))?
-                        .iter()
-                        .map(edit_from_json)
-                        .collect::<Result<_, _>>()?,
-                    child: key_field(h, "child")?,
+/// Tagged by `kind`; the mode constructors validate.
+impl Wire for EnergyModel {
+    fn to_json(&self) -> Json {
+        let kind = match self {
+            EnergyModel::Continuous { .. } => "continuous",
+            EnergyModel::Discrete(_) => "discrete",
+            EnergyModel::VddHopping(_) => "vdd",
+            EnergyModel::Incremental(_) => "incremental",
+        };
+        let mut pairs = vec![("kind".to_string(), Json::str(kind))];
+        match self {
+            EnergyModel::Continuous { s_max } => put_opt(&mut pairs, "s_max", s_max),
+            EnergyModel::Discrete(m) | EnergyModel::VddHopping(m) => {
+                pairs.push(("speeds".into(), arr(m.speeds())))
+            }
+            EnergyModel::Incremental(m) => {
+                put(&mut pairs, "s_min", &m.s_min());
+                put(&mut pairs, "s_max", &m.s_max());
+                put(&mut pairs, "delta", &m.delta());
+            }
+        }
+        Json::Obj(pairs)
+    }
+
+    fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+        let kind = read(v, "kind", "a string", Json::as_str)?;
+        match kind {
+            "continuous" => match v.get("s_max") {
+                None => Ok(EnergyModel::continuous_unbounded()),
+                Some(s) => s
+                    .as_f64()
+                    .filter(|s| *s > 0.0)
+                    .map(EnergyModel::continuous)
+                    .ok_or_else(|| bad("\"s_max\" must be a positive number")),
+            },
+            "discrete" | "vdd" => {
+                let speeds: Vec<f64> = field(v, "speeds")?;
+                let modes = DiscreteModes::new(&speeds)
+                    .map_err(|e| bad(format!("invalid mode ladder: {e}")))?;
+                Ok(if kind == "discrete" {
+                    EnergyModel::Discrete(modes)
+                } else {
+                    EnergyModel::VddHopping(modes)
                 })
-            })
-            .collect::<Result<_, ErrorBody>>()?,
-    })
+            }
+            "incremental" => {
+                let modes = IncrementalModes::new(
+                    field(v, "s_min")?,
+                    field(v, "s_max")?,
+                    field(v, "delta")?,
+                )
+                .map_err(|e| bad(format!("invalid incremental grid: {e}")))?;
+                Ok(EnergyModel::Incremental(modes))
+            }
+            other => Err(bad(format!("unknown model kind {other:?}"))),
+        }
+    }
+}
+
+/// The pairs of an encoded object, to flatten into another.
+fn pairs_of(v: Json) -> Vec<(String, Json)> {
+    match v {
+        Json::Obj(pairs) => pairs,
+        _ => unreachable!("tables encode objects"),
+    }
+}
+
+/// The closed form flattens into the segment, tagged by `form`.
+impl Wire for CurveSegment {
+    fn to_json(&self) -> Json {
+        let mut pairs = Vec::with_capacity(5);
+        put(&mut pairs, "lo", &self.deadline_lo);
+        put(&mut pairs, "hi", &self.deadline_hi);
+        pairs.extend(pairs_of(self.energy.to_json()));
+        Json::Obj(pairs)
+    }
+
+    fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+        Ok(CurveSegment {
+            deadline_lo: field(v, "lo")?,
+            deadline_hi: field(v, "hi")?,
+            energy: CurveEnergy::from_json(v)?,
+        })
+    }
+}
+
+/// One outcome of a deadline sweep or batch: `{"ok":true,"result":R}`
+/// or `{"ok":false,"error":E}`.
+impl Wire for Result<SolveReport, ErrorBody> {
+    fn to_json(&self) -> Json {
+        Json::Obj(match self {
+            Ok(r) => vec![
+                ("ok".into(), Json::Bool(true)),
+                ("result".into(), r.to_json()),
+            ],
+            Err(e) => vec![
+                ("ok".into(), Json::Bool(false)),
+                ("error".into(), e.to_json()),
+            ],
+        })
+    }
+
+    fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+        Ok(if field(v, "ok")? {
+            Ok(field(v, "result")?)
+        } else {
+            Err(field(v, "error")?)
+        })
+    }
+}
+
+/// [`Wire`] for pairs that travel as two-key objects.
+macro_rules! wire_pair {
+    ($($a:ident: $ta:ty, $b:ident: $tb:ty;)*) => {$(
+        impl Wire for ($ta, $tb) {
+            fn to_json(&self) -> Json {
+                Json::Obj(vec![
+                    (stringify!($a).into(), self.0.to_json()),
+                    (stringify!($b).into(), self.1.to_json()),
+                ])
+            }
+
+            fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+                Ok((field(v, stringify!($a))?, field(v, stringify!($b))?))
+            }
+        }
+    )*};
+}
+
+wire_pair! {
+    deadline: f64, energy: f64; // a sampled curve point
+    graph: TaskGraph, deadline: f64; // a batch job
+}
+
+/// `name` travels as `file`, and the result flattens into the entry:
+/// `energy` and `algorithm`, or `error`.
+impl Wire for CorpusEntry {
+    fn to_json(&self) -> Json {
+        let mut pairs = Vec::with_capacity(7);
+        put(&mut pairs, "file", &self.name);
+        put(&mut pairs, "key", &self.key);
+        put(&mut pairs, "tasks", &self.tasks);
+        put(&mut pairs, "deadline", &self.deadline);
+        put(&mut pairs, "model", &self.model);
+        match &self.result {
+            Ok((energy, algorithm)) => {
+                put(&mut pairs, "energy", energy);
+                put(&mut pairs, "algorithm", algorithm);
+            }
+            Err(e) => put(&mut pairs, "error", e),
+        }
+        Json::Obj(pairs)
+    }
+
+    fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+        let result = match v.get("error") {
+            Some(e) => Err(ErrorBody::from_json(e)?),
+            None => Ok((field(v, "energy")?, field(v, "algorithm")?)),
+        };
+        Ok(CorpusEntry {
+            name: field(v, "file")?,
+            key: field(v, "key")?,
+            tasks: field(v, "tasks")?,
+            deadline: field(v, "deadline")?,
+            model: field(v, "model")?,
+            result,
+        })
+    }
+}
+
+/// `elapsed_ns` travels as a plain number: f64 resolution is plenty
+/// for a throughput figure, and an integer would cap it at 2^53 ns.
+impl Wire for ShardOutcome {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("shard".into(), self.shard.to_json()),
+            ("shards".into(), self.shards.to_json()),
+            ("elapsed_ns".into(), Json::num(self.elapsed_ns as f64)),
+            ("entries".into(), self.entries.to_json()),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+        Ok(ShardOutcome {
+            shard: field(v, "shard")?,
+            shards: field(v, "shards")?,
+            elapsed_ns: field::<f64>(v, "elapsed_ns")? as u128,
+            entries: field(v, "entries")?,
+        })
+    }
+}
+
+/// A solve report extended with `key` and `warm_lp`.
+impl Wire for PatchReport {
+    fn to_json(&self) -> Json {
+        let mut pairs = pairs_of(self.report.to_json());
+        put(&mut pairs, "key", &self.key);
+        put(&mut pairs, "warm_lp", &self.warm_lp);
+        Json::Obj(pairs)
+    }
+
+    fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+        Ok(PatchReport {
+            report: SolveReport::from_json(v)?,
+            key: field(v, "key")?,
+            warm_lp: field(v, "warm_lp")?,
+        })
+    }
+}
+
+fn protocol(msg: impl Into<String>) -> ErrorBody {
+    ErrorBody::new(ErrorKind::Protocol, msg)
+}
+
+impl RequestEnvelope {
+    /// Encode to the one-line JSON payload (framing is separate).
+    pub fn encode(&self) -> String {
+        let mut pairs = Vec::new();
+        put(&mut pairs, "v", &self.version);
+        put(&mut pairs, "id", &self.id);
+        // Left off while unset, so v1–v4 bytes are unchanged.
+        put_opt(&mut pairs, "timeout_ms", &self.timeout_ms);
+        put_opt(&mut pairs, "as_of", &self.as_of);
+        pairs.extend(pairs_of(self.request.to_json()));
+        Json::Obj(pairs).encode()
+    }
+
+    /// The `id` of a payload that parses as JSON with an integer
+    /// `id`, else 0: a frame that fails [`RequestEnvelope::decode`] is
+    /// answered under it, so a pipelined client can still match the
+    /// error to its request.
+    pub fn id_of(payload: &str) -> u64 {
+        json::parse(payload)
+            .ok()
+            .and_then(|v| v.get("id").and_then(Json::as_u64))
+            .unwrap_or(0)
+    }
+
+    /// Decode a payload. Version/JSON failures come back as
+    /// [`ErrorKind::Protocol`], content failures as
+    /// [`ErrorKind::BadRequest`].
+    pub fn decode(payload: &str) -> Result<RequestEnvelope, ErrorBody> {
+        let v = json::parse(payload).map_err(|e| protocol(e.to_string()))?;
+        let version = match v.get("v").and_then(Json::as_u64) {
+            Some(n) if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&n) => n,
+            Some(n) => {
+                return Err(protocol(format!(
+                    "unsupported protocol version {n} (this build speaks \
+                     {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
+                )))
+            }
+            None => return Err(protocol("missing protocol version \"v\"")),
+        };
+        let id = v.get("id").and_then(Json::as_u64).unwrap_or(0);
+        let request = Request::from_json(&v)?;
+        if version < request.min_version() {
+            let typ = v.get("type").and_then(Json::as_str).unwrap_or_default();
+            return Err(protocol(format!(
+                "request type {typ:?} requires protocol version {} (request used {version})",
+                request.min_version()
+            )));
+        }
+        let timeout_ms = Option::<u64>::from_wire(v.get("timeout_ms"));
+        if timeout_ms.is_some() && version < 4 {
+            return Err(protocol(format!(
+                "\"timeout_ms\" requires protocol version 4 (request used {version})"
+            )));
+        }
+        let as_of = Option::<u64>::from_wire(v.get("as_of"));
+        if as_of.is_some() && version < 5 {
+            return Err(protocol(format!(
+                "\"as_of\" requires protocol version 5 (request used {version})"
+            )));
+        }
+        Ok(RequestEnvelope {
+            version,
+            id,
+            timeout_ms,
+            as_of,
+            request,
+        })
+    }
 }
 
 impl ResponseEnvelope {
     /// Encode to the one-line JSON payload (framing is separate).
     pub fn encode(&self) -> String {
-        let mut pairs = vec![
-            ("v".into(), Json::num(self.version as f64)),
-            ("id".into(), Json::num(self.id as f64)),
-        ];
-        match &self.response {
+        let mut pairs = Vec::with_capacity(5);
+        put(&mut pairs, "v", &self.version);
+        put(&mut pairs, "id", &self.id);
+        let (typ, result) = match &self.response {
             Response::Error(e) => {
-                pairs.push(("ok".into(), Json::Bool(false)));
-                pairs.push(("error".into(), error_to_json(e)));
+                put(&mut pairs, "ok", &false);
+                put(&mut pairs, "error", e);
+                return Json::Obj(pairs).encode();
             }
-            ok => {
-                pairs.push(("ok".into(), Json::Bool(true)));
-                let (typ, result) = match ok {
-                    Response::Solve(r) => ("solve", report_to_json(r)),
-                    Response::Deadlines(items) => (
-                        "solve_deadlines",
-                        Json::Arr(items.iter().map(item_to_json).collect()),
-                    ),
-                    Response::Curve(points) => (
-                        "energy_curve",
-                        Json::Arr(
-                            points
-                                .iter()
-                                .map(|&(d, e)| {
-                                    Json::Obj(vec![
-                                        ("deadline".into(), Json::num(d)),
-                                        ("energy".into(), Json::num(e)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    Response::CurveExact(c) => ("energy_curve", curve_exact_to_json(c)),
-                    Response::Batch(items) => {
-                        ("batch", Json::Arr(items.iter().map(item_to_json).collect()))
-                    }
-                    Response::Patch(p) => {
-                        let report = report_to_json(&p.report);
-                        let Json::Obj(mut fields) = report else {
-                            unreachable!("solve reports encode as objects")
-                        };
-                        fields.push(("key".into(), Json::str(key_to_hex(p.key))));
-                        fields.push(("warm_lp".into(), Json::Bool(p.warm_lp)));
-                        ("patch", Json::Obj(fields))
-                    }
-                    Response::Corpus(shards) => (
-                        "corpus",
-                        Json::Arr(shards.iter().map(shard_to_json).collect()),
-                    ),
-                    Response::Lineage(l) => ("lineage", lineage_to_json(l)),
-                    Response::Stats(s) => ("stats", stats_to_json(s)),
-                    Response::Shutdown => (
-                        "shutdown",
-                        Json::Obj(vec![("stopping".into(), Json::Bool(true))]),
-                    ),
-                    Response::Error(_) => unreachable!("handled above"),
-                };
-                pairs.push(("type".into(), Json::str(typ)));
-                pairs.push(("result".into(), result));
-            }
-        }
+            Response::Solve(r) => ("solve", r.to_json()),
+            Response::Deadlines(items) => ("solve_deadlines", items.to_json()),
+            Response::Curve(points) => ("energy_curve", points.to_json()),
+            Response::CurveExact(c) => ("energy_curve", c.to_json()),
+            Response::Batch(items) => ("batch", items.to_json()),
+            Response::Patch(p) => ("patch", p.to_json()),
+            Response::Corpus(shards) => ("corpus", shards.to_json()),
+            Response::Lineage(l) => ("lineage", l.to_json()),
+            Response::Stats(s) => ("stats", s.to_json()),
+            Response::Shutdown => (
+                "shutdown",
+                Json::Obj(vec![("stopping".into(), Json::Bool(true))]),
+            ),
+        };
+        put(&mut pairs, "ok", &true);
+        pairs.push(("type".into(), Json::str(typ)));
+        pairs.push(("result".into(), result));
         Json::Obj(pairs).encode()
     }
 
     /// Decode a payload (the client side of [`Self::encode`]).
     pub fn decode(payload: &str) -> Result<ResponseEnvelope, ErrorBody> {
-        let v =
-            json::parse(payload).map_err(|e| ErrorBody::new(ErrorKind::Protocol, e.to_string()))?;
+        let v = json::parse(payload).map_err(|e| protocol(e.to_string()))?;
         let version = match v.get("v").and_then(Json::as_u64) {
             Some(n) if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&n) => n,
             _ => {
-                return Err(ErrorBody::new(
-                    ErrorKind::Protocol,
+                return Err(protocol(
                     "missing or unsupported protocol version in response",
                 ))
             }
         };
         let id = v.get("id").and_then(Json::as_u64).unwrap_or(0);
-        let ok = v
-            .get("ok")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| bad("response missing \"ok\""))?;
-        if !ok {
-            let e = error_from_json(v.get("error").ok_or_else(|| bad("missing \"error\""))?)?;
-            return Ok(ResponseEnvelope {
-                version,
-                id,
-                response: Response::Error(e),
-            });
-        }
-        let typ = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("response missing \"type\""))?;
-        let result = v
-            .get("result")
-            .ok_or_else(|| bad("response missing \"result\""))?;
-        let response = match typ {
-            "solve" => Response::Solve(report_from_json(result)?),
-            "solve_deadlines" | "batch" => {
-                let items = result
-                    .as_arr()
-                    .ok_or_else(|| bad("result must be an array"))?
-                    .iter()
-                    .map(item_from_json)
-                    .collect::<Result<Vec<_>, _>>()?;
-                if typ == "batch" {
-                    Response::Batch(items)
-                } else {
-                    Response::Deadlines(items)
+        let response = if field(&v, "ok")? {
+            let typ = read(&v, "type", "a string", Json::as_str)?;
+            let result = v.get("result").ok_or_else(|| bad("missing \"result\""))?;
+            match typ {
+                "solve" => Response::Solve(field(&v, "result")?),
+                "solve_deadlines" => Response::Deadlines(field(&v, "result")?),
+                // A sampled curve is an array of points; an exact
+                // curve is an object carrying closed-form segments (v3).
+                "energy_curve" if result.as_arr().is_none() => {
+                    Response::CurveExact(field(&v, "result")?)
                 }
+                "energy_curve" => Response::Curve(field(&v, "result")?),
+                "batch" => Response::Batch(field(&v, "result")?),
+                "patch" => Response::Patch(field(&v, "result")?),
+                "corpus" => Response::Corpus(field(&v, "result")?),
+                "lineage" => Response::Lineage(field(&v, "result")?),
+                "stats" => Response::Stats(field(&v, "result")?),
+                "shutdown" => Response::Shutdown,
+                other => return Err(bad(format!("unknown response type {other:?}"))),
             }
-            // A sampled curve is an array of points; an exact curve is
-            // an object carrying closed-form segments (v3).
-            "energy_curve" if result.as_arr().is_none() => {
-                Response::CurveExact(curve_exact_from_json(result)?)
-            }
-            "energy_curve" => Response::Curve(
-                result
-                    .as_arr()
-                    .ok_or_else(|| bad("result must be an array"))?
-                    .iter()
-                    .map(|p| {
-                        let d = p.get("deadline").and_then(Json::as_f64);
-                        let e = p.get("energy").and_then(Json::as_f64);
-                        match (d, e) {
-                            (Some(d), Some(e)) => Ok((d, e)),
-                            _ => Err(bad("curve point missing deadline/energy")),
-                        }
-                    })
-                    .collect::<Result<_, _>>()?,
-            ),
-            "patch" => Response::Patch(PatchReport {
-                report: report_from_json(result)?,
-                key: result
-                    .get("key")
-                    .and_then(Json::as_str)
-                    .and_then(key_from_hex)
-                    .ok_or_else(|| bad("patch result missing \"key\""))?,
-                warm_lp: result
-                    .get("warm_lp")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| bad("patch result missing \"warm_lp\""))?,
-            }),
-            "corpus" => Response::Corpus(
-                result
-                    .as_arr()
-                    .ok_or_else(|| bad("result must be an array"))?
-                    .iter()
-                    .map(shard_from_json)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "lineage" => Response::Lineage(lineage_from_json(result)?),
-            "stats" => Response::Stats(stats_from_json(result)?),
-            "shutdown" => Response::Shutdown,
-            other => return Err(bad(format!("unknown response type {other:?}"))),
+        } else {
+            Response::Error(field(&v, "error")?)
         };
         Ok(ResponseEnvelope {
             version,
@@ -1817,156 +1527,6 @@ impl ResponseEnvelope {
             response,
         })
     }
-}
-
-fn stats_to_json(s: &StatsReport) -> Json {
-    Json::Obj(vec![
-        (
-            "cache".into(),
-            Json::Obj(vec![
-                ("entries".into(), Json::num(s.cache.entries as f64)),
-                ("bytes".into(), Json::num(s.cache.bytes as f64)),
-                ("hits".into(), Json::num(s.cache.hits as f64)),
-                ("misses".into(), Json::num(s.cache.misses as f64)),
-                ("evictions".into(), Json::num(s.cache.evictions as f64)),
-                ("patch_hits".into(), Json::num(s.cache.patch_hits as f64)),
-                (
-                    "patch_misses".into(),
-                    Json::num(s.cache.patch_misses as f64),
-                ),
-                ("rekeys".into(), Json::num(s.cache.rekeys as f64)),
-            ]),
-        ),
-        (
-            "workers".into(),
-            Json::Arr(
-                s.workers
-                    .iter()
-                    .map(|w| {
-                        Json::Obj(vec![
-                            ("requests".into(), Json::num(w.requests as f64)),
-                            ("solves".into(), Json::num(w.solves as f64)),
-                            ("solve_ns".into(), Json::num(w.solve_ns as f64)),
-                            ("warm_lost".into(), Json::num(w.warm_lost as f64)),
-                            ("bnb_nodes".into(), Json::num(w.bnb_nodes as f64)),
-                            ("bnb_steals".into(), Json::num(w.bnb_steals as f64)),
-                            ("sp_splice".into(), Json::num(w.sp_splice as f64)),
-                            ("sp_splice_miss".into(), Json::num(w.sp_splice_miss as f64)),
-                            ("cone_nodes".into(), Json::num(w.cone_nodes as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "net".into(),
-            Json::Obj(vec![
-                ("connections".into(), Json::num(s.net.connections as f64)),
-                ("queue_depth".into(), Json::num(s.net.queue_depth as f64)),
-                ("inflight".into(), Json::num(s.net.inflight as f64)),
-                ("rejected".into(), Json::num(s.net.rejected as f64)),
-                ("timeouts".into(), Json::num(s.net.timeouts as f64)),
-            ]),
-        ),
-        (
-            "store".into(),
-            Json::Obj(vec![
-                ("entries".into(), Json::num(s.store.entries as f64)),
-                ("bytes".into(), Json::num(s.store.bytes as f64)),
-                ("recovered".into(), Json::num(s.store.recovered as f64)),
-                (
-                    "corrupt_skipped".into(),
-                    Json::num(s.store.corrupt_skipped as f64),
-                ),
-                ("replays".into(), Json::num(s.store.replays as f64)),
-            ]),
-        ),
-    ])
-}
-
-fn stats_from_json(v: &Json) -> Result<StatsReport, ErrorBody> {
-    let cache = v.get("cache").ok_or_else(|| bad("stats missing cache"))?;
-    let cu = |name: &str| {
-        cache
-            .get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad(format!("cache stats missing \"{name}\"")))
-    };
-    // The patch counters are absent from v1 daemons' stats; default
-    // them to zero so a v2 client can read either.
-    let cu0 = |name: &str| cache.get(name).and_then(Json::as_u64).unwrap_or(0);
-    Ok(StatsReport {
-        cache: CacheStatsReport {
-            entries: cu("entries")?,
-            bytes: cu("bytes")?,
-            hits: cu("hits")?,
-            misses: cu("misses")?,
-            evictions: cu("evictions")?,
-            patch_hits: cu0("patch_hits"),
-            patch_misses: cu0("patch_misses"),
-            rekeys: cu0("rekeys"),
-        },
-        workers: v
-            .get("workers")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("stats missing workers"))?
-            .iter()
-            .map(|w| {
-                let wu = |name: &str| {
-                    w.get(name)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad(format!("worker stats missing \"{name}\"")))
-                };
-                // Counters newer than a peer's protocol build decode
-                // as zero rather than erroring.
-                let wu0 = |name: &str| w.get(name).and_then(Json::as_u64).unwrap_or(0);
-                Ok(WorkerStatsReport {
-                    requests: wu("requests")?,
-                    solves: wu("solves")?,
-                    solve_ns: wu("solve_ns")?,
-                    warm_lost: wu0("warm_lost"),
-                    bnb_nodes: wu0("bnb_nodes"),
-                    bnb_steals: wu0("bnb_steals"),
-                    sp_splice: wu0("sp_splice"),
-                    sp_splice_miss: wu0("sp_splice_miss"),
-                    cone_nodes: wu0("cone_nodes"),
-                })
-            })
-            .collect::<Result<_, ErrorBody>>()?,
-        // Pre-v4 daemons report no "net" section: zeros, not errors.
-        net: {
-            let net = v.get("net");
-            let nu = |name: &str| {
-                net.and_then(|n| n.get(name))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0)
-            };
-            NetStatsReport {
-                connections: nu("connections"),
-                queue_depth: nu("queue_depth"),
-                inflight: nu("inflight"),
-                rejected: nu("rejected"),
-                timeouts: nu("timeouts"),
-            }
-        },
-        // Pre-v5 daemons report no "store" section: zeros, not errors.
-        store: {
-            let store = v.get("store");
-            let su = |name: &str| {
-                store
-                    .and_then(|s| s.get(name))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0)
-            };
-            StoreStatsReport {
-                entries: su("entries"),
-                bytes: su("bytes"),
-                recovered: su("recovered"),
-                corrupt_skipped: su("corrupt_skipped"),
-                replays: su("replays"),
-            }
-        },
-    })
 }
 
 #[cfg(test)]
@@ -2262,7 +1822,7 @@ mod tests {
         let payload =
             r#"{"cache":{"entries":1,"bytes":64,"hits":2,"misses":1,"evictions":0},"workers":[]}"#;
         let v = json::parse(payload).unwrap();
-        let s = stats_from_json(&v).unwrap();
+        let s = StatsReport::from_json(&v).unwrap();
         assert_eq!(s.store, StoreStatsReport::default());
     }
 

@@ -54,14 +54,10 @@
 
 use crate::cache::CachedCurve;
 use crate::json::{self, Json};
-use crate::proto::{
-    edit_from_json, edit_to_json, graph_from_json, graph_to_json, key_from_hex, key_to_hex,
-    model_from_json, model_to_json, segment_from_json, segment_to_json, LineageHop,
-    StoreStatsReport,
-};
+use crate::proto::{key_from_hex, key_to_hex, LineageHop, StoreStatsReport, Wire};
 use models::EnergyModel;
 use reclaim_core::engine::content_key;
-use reclaim_core::{CurveStats, ExactCurve};
+use reclaim_core::{CurveSegment, CurveStats, ExactCurve};
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::{self, Write};
@@ -69,7 +65,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use taskgraph::edit::GraphEdit;
-use taskgraph::{AnalysisSnapshot, PreparedInstance, Shape, SpTree, TaskId};
+use taskgraph::{AnalysisSnapshot, PreparedInstance, Shape, SpTree, TaskGraph, TaskId};
 
 /// FNV-1a 64-bit — the record checksum (the content keys themselves
 /// are the engine's FNV-128; the store only needs to detect damage,
@@ -281,20 +277,12 @@ fn curve_to_json(c: &CachedCurve) -> Json {
         ("lo".into(), Json::num(c.lo)),
         ("hi".into(), Json::num(c.hi)),
         ("exact".into(), Json::Bool(c.curve.exact)),
-        (
-            "segments".into(),
-            Json::Arr(c.curve.segments.iter().map(segment_to_json).collect()),
-        ),
+        ("segments".into(), c.curve.segments.to_json()),
     ])
 }
 
 fn curve_from_json(v: &Json) -> Option<CachedCurve> {
-    let segments = v
-        .get("segments")?
-        .as_arr()?
-        .iter()
-        .map(|s| segment_from_json(s).ok())
-        .collect::<Option<Vec<_>>>()?;
+    let segments = Vec::<CurveSegment>::from_json(v.get("segments")?).ok()?;
     Some(CachedCurve {
         lo: v.get("lo")?.as_f64()?,
         hi: v.get("hi")?.as_f64()?,
@@ -448,7 +436,14 @@ impl Store {
         let mut index = self.lineage.lock().expect("store lock poisoned");
         let mut kept: Vec<&String> = Vec::new();
         for payload in &valid {
-            let Some((parent, edits, child)) = decode_lineage_payload(payload) else {
+            let Some(LineageHop {
+                parent,
+                edits,
+                child,
+            }) = json::parse(payload)
+                .ok()
+                .and_then(|v| LineageHop::from_json(&v).ok())
+            else {
                 // Checksum-valid but semantically unreadable: account
                 // it like any other damaged record.
                 damaged = true;
@@ -519,9 +514,9 @@ impl Store {
         curve: Option<&CachedCurve>,
     ) -> io::Result<()> {
         let mut pairs = vec![
-            ("key".into(), Json::str(key_to_hex(key))),
-            ("model".into(), model_to_json(model)),
-            ("graph".into(), graph_to_json(inst.graph())),
+            ("key".into(), key.to_json()),
+            ("model".into(), model.to_json()),
+            ("graph".into(), inst.graph().to_json()),
             ("analysis".into(), snapshot_to_json(&inst.snapshot())),
         ];
         if let Some(c) = curve {
@@ -582,16 +577,12 @@ impl Store {
                 }
             }
         }
-        let payload = Json::Obj(vec![
-            ("parent".into(), Json::str(key_to_hex(parent))),
-            (
-                "edits".into(),
-                Json::Arr(edits.iter().map(edit_to_json).collect()),
-            ),
-            ("child".into(), Json::str(key_to_hex(child))),
-        ])
-        .encode();
-        let record = encode_record(&payload);
+        let hop = LineageHop {
+            parent,
+            edits: edits.to_vec(),
+            child,
+        };
+        let record = encode_record(&hop.to_json().encode());
         let _guard = self.log.lock().expect("store lock poisoned");
         let mut f = fs::OpenOptions::new()
             .create(true)
@@ -702,26 +693,14 @@ impl Store {
     }
 }
 
-fn decode_lineage_payload(payload: &str) -> Option<(u128, Vec<GraphEdit>, u128)> {
-    let v = json::parse(payload).ok()?;
-    let key = |name: &str| v.get(name).and_then(Json::as_str).and_then(key_from_hex);
-    let edits: Vec<GraphEdit> = v
-        .get("edits")?
-        .as_arr()?
-        .iter()
-        .map(|e| edit_from_json(e).ok())
-        .collect::<Option<_>>()?;
-    Some((key("parent")?, edits, key("child")?))
-}
-
 fn decode_instance_payload(payload: &str, want_key: u128) -> Option<StoredEntry> {
     let v = json::parse(payload).ok()?;
-    let key = v.get("key").and_then(Json::as_str).and_then(key_from_hex)?;
+    let key = u128::from_json(v.get("key")?).ok()?;
     if key != want_key {
         return None;
     }
-    let model = model_from_json(v.get("model")?).ok()?;
-    let graph = graph_from_json(v.get("graph")?).ok()?;
+    let model = EnergyModel::from_json(v.get("model")?).ok()?;
+    let graph = TaskGraph::from_json(v.get("graph")?).ok()?;
     // The content-addressing invariant: the payload must still hash to
     // the key it is filed under.
     if content_key(&graph, &model) != want_key {

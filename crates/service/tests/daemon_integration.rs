@@ -565,6 +565,61 @@ fn infinite_min_makespan_is_answered_not_fatal() {
     daemon.shutdown(client);
 }
 
+/// Frames whose answers would carry a number past f64's range (an
+/// infinite energy, or a curve deadline that overflows) are answered
+/// with structured `numerical`/`unsupported` errors under their own
+/// ids. The lone worker survives all of them: the plain solve after
+/// them is answered, and nothing is left in flight.
+#[test]
+fn non_finite_results_are_answered_not_fatal() {
+    let daemon = Spawned::new("non-finite", &["--workers", "1"]);
+    let mut client = daemon.client();
+    let mut raw = std::os::unix::net::UnixStream::connect(&daemon.socket).unwrap();
+    // A dead worker never answers: fail instead of hanging.
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let one = r#""graph":{"weights":[1],"edges":[]},"model":{"kind":"continuous"}"#;
+    let huge = r#""graph":{"weights":[1e10],"edges":[]},"model":{"kind":"continuous"}"#;
+    let frames = [
+        format!(r#"{{"v":1,"id":101,"type":"solve",{one},"deadline":1e-200}}"#),
+        r#"{"v":1,"id":102,"type":"solve","graph":{"weights":[1e300,1e300],"edges":[[0,1]]},"model":{"kind":"continuous"},"deadline":1}"#.to_string(),
+        format!(r#"{{"v":1,"id":103,"type":"solve_deadlines",{one},"deadlines":[1,1e-200]}}"#),
+        r#"{"v":1,"id":104,"type":"batch","model":{"kind":"continuous"},"jobs":[{"graph":{"weights":[1],"edges":[]},"deadline":1e-200}]}"#.to_string(),
+        format!(r#"{{"v":1,"id":105,"type":"energy_curve",{one},"points":4,"lo":1e-200,"hi":2}}"#),
+        format!(r#"{{"v":1,"id":106,"type":"energy_curve",{huge},"points":4,"lo":1.5,"hi":1e300}}"#),
+        format!(
+            r#"{{"v":3,"id":107,"type":"energy_curve",{huge},"points":4,"lo":1.5,"hi":1e300,"exact":true}}"#
+        ),
+        // Finite deadlines, but the power law's coefficient overflows.
+        r#"{"v":3,"id":108,"type":"energy_curve","graph":{"weights":[1e103],"edges":[]},"model":{"kind":"continuous"},"points":4,"lo":1.5,"hi":3,"exact":true}"#.to_string(),
+    ];
+    for (i, frame) in frames.iter().enumerate() {
+        let resp = raw_exchange(&mut raw, frame);
+        assert_eq!(resp.id, 101 + i as u64, "answered under the frame's own id");
+        let errors: Vec<ErrorKind> = match resp.response {
+            Response::Error(e) => vec![e.kind],
+            Response::Deadlines(items) | Response::Batch(items) => items
+                .into_iter()
+                .filter_map(Result::err)
+                .map(|e| e.kind)
+                .collect(),
+            other => panic!("frame {frame}: expected an error, got {other:?}"),
+        };
+        assert_eq!(errors.len(), 1, "frame {frame}: one failed item");
+        assert!(
+            matches!(errors[0], ErrorKind::Numerical | ErrorKind::Unsupported),
+            "frame {frame}: {:?}",
+            errors[0]
+        );
+    }
+
+    let g = generators::chain(&[1.0, 2.0]);
+    expect_solve(client.roundtrip(solve_req(&g)).unwrap().response);
+    let stats = expect_stats(client.roundtrip(Request::Stats).unwrap().response);
+    assert_eq!(stats.net.inflight, 0, "every admitted request answered");
+    drop(raw);
+    daemon.shutdown(client);
+}
+
 /// A frame that fails to decode is answered under its own `id`, both
 /// inline (small frames) and on the worker path (frames past the
 /// inline limit), so a pipelined client can match the error.
