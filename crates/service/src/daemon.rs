@@ -454,17 +454,17 @@ impl Daemon {
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
-        let worker_handles: Vec<_> = (0..state.workers.len())
+        let worker_handles = (0..state.workers.len())
             .map(|worker_id| {
                 let rx = Arc::clone(&rx);
                 let state = Arc::clone(&state);
                 let completions = Arc::clone(&completions);
                 let poller = Arc::clone(&poller);
-                std::thread::spawn(move || {
-                    worker_loop(worker_id, &rx, &state, &completions, &poller)
-                })
+                std::thread::Builder::new()
+                    .stack_size(WORKER_STACK)
+                    .spawn(move || worker_loop(worker_id, &rx, &state, &completions, &poller))
             })
-            .collect();
+            .collect::<io::Result<Vec<_>>>()?;
         let mut el = EventLoop {
             poller,
             listener: Some(listener),
@@ -529,6 +529,14 @@ const INLINE_MAX: usize = 512;
 /// How long the drain waits for peers to read their final responses
 /// once every admitted request is answered.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
+/// Stack size of each worker thread. SP recognition, tree
+/// normalization, the equivalent-weight fold, the store codec and a
+/// tree's `Drop` all recurse as deep as the decomposition tree, and a
+/// stack overflow aborts the whole process: a chain of 1,500
+/// triple-branch blocks (6,001 tasks, one ~117 KB `solve` frame)
+/// overflows the default 2 MiB stack.
+const WORKER_STACK: usize = 64 << 20;
 
 /// One registered connection, owned by the poll loop.
 struct Conn {

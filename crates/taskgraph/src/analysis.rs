@@ -170,6 +170,15 @@ pub fn is_topo_order(g: &TaskGraph, order: &[TaskId]) -> bool {
     g.edges().iter().all(|&(u, v)| pos[u.0] < pos[v.0])
 }
 
+/// Position of each task in `order` (a permutation of the tasks).
+pub(crate) fn positions(order: &[TaskId]) -> Vec<usize> {
+    let mut pos = vec![0usize; order.len()];
+    for (k, &t) in order.iter().enumerate() {
+        pos[t.0] = k;
+    }
+    pos
+}
+
 /// Reachability matrix as a vector of bitsets: `reach[u][v]` is true
 /// iff there is a directed path from `u` to `v` (including `u = v`).
 ///
@@ -224,23 +233,22 @@ pub fn transitive_reduction(g: &TaskGraph) -> TaskGraph {
 }
 
 /// [`transitive_reduction`] with a caller-supplied topological order.
+/// The reachability matrix it builds is dropped on return.
 pub fn transitive_reduction_ordered(g: &TaskGraph, order: &[TaskId]) -> TaskGraph {
-    transitive_reduction_with_reach(g, &reachability_ordered(g, order))
+    crate::profiling::bump_transitive_reduction();
+    reduce(g, order)
 }
 
-/// [`transitive_reduction`] over a precomputed reachability matrix of
-/// `g` (from [`reachability`]); counts as a full reduction pass in
-/// [`crate::profiling`].
-pub fn transitive_reduction_with_reach(g: &TaskGraph, reach: &[Vec<u64>]) -> TaskGraph {
-    crate::profiling::bump_transitive_reduction();
-    let mut kept: Vec<(usize, usize)> = Vec::with_capacity(g.m());
-    for &(u, v) in g.edges() {
-        let redundant = g.succs(u).iter().any(|&w| w != v && reaches(reach, w, v));
-        if !redundant {
-            kept.push((u.0, v.0));
-        }
-    }
-    TaskGraph::new(g.weights().to_vec(), &kept).expect("removing edges from a DAG keeps it a DAG")
+/// The reduction pass itself, without the profiling bump.
+fn reduce(g: &TaskGraph, order: &[TaskId]) -> TaskGraph {
+    let reach = reachability_ordered(g, order);
+    let redundant = g
+        .edges()
+        .iter()
+        .filter(|&&(u, v)| g.succs(u).iter().any(|&w| w != v && reaches(&reach, w, v)))
+        .map(|&(u, v)| (u.0, v.0))
+        .collect();
+    without_edges(g, redundant)
 }
 
 /// Repair a topological order after edge insertions by a localized
@@ -262,10 +270,7 @@ pub fn repair_topo_order(
     let n = g.n();
     assert_eq!(old.len(), n);
     let mut order = old.to_vec();
-    let mut pos = vec![0usize; n];
-    for (k, &t) in order.iter().enumerate() {
-        pos[t.0] = k;
-    }
+    let mut pos = positions(old);
     let mut cone = 0u64;
     for &(u, v) in inserted {
         if pos[u] < pos[v] {
@@ -341,10 +346,7 @@ pub fn repair_earliest_completion(
     assert_eq!(durations.len(), g.n());
     assert_eq!(old.len(), g.n());
     debug_assert!(is_topo_order(g, order));
-    let mut pos = vec![0usize; g.n()];
-    for (k, &t) in order.iter().enumerate() {
-        pos[t.0] = k;
-    }
+    let pos = positions(order);
     let mut ecl = old.to_vec();
     let mut queued = vec![false; g.n()];
     let mut heap = std::collections::BinaryHeap::new();
@@ -378,85 +380,118 @@ pub fn repair_earliest_completion(
     ecl
 }
 
-/// Repair a cached reachability matrix and transitive reduction after
-/// edge edits, touching only the affected cone — no full reduction
-/// pass (and no [`crate::profiling::Counts::transitive_reduction`]
-/// bump).
+/// Repair a cached transitive reduction after edge edits over the same
+/// task set, re-testing only the edges whose verdict the edits can
+/// flip — no full reduction pass (and no
+/// [`crate::profiling::Counts::transitive_reduction`] bump), and no
+/// reachability matrix.
 ///
-/// `g` is the edited graph with `order` a valid topological order of
-/// it; `old_reach` is the pre-edit reachability matrix and `old_kept`
-/// the pre-edit reduction's edge set (same id space: the task set must
-/// not have changed). `edited_sources` lists the source endpoint of
-/// every inserted or removed edge — the only nodes whose successor
-/// sets changed.
+/// `old_reduced` is the reduction of the pre-edit graph and
+/// `old_order` a topological order of that graph; `g` is the edited
+/// graph with `order` a topological order of it, and `inserted` /
+/// `removed` are the net edge changes.
 ///
-/// Reachability rows are recomputed bottom-up starting from those
-/// sources and propagate to predecessors only while a row actually
-/// changes; an edge's keep/drop verdict is re-evaluated only when its
-/// source's successor set or some successor's row changed. Everything
-/// else is carried verbatim from the old reduction. Returns the
-/// repaired matrix and the reduced edge set (in `g.edges()` order,
-/// exactly as a full pass would emit it).
+/// An edge `(x, y)` is redundant iff another successor of `x` reaches
+/// `y`. Its verdict can change only through a path that uses a changed
+/// edge `(u, v)`: `x` reaches `u` and `v` reaches `y`, so
+/// `pos(x) ≤ pos(u)` and `pos(v) ≤ pos(y)` — in the new order for an
+/// insertion (which can only make edges redundant), in the old order
+/// for a removal (which can only re-expose them). One integer scan
+/// finds the edges inside such a window (inserted edges lie inside
+/// their own), and each is re-tested by a DFS from `x`'s other
+/// successors pruned at `y`'s position (the search-space bound of
+/// Bounded Dijkstra). Every other edge keeps its old verdict, read
+/// from the old reduction's adjacency. Candidates and DFS visits are
+/// accounted in [`crate::profiling::Counts::cone_nodes`].
+///
+/// Returns the reduction of `g`: `g`'s edges in order minus the
+/// redundant ones, exactly what [`transitive_reduction`] builds.
 pub fn repair_reduction(
+    old_reduced: &TaskGraph,
+    old_order: &[TaskId],
     g: &TaskGraph,
     order: &[TaskId],
-    old_reach: &[Vec<u64>],
-    old_kept: &std::collections::HashSet<(usize, usize)>,
-    edited_sources: &[usize],
-) -> (Vec<Vec<u64>>, Vec<(usize, usize)>) {
+    inserted: &[(usize, usize)],
+    removed: &[(usize, usize)],
+) -> TaskGraph {
     let n = g.n();
-    assert_eq!(old_reach.len(), n);
+    assert_eq!(old_reduced.n(), n);
     debug_assert!(is_topo_order(g, order));
-    let wds = n.div_ceil(64);
-    let mut reach = old_reach.to_vec();
-    let mut dirty = vec![false; n]; // successor set changed: must recompute
-    for &u in edited_sources {
-        dirty[u] = true;
-    }
-    let mut changed = vec![false; n]; // row differs from the old matrix
-    let mut visited = 0u64;
-    for &t in order.iter().rev() {
-        let u = t.0;
-        if !dirty[u] && !g.succs(t).iter().any(|&s| changed[s.0]) {
-            continue;
+    let (pos_old, pos) = (positions(old_order), positions(order));
+    // `window(changes, pos)[p]`: the smallest position of a changed
+    // edge's target whose source sits at or after position `p` (a
+    // suffix minimum), so `(x, y)` lies in some change's window iff
+    // `window[pos[x]] <= pos[y]`.
+    let window = |changes: &[(usize, usize)], pos: &[usize]| {
+        let mut lo = vec![usize::MAX; n + 1];
+        for &(u, v) in changes {
+            lo[pos[u]] = lo[pos[u]].min(pos[v]);
         }
-        visited += 1;
-        let mut row = vec![0u64; wds];
-        row[u / 64] |= 1 << (u % 64);
-        for &s in g.succs(t) {
-            for (x, y) in row.iter_mut().zip(&reach[s.0]) {
-                *x |= *y;
+        for p in (0..n).rev() {
+            lo[p] = lo[p].min(lo[p + 1]);
+        }
+        lo
+    };
+    let (reach_ins, reach_rem) = (window(inserted, &pos), window(removed, &pos_old));
+
+    // When the old reduction kept every old edge (as in every SP
+    // graph), every carried verdict is "kept" and needs no lookup.
+    let old_redundant = g.m() + removed.len() != old_reduced.m() + inserted.len();
+    let mut redundant: Vec<(usize, usize)> = Vec::new();
+    let mut candidates: Vec<(usize, usize)> = Vec::new();
+    let mut kept_from = vec![usize::MAX; n];
+    for x in 0..n {
+        if old_redundant {
+            for &TaskId(y) in old_reduced.succs(TaskId(x)) {
+                kept_from[y] = x;
             }
         }
-        if row != reach[u] {
-            changed[u] = true;
-            reach[u] = row;
+        for &TaskId(y) in g.succs(TaskId(x)) {
+            if reach_ins[pos[x]] <= pos[y] || reach_rem[pos_old[x]] <= pos_old[y] {
+                candidates.push((x, y));
+            } else if old_redundant && kept_from[y] != x {
+                redundant.push((x, y));
+            }
         }
     }
-    // Re-evaluate keep/drop only where a verdict input changed.
-    let mut recheck = vec![false; n];
-    for &u in edited_sources {
-        recheck[u] = true;
-    }
-    for t in g.tasks() {
-        if g.succs(t).iter().any(|&s| changed[s.0]) {
-            recheck[t.0] = true;
+
+    let mut seen = vec![usize::MAX; n];
+    let mut stack = Vec::new();
+    let mut visited = candidates.len() as u64;
+    for (k, &(x, y)) in candidates.iter().enumerate() {
+        stack.clear();
+        stack.extend(g.succs(TaskId(x)).iter().map(|w| w.0).filter(|&w| w != y));
+        let mut found = false;
+        while let Some(w) = stack.pop() {
+            if w == y {
+                found = true;
+                break;
+            }
+            if seen[w] == k || pos[w] > pos[y] {
+                continue;
+            }
+            seen[w] = k;
+            visited += 1;
+            stack.extend(g.succs(TaskId(w)).iter().map(|s| s.0));
         }
-    }
-    let mut kept: Vec<(usize, usize)> = Vec::with_capacity(g.m());
-    for &(u, v) in g.edges() {
-        let keep = if recheck[u.0] {
-            !g.succs(u).iter().any(|&w| w != v && reaches(&reach, w, v))
-        } else {
-            old_kept.contains(&(u.0, v.0))
-        };
-        if keep {
-            kept.push((u.0, v.0));
+        if found {
+            redundant.push((x, y));
         }
     }
     crate::profiling::add_cone_nodes(visited);
-    debug_assert_eq!(reach, reachability_ordered(g, order));
-    (reach, kept)
+    let reduced = without_edges(g, redundant);
+    debug_assert_eq!(reduced, reduce(g, order));
+    reduced
+}
+
+/// `g` minus the `redundant` edges, sharing `g`'s topology when there
+/// are none (then the reduction *is* the graph).
+fn without_edges(g: &TaskGraph, mut redundant: Vec<(usize, usize)>) -> TaskGraph {
+    if redundant.is_empty() {
+        return g.clone();
+    }
+    redundant.sort_unstable();
+    g.rewired(g.weights().to_vec(), &redundant, &[])
 }
 
 #[cfg(test)]

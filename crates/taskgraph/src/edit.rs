@@ -37,6 +37,7 @@
 //! rejected with an [`EditError`], leaving the original graph
 //! untouched (application is copy-on-write, never in-place).
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::analysis;
@@ -194,11 +195,12 @@ pub struct EditEffect {
     /// The task set (and hence the id space) changed.
     pub task_set_changed: bool,
     /// Net new edges: present in the edited graph, absent from the
-    /// original. Empty when the task set changed (the id spaces are
-    /// not comparable) — local repair does not apply there.
+    /// original, in edited edge-list order. Empty when the task set
+    /// changed (the id spaces are not comparable) — local repair does
+    /// not apply there.
     pub inserted_edges: Vec<(usize, usize)>,
     /// Net removed edges: present in the original, absent from the
-    /// edited graph. Empty when the task set changed.
+    /// edited graph, sorted. Empty when the task set changed.
     pub removed_edges: Vec<(usize, usize)>,
     /// Deduplicated, sorted endpoint set of every net edge change —
     /// the entry points of the edit's cone, which bounds every local
@@ -230,6 +232,12 @@ pub fn apply_edits(
 /// (must be valid for `g`): the edge-insertion validity check then
 /// reuses it instead of re-deriving one — what
 /// [`crate::PreparedInstance::apply`] does with its cached order.
+///
+/// A batch that keeps the task set never rebuilds the graph: presence
+/// checks read the adjacency, the edited topology is one copy pass
+/// over the old one, the net edge changes
+/// come from the batch itself, and acyclicity follows from the old
+/// order unless an insertion breaks it.
 pub fn apply_edits_ordered(
     g: &TaskGraph,
     edits: &[GraphEdit],
@@ -239,49 +247,162 @@ pub fn apply_edits_ordered(
         old_order.is_none_or(|o| analysis::is_topo_order(g, o)),
         "old_order must be a topological order of the pre-edit graph"
     );
+    if edits.iter().any(GraphEdit::changes_task_set) {
+        return apply_task_edits(g, edits);
+    }
+    let n = g.n();
     let mut weights: Vec<f64> = g.weights().to_vec();
-    // The edge list is copied on the batch's first edge or task edit;
-    // while it is `None` the batch is weight-only.
-    let mut edges: Option<Vec<(usize, usize)>> = None;
-    let edge_list =
-        || -> Vec<(usize, usize)> { g.edges().iter().map(|&(u, v)| (u.0, v.0)).collect() };
-    let mut task_set_changed = false;
-    let mut edges_inserted = false;
-
-    for edit in edits {
-        let n = weights.len();
-        match edit {
-            GraphEdit::SetWeight { task, weight } => {
-                if *task >= n {
-                    return Err(EditError::BadTask(*task));
-                }
-                if !(weight.is_finite() && *weight > 0.0) {
-                    return Err(GraphError::BadWeight {
-                        task: *task,
-                        weight: *weight,
-                    }
-                    .into());
-                }
-                weights[*task] = *weight;
-            }
+    // Edges the batch touched: `None` once removed, `Some(k)` once
+    // appended by the batch's k-th edit. Untouched edges keep their
+    // old presence and position.
+    let mut touched_edges: HashMap<(usize, usize), Option<usize>> = HashMap::new();
+    let present =
+        |e: &HashMap<(usize, usize), Option<usize>>, u: usize, v: usize| match e.get(&(u, v)) {
+            Some(state) => state.is_some(),
+            None => u < n && v < n && g.has_edge(TaskId(u), TaskId(v)),
+        };
+    for (k, edit) in edits.iter().enumerate() {
+        match *edit {
+            GraphEdit::SetWeight { task, weight } => set_weight(&mut weights, task, weight)?,
             GraphEdit::InsertEdge { from, to } => {
-                let edges = edges.get_or_insert_with(edge_list);
-                if *from >= n {
-                    return Err(EditError::BadTask(*from));
-                }
-                if *to >= n {
-                    return Err(EditError::BadTask(*to));
-                }
-                if from == to {
-                    return Err(GraphError::SelfLoop(*from).into());
-                }
-                if !edges.contains(&(*from, *to)) {
-                    edges.push((*from, *to));
-                    edges_inserted = true;
+                check_insert(n, from, to)?;
+                if !present(&touched_edges, from, to) {
+                    touched_edges.insert((from, to), Some(k));
                 }
             }
             GraphEdit::RemoveEdge { from, to } => {
-                let edges = edges.get_or_insert_with(edge_list);
+                if !present(&touched_edges, from, to) {
+                    return Err(EditError::MissingEdge { from, to });
+                }
+                touched_edges.insert((from, to), None);
+            }
+            GraphEdit::AddTask { .. } | GraphEdit::RemoveTask { .. } => {
+                unreachable!("task edits take apply_task_edits")
+            }
+        }
+    }
+    let reweighted = reweighted(g, edits, &weights);
+
+    // A weight-only batch leaves the edge set, and so the topology and
+    // every order of it, exactly as they were: share them.
+    if edits.iter().all(GraphEdit::is_weight_only) {
+        return Ok((
+            g.with_weights(weights)?,
+            EditEffect {
+                weight_only: true,
+                topo_preserved: true,
+                task_set_changed: false,
+                inserted_edges: Vec::new(),
+                removed_edges: Vec::new(),
+                touched: Vec::new(),
+                reweighted,
+                repaired_order: None,
+            },
+        ));
+    }
+
+    // Net changes. An old edge the batch touched leaves its place: it
+    // is gone, or re-appended at the end (remove, then insert again).
+    let mut dropped = Vec::new();
+    let mut appended = Vec::new();
+    let mut removed_edges = Vec::new();
+    let mut inserted_edges = Vec::new();
+    for (&(u, v), &state) in &touched_edges {
+        let old = g.has_edge(TaskId(u), TaskId(v));
+        if old {
+            dropped.push((u, v));
+        }
+        match state {
+            Some(k) => {
+                appended.push((k, (u, v)));
+                if !old {
+                    inserted_edges.push((k, (u, v)));
+                }
+            }
+            None if old => removed_edges.push((u, v)),
+            None => {}
+        }
+    }
+    dropped.sort_unstable();
+    removed_edges.sort_unstable();
+    appended.sort_unstable();
+    inserted_edges.sort_unstable();
+    let appended: Vec<(usize, usize)> = appended.into_iter().map(|(_, e)| e).collect();
+    let inserted_edges: Vec<(usize, usize)> = inserted_edges.into_iter().map(|(_, e)| e).collect();
+    let edited = g.rewired(weights, &dropped, &appended);
+
+    let mut touched: Vec<usize> = inserted_edges
+        .iter()
+        .chain(&removed_edges)
+        .flat_map(|&(u, v)| [u, v])
+        .collect();
+    touched.sort_unstable();
+    touched.dedup();
+
+    // An order valid for the old edge set stays valid when edges are
+    // only removed or weights change; an insertion may point
+    // "backwards" in it. Then the insertion may also close a cycle:
+    // the same Kahn pass `TaskGraph::new` runs decides, and otherwise
+    // the order is repaired by a localized Pearce–Kelly shift.
+    let mut repaired_order = None;
+    if !inserted_edges.is_empty() {
+        // Cheap relative to any recomputation the failed carryover
+        // would force; does not bump the profiling counters, and
+        // reuses the caller's order when one was supplied.
+        let computed;
+        let order: &[TaskId] = match old_order {
+            Some(o) => o,
+            None => {
+                computed = analysis::topo_order_quiet(g);
+                &computed
+            }
+        };
+        let pos = analysis::positions(order);
+        if inserted_edges.iter().any(|&(u, v)| pos[u] > pos[v]) {
+            if let Some(c) = edited.find_cycle_node() {
+                return Err(GraphError::Cycle(c).into());
+            }
+            // `order` is valid for the edited graph minus the inserted
+            // edges (removals never break it), which is exactly what
+            // the localized repair needs.
+            repaired_order = Some(analysis::repair_topo_order(&edited, order, &inserted_edges));
+        }
+    }
+    Ok((
+        edited,
+        EditEffect {
+            weight_only: false,
+            topo_preserved: repaired_order.is_none(),
+            task_set_changed: false,
+            inserted_edges,
+            removed_edges,
+            touched,
+            reweighted,
+            repaired_order,
+        },
+    ))
+}
+
+/// A batch that adds or removes tasks: the id space changes, so the
+/// edited edge list is rebuilt through [`TaskGraph::new`] and the
+/// effect carries no touched-region summary.
+fn apply_task_edits(
+    g: &TaskGraph,
+    edits: &[GraphEdit],
+) -> Result<(TaskGraph, EditEffect), EditError> {
+    let mut weights: Vec<f64> = g.weights().to_vec();
+    let mut edges: Vec<(usize, usize)> = g.edges().iter().map(|&(u, v)| (u.0, v.0)).collect();
+    for edit in edits {
+        let n = weights.len();
+        match edit {
+            GraphEdit::SetWeight { task, weight } => set_weight(&mut weights, *task, *weight)?,
+            GraphEdit::InsertEdge { from, to } => {
+                check_insert(n, *from, *to)?;
+                if !edges.contains(&(*from, *to)) {
+                    edges.push((*from, *to));
+                }
+            }
+            GraphEdit::RemoveEdge { from, to } => {
                 let Some(pos) = edges.iter().position(|e| e == &(*from, *to)) else {
                     return Err(EditError::MissingEdge {
                         from: *from,
@@ -295,8 +416,6 @@ pub fn apply_edits_ordered(
                 preds,
                 succs,
             } => {
-                let edges = edges.get_or_insert_with(edge_list);
-                task_set_changed = true;
                 for &p in preds.iter().chain(succs) {
                     if p >= n {
                         return Err(EditError::BadTask(p));
@@ -307,8 +426,6 @@ pub fn apply_edits_ordered(
                 edges.extend(succs.iter().map(|&s| (n, s)));
             }
             GraphEdit::RemoveTask { task } => {
-                let edges = edges.get_or_insert_with(edge_list);
-                task_set_changed = true;
                 if *task >= n {
                     return Err(EditError::BadTask(*task));
                 }
@@ -324,112 +441,62 @@ pub fn apply_edits_ordered(
             }
         }
     }
-
-    // Tasks whose cost actually changed. Set-weight ids name stable
-    // tasks whenever the task set is unchanged.
-    let reweighted = if task_set_changed {
-        Vec::new()
-    } else {
-        let mut rew: Vec<usize> = edits
-            .iter()
-            .filter_map(|e| match e {
-                GraphEdit::SetWeight { task, .. } => Some(*task),
-                _ => None,
-            })
-            .collect();
-        rew.sort_unstable();
-        rew.dedup();
-        rew.retain(|&i| g.weights()[i] != weights[i]);
-        rew
-    };
-
-    // A weight-only batch leaves the edge set, and so the topology and
-    // every order of it, exactly as they were: share them.
-    let Some(edges) = edges else {
-        return Ok((
-            g.with_weights(weights)?,
-            EditEffect {
-                weight_only: true,
-                topo_preserved: true,
-                task_set_changed: false,
-                inserted_edges: Vec::new(),
-                removed_edges: Vec::new(),
-                touched: Vec::new(),
-                reweighted,
-                repaired_order: None,
-            },
-        ));
-    };
-    let edited = TaskGraph::new(weights, &edges)?;
-
-    // Touched-region summary: net edge changes between the two graphs.
-    // Only meaningful while the id space is stable.
-    let (inserted_edges, removed_edges, touched) = if task_set_changed {
-        (Vec::new(), Vec::new(), Vec::new())
-    } else {
-        let old_set: std::collections::HashSet<(usize, usize)> =
-            g.edges().iter().map(|&(u, v)| (u.0, v.0)).collect();
-        let new_set: std::collections::HashSet<(usize, usize)> =
-            edited.edges().iter().map(|&(u, v)| (u.0, v.0)).collect();
-        let ins: Vec<(usize, usize)> = edited
-            .edges()
-            .iter()
-            .map(|&(u, v)| (u.0, v.0))
-            .filter(|e| !old_set.contains(e))
-            .collect();
-        let rem: Vec<(usize, usize)> = g
-            .edges()
-            .iter()
-            .map(|&(u, v)| (u.0, v.0))
-            .filter(|e| !new_set.contains(e))
-            .collect();
-        let mut tch: Vec<usize> = ins.iter().chain(&rem).flat_map(|&(u, v)| [u, v]).collect();
-        tch.sort_unstable();
-        tch.dedup();
-        (ins, rem, tch)
-    };
-
-    // An order valid for the old edge set stays valid when edges are
-    // only removed or weights change; insertions require a check (the
-    // inserted edge may point "backwards" in the retained order). When
-    // the check fails, the order is not discarded but repaired by a
-    // localized Pearce–Kelly shift of the affected window.
-    let mut repaired_order = None;
-    let topo_preserved = !task_set_changed
-        && (!edges_inserted || {
-            // Cheap relative to any recomputation the failed carryover
-            // would force; does not bump the profiling counters, and
-            // reuses the caller's order when one was supplied.
-            let computed;
-            let order: &[TaskId] = match old_order {
-                Some(o) => o,
-                None => {
-                    computed = analysis::topo_order_quiet(g);
-                    &computed
-                }
-            };
-            let still_valid = analysis::is_topo_order(&edited, order);
-            if !still_valid {
-                // `order` is valid for the edited graph minus the
-                // inserted edges (removals never break it), which is
-                // exactly what the localized repair needs.
-                repaired_order = Some(analysis::repair_topo_order(&edited, order, &inserted_edges));
-            }
-            still_valid
-        });
     Ok((
-        edited,
+        TaskGraph::new(weights, &edges)?,
         EditEffect {
             weight_only: false,
-            topo_preserved,
-            task_set_changed,
-            inserted_edges,
-            removed_edges,
-            touched,
-            reweighted,
-            repaired_order,
+            topo_preserved: false,
+            task_set_changed: true,
+            inserted_edges: Vec::new(),
+            removed_edges: Vec::new(),
+            touched: Vec::new(),
+            reweighted: Vec::new(),
+            repaired_order: None,
         },
     ))
+}
+
+/// Validate and apply one [`GraphEdit::SetWeight`].
+fn set_weight(weights: &mut [f64], task: usize, weight: f64) -> Result<(), EditError> {
+    if task >= weights.len() {
+        return Err(EditError::BadTask(task));
+    }
+    if !(weight.is_finite() && weight > 0.0) {
+        return Err(GraphError::BadWeight { task, weight }.into());
+    }
+    weights[task] = weight;
+    Ok(())
+}
+
+/// The endpoint checks [`GraphEdit::InsertEdge`] shares with
+/// [`TaskGraph::new`].
+fn check_insert(n: usize, from: usize, to: usize) -> Result<(), EditError> {
+    if from >= n {
+        return Err(EditError::BadTask(from));
+    }
+    if to >= n {
+        return Err(EditError::BadTask(to));
+    }
+    if from == to {
+        return Err(GraphError::SelfLoop(from).into());
+    }
+    Ok(())
+}
+
+/// Tasks whose cost actually changed (net, bitwise), sorted. Set-weight
+/// ids name stable tasks because the task set is unchanged.
+fn reweighted(g: &TaskGraph, edits: &[GraphEdit], weights: &[f64]) -> Vec<usize> {
+    let mut rew: Vec<usize> = edits
+        .iter()
+        .filter_map(|e| match e {
+            GraphEdit::SetWeight { task, .. } => Some(*task),
+            _ => None,
+        })
+        .collect();
+    rew.sort_unstable();
+    rew.dedup();
+    rew.retain(|&i| g.weights()[i] != weights[i]);
+    rew
 }
 
 #[cfg(test)]
@@ -613,6 +680,92 @@ mod tests {
         assert_eq!(
             apply_edits(&single, &[GraphEdit::RemoveTask { task: 0 }]).unwrap_err(),
             EditError::WouldBeEmpty
+        );
+    }
+
+    /// `apply_edits(g, edits)` equals [`TaskGraph::new`] on `edges`
+    /// (the edited edge list), slice for slice.
+    fn assert_matches_rebuild(g: &TaskGraph, edits: &[GraphEdit], edges: &[(usize, usize)]) {
+        let (edited, _) = apply_edits(g, edits).unwrap();
+        let rebuilt = TaskGraph::new(g.weights().to_vec(), edges).unwrap();
+        assert_eq!(edited, rebuilt);
+        assert_eq!(edited.edges(), rebuilt.edges());
+        for t in rebuilt.tasks() {
+            assert_eq!(edited.succs(t), rebuilt.succs(t), "successors of {t}");
+            assert_eq!(edited.preds(t), rebuilt.preds(t), "predecessors of {t}");
+        }
+    }
+
+    #[test]
+    fn remove_then_reinsert_moves_the_edge_to_the_end() {
+        assert_matches_rebuild(
+            &diamond(),
+            &[
+                GraphEdit::RemoveEdge { from: 0, to: 1 },
+                GraphEdit::InsertEdge { from: 0, to: 1 },
+                GraphEdit::RemoveEdge { from: 1, to: 3 },
+                GraphEdit::InsertEdge { from: 1, to: 3 },
+            ],
+            &[(0, 2), (2, 3), (0, 1), (1, 3)],
+        );
+    }
+
+    #[test]
+    fn insert_then_remove_leaves_the_graph_as_it_was() {
+        assert_matches_rebuild(
+            &diamond(),
+            &[
+                GraphEdit::InsertEdge { from: 1, to: 2 },
+                GraphEdit::RemoveEdge { from: 1, to: 2 },
+            ],
+            &[(0, 1), (0, 2), (1, 3), (2, 3)],
+        );
+    }
+
+    #[test]
+    fn inserting_a_present_edge_is_a_no_op() {
+        assert_matches_rebuild(
+            &diamond(),
+            &[GraphEdit::InsertEdge { from: 0, to: 2 }],
+            &[(0, 1), (0, 2), (1, 3), (2, 3)],
+        );
+    }
+
+    #[test]
+    fn removing_an_absent_edge_is_missing_edge() {
+        let remove = |from, to| GraphEdit::RemoveEdge { from, to };
+        let insert = |from, to| GraphEdit::InsertEdge { from, to };
+        for (edits, (from, to)) in [
+            (vec![remove(1, 2)], (1, 2)),
+            (vec![remove(2, 1)], (2, 1)),
+            (vec![remove(1, 2), insert(1, 2)], (1, 2)),
+            (vec![insert(1, 2), remove(2, 1)], (2, 1)),
+            (vec![remove(0, 1), remove(0, 1)], (0, 1)),
+        ] {
+            assert_eq!(
+                apply_edits(&diamond(), &edits).unwrap_err(),
+                EditError::MissingEdge { from, to }
+            );
+        }
+    }
+
+    #[test]
+    fn closing_a_cycle_fails_like_new() {
+        // Two chains; the first insertion points forwards, the second
+        // backwards and closes 0 → 1 → 2 → 3 → 0.
+        let g = TaskGraph::new(vec![1.0; 5], &[(0, 1), (2, 3), (3, 4)]).unwrap();
+        let edits = [
+            GraphEdit::InsertEdge { from: 1, to: 2 },
+            GraphEdit::InsertEdge { from: 3, to: 0 },
+        ];
+        let via_new =
+            TaskGraph::new(vec![1.0; 5], &[(0, 1), (2, 3), (3, 4), (1, 2), (3, 0)]).unwrap_err();
+        assert!(matches!(via_new, GraphError::Cycle(_)));
+        let err = apply_edits(&g, &edits).unwrap_err();
+        assert_eq!(err, EditError::Graph(via_new.clone()));
+        assert_eq!(
+            err.to_string(),
+            format!("edit produces an invalid graph: {via_new}")
         );
     }
 

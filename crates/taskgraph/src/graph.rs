@@ -64,8 +64,8 @@ impl std::error::Error for GraphError {}
 /// The structure is immutable once built (all solvers treat the
 /// mapping, and hence the execution graph, as frozen — that is the
 /// paper's core assumption). Only the costs vary between instances, so
-/// a graph keeps them apart from its topology (adjacency lists and
-/// edge list), which sits behind an [`Arc`]: graphs that differ only in
+/// a graph keeps them apart from its topology (adjacency and edge
+/// list), which sits behind an [`Arc`]: graphs that differ only in
 /// weights — built by [`TaskGraph::with_weights`] — share one topology,
 /// and `Clone` copies only the weights.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,12 +74,78 @@ pub struct TaskGraph {
     topology: Arc<Topology>,
 }
 
-/// The weight-independent part of a [`TaskGraph`].
+/// The weight-independent part of a [`TaskGraph`]: the edge list in
+/// insertion order plus both adjacency directions in compressed sparse
+/// row form. The successors of task `i` are
+/// `succ[succ_at[i]..succ_at[i + 1]]`, in edge-list order, and the
+/// same holds for `pred`/`pred_at`.
 #[derive(Debug, PartialEq, Eq)]
 struct Topology {
-    succs: Vec<Vec<TaskId>>,
-    preds: Vec<Vec<TaskId>>,
+    succ_at: Vec<usize>,
+    succ: Vec<TaskId>,
+    pred_at: Vec<usize>,
+    pred: Vec<TaskId>,
     edges: Vec<(TaskId, TaskId)>,
+}
+
+/// One adjacency direction of `edges` in CSR form, filled by counting:
+/// `(offsets, targets)` keyed by the source, or by the target when
+/// `reverse` is set. Each slice keeps edge-list order.
+fn csr(n: usize, edges: &[(TaskId, TaskId)], reverse: bool) -> (Vec<usize>, Vec<TaskId>) {
+    let key = |&(u, v): &(TaskId, TaskId)| if reverse { (v, u) } else { (u, v) };
+    let mut at = vec![0usize; n + 1];
+    for e in edges {
+        at[key(e).0 .0 + 1] += 1;
+    }
+    for i in 0..n {
+        at[i + 1] += at[i];
+    }
+    let mut fill = at[..n].to_vec();
+    let mut adj = vec![TaskId(0); edges.len()];
+    for e in edges {
+        let (a, b) = key(e);
+        adj[fill[a.0]] = b;
+        fill[a.0] += 1;
+    }
+    (at, adj)
+}
+
+/// One adjacency direction of [`TaskGraph::rewired`]: every slice
+/// minus the neighbours `gone(node, neighbour)` names (asked only for
+/// nodes flagged in `hit`), followed by the `extra` `(node, neighbour)`
+/// pairs, which arrive grouped by node in their batch order. Runs of
+/// nodes that change in neither way are copied wholesale.
+fn rewire_csr(
+    at: &[usize],
+    adj: &[TaskId],
+    hit: &[bool],
+    gone: impl Fn(usize, usize) -> bool,
+    extra: &[(usize, usize)],
+) -> (Vec<usize>, Vec<TaskId>) {
+    let n = hit.len();
+    let mut new_at = Vec::with_capacity(n + 1);
+    let mut new_adj = Vec::with_capacity(adj.len() + extra.len());
+    new_at.push(0);
+    let (mut x, mut k) = (0, 0);
+    while x < n {
+        let next_extra = extra.get(k).map_or(n, |e| e.0);
+        let y = (x..next_extra).find(|&i| hit[i]).unwrap_or(next_extra);
+        let shift = new_adj.len();
+        new_adj.extend_from_slice(&adj[at[x]..at[y]]);
+        new_at.extend(at[x + 1..=y].iter().map(|&a| a - at[x] + shift));
+        if y == n {
+            break;
+        }
+        let slice = &adj[at[y]..at[y + 1]];
+        new_adj.extend(slice.iter().filter(|w| !(hit[y] && gone(y, w.0))));
+        while k < extra.len() && extra[k].0 == y {
+            new_adj.push(TaskId(extra[k].1));
+            k += 1;
+        }
+        new_at.push(new_adj.len());
+        x = y + 1;
+    }
+    (new_at, new_adj)
 }
 
 /// Every cost must be strictly positive and finite.
@@ -109,8 +175,6 @@ impl TaskGraph {
     pub fn new(weights: Vec<f64>, edges: &[(usize, usize)]) -> Result<Self, GraphError> {
         let n = weights.len();
         check_weights(&weights)?;
-        let mut succs = vec![Vec::new(); n];
-        let mut preds = vec![Vec::new(); n];
         let mut uniq = std::collections::HashSet::with_capacity(edges.len());
         let mut elist = Vec::with_capacity(edges.len());
         for &(u, v) in edges {
@@ -124,16 +188,18 @@ impl TaskGraph {
                 return Err(GraphError::SelfLoop(u));
             }
             if uniq.insert((u, v)) {
-                succs[u].push(TaskId(v));
-                preds[v].push(TaskId(u));
                 elist.push((TaskId(u), TaskId(v)));
             }
         }
+        let (succ_at, succ) = csr(n, &elist, false);
+        let (pred_at, pred) = csr(n, &elist, true);
         let g = TaskGraph {
             weights,
             topology: Arc::new(Topology {
-                succs,
-                preds,
+                succ_at,
+                succ,
+                pred_at,
+                pred,
                 edges: elist,
             }),
         };
@@ -210,13 +276,15 @@ impl TaskGraph {
     /// Successors of `t` (tasks that must wait for `t`).
     #[inline]
     pub fn succs(&self, t: TaskId) -> &[TaskId] {
-        &self.topology.succs[t.0]
+        let at = &self.topology.succ_at;
+        &self.topology.succ[at[t.0]..at[t.0 + 1]]
     }
 
     /// Predecessors of `t`.
     #[inline]
     pub fn preds(&self, t: TaskId) -> &[TaskId] {
-        &self.topology.preds[t.0]
+        let at = &self.topology.pred_at;
+        &self.topology.pred[at[t.0]..at[t.0 + 1]]
     }
 
     /// All edges in insertion order.
@@ -240,9 +308,15 @@ impl TaskGraph {
         self.tasks().filter(|&t| self.succs(t).is_empty()).collect()
     }
 
-    /// Whether edge `(u, v)` is present.
+    /// Whether edge `(u, v)` is present: a scan of the shorter of
+    /// `succs(u)` and `preds(v)` (false for a `v` outside the graph).
     pub fn has_edge(&self, u: TaskId, v: TaskId) -> bool {
-        self.succs(u).contains(&v)
+        let out = self.succs(u);
+        if v.0 < self.n() && self.preds(v).len() < out.len() {
+            self.preds(v).contains(&u)
+        } else {
+            out.contains(&v)
+        }
     }
 
     /// Returns a graph with the same tasks and every edge reversed.
@@ -265,16 +339,66 @@ impl TaskGraph {
         TaskGraph::new(self.weights.clone(), &edges)
     }
 
+    /// The same tasks under `weights` (already validated), with the
+    /// edge list `self.edges()` minus `dropped`, followed by `appended`
+    /// in order — built by one copy pass over the adjacency instead of
+    /// [`TaskGraph::new`]'s counting and cycle check. Each adjacency
+    /// slice equals what `TaskGraph::new` builds from that edge list,
+    /// so the result compares equal to it.
+    ///
+    /// `dropped` must be sorted and name present edges; `appended`
+    /// must name distinct edges absent once `dropped` is gone. The
+    /// caller owns acyclicity ([`TaskGraph::find_cycle_node`]).
+    pub(crate) fn rewired(
+        &self,
+        weights: Vec<f64>,
+        dropped: &[(usize, usize)],
+        appended: &[(usize, usize)],
+    ) -> TaskGraph {
+        debug_assert!(dropped.windows(2).all(|w| w[0] < w[1]));
+        let n = self.n();
+        let t = &self.topology;
+        let (mut from, mut into) = (vec![false; n], vec![false; n]);
+        for &(u, v) in dropped {
+            from[u] = true;
+            into[v] = true;
+        }
+        let gone = |u: usize, v: usize| dropped.binary_search(&(u, v)).is_ok();
+        let mut edges = Vec::with_capacity(t.edges.len() + appended.len() - dropped.len());
+        edges.extend(
+            t.edges
+                .iter()
+                .filter(|&&(u, v)| !(from[u.0] && gone(u.0, v.0))),
+        );
+        edges.extend(appended.iter().map(|&(u, v)| (TaskId(u), TaskId(v))));
+        let mut out = appended.to_vec();
+        out.sort_by_key(|e| e.0);
+        let mut back: Vec<(usize, usize)> = appended.iter().map(|&(u, v)| (v, u)).collect();
+        back.sort_by_key(|e| e.0);
+        let (succ_at, succ) = rewire_csr(&t.succ_at, &t.succ, &from, gone, &out);
+        let (pred_at, pred) = rewire_csr(&t.pred_at, &t.pred, &into, |v, u| gone(u, v), &back);
+        TaskGraph {
+            weights,
+            topology: Arc::new(Topology {
+                succ_at,
+                succ,
+                pred_at,
+                pred,
+                edges,
+            }),
+        }
+    }
+
     /// Kahn's algorithm; returns `Some(node-in-cycle)` when the edge
     /// set is cyclic, `None` for a DAG.
-    fn find_cycle_node(&self) -> Option<usize> {
+    pub(crate) fn find_cycle_node(&self) -> Option<usize> {
         let n = self.n();
-        let mut indeg: Vec<usize> = self.topology.preds.iter().map(Vec::len).collect();
+        let mut indeg: Vec<usize> = (0..n).map(|i| self.preds(TaskId(i)).len()).collect();
         let mut stack: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut seen = 0usize;
         while let Some(u) = stack.pop() {
             seen += 1;
-            for &TaskId(v) in &self.topology.succs[u] {
+            for &TaskId(v) in self.succs(TaskId(u)) {
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
                     stack.push(v);

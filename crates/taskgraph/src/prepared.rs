@@ -39,11 +39,6 @@ struct Caches {
     /// exported by [`PreparedInstance::snapshot`] — it recomputes
     /// lazily after a restore.
     ecl: OnceLock<Vec<f64>>,
-    /// Bit-parallel reachability matrix ([`analysis::reachability`]),
-    /// kept so the transitive reduction can be repaired edge-locally
-    /// after a structural edit. Behind an [`Arc`] so weight-only
-    /// carryover is a pointer bump. Not exported by snapshots.
-    reach: OnceLock<Arc<Vec<Vec<u64>>>>,
 }
 
 impl Caches {
@@ -67,14 +62,9 @@ impl Caches {
             .get_or_init(|| self.ecl(g).iter().fold(0.0f64, |a, &b| a.max(b)))
     }
 
-    fn reach(&self, g: &TaskGraph) -> &Arc<Vec<Vec<u64>>> {
-        self.reach
-            .get_or_init(|| Arc::new(analysis::reachability_ordered(g, self.topo(g))))
-    }
-
     fn reduced(&self, g: &TaskGraph) -> &TaskGraph {
         self.reduced
-            .get_or_init(|| analysis::transitive_reduction_with_reach(g, self.reach(g)))
+            .get_or_init(|| analysis::transitive_reduction_ordered(g, self.topo(g)))
     }
 }
 
@@ -221,20 +211,18 @@ impl PreparedInstance {
     }
 
     /// Eagerly fill every cache (topological order, classification,
-    /// completion times / critical path, reachability, transitive
-    /// reduction), so subsequent solves through [`Self::view`] pay
-    /// zero analysis cost — and subsequent [`Self::apply`] calls can
-    /// repair every analysis locally. Returns `self` for chaining.
+    /// completion times / critical path, transitive reduction), so
+    /// subsequent solves through [`Self::view`] pay zero analysis cost
+    /// — and subsequent [`Self::apply`] calls can repair every
+    /// analysis locally. Returns `self` for chaining.
     pub fn warm(&self) -> &Self {
         let v = self.view();
         v.topo();
         let _ = v.sp_tree();
-        // Fill ecl/reach explicitly: a snapshot-restored instance may
-        // carry cp_weight/reduced without them, and the repair layer
-        // needs both.
+        // Fill ecl explicitly: a snapshot-restored instance may carry
+        // cp_weight without it, and the repair layer needs it.
         let _ = self.caches.ecl(&self.g);
         v.critical_path_weight();
-        let _ = self.caches.reach(&self.g);
         v.reduced();
         self
     }
@@ -249,34 +237,40 @@ impl PreparedInstance {
     /// [`crate::edit::EditEffect`]):
     ///
     /// * **weight-only** ([`GraphEdit::SetWeight`] throughout) — the
-    ///   topological order, shape class, SP tree, reachability, and
-    ///   transitive reduction all survive: the edited graph and the
+    ///   topological order, shape class, SP tree and transitive
+    ///   reduction all survive: the edited graph and the
     ///   reduction share their base's topology
     ///   ([`TaskGraph::with_weights`]) and the classification is
     ///   shared as it is, so only the weights are new; completion times
     ///   and the critical path are repaired by a cone-bounded
     ///   relaxation seeded at the re-weighted tasks;
-    /// * **edge edits** — every analysis is repaired within the edit's
-    ///   cone: the topological order survives or is shifted locally
-    ///   (Pearce–Kelly, [`analysis::repair_topo_order`]); the SP tree
-    ///   is spliced ([`SpTree::splice`]: only the subtree spanning the
-    ///   touched edge rebuilds); reachability and the transitive
-    ///   reduction are repaired edge-locally
-    ///   ([`analysis::repair_reduction`]); completion times relax
-    ///   within the cone. A cache whose repair provably cannot apply
-    ///   (e.g. the splice fails) is dropped and recomputes lazily —
-    ///   repair can cost a fallback, never correctness;
+    /// * **edge edits** — the edited graph is one copy pass over the
+    ///   old topology, and every analysis is repaired within the
+    ///   edit's cone: the topological order survives or is shifted
+    ///   locally (Pearce–Kelly, [`analysis::repair_topo_order`]); the
+    ///   SP tree is spliced ([`SpTree::splice`]: only the subtree
+    ///   spanning the touched edges rebuilds); the transitive
+    ///   reduction re-tests only the edges inside a changed edge's
+    ///   topological window ([`analysis::repair_reduction`]);
+    ///   completion times relax within the cone. A cache whose repair
+    ///   provably cannot apply (e.g. the splice fails) is dropped and
+    ///   recomputes lazily — repair can cost a fallback, never
+    ///   correctness;
     /// * **task additions/removals** — the id space changed; nothing
     ///   survives.
     ///
-    /// The repaired analyses are **identical** to what a from-scratch
-    /// rebuild computes (the reduction is unique, completion times are
-    /// exact maxima, the spliced tree re-verifies against the edited
-    /// edge set), so solves against a patched instance are bit-equal
-    /// to solves against a rebuilt one. The once-only promise stays
-    /// observable through [`crate::profiling`]: a patch followed by a
-    /// solve recomputes **zero** full structural analyses, and
-    /// `cone_nodes` accounts how far each repair actually reached.
+    /// The carried topological order is *a* valid order of the edited
+    /// graph, not necessarily the one [`analysis::topo_order`] would
+    /// compute for it. Every other repaired analysis is **identical**
+    /// to what a from-scratch rebuild computes: the reduction is
+    /// unique, completion times are exact maxima, and the SP tree is
+    /// canonical (flattened, parallel children sorted by smallest task
+    /// id), so it depends on the graph alone. Solves against a patched
+    /// instance are therefore bit-equal to solves against a rebuilt
+    /// one. The once-only promise stays observable through
+    /// [`crate::profiling`]: a patch followed by a solve recomputes
+    /// **zero** full structural analyses, and `cone_nodes` accounts how
+    /// far each repair actually reached.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -345,15 +339,12 @@ impl PreparedInstance {
 
             if effect.weight_only {
                 // Structure untouched: the edited graph already shares
-                // the base's topology; the classification and the
-                // reachability matrix are shared as they are, and the
-                // reduction keeps its own topology under the new
-                // weights (no reduction pass, no profiling bump).
+                // the base's topology; the classification is shared as
+                // it is, and the reduction keeps its own topology under
+                // the new weights (no reduction pass, no profiling
+                // bump).
                 if let Some(c) = self.caches.class.get() {
                     let _ = caches.class.set(Arc::clone(c));
-                }
-                if let Some(r) = self.caches.reach.get() {
-                    let _ = caches.reach.set(Arc::clone(r));
                 }
                 if let Some(r) = self.caches.reduced.get() {
                     let refreshed = r
@@ -379,32 +370,19 @@ impl PreparedInstance {
                     }
                 }
 
-                // — reachability + transitive reduction: edge-local
-                //   repair from the cached matrix (bootstrapped
-                //   quietly from the pre-edit graph when a restored
-                //   instance carries the reduction without it).
-                let reach_base: Option<Arc<Vec<Vec<u64>>>> =
-                    self.caches.reach.get().cloned().or_else(|| {
-                        let old_order = self.caches.topo.get()?;
-                        self.caches.reduced.get()?;
-                        Some(Arc::new(analysis::reachability_ordered(&self.g, old_order)))
-                    });
-                if let (Some(reach0), Some(red0)) = (reach_base, self.caches.reduced.get()) {
-                    let old_kept: std::collections::HashSet<(usize, usize)> =
-                        red0.edges().iter().map(|&(u, v)| (u.0, v.0)).collect();
-                    let mut sources: Vec<usize> = effect
-                        .inserted_edges
-                        .iter()
-                        .chain(&effect.removed_edges)
-                        .map(|&(u, _)| u)
-                        .collect();
-                    sources.sort_unstable();
-                    sources.dedup();
-                    let (reach, kept) =
-                        analysis::repair_reduction(&edited, order, &reach0, &old_kept, &sources);
-                    let _ = caches.reach.set(Arc::new(reach));
-                    let repaired = TaskGraph::new(edited.weights().to_vec(), &kept)
-                        .expect("repaired reduction of a DAG is a valid DAG");
+                // — transitive reduction: re-test only the edges inside
+                //   a changed edge's topological window.
+                if let (Some(red0), Some(order0)) =
+                    (self.caches.reduced.get(), self.caches.topo.get())
+                {
+                    let repaired = analysis::repair_reduction(
+                        red0,
+                        order0,
+                        &edited,
+                        order,
+                        &effect.inserted_edges,
+                        &effect.removed_edges,
+                    );
                     let _ = caches.reduced.set(repaired);
                 }
             }
@@ -443,10 +421,11 @@ impl PreparedInstance {
     /// Rebuild an instance from a graph plus a previously exported
     /// [`AnalysisSnapshot`], pre-filling each cache the snapshot
     /// carries. Each field is cheaply sanity-checked against the graph
-    /// (id ranges, lengths, DAG validity of the reduced edge set);
-    /// anything inconsistent is silently dropped and recomputes lazily
-    /// — a stale or hand-edited snapshot can cost time, never
-    /// correctness.
+    /// (id ranges, lengths, the SP tree's junctions against the edge
+    /// set, DAG validity of the reduced edge set); anything
+    /// inconsistent is silently dropped and recomputes lazily — a
+    /// stale or hand-edited snapshot can cost time, never correctness.
+    /// A kept SP tree is brought into canonical form.
     pub fn restore(g: Arc<TaskGraph>, snap: &AnalysisSnapshot) -> PreparedInstance {
         let n = g.n();
         let caches = Caches::default();
@@ -457,11 +436,12 @@ impl PreparedInstance {
             }
         }
         if let Some((shape, tree)) = &snap.class {
-            let leaves_ok = tree
-                .as_ref()
-                .is_none_or(|t| t.leaves().iter().all(|id| id.0 < n));
-            if leaves_ok {
-                let _ = caches.class.set(Arc::new((*shape, tree.clone())));
+            // A loaded tree takes the canonical form a fresh
+            // recognition builds, so a patch chain that passes through
+            // the store still depends on the graph alone.
+            if tree.as_ref().is_none_or(|t| t.validates(&g)) {
+                let tree = tree.clone().map(SpTree::canonical);
+                let _ = caches.class.set(Arc::new((*shape, tree)));
             }
         }
         if let Some(cp) = snap.cp_weight {
@@ -489,8 +469,8 @@ impl PreparedInstance {
     pub fn approx_bytes(&self) -> usize {
         fn graph_bytes(g: &TaskGraph) -> usize {
             // weights + edge list + succ/pred adjacency (each edge
-            // appears once in each) + per-task Vec headers.
-            std::mem::size_of::<TaskGraph>() + 8 * g.n() + 16 * g.m() + 16 * g.m() + 48 * g.n()
+            // appears once in each) + per-task CSR offsets.
+            std::mem::size_of::<TaskGraph>() + 8 * g.n() + 16 * g.m() + 16 * g.m() + 16 * g.n()
         }
         let mut total = graph_bytes(&self.g);
         if let Some(t) = self.caches.topo.get() {
@@ -507,9 +487,6 @@ impl PreparedInstance {
         }
         if let Some(e) = self.caches.ecl.get() {
             total += 8 * e.len();
-        }
-        if let Some(r) = self.caches.reach.get() {
-            total += r.len() * (24 + 8 * r.first().map_or(0, Vec::len));
         }
         total + std::mem::size_of::<Self>()
     }
@@ -675,7 +652,7 @@ mod tests {
         let _ = patched.view().topo();
         // Removing 0→2 leaves 0→1→3 ← 2: an in-tree. The cheap shape
         // cascade decides — no classify pass, no SP recognition — and
-        // the reduction is repaired from the cached reachability.
+        // the reduction is repaired locally.
         assert_eq!(patched.view().shape(), Shape::InTree);
         assert_eq!(patched.view().reduced().m(), 3);
         // Longest path is now 0→1→3 (1 + 2 + 4).

@@ -49,8 +49,8 @@ pub struct Counts {
     pub sp_splice_miss: u64,
     /// Total nodes visited by every cone-bounded repair pass
     /// (localized topological-order shifts, bounded completion-time
-    /// relaxation, reachability/reduction row repair, splice region
-    /// rebuilds). Bounding this is how tests prove a repair stayed
+    /// relaxation, the reduction's window candidates and their pruned
+    /// searches, splice region rebuilds). Bounding this is how tests prove a repair stayed
     /// local instead of silently degrading to a full pass.
     pub cone_nodes: u64,
 }

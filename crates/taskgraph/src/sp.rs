@@ -125,6 +125,10 @@ impl SpTree {
     /// a cut iff one exists. Complexity `O(n·(n + m))` per level,
     /// `O(n²·(n+m))` worst case overall — polynomial, as Theorem 2
     /// requires.
+    ///
+    /// The tree is canonical: nested compositions of one kind are
+    /// flattened and every `Parallel`'s children are sorted by
+    /// smallest task id, so it depends on the graph alone.
     pub fn from_graph(g: &TaskGraph) -> Option<SpTree> {
         Self::from_graph_ordered(g, &topo_order(g))
     }
@@ -136,7 +140,16 @@ impl SpTree {
         debug_assert!(crate::analysis::is_topo_order(g, order));
         crate::profiling::bump_sp_from_graph();
         let all: Vec<TaskId> = g.tasks().collect();
-        Self::decompose(g, &all, order).map(SpTree::normalized)
+        Self::decompose(g, &all, order).map(SpTree::canonical)
+    }
+
+    /// The canonical form every cached tree takes: [`Self::normalized`],
+    /// with every `Parallel`'s children sorted by smallest task id. A
+    /// series–parallel graph has exactly one canonical decomposition,
+    /// so the tree is a function of the graph alone, not of the
+    /// topological order the recognition was handed.
+    pub(crate) fn canonical(self) -> SpTree {
+        self.normalized().with_sorted_parallels()
     }
 
     /// Locally repair this decomposition after structural edits whose
@@ -150,11 +163,15 @@ impl SpTree {
     /// deepest composite whose **minimal child range** spans all
     /// touched tasks (a contiguous run of series children, or the hit
     /// subset of parallel children — so a long series chain rebuilds
-    /// one segment, not the whole spine), (2) re-decomposes only that
-    /// region's induced subgraph, and (3) re-verifies the
-    /// series/parallel composition of the result against `g` — a
-    /// linear pass over the junctions (only those along the path to
-    /// the root can have changed), not a recognition scan.
+    /// one segment, not the whole spine), found by one stamp pass over
+    /// the tree, (2) re-decomposes only that region's induced
+    /// subgraph, and (3) grafts the canonical result into one clone of
+    /// the tree. The graft needs no further check when the region's
+    /// sources and sinks are unchanged; otherwise the whole
+    /// composition is re-verified against `g` — a linear pass over the
+    /// junctions, not a recognition scan. The result is canonical
+    /// (see [`SpTree::from_graph`]), so it equals what a fresh
+    /// recognition of `g` builds.
     ///
     /// Returns the repaired tree, or `None` when the spliced region is
     /// not series–parallel or its interface no longer composes — the
@@ -178,92 +195,190 @@ impl SpTree {
     }
 
     fn splice_inner(&self, g: &TaskGraph, order: &[TaskId], touched: &[TaskId]) -> Option<SpTree> {
-        if self.len() != g.n() {
-            return None; // stale tree: not this graph's task set
+        // 1. One stamp pass over the tree: the path (child indices from
+        //    the root) to every touched leaf, and a leaf count that
+        //    catches a stale tree (not this graph's task set).
+        let n = g.n();
+        let mut mark = vec![false; n];
+        for t in touched {
+            *mark.get_mut(t.0)? = true;
         }
-        if touched.is_empty() {
+        let mut paths = Vec::new();
+        let mut leaves = 0;
+        self.touched_paths(&mark, &mut Vec::new(), &mut paths, &mut leaves)?;
+        if leaves != n || paths.len() != mark.iter().filter(|&&m| m).count() {
+            return None;
+        }
+        let Some((first, rest)) = paths.split_first() else {
             return Some(self.clone());
+        };
+        // 2. The deepest composite holding every touched leaf ends their
+        //    longest common path prefix. Its minimal child *range*
+        //    spanning them — a contiguous run of series children / the
+        //    hit subset of parallel children — is the region that
+        //    re-decomposes, so a long series chain rebuilds one
+        //    segment, not its whole spine. The re-decomposition is
+        //    quiet: it never counts as a recognition pass.
+        let depth = rest.iter().fold(first.len(), |d, p| {
+            d.min(first.iter().zip(p).take_while(|(a, b)| a == b).count())
+        });
+        let path = &first[..depth];
+        let node = self.at(path);
+        let mut hit: Vec<usize> = paths.iter().filter_map(|p| p.get(depth).copied()).collect();
+        hit.sort_unstable();
+        hit.dedup();
+        let picked: Vec<usize> = match node {
+            SpTree::Series(_) => (hit[0]..=hit[hit.len() - 1]).collect(),
+            _ => hit,
+        };
+        let region: Vec<&SpTree> = match node {
+            SpTree::Leaf(_) => vec![node],
+            SpTree::Series(cs) | SpTree::Parallel(cs) => picked.iter().map(|&i| &cs[i]).collect(),
+        };
+        let mut verts: Vec<TaskId> = region.iter().flat_map(|c| c.leaves()).collect();
+        verts.sort_unstable();
+        crate::profiling::add_cone_nodes(verts.len() as u64);
+        // The region's own topological order (the global one filtered
+        // once), so no recursion level rescans the whole graph's.
+        mark.iter_mut().for_each(|m| *m = false);
+        for v in &verts {
+            mark[v.0] = true;
         }
-        // 1. Descend to the deepest composite containing every touched
-        //    task: at each composite, follow the unique child whose
-        //    leaf set covers them all, stop when none does.
-        let mut path: Vec<usize> = Vec::new();
-        let mut node = self;
-        'descend: loop {
-            let cs = match node {
-                SpTree::Leaf(_) => break,
-                SpTree::Series(cs) | SpTree::Parallel(cs) => cs,
-            };
-            for (i, c) in cs.iter().enumerate() {
-                let lset: std::collections::HashSet<TaskId> = c.leaves().into_iter().collect();
-                if touched.iter().all(|t| lset.contains(t)) {
-                    path.push(i);
-                    node = c;
-                    continue 'descend;
+        let local: Vec<TaskId> = order.iter().copied().filter(|t| mark[t.0]).collect();
+        let sub = Self::decompose(g, &verts, &local)?.canonical();
+
+        // 3. The region's interface before and after: when its sources
+        //    and sinks are unchanged, every junction outside it is the
+        //    old tree's and every changed edge lies inside it, so the
+        //    graft is a valid decomposition without a whole-tree check.
+        let ends = |first: bool, parts: &[&SpTree]| {
+            let mut v: Vec<TaskId> = parts.iter().flat_map(|c| c.ends(first)).collect();
+            v.sort_unstable();
+            v
+        };
+        let (heads, tails) = match node {
+            SpTree::Series(_) => (&region[..1], &region[region.len() - 1..]),
+            _ => (&region[..], &region[..]),
+        };
+        let same_ends =
+            ends(true, heads) == ends(true, &[&sub]) && ends(false, tails) == ends(false, &[&sub]);
+
+        // 4. Graft into one clone of the tree, keeping it canonical:
+        //    only the grafted node and, when the graft leaves it with
+        //    one child of its parent's kind, the parent change.
+        let mut out = self.clone();
+        let slot = out.at_mut(path);
+        match &mut *slot {
+            SpTree::Leaf(_) => *slot = sub,
+            SpTree::Series(cs) => {
+                let tail = cs.split_off(picked[picked.len() - 1] + 1);
+                cs.truncate(picked[0]);
+                match sub {
+                    SpTree::Series(inner) => cs.extend(inner),
+                    other => cs.push(other),
                 }
+                cs.extend(tail);
             }
-            break;
+            SpTree::Parallel(cs) => {
+                for &i in picked.iter().rev() {
+                    cs.remove(i);
+                }
+                match sub {
+                    SpTree::Parallel(inner) => cs.extend(inner),
+                    other => cs.push(other),
+                }
+                cs.sort_by_cached_key(SpTree::min_leaf);
+            }
         }
-        // 2. Rebuild the minimal child *range* spanning the touched
-        //    tasks — a contiguous run of series children / the hit
-        //    subset of parallel children — so a long series chain
-        //    re-decomposes one segment, not its whole spine. The
-        //    re-decomposition is quiet: it never counts as a
-        //    recognition pass.
-        let grafted = match node {
-            SpTree::Leaf(_) => {
-                crate::profiling::add_cone_nodes(1);
-                let sub = Self::decompose(g, &node.leaves(), order)?;
-                self.with_replaced(&path, sub)
+        if let SpTree::Series(cs) | SpTree::Parallel(cs) = &mut *slot {
+            if cs.len() == 1 {
+                let only = cs.pop().expect("one child");
+                *slot = only;
+            }
+        }
+        if let Some((&i, up)) = path.split_last() {
+            out.at_mut(up).absorb(i);
+        }
+        debug_assert_eq!(out, out.clone().canonical());
+        (same_ends || out.validates(g)).then_some(out)
+    }
+
+    /// Depth-first stamp pass for [`SpTree::splice`]: pushes the path
+    /// to every leaf marked in `mark` and counts all leaves. `None`
+    /// when a leaf lies outside `mark`'s id range.
+    fn touched_paths(
+        &self,
+        mark: &[bool],
+        cur: &mut Vec<usize>,
+        paths: &mut Vec<Vec<usize>>,
+        leaves: &mut usize,
+    ) -> Option<()> {
+        match self {
+            SpTree::Leaf(t) => {
+                *leaves += 1;
+                if *mark.get(t.0)? {
+                    paths.push(cur.clone());
+                }
             }
             SpTree::Series(cs) | SpTree::Parallel(cs) => {
-                let tset: std::collections::HashSet<TaskId> = touched.iter().copied().collect();
-                let hit: Vec<bool> = cs
-                    .iter()
-                    .map(|c| c.leaves().iter().any(|t| tset.contains(t)))
-                    .collect();
-                let lo = hit.iter().position(|&h| h).expect("touched spans children");
-                let hi = hit.iter().rposition(|&h| h).unwrap();
-                let series = matches!(node, SpTree::Series(_));
-                let picked = |i: usize| {
-                    if series {
-                        (lo..=hi).contains(&i)
-                    } else {
-                        hit[i]
-                    }
-                };
-                let mut verts: Vec<TaskId> = cs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| picked(i))
-                    .flat_map(|(_, c)| c.leaves())
-                    .collect();
-                verts.sort();
-                crate::profiling::add_cone_nodes(verts.len() as u64);
-                let sub = Self::decompose(g, &verts, order)?;
-                let mut out: Vec<SpTree> = Vec::with_capacity(cs.len());
                 for (i, c) in cs.iter().enumerate() {
-                    if i == lo {
-                        out.push(sub.clone());
-                    }
-                    if !picked(i) {
-                        out.push(c.clone());
-                    }
+                    cur.push(i);
+                    c.touched_paths(mark, cur, paths, leaves)?;
+                    cur.pop();
                 }
-                let rebuilt = if series {
-                    SpTree::Series(out)
-                } else {
-                    SpTree::Parallel(out)
-                };
-                self.with_replaced(&path, rebuilt)
             }
-        };
-        // 3. Re-canonicalize (a fresh recognition orders parallel
-        //    children by smallest task id; the graft may not) and
-        //    re-verify the composition junctions against the edited
-        //    edge set.
-        let candidate = grafted.normalized().with_sorted_parallels();
-        candidate.validates(g).then_some(candidate)
+        }
+        Some(())
+    }
+
+    /// The node at `path` (child indices from the root).
+    fn at(&self, path: &[usize]) -> &SpTree {
+        path.iter().fold(self, |node, &i| match node {
+            SpTree::Series(cs) | SpTree::Parallel(cs) => &cs[i],
+            SpTree::Leaf(_) => unreachable!("path descends into a leaf"),
+        })
+    }
+
+    /// [`SpTree::at`], mutably.
+    fn at_mut(&mut self, path: &[usize]) -> &mut SpTree {
+        path.iter().fold(self, |node, &i| match node {
+            SpTree::Series(cs) | SpTree::Parallel(cs) => &mut cs[i],
+            SpTree::Leaf(_) => unreachable!("path descends into a leaf"),
+        })
+    }
+
+    /// Merge child `i` into `self` when both are the same kind of
+    /// composite (a graft can make them so), keeping the canonical
+    /// form.
+    fn absorb(&mut self, i: usize) {
+        match self {
+            SpTree::Series(cs) => {
+                if let SpTree::Series(inner) = &mut cs[i] {
+                    let inner = std::mem::take(inner);
+                    cs.splice(i..=i, inner);
+                }
+            }
+            SpTree::Parallel(cs) => {
+                if let SpTree::Parallel(inner) = &mut cs[i] {
+                    let inner = std::mem::take(inner);
+                    cs.splice(i..=i, inner);
+                    cs.sort_by_cached_key(SpTree::min_leaf);
+                }
+            }
+            SpTree::Leaf(_) => {}
+        }
+    }
+
+    /// The subtree's sources (`first`) or sinks.
+    fn ends(&self, first: bool) -> Vec<TaskId> {
+        match self {
+            SpTree::Leaf(t) => vec![*t],
+            SpTree::Series(cs) => {
+                let c = if first { cs.first() } else { cs.last() };
+                c.expect("non-empty").ends(first)
+            }
+            SpTree::Parallel(cs) => cs.iter().flat_map(|c| c.ends(first)).collect(),
+        }
     }
 
     /// Smallest task id in the subtree — the key a fresh recognition
@@ -279,8 +394,7 @@ impl SpTree {
     }
 
     /// Recursively sort every `Parallel`'s children by smallest task
-    /// id, matching the canonical order [`SpTree::from_graph`]
-    /// produces. Idempotent on freshly recognized trees.
+    /// id.
     fn with_sorted_parallels(self) -> SpTree {
         match self {
             SpTree::Leaf(t) => SpTree::Leaf(t),
@@ -290,28 +404,7 @@ impl SpTree {
             SpTree::Parallel(cs) => {
                 let mut out: Vec<SpTree> =
                     cs.into_iter().map(SpTree::with_sorted_parallels).collect();
-                out.sort_by_key(SpTree::min_leaf);
-                SpTree::Parallel(out)
-            }
-        }
-    }
-
-    /// Clone of `self` with the node at `path` (child indices from the
-    /// root) replaced by `sub`.
-    fn with_replaced(&self, path: &[usize], sub: SpTree) -> SpTree {
-        let Some((&i, rest)) = path.split_first() else {
-            return sub;
-        };
-        match self {
-            SpTree::Leaf(_) => unreachable!("path descends into a leaf"),
-            SpTree::Series(cs) => {
-                let mut out = cs.clone();
-                out[i] = cs[i].with_replaced(rest, sub);
-                SpTree::Series(out)
-            }
-            SpTree::Parallel(cs) => {
-                let mut out = cs.clone();
-                out[i] = cs[i].with_replaced(rest, sub);
+                out.sort_by_cached_key(SpTree::min_leaf);
                 SpTree::Parallel(out)
             }
         }
@@ -320,23 +413,27 @@ impl SpTree {
     /// Whether `self` is a valid series–parallel decomposition of `g`:
     /// every series junction is the complete bipartite `sinks × sources`
     /// of its neighbours, and those junction edges are *exactly* the
-    /// graph's edge set. `O(n + m)` in hash lookups — verification is
+    /// graph's edge set. `O(n + m)` adjacency lookups: verification is
     /// linear even though recognition is not.
-    fn validates(&self, g: &TaskGraph) -> bool {
-        if self.len() != g.n() {
+    pub(crate) fn validates(&self, g: &TaskGraph) -> bool {
+        if self.len() != g.n() || self.leaves().iter().any(|t| t.0 >= g.n()) {
             return false;
         }
-        let eset: std::collections::HashSet<(usize, usize)> =
-            g.edges().iter().map(|&(u, v)| (u.0, v.0)).collect();
+        let mut stamp = vec![usize::MAX; g.n()];
         let mut required = 0usize;
-        self.verify_junctions(&eset, &mut required).is_some() && required == g.m()
+        self.verify_junctions(g, &mut stamp, &mut required)
+            .is_some()
+            && required == g.m()
     }
 
     /// Recursive junction check: returns the subtree's (sources,
     /// sinks) on success, `None` on the first junction violation.
+    /// `stamp[w] == u` marks `w` as a successor of the sink `u` under
+    /// test.
     fn verify_junctions(
         &self,
-        eset: &std::collections::HashSet<(usize, usize)>,
+        g: &TaskGraph,
+        stamp: &mut [usize],
         required: &mut usize,
     ) -> Option<(Vec<TaskId>, Vec<TaskId>)> {
         match self {
@@ -345,13 +442,14 @@ impl SpTree {
                 let mut first_sources: Option<Vec<TaskId>> = None;
                 let mut prev_sinks: Option<Vec<TaskId>> = None;
                 for c in cs {
-                    let (src, snk) = c.verify_junctions(eset, required)?;
+                    let (src, snk) = c.verify_junctions(g, stamp, required)?;
                     if let Some(ps) = &prev_sinks {
                         for &u in ps {
-                            for &v in &src {
-                                if !eset.contains(&(u.0, v.0)) {
-                                    return None;
-                                }
+                            for w in g.succs(u) {
+                                stamp[w.0] = u.0;
+                            }
+                            if src.iter().any(|v| stamp[v.0] != u.0) {
+                                return None;
                             }
                         }
                         *required += ps.len() * src.len();
@@ -367,7 +465,7 @@ impl SpTree {
                 let mut sources = Vec::new();
                 let mut sinks = Vec::new();
                 for c in cs {
-                    let (src, snk) = c.verify_junctions(eset, required)?;
+                    let (src, snk) = c.verify_junctions(g, stamp, required)?;
                     sources.extend(src);
                     sinks.extend(snk);
                 }

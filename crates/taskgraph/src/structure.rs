@@ -60,9 +60,17 @@ pub fn is_fork(g: &TaskGraph) -> bool {
             .all(|t| g.succs(t).is_empty() && g.preds(t) == [root])
 }
 
-/// Whether the graph is a join (reverse of a fork).
+/// Whether the graph is a join (reverse of a fork): one sink, every
+/// other task is its parent and has no predecessor.
 pub fn is_join(g: &TaskGraph) -> bool {
-    is_fork(&g.reversed())
+    let Some(root) = only_sink(g) else {
+        return false;
+    };
+    g.n() >= 3
+        && g.preds(root).len() == g.n() - 1
+        && g.tasks()
+            .filter(|&t| t != root)
+            .all(|t| g.preds(t).is_empty() && g.succs(t) == [root])
 }
 
 /// Whether the graph is an out-tree: a single source and every other
@@ -79,7 +87,20 @@ pub fn is_out_tree(g: &TaskGraph) -> bool {
 /// Whether the graph is an in-tree (every non-sink task has exactly one
 /// successor, single sink).
 pub fn is_in_tree(g: &TaskGraph) -> bool {
-    is_out_tree(&g.reversed())
+    let Some(root) = only_sink(g) else {
+        return false;
+    };
+    g.tasks()
+        .filter(|&t| t != root)
+        .all(|t| g.succs(t).len() == 1)
+}
+
+/// The graph's only sink, or `None` when it has several; no
+/// allocation, unlike [`TaskGraph::sinks`].
+fn only_sink(g: &TaskGraph) -> Option<TaskId> {
+    let mut sinks = g.tasks().filter(|&t| g.succs(t).is_empty());
+    let sink = sinks.next()?;
+    sinks.next().is_none().then_some(sink)
 }
 
 /// Classify the graph into the most specific [`Shape`].
@@ -123,11 +144,16 @@ fn classify_inner(g: &TaskGraph, order: Option<&[TaskId]>) -> (Shape, Option<SpT
 /// The cheap (pre-SP) portion of [`classify`]: the most specific
 /// shape among single/chain/fork/join/tree, or `None` when only the
 /// expensive series–parallel recognition could decide further.
-/// `O(n + m)`, counter-free — the edit layer's local repair uses it
-/// to keep a carried classification bit-identical to a fresh one.
+/// `O(1)` unless the graph has `n − 1` edges (every shape it names is
+/// a tree), then `O(n + m)`; counter-free — the edit layer's local
+/// repair uses it to keep a carried classification bit-identical to a
+/// fresh one.
 pub fn specific_shape(g: &TaskGraph) -> Option<Shape> {
     if g.n() == 1 {
         return Some(Shape::Single);
+    }
+    if g.m() + 1 != g.n() {
+        return None;
     }
     if is_chain(g) {
         return Some(Shape::Chain);

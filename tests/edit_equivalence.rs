@@ -18,6 +18,11 @@
 //!    weight-only batches (which share the base's topology) equals a
 //!    rebuild: same graph, same edge sequence, same reduced edges,
 //!    and bit-identical energies under all four models.
+//! 5. **the cached analyses are a function of the graph** — on graphs
+//!    whose ids run against their edges, chains whose insertions break
+//!    the carried topological order still end on the rebuild's graph,
+//!    SP tree, reduction, critical path and Continuous energy, bit for
+//!    bit (the carried order itself may differ).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -136,6 +141,59 @@ fn random_structural_edits(g: &TaskGraph, k: usize, rng: &mut StdRng) -> Vec<Gra
                 edits.push(candidate);
             }
             Err(e) => panic!("constructed edit must be valid: {candidate:?}: {e}"),
+        }
+    }
+    edits
+}
+
+/// `g` with its task ids shuffled: the same graph up to renaming, but
+/// with edges that run from larger to smaller ids, so a fresh
+/// topological order (smallest id first) differs from the order a
+/// patch chain carries.
+fn permuted(g: &TaskGraph, rng: &mut StdRng) -> TaskGraph {
+    let n = g.n();
+    let mut perm: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, rng.gen_range(0..i + 1));
+    }
+    let mut weights = vec![0.0; n];
+    for (i, &w) in g.weights().iter().enumerate() {
+        weights[perm[i]] = w;
+    }
+    let edges: Vec<(usize, usize)> = g
+        .edges()
+        .iter()
+        .map(|&(u, v)| (perm[u.index()], perm[v.index()]))
+        .collect();
+    TaskGraph::new(weights, &edges).unwrap()
+}
+
+/// A random chain of `k` edge edits whose insertions join any two
+/// tasks that do not close a cycle — many of them point backwards in
+/// the topological order the chain carries.
+fn random_rewiring(g: &TaskGraph, k: usize, rng: &mut StdRng) -> Vec<GraphEdit> {
+    let mut cur = g.clone();
+    let mut edits = Vec::with_capacity(k);
+    for _ in 0..100 * k {
+        if edits.len() == k {
+            break;
+        }
+        let candidate = if cur.m() > 0 && rng.gen_bool(0.4) {
+            let (u, v) = cur.edges()[rng.gen_range(0..cur.m())];
+            GraphEdit::RemoveEdge {
+                from: u.index(),
+                to: v.index(),
+            }
+        } else {
+            let (from, to) = (rng.gen_range(0..cur.n()), rng.gen_range(0..cur.n()));
+            if from == to {
+                continue;
+            }
+            GraphEdit::InsertEdge { from, to }
+        };
+        if let Ok((next, _)) = apply_edits(&cur, std::slice::from_ref(&candidate)) {
+            cur = next;
+            edits.push(candidate);
         }
     }
     edits
@@ -383,4 +441,96 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Id-permuted graphs under order-breaking structural chains: the
+    /// patched instance, walked one apply at a time, ends on the
+    /// rebuild's graph, shape, canonical SP tree, reduced edges,
+    /// critical-path bits and unbounded-Continuous energy bits.
+    #[test]
+    fn permuted_chains_equal_rebuild(seed in any::<u64>(), k in 1usize..6) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37);
+        let g = permuted(&base_graph(seed), &mut rng);
+        let edits = random_rewiring(&g, k, &mut rng);
+
+        let inst = PreparedInstance::new(Arc::new(g.clone()));
+        inst.warm();
+        let mut cur = inst;
+        for e in &edits {
+            cur = cur.apply(std::slice::from_ref(e)).unwrap();
+            cur.warm();
+        }
+
+        let (rebuilt, _) = apply_edits(&g, &edits).unwrap();
+        prop_assert_eq!(cur.graph(), &rebuilt);
+        let fresh = PreparedInstance::new(Arc::new(rebuilt));
+        let (pv, fv) = (cur.view(), fresh.view());
+        prop_assert_eq!(pv.shape(), fv.shape());
+        prop_assert_eq!(pv.sp_tree(), fv.sp_tree());
+        prop_assert_eq!(pv.reduced().edges(), fv.reduced().edges());
+        prop_assert_eq!(
+            pv.critical_path_weight().to_bits(),
+            fv.critical_path_weight().to_bits()
+        );
+        let model = EnergyModel::continuous_unbounded();
+        let d = 1.37 * fv.critical_path_weight();
+        let engine = Engine::new(P).threads(1);
+        let via_apply = engine.solve(&pv, &model, d).unwrap();
+        let via_rebuild = engine.solve(&fv, &model, d).unwrap();
+        prop_assert_eq!(via_apply.algorithm, via_rebuild.algorithm);
+        prop_assert_eq!(
+            via_apply.energy.to_bits(),
+            via_rebuild.energy.to_bits(),
+            "{} vs {}", via_apply.energy, via_rebuild.energy
+        );
+    }
+}
+
+/// The fresh recognition of `0→{3,4,5}, 5→2, {2,3,4}→1` meets the
+/// branch `5→2` last in its topological order, but a patch reaches the
+/// same graph from `0→{2,3,4,5}→1`. Both hold the canonical tree
+/// `S(0, P(S(5,2), 3, 4), 1)`, so one content key gets one energy.
+#[test]
+fn patched_and_rebuilt_instances_share_one_canonical_tree() {
+    let g = TaskGraph::new(
+        vec![1.0, 1.3, 0.7, 1.9, 2.3, 0.9],
+        &[
+            (0, 2),
+            (0, 3),
+            (0, 4),
+            (0, 5),
+            (2, 1),
+            (3, 1),
+            (4, 1),
+            (5, 1),
+        ],
+    )
+    .unwrap();
+    let edits = [
+        GraphEdit::RemoveEdge { from: 0, to: 2 },
+        GraphEdit::RemoveEdge { from: 5, to: 1 },
+        GraphEdit::InsertEdge { from: 5, to: 2 },
+    ];
+    let inst = PreparedInstance::new(Arc::new(g.clone()));
+    inst.warm();
+    let patched = inst.apply(&edits).unwrap();
+    let (rebuilt, _) = apply_edits(&g, &edits).unwrap();
+    let fresh = PreparedInstance::new(Arc::new(rebuilt));
+    assert_eq!(patched.view().sp_tree(), fresh.view().sp_tree());
+
+    let model = EnergyModel::continuous_unbounded();
+    let d = 1.37 * fresh.view().critical_path_weight();
+    let engine = Engine::new(P).threads(1);
+    let via_apply = engine.solve(&patched.view(), &model, d).unwrap();
+    let via_rebuild = engine.solve(&fresh.view(), &model, d).unwrap();
+    assert_eq!(
+        via_apply.energy.to_bits(),
+        via_rebuild.energy.to_bits(),
+        "{} vs {}",
+        via_apply.energy,
+        via_rebuild.energy
+    );
 }
