@@ -1,7 +1,7 @@
 //! Log-barrier interior-point method for convex, separable objectives
 //! under sparse linear inequality constraints.
 
-use crate::linalg::Matrix;
+use crate::sparse::SparseSpd;
 use std::fmt;
 
 /// A sparse linear inequality `Σ coeffs·x ≤ rhs`.
@@ -150,7 +150,7 @@ impl BarrierSolver {
         constraints: &[LinearConstraint],
         x0: Vec<f64>,
     ) -> Result<BarrierSolution, ConvexError> {
-        self.minimize_from(obj, constraints, x0, 1.0)
+        self.minimize_warm(obj, constraints, x0, None)
     }
 
     /// [`BarrierSolver::minimize`] seeded from a previous, nearby
@@ -170,27 +170,31 @@ impl BarrierSolver {
         x0: Vec<f64>,
         warm: Option<&WarmStart>,
     ) -> Result<BarrierSolution, ConvexError> {
+        let mut newton = SparseSpd::analyse(x0.len(), constraints);
         if let Some(w) = warm {
             let admissible = w.x.len() == x0.len()
                 && constraints.iter().all(|c| c.slack(&w.x) > 0.0)
                 && obj.value(&w.x).is_finite();
             if admissible {
                 let t0 = w.t_final.max(1.0);
-                if let Ok(sol) = self.minimize_from(obj, constraints, w.x.clone(), t0) {
+                if let Ok(sol) = self.minimize_from(obj, constraints, &mut newton, w.x.clone(), t0)
+                {
                     return Ok(sol);
                 }
             }
         }
-        self.minimize_from(obj, constraints, x0, 1.0)
+        self.minimize_from(obj, constraints, &mut newton, x0, 1.0)
     }
 
     /// The engine behind both entry points: barrier minimization
-    /// starting at weight `t0 ≥ 1`.
+    /// starting at weight `t0 ≥ 1`, with Newton systems solved on the
+    /// pattern `newton` was analysed for (`constraints`).
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(s > 0)` must also reject NaN slack
     fn minimize_from(
         &self,
         obj: &dyn Objective,
         constraints: &[LinearConstraint],
+        newton: &mut SparseSpd,
         x0: Vec<f64>,
         t0: f64,
     ) -> Result<BarrierSolution, ConvexError> {
@@ -218,34 +222,31 @@ impl BarrierSolver {
         let mut newton_steps = 0usize;
         let mut grad = vec![0.0; n];
         let mut hdiag = vec![0.0; n];
+        let mut inv2 = vec![0.0; constraints.len()];
 
         loop {
             // ---- Centering: Newton on  t·f(x) − Σ log(slack_k).
             let mut made_progress = false;
             for _ in 0..self.max_newton {
                 // Gradient and Hessian of the barrier-augmented
-                // objective.
+                // objective: the Hessian is diag(t·f'') plus
+                // Σ c cᵀ / slack² over the constraints.
                 obj.gradient(&x, &mut grad);
                 obj.hess_diag(&x, &mut hdiag);
                 let mut g: Vec<f64> = grad.iter().map(|v| t * v).collect();
-                let mut h = Matrix::zeros(n);
-                for (i, &d) in hdiag.iter().enumerate() {
-                    h.add(i, i, t * d);
+                for d in &mut hdiag {
+                    *d *= t;
                 }
-                for c in constraints {
+                for (c, w) in constraints.iter().zip(&mut inv2) {
                     let s = c.slack(&x);
                     let inv = 1.0 / s;
                     for &(j, cj) in &c.coeffs {
                         g[j] += cj * inv;
                     }
-                    let inv2 = inv * inv;
-                    for &(j1, c1) in &c.coeffs {
-                        for &(j2, c2) in &c.coeffs {
-                            h.add(j1, j2, c1 * c2 * inv2);
-                        }
-                    }
+                    *w = inv * inv;
                 }
-                let dx = h.solve_spd(&g).ok_or(ConvexError::NumericalFailure)?;
+                newton.assemble(&hdiag, &inv2);
+                let dx = newton.solve(&g).ok_or(ConvexError::NumericalFailure)?;
                 // Newton decrement λ² = gᵀ H⁻¹ g = gᵀ dx.
                 let lambda2: f64 = g.iter().zip(&dx).map(|(a, b)| a * b).sum();
                 if !lambda2.is_finite() {

@@ -1,4 +1,5 @@
-//! Dense symmetric linear algebra for the Newton steps.
+//! Dense symmetric linear algebra: the reference kernel the sparse
+//! Newton solve (`sparse`) is tested against.
 
 // Indexed loops are the house style for the dense kernels below:
 // every statement touches several rows/columns at once, where
