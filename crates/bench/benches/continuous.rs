@@ -42,7 +42,7 @@ fn bench_geometric_program(c: &mut Criterion) {
         let eg = random_execution_graph(layers, width, 3, 42);
         let d = taskgraph::analysis::critical_path_weight(&eg) * 0.8;
         g.bench_with_input(BenchmarkId::new("barrier", eg.n()), &eg.n(), |b, _| {
-            b.iter(|| continuous::solve_general(&eg, d, None, P, None).unwrap())
+            b.iter(|| bench::experiments::gp_speeds(&eg, d, None, None, P))
         });
     }
     g.finish();

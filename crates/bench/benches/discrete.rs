@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use models::{DiscreteModes, PowerLaw};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reclaim_core::discrete;
-use taskgraph::generators;
+use reclaim_core::discrete::{self, BnbConfig};
+use taskgraph::{generators, PreparedGraph};
 
 const P: PowerLaw = PowerLaw::CUBIC;
 
@@ -25,12 +25,16 @@ fn bench_bnb_growth(c: &mut Criterion) {
     let modes = DiscreteModes::new(&[1.0, 2.0]).unwrap();
     for n in [8usize, 12, 16] {
         let (graph, d) = partition_instance(n, 5);
-        g.bench_with_input(BenchmarkId::new("cold", n), &n, |b, _| {
-            b.iter(|| discrete::exact_with_budget(&graph, d, &modes, P, u64::MAX, false).unwrap())
-        });
-        g.bench_with_input(BenchmarkId::new("warm", n), &n, |b, _| {
-            b.iter(|| discrete::exact_with_budget(&graph, d, &modes, P, u64::MAX, true).unwrap())
-        });
+        for (label, warm_start) in [("cold", false), ("warm", true)] {
+            let cfg = BnbConfig {
+                node_budget: u64::MAX,
+                warm_start,
+                ..Default::default()
+            };
+            g.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
+                b.iter(|| discrete::exact(&PreparedGraph::new(&graph), d, &modes, P, &cfg).unwrap())
+            });
+        }
     }
     g.finish();
 }
@@ -46,19 +50,11 @@ fn bench_chain_bound_ablation(c: &mut Criterion) {
     let d = 1.5 * bench::instances::dmin(&eg, modes.s_max());
     for (label, chain_bound) in [("static-bound", false), ("chain-bound", true)] {
         g.bench_function(label, |b| {
-            b.iter(|| {
-                discrete::exact_with_config(
-                    &eg,
-                    d,
-                    &modes,
-                    P,
-                    discrete::BnbConfig {
-                        chain_bound,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-            })
+            let cfg = BnbConfig {
+                chain_bound,
+                ..Default::default()
+            };
+            b.iter(|| discrete::exact(&PreparedGraph::new(&eg), d, &modes, P, &cfg).unwrap())
         });
     }
     g.finish();
@@ -87,7 +83,9 @@ fn bench_round_up(c: &mut Criterion) {
     let eg = bench::instances::random_execution_graph(5, 4, 2, 11);
     let d = 1.5 * bench::instances::dmin(&eg, modes.s_max());
     g.bench_function("prop1b-n20", |b| {
-        b.iter(|| discrete::round_up(&eg, d, &modes, P, Some(100)).unwrap())
+        b.iter(|| {
+            discrete::round_up_prepared(&PreparedGraph::new(&eg), d, &modes, P, Some(100)).unwrap()
+        })
     });
     g.finish();
 }

@@ -5,7 +5,9 @@
 use bench::instances::{dmin, random_execution_graph};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use models::{IncrementalModes, PowerLaw};
+use reclaim_core::discrete::{self, BnbConfig};
 use reclaim_core::incremental;
+use taskgraph::PreparedGraph;
 
 const P: PowerLaw = PowerLaw::CUBIC;
 
@@ -17,7 +19,9 @@ fn bench_approx_vs_k(c: &mut Criterion) {
     let d = 1.5 * dmin(&eg, modes.top_mode());
     for k in [1u32, 10, 100, 10_000] {
         g.bench_with_input(BenchmarkId::new("K", k), &k, |b, _| {
-            b.iter(|| incremental::approx(&eg, d, &modes, P, k).unwrap())
+            b.iter(|| {
+                incremental::approx_prepared(&PreparedGraph::new(&eg), d, &modes, P, k).unwrap()
+            })
         });
     }
     g.finish();
@@ -33,7 +37,12 @@ fn bench_approx_vs_delta(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("delta", format!("{delta}")),
             &delta,
-            |b, _| b.iter(|| incremental::approx(&eg, d, &modes, P, 100).unwrap()),
+            |b, _| {
+                b.iter(|| {
+                    incremental::approx_prepared(&PreparedGraph::new(&eg), d, &modes, P, 100)
+                        .unwrap()
+                })
+            },
         );
     }
     g.finish();
@@ -45,8 +54,12 @@ fn bench_exact_grid(c: &mut Criterion) {
     let eg = random_execution_graph(4, 3, 2, 23);
     let modes = IncrementalModes::new(0.5, 3.0, 0.5).unwrap();
     let d = 1.5 * dmin(&eg, modes.top_mode());
+    let grid = modes.to_discrete();
     g.bench_function("bnb-grid-n12", |b| {
-        b.iter(|| incremental::exact(&eg, d, &modes, P).unwrap())
+        b.iter(|| {
+            let prep = PreparedGraph::new(&eg);
+            discrete::exact(&prep, d, &grid, P, &BnbConfig::default()).unwrap()
+        })
     });
     g.finish();
 }

@@ -6,6 +6,7 @@ use bench::instances::{dmin, random_execution_graph, spread_modes};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use models::PowerLaw;
 use reclaim_core::vdd;
+use taskgraph::PreparedGraph;
 
 const P: PowerLaw = PowerLaw::CUBIC;
 
@@ -18,7 +19,7 @@ fn bench_lp_scaling(c: &mut Criterion) {
             let modes = spread_modes(m, 0.5, 3.0);
             let d = 1.5 * dmin(&eg, modes.s_max());
             g.bench_with_input(BenchmarkId::new(format!("n{}", eg.n()), m), &m, |b, _| {
-                b.iter(|| vdd::solve_lp(&eg, d, &modes, P).unwrap())
+                b.iter(|| vdd::solve_lp_prepared(&PreparedGraph::new(&eg), d, &modes, P).unwrap())
             });
         }
     }

@@ -14,8 +14,10 @@
 use super::{cont_energy, Outcome, P};
 use crate::instances::{dmin, random_execution_graph, spread_modes};
 use models::IncrementalModes;
-use reclaim_core::{discrete, incremental, vdd};
+use reclaim_core::discrete::BnbConfig;
+use reclaim_core::{discrete, vdd};
 use report::Table;
+use taskgraph::PreparedGraph;
 
 /// Run the experiment.
 pub fn run() -> Outcome {
@@ -34,9 +36,15 @@ pub fn run() -> Outcome {
             let g = random_execution_graph(4, 3, 2, 800 + seed); // 12 tasks
             let d = tight * dmin(&g, modes.s_max());
             let e_cont = cont_energy(&g, d, Some(modes.s_max()));
-            let e_vdd = vdd::solve_lp(&g, d, &modes, P).unwrap().energy(&g, P);
-            let e_disc = discrete::exact(&g, d, &modes, P).unwrap().energy;
-            let e_inc = incremental::exact(&g, d, &inc, P).unwrap().energy;
+            let prep = PreparedGraph::new(&g);
+            let bnb = BnbConfig::default();
+            let e_vdd = vdd::solve_lp_prepared(&prep, d, &modes, P)
+                .unwrap()
+                .energy(&g, P);
+            let e_disc = discrete::exact(&prep, d, &modes, P, &bnb).unwrap().energy;
+            let e_inc = discrete::exact(&prep, d, &inc.to_discrete(), P, &bnb)
+                .unwrap()
+                .energy;
             ordering_ok &= e_cont <= e_vdd * (1.0 + 1e-6) && e_vdd <= e_disc * (1.0 + 1e-6);
             r_vdd.push(e_vdd / e_cont);
             r_disc.push(e_disc / e_cont);

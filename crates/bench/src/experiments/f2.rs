@@ -4,8 +4,10 @@
 
 use super::{cont_energy, Outcome, P};
 use crate::instances::{dmin, random_execution_graph, spread_modes};
+use reclaim_core::discrete::BnbConfig;
 use reclaim_core::{discrete, vdd};
 use report::Table;
+use taskgraph::PreparedGraph;
 
 /// Run the experiment.
 pub fn run() -> Outcome {
@@ -23,15 +25,20 @@ pub fn run() -> Outcome {
             let g = random_execution_graph(4, 3, 2, 900 + seed);
             let d = 1.5 * dmin(&g, modes.s_max());
             let e_cont = cont_energy(&g, d, Some(modes.s_max()));
-            let e_vdd = vdd::solve_lp(&g, d, &modes, P).unwrap().energy(&g, P);
+            let prep = PreparedGraph::new(&g);
+            let e_vdd = vdd::solve_lp_prepared(&prep, d, &modes, P)
+                .unwrap()
+                .energy(&g, P);
             // Exact optimum while the search stays tractable
             // (Theorem 4: it is exponential in general; the chain-
             // cover bound pushes tractability to m ≈ 8 here); the
             // rounding upper bound beyond.
             let e_disc = if m <= 8 {
-                discrete::exact(&g, d, &modes, P).unwrap().energy
+                discrete::exact(&prep, d, &modes, P, &BnbConfig::default())
+                    .unwrap()
+                    .energy
             } else {
-                let sp = discrete::round_up(&g, d, &modes, P, None).unwrap();
+                let sp = discrete::round_up_prepared(&prep, d, &modes, P, None).unwrap();
                 reclaim_core::continuous::energy_of_speeds(&g, &sp, P)
             };
             r_vdd.push(e_vdd / e_cont);

@@ -7,9 +7,10 @@ use super::{cont_energy, Outcome, P};
 use crate::instances::{dmin, random_execution_graph, spread_modes};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use reclaim_core::discrete::BnbConfig;
 use reclaim_core::{discrete, vdd};
 use report::Table;
-use taskgraph::{generators, TaskGraph};
+use taskgraph::{generators, PreparedGraph, TaskGraph};
 
 fn family(name: &str, seed: u64) -> TaskGraph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -39,8 +40,13 @@ pub fn run() -> Outcome {
             let g = family(name, 1000 + seed);
             let d = 1.5 * dmin(&g, modes.s_max());
             let e_cont = cont_energy(&g, d, Some(modes.s_max()));
-            let e_vdd = vdd::solve_lp(&g, d, &modes, P).unwrap().energy(&g, P);
-            let e_disc = discrete::exact(&g, d, &modes, P).unwrap().energy;
+            let prep = PreparedGraph::new(&g);
+            let e_vdd = vdd::solve_lp_prepared(&prep, d, &modes, P)
+                .unwrap()
+                .energy(&g, P);
+            let e_disc = discrete::exact(&prep, d, &modes, P, &BnbConfig::default())
+                .unwrap()
+                .energy;
             r_vdd.push(e_vdd / e_cont);
             r_disc.push(e_disc / e_cont);
         }

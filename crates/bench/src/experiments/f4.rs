@@ -10,6 +10,7 @@ use super::{Outcome, P};
 use crate::instances::{dmin, random_execution_graph, spread_modes};
 use reclaim_core::vdd;
 use report::Table;
+use taskgraph::PreparedGraph;
 
 /// Run the experiment.
 pub fn run() -> Outcome {
@@ -31,7 +32,9 @@ pub fn run() -> Outcome {
             for seed in 0..8u64 {
                 let g = random_execution_graph(4, 3, 2, 1100 + seed);
                 let d = tight * dmin(&g, modes.s_max());
-                let e_lp = vdd::solve_lp(&g, d, &modes, P).unwrap().energy(&g, P);
+                let e_lp = vdd::solve_lp_prepared(&PreparedGraph::new(&g), d, &modes, P)
+                    .unwrap()
+                    .energy(&g, P);
                 let e_mix = vdd::adjacent_mix(&g, d, &modes, P).unwrap().energy(&g, P);
                 ok &= e_mix >= e_lp * (1.0 - 1e-6);
                 ratios.push(e_mix / e_lp);

@@ -31,7 +31,7 @@ pub mod x9;
 
 use models::PowerLaw;
 use reclaim_core::continuous;
-use taskgraph::TaskGraph;
+use taskgraph::{PreparedGraph, TaskGraph};
 
 /// The paper's power law, used by every experiment.
 pub const P: PowerLaw = PowerLaw::CUBIC;
@@ -69,7 +69,8 @@ impl Outcome {
 
 /// Continuous-model optimal energy (shape-dispatched solver).
 pub fn cont_energy(g: &TaskGraph, d: f64, s_max: Option<f64>) -> f64 {
-    let speeds = continuous::solve(g, d, s_max, P, None).expect("feasible instance");
+    let speeds = continuous::solve_dispatched(&PreparedGraph::new(g), d, s_max, P, None)
+        .expect("feasible instance");
     continuous::energy_of_speeds(g, &speeds, P)
 }
 
@@ -77,12 +78,23 @@ pub fn cont_energy(g: &TaskGraph, d: f64, s_max: Option<f64>) -> f64 {
 /// provable lower bound on any Discrete/Incremental optimum over the
 /// same speed range.
 pub fn cont_energy_boxed(g: &TaskGraph, d: f64, s_min: f64, s_max: f64) -> f64 {
-    let prep = taskgraph::PreparedGraph::new(g);
-    let mut cold = continuous::SweepWarm::new();
-    let speeds =
-        continuous::solve_general_warm(&prep, d, Some(s_min), Some(s_max), P, None, &mut cold)
-            .expect("feasible instance");
+    let speeds = gp_speeds(g, d, Some(s_min), Some(s_max), P);
     continuous::energy_of_speeds(g, &speeds, P)
+}
+
+/// The §2.1 geometric program's speeds from a cold barrier solve on a
+/// freshly prepared graph, boxed to `[s_min, s_max]` where given — the
+/// numerical cross-check of the closed forms.
+pub fn gp_speeds(
+    g: &TaskGraph,
+    d: f64,
+    s_min: Option<f64>,
+    s_max: Option<f64>,
+    p: PowerLaw,
+) -> Vec<f64> {
+    let mut cold = continuous::SweepWarm::new();
+    continuous::solve_general_warm(&PreparedGraph::new(g), d, s_min, s_max, p, None, &mut cold)
+        .expect("feasible instance")
 }
 
 /// Wall-clock of a closure, in seconds.

@@ -1,7 +1,7 @@
 //! T1 — Theorem 1: the fork closed form (including `s_max`
 //! saturation) agrees with the independent numerical solver.
 
-use super::{time_it, Outcome, P};
+use super::{gp_speeds, time_it, Outcome, P};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reclaim_core::continuous;
@@ -37,8 +37,7 @@ pub fn run() -> Outcome {
         assert!(sm_mid > cp / d && sm_mid < s0_unconstrained);
         for (label, s_max) in [("unsaturated", None), ("saturated", Some(sm_mid))] {
             let (closed, t_closed) = time_it(|| continuous::solve_fork(&g, d, s_max, P).unwrap());
-            let (numer, t_numer) =
-                time_it(|| continuous::solve_general(&g, d, s_max, P, None).unwrap());
+            let (numer, t_numer) = time_it(|| gp_speeds(&g, d, None, s_max, P));
             let e_closed = continuous::energy_of_speeds(&g, &closed, P);
             let e_numer = continuous::energy_of_speeds(&g, &numer, P);
             let rel = (e_closed - e_numer).abs() / e_closed;

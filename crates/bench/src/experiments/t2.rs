@@ -2,7 +2,7 @@
 //! polynomial time (equivalent-weight composition), agreeing with the
 //! numerical solver and scaling polynomially in `n`.
 
-use super::{time_it, Outcome, P};
+use super::{gp_speeds, time_it, Outcome, P};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reclaim_core::continuous;
@@ -33,7 +33,7 @@ pub fn run() -> Outcome {
         // Cross-check with the barrier solver on small sizes only
         // (dense Newton is O(n³)).
         let (e_num_str, rel) = if n <= 100 {
-            let numer = continuous::solve_general(&tree, d, None, P, None).unwrap();
+            let numer = gp_speeds(&tree, d, None, None, P);
             let e_numer = continuous::energy_of_speeds(&tree, &numer, P);
             let rel = (e_exact - e_numer).abs() / e_exact;
             worst = worst.max(rel);
@@ -65,7 +65,7 @@ pub fn run() -> Outcome {
             worst = worst.max((e_exact - e2).abs() / e_exact);
         }
         let (e_num_str, rel) = if n <= 100 {
-            let numer = continuous::solve_general(&sp, d, None, P, None).unwrap();
+            let numer = gp_speeds(&sp, d, None, None, P);
             let e_numer = continuous::energy_of_speeds(&sp, &numer, P);
             let rel = (e_exact - e_numer).abs() / e_exact;
             worst = worst.max(rel);

@@ -5,8 +5,10 @@
 
 use super::{cont_energy, time_it, Outcome, P};
 use crate::instances::{dmin, random_execution_graph, spread_modes};
+use reclaim_core::discrete::BnbConfig;
 use reclaim_core::{discrete, vdd};
 use report::Table;
+use taskgraph::PreparedGraph;
 
 /// Run the experiment.
 pub fn run() -> Outcome {
@@ -30,14 +32,19 @@ pub fn run() -> Outcome {
                 let modes = spread_modes(m, 0.5, 3.0);
                 let d = tight * dmin(&g, modes.s_max());
                 let e_cont = cont_energy(&g, d, Some(modes.s_max()));
-                let (sched, t_lp) = time_it(|| vdd::solve_lp(&g, d, &modes, P).unwrap());
+                let (sched, t_lp) = time_it(|| {
+                    vdd::solve_lp_prepared(&PreparedGraph::new(&g), d, &modes, P).unwrap()
+                });
                 let e_vdd = sched.energy(&g, P);
                 // Discrete upper bound: exact when small, rounding
                 // otherwise.
+                let prep = PreparedGraph::new(&g);
                 let e_disc = if g.n() <= 12 {
-                    discrete::exact(&g, d, &modes, P).unwrap().energy
+                    discrete::exact(&prep, d, &modes, P, &BnbConfig::default())
+                        .unwrap()
+                        .energy
                 } else {
-                    let sp = discrete::round_up(&g, d, &modes, P, None).unwrap();
+                    let sp = discrete::round_up_prepared(&prep, d, &modes, P, None).unwrap();
                     reclaim_core::continuous::energy_of_speeds(&g, &sp, P)
                 };
                 let ok = e_cont <= e_vdd * (1.0 + 1e-6) && e_vdd <= e_disc * (1.0 + 1e-6);

@@ -10,9 +10,9 @@ use super::{time_it, Outcome, P};
 use models::DiscreteModes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reclaim_core::discrete;
+use reclaim_core::discrete::{self, BnbConfig};
 use report::Table;
-use taskgraph::generators;
+use taskgraph::{generators, PreparedGraph};
 
 /// Run the experiment.
 pub fn run() -> Outcome {
@@ -30,9 +30,14 @@ pub fn run() -> Outcome {
             .map(|_| (rng.gen_range(20..40) as f64) + 0.5)
             .collect();
         let (g, d) = generators::partition_chain(&values);
-        let (cold, t_cold) =
-            time_it(|| discrete::exact_with_budget(&g, d, &modes, P, budget, false));
-        let (warm, _) = time_it(|| discrete::exact_with_budget(&g, d, &modes, P, budget, true));
+        let prep = PreparedGraph::new(&g);
+        let cfg = |warm_start| BnbConfig {
+            node_budget: budget,
+            warm_start,
+            ..Default::default()
+        };
+        let (cold, t_cold) = time_it(|| discrete::exact(&prep, d, &modes, P, &cfg(false)));
+        let (warm, _) = time_it(|| discrete::exact(&prep, d, &modes, P, &cfg(true)));
         let (nodes_cold, nodes_warm) = match (&cold, &warm) {
             (Ok(c), Ok(w)) => (c.stats.nodes as f64, w.stats.nodes as f64),
             _ => (budget as f64, budget as f64),

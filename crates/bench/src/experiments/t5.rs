@@ -10,8 +10,10 @@
 use super::{cont_energy_boxed, time_it, Outcome, P};
 use crate::instances::random_execution_graph;
 use models::IncrementalModes;
-use reclaim_core::{continuous, incremental};
+use reclaim_core::discrete::BnbConfig;
+use reclaim_core::{continuous, discrete, incremental};
 use report::Table;
+use taskgraph::PreparedGraph;
 
 /// Run the experiment.
 pub fn run() -> Outcome {
@@ -33,13 +35,16 @@ pub fn run() -> Outcome {
         for &k in &[1u32, 3, 10, 100] {
             let modes = IncrementalModes::new(s_min, s_max, delta).unwrap();
             let bound = incremental::approx_bound(&modes, P, k);
-            let (speeds, t_alg) = time_it(|| incremental::approx(&g, d, &modes, P, k).unwrap());
+            let (speeds, t_alg) = time_it(|| {
+                incremental::approx_prepared(&PreparedGraph::new(&g), d, &modes, P, k).unwrap()
+            });
             let e_alg = continuous::energy_of_speeds(&g, &speeds, P);
             // Exact optimum only for coarse grids (the search is
             // exponential — that is Theorem 4); fall back to the
             // continuous lower bound when the budget trips.
             let exact_ratio = if modes.m() <= 6 {
-                incremental::exact(&g, d, &modes, P)
+                let prep = PreparedGraph::new(&g);
+                discrete::exact(&prep, d, &modes.to_discrete(), P, &BnbConfig::default())
                     .ok()
                     .map(|sol| e_alg / sol.energy)
             } else {

@@ -10,6 +10,7 @@ use crate::instances::{dmin, random_execution_graph};
 use models::IncrementalModes;
 use reclaim_core::{continuous, incremental};
 use report::Table;
+use taskgraph::PreparedGraph;
 
 /// Run the experiment.
 pub fn run() -> Outcome {
@@ -33,7 +34,9 @@ pub fn run() -> Outcome {
             let e_cont = cont_energy_boxed(&g, d, s_min, modes.top_mode());
             // Large K isolates the rounding loss from the numerical
             // precision term.
-            let speeds = incremental::approx(&g, d, &modes, P, 10_000).unwrap();
+            let speeds =
+                incremental::approx_prepared(&PreparedGraph::new(&g), d, &modes, P, 10_000)
+                    .unwrap();
             let e_inc = continuous::energy_of_speeds(&g, &speeds, P);
             ratios.push(e_inc / e_cont);
         }

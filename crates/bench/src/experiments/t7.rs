@@ -4,8 +4,10 @@
 
 use super::{time_it, Outcome, P};
 use crate::instances::{dmin, irregular_modes, random_execution_graph};
+use reclaim_core::discrete::BnbConfig;
 use reclaim_core::{continuous, discrete};
 use report::Table;
+use taskgraph::PreparedGraph;
 
 /// Run the experiment.
 pub fn run() -> Outcome {
@@ -27,10 +29,14 @@ pub fn run() -> Outcome {
             let bound = (1.0 + alpha_gap / modes.s_min()).powi(2) * (1.0 + 1.0 / k as f64).powi(2);
             let g = random_execution_graph(4, 3, 2, 710 + mi as u64); // 12 tasks
             let d = 1.5 * dmin(&g, modes.s_max());
-            let (speeds, t_alg) =
-                time_it(|| discrete::round_up(&g, d, &modes, P, Some(k)).unwrap());
+            let (speeds, t_alg) = time_it(|| {
+                discrete::round_up_prepared(&PreparedGraph::new(&g), d, &modes, P, Some(k)).unwrap()
+            });
             let e_alg = continuous::energy_of_speeds(&g, &speeds, P);
-            let opt = discrete::exact(&g, d, &modes, P).unwrap().energy;
+            let prep = PreparedGraph::new(&g);
+            let opt = discrete::exact(&prep, d, &modes, P, &BnbConfig::default())
+                .unwrap()
+                .energy;
             let ratio = e_alg / opt;
             let ok = ratio <= bound * (1.0 + 1e-6);
             all_ok &= ok;

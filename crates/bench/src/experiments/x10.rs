@@ -20,10 +20,15 @@
 //!
 //! **Arms.**
 //!
-//! * *sequential*: [`discrete::exact_with_config`] — the baseline
-//!   single-threaded branch-and-bound;
-//! * *parallel-deterministic*: [`par_bnb::exact_par`] at 4 workers,
-//!   run **twice** — both runs must agree on energy bits, speeds, and
+//! Both search arms are the one [`discrete::exact`] entry point on the
+//! same prepared instance, warmed before either clock starts, under
+//! two [`BnbConfig`]s:
+//!
+//! * *sequential*: `BnbConfig::default()` (cold) — one worker, one
+//!   partition: the baseline single-threaded branch-and-bound;
+//! * *parallel-deterministic*: `BnbConfig::with_workers(4)` (cold) —
+//!   `4 × 4` partitions over 4 workers, run **twice** — both runs must
+//!   agree on energy bits, speeds, and
 //!   the full per-partition manifest (keys, node counts, prune
 //!   counters), and the wall-clock must beat sequential by ≥ 2×
 //!   (enforced only when the host grants ≥ 4 cores; below that the
@@ -41,11 +46,11 @@
 //! from two independent process runs.
 
 use super::Outcome;
-use reclaim_core::discrete::{self, BnbConfig};
-use reclaim_core::engine::par_bnb::{self, ParBnbConfig};
+use reclaim_core::discrete::{self, BnbConfig, PartitionReport};
 use reclaim_core::SolveError;
 use report::Table;
-use taskgraph::TaskGraph;
+use std::sync::Arc;
+use taskgraph::{PreparedInstance, TaskGraph};
 
 /// Combinatorial-core size (2^24 assignments before pruning).
 const N_CORE: usize = 24;
@@ -91,7 +96,7 @@ fn instance() -> (TaskGraph, f64) {
 /// Render the deterministic arm's partition manifest: stable field
 /// order, energies as f64 bit patterns, no wall-clock anywhere — two
 /// runs of the same binary must produce byte-identical files.
-fn manifest(partitions: &[par_bnb::PartitionReport]) -> String {
+fn manifest(partitions: &[PartitionReport]) -> String {
     let mut s = String::from("{\n  \"partitions\": [\n");
     for (i, p) in partitions.iter().enumerate() {
         let key: Vec<String> = p.key.iter().map(|k| k.to_string()).collect();
@@ -121,6 +126,12 @@ pub fn run() -> Outcome {
     let (g, deadline) = instance();
     let modes = models::DiscreteModes::new(&[1.0, 2.0]).unwrap();
     let n = g.n();
+    // Prepared and warmed outside both timed arms, so the clocks see
+    // the searches alone.
+    let inst = PreparedInstance::new(Arc::new(g));
+    inst.warm();
+    let prep = inst.view();
+    let solve = |cfg: &BnbConfig| discrete::exact(&prep, deadline, &modes, super::P, cfg);
     let cold = BnbConfig {
         warm_start: false,
         ..Default::default()
@@ -129,20 +140,19 @@ pub fn run() -> Outcome {
 
     // Sequential baseline.
     let t0 = std::time::Instant::now();
-    let seq = discrete::exact_with_config(&g, deadline, &modes, super::P, cold)
-        .expect("sequential exact solve");
+    let seq = solve(&cold).expect("sequential exact solve");
     let seq_ns = t0.elapsed().as_nanos() as u64;
     assert!(seq.complete, "baseline must prove optimality");
 
     // Parallel deterministic arm, twice.
-    let cfg = ParBnbConfig {
+    let par = BnbConfig {
         warm_start: false,
-        ..ParBnbConfig::with_workers(WORKERS)
+        ..BnbConfig::with_workers(WORKERS)
     };
     let t0 = std::time::Instant::now();
-    let par1 = par_bnb::exact_par(&g, deadline, &modes, super::P, &cfg).expect("parallel solve");
+    let par1 = solve(&par).expect("parallel solve");
     let par_ns = t0.elapsed().as_nanos() as u64;
-    let par2 = par_bnb::exact_par(&g, deadline, &modes, super::P, &cfg).expect("parallel re-run");
+    let par2 = solve(&par).expect("parallel re-run");
     let deterministic = par1.energy.to_bits() == par2.energy.to_bits()
         && par1.speeds == par2.speeds
         && par1.partitions == par2.partitions;
@@ -160,29 +170,17 @@ pub fn run() -> Outcome {
     // Anytime arm: a budget far below the full search must surface
     // the incumbent the search has found by then, not an error…
     let trip_budget = (seq.stats.nodes / 8).max(1);
-    let anytime = discrete::exact_with_config(
-        &g,
-        deadline,
-        &modes,
-        super::P,
-        BnbConfig {
-            node_budget: trip_budget,
-            ..cold
-        },
-    )
+    let anytime = solve(&BnbConfig {
+        node_budget: trip_budget,
+        ..cold
+    })
     .expect("budget trip must return the anytime incumbent");
     // …while a budget too small to reach any leaf is the structured
     // budget error, matched on shape rather than message text.
-    let starved = discrete::exact_with_config(
-        &g,
-        deadline,
-        &modes,
-        super::P,
-        BnbConfig {
-            node_budget: 5,
-            ..cold
-        },
-    );
+    let starved = solve(&BnbConfig {
+        node_budget: 5,
+        ..cold
+    });
     let anytime_ok = !anytime.complete
         && anytime.gap() >= 0.0
         && anytime.energy >= seq.energy * (1.0 - 1e-12)

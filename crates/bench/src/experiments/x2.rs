@@ -5,8 +5,10 @@
 
 use super::{Outcome, P};
 use crate::instances::{dmin, random_execution_graph, spread_modes};
+use reclaim_core::discrete::BnbConfig;
 use reclaim_core::{continuous, discrete};
 use report::Table;
+use taskgraph::PreparedGraph;
 
 /// Run the experiment.
 pub fn run() -> Outcome {
@@ -30,8 +32,11 @@ pub fn run() -> Outcome {
             for seed in 0..8u64 {
                 let g = random_execution_graph(4, 3, 2, 1300 + seed);
                 let d = tight * dmin(&g, modes.s_max());
-                let opt = discrete::exact(&g, d, &modes, P).unwrap().energy;
-                let ru = discrete::round_up(&g, d, &modes, P, None).unwrap();
+                let prep = PreparedGraph::new(&g);
+                let opt = discrete::exact(&prep, d, &modes, P, &BnbConfig::default())
+                    .unwrap()
+                    .energy;
+                let ru = discrete::round_up_prepared(&prep, d, &modes, P, None).unwrap();
                 let e_ru = continuous::energy_of_speeds(&g, &ru, P);
                 let gs = discrete::greedy_slowdown(&g, d, &modes, P).unwrap();
                 let e_gs = continuous::energy_of_speeds(&g, &gs, P);

@@ -5,13 +5,14 @@
 //! forms must keep agreeing with the numerical solver, and the model
 //! ordering must persist, at every α.
 
-use super::Outcome;
+use super::{gp_speeds, Outcome};
 use models::{DiscreteModes, PowerLaw};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use reclaim_core::discrete::BnbConfig;
 use reclaim_core::{continuous, discrete, vdd};
 use report::Table;
-use taskgraph::generators;
+use taskgraph::{generators, PreparedGraph};
 
 /// Run the experiment.
 pub fn run() -> Outcome {
@@ -37,11 +38,8 @@ pub fn run() -> Outcome {
             &continuous::solve_fork(&fork, d_fork, None, p).unwrap(),
             p,
         );
-        let e_numer = continuous::energy_of_speeds(
-            &fork,
-            &continuous::solve_general(&fork, d_fork, None, p, None).unwrap(),
-            p,
-        );
+        let e_numer =
+            continuous::energy_of_speeds(&fork, &gp_speeds(&fork, d_fork, None, None, p), p);
         let fork_diff = (e_closed - e_numer).abs() / e_closed;
 
         let (sp, tree) = generators::random_sp(10, 0.5, 1.0, 4.0, &mut rng);
@@ -51,11 +49,7 @@ pub fn run() -> Outcome {
             &continuous::solve_sp(&sp, &tree, d_sp, p).unwrap(),
             p,
         );
-        let e_sp_num = continuous::energy_of_speeds(
-            &sp,
-            &continuous::solve_general(&sp, d_sp, None, p, None).unwrap(),
-            p,
-        );
+        let e_sp_num = continuous::energy_of_speeds(&sp, &gp_speeds(&sp, d_sp, None, None, p), p);
         let sp_diff = (e_sp - e_sp_num).abs() / e_sp;
         worst_diff = worst_diff.max(fork_diff).max(sp_diff);
 
@@ -63,13 +57,18 @@ pub fn run() -> Outcome {
         let g = crate::instances::random_execution_graph(4, 3, 2, 1400);
         let modes = DiscreteModes::new(&[0.5, 1.125, 1.75, 2.375, 3.0]).unwrap();
         let d = 1.4 * crate::instances::dmin(&g, modes.s_max());
+        let prep = PreparedGraph::new(&g);
         let e_cont = continuous::energy_of_speeds(
             &g,
-            &continuous::solve(&g, d, Some(modes.s_max()), p, None).unwrap(),
+            &continuous::solve_dispatched(&prep, d, Some(modes.s_max()), p, None).unwrap(),
             p,
         );
-        let e_vdd = vdd::solve_lp(&g, d, &modes, p).unwrap().energy(&g, p);
-        let e_disc = discrete::exact(&g, d, &modes, p).unwrap().energy;
+        let e_vdd = vdd::solve_lp_prepared(&prep, d, &modes, p)
+            .unwrap()
+            .energy(&g, p);
+        let e_disc = discrete::exact(&prep, d, &modes, p, &BnbConfig::default())
+            .unwrap()
+            .energy;
         let ok = e_cont <= e_vdd * (1.0 + 1e-6) && e_vdd <= e_disc * (1.0 + 1e-6);
         all_ok &= ok && fork_diff < 1e-4 && sp_diff < 1e-4;
         table.row(&[

@@ -10,7 +10,7 @@ use mapping::{list_schedule, Priority};
 use models::{DiscreteModes, IncrementalModes};
 use reclaim_core::{continuous, incremental, vdd};
 use report::Table;
-use taskgraph::{workflows, TaskGraph};
+use taskgraph::{workflows, PreparedGraph, TaskGraph};
 
 fn mapped(app: &TaskGraph, procs: usize) -> TaskGraph {
     list_schedule(app, procs, Priority::BottomLevel)
@@ -46,9 +46,13 @@ pub fn run() -> Outcome {
     ];
     for (name, g) in cases {
         let d = 1.4 * crate::instances::dmin(&g, modes.s_max());
-        let (r_cont, t_cont) = time_it(|| continuous::solve(&g, d, Some(modes.s_max()), P, None));
-        let (r_vdd, t_vdd) = time_it(|| vdd::solve_lp(&g, d, &modes, P));
-        let (r_inc, t_inc) = time_it(|| incremental::approx(&g, d, &inc, P, 1000));
+        let (r_cont, t_cont) = time_it(|| {
+            continuous::solve_dispatched(&PreparedGraph::new(&g), d, Some(modes.s_max()), P, None)
+        });
+        let (r_vdd, t_vdd) =
+            time_it(|| vdd::solve_lp_prepared(&PreparedGraph::new(&g), d, &modes, P));
+        let (r_inc, t_inc) =
+            time_it(|| incremental::approx_prepared(&PreparedGraph::new(&g), d, &inc, P, 1000));
         all_finite &= r_cont.is_ok() && r_vdd.is_ok() && r_inc.is_ok();
         table.row(&[
             name.into(),

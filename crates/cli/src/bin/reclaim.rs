@@ -27,6 +27,48 @@ use reclaim_service::{client::Client, corpus, daemon, Endpoint};
 use report::Table;
 use taskgraph::PreparedGraph;
 
+// `println!` and `print!` for this binary: once stdout's reader has
+// gone away (`reclaim solve f.inst | head`), end the process quietly
+// instead of panicking on the broken pipe. SIGPIPE stays ignored, as
+// Rust sets it, so `reclaim serve` — the daemon, in this same process
+// — keeps outliving peers that close their sockets.
+macro_rules! println {
+    ($($arg:tt)*) => {
+        stdout_written(std::io::Write::write_fmt(
+            &mut std::io::stdout(),
+            format_args!("{}\n", format_args!($($arg)*)),
+        ))
+    };
+}
+
+macro_rules! print {
+    ($($arg:tt)*) => {
+        stdout_written(std::io::Write::write_fmt(
+            &mut std::io::stdout(),
+            format_args!($($arg)*),
+        ))
+    };
+}
+
+/// The outcome of one stdout write: a closed pipe exits 0, any other
+/// failure panics as the std macros do.
+fn stdout_written(result: std::io::Result<()>) {
+    match result {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
+/// `value` of `flag` parsed as a `T`; otherwise exit 2 naming the
+/// flag, what it needs and the value it got.
+fn parsed<T: std::str::FromStr>(flag: &str, needs: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} needs {needs}, got {value:?}");
+        std::process::exit(2);
+    })
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: reclaim <command> <instance-file> [options]\n\
@@ -132,12 +174,8 @@ fn ask_command(args: &[String]) {
             })
         })
         .unwrap_or(1);
-    let timeout_ms: Option<u64> = flag_value("--timeout").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--timeout needs milliseconds, got {v:?}");
-            std::process::exit(2);
-        })
-    });
+    let timeout_ms: Option<u64> =
+        flag_value("--timeout").map(|v| parsed("--timeout", "milliseconds", &v));
     let as_of: Option<u64> = flag_value("--as-of").map(|v| {
         v.parse().ok().filter(|&d| d >= 1).unwrap_or_else(|| {
             eprintln!("--as-of needs a patch depth ≥ 1, got {v:?}");
@@ -368,12 +406,7 @@ fn corpus_command(args: &[String]) {
             .map(String::as_str)
     };
     let shards: usize = value("--shards")
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--shards needs an integer, got {v:?}");
-                std::process::exit(2);
-            })
-        })
+        .map(|v| parsed("--shards", "an integer", v))
         .unwrap_or(2)
         .max(1);
     let out_dir = value("--json").unwrap_or("bench-json").to_string();
@@ -438,7 +471,10 @@ fn corpus_command(args: &[String]) {
             }
         }
     } else {
-        corpus::run_corpus(jobs, shards, PowerLaw::CUBIC)
+        corpus::run_corpus(jobs, shards, PowerLaw::CUBIC).unwrap_or_else(|e| {
+            eprintln!("--shards: {e}");
+            std::process::exit(2);
+        })
     };
     let mut t = Table::new(&[
         "shard",
@@ -728,20 +764,20 @@ fn main() {
                 std::process::exit(2);
             };
             let width: usize = flag_value("--width")
-                .map(|v| v.parse().expect("--width N"))
+                .map(|v| parsed("--width", "an integer", v))
                 .unwrap_or(64);
             let sol = solve_or_die();
             println!("{}", sim::gantt(&inst.graph, &sol.schedule, m, width));
         }
         "sweep" | "pareto" => {
             let points: usize = flag_value("--points")
-                .map(|v| v.parse().expect("--points N"))
+                .map(|v| parsed("--points", "an integer", v))
                 .unwrap_or(8);
             let lo: f64 = flag_value("--lo")
-                .map(|v| v.parse().expect("--lo F"))
+                .map(|v| parsed("--lo", "a number", v))
                 .unwrap_or(1.05);
             let hi: f64 = flag_value("--hi")
-                .map(|v| v.parse().expect("--hi F"))
+                .map(|v| parsed("--hi", "a number", v))
                 .unwrap_or(4.0);
             if cmd == "pareto" && flags.iter().any(|a| a == "--exact") {
                 let curve = engine

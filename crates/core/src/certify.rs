@@ -145,7 +145,7 @@ mod tests {
     use crate::continuous;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use taskgraph::generators;
+    use taskgraph::{generators, PreparedGraph};
 
     const P: PowerLaw = PowerLaw::CUBIC;
 
@@ -154,7 +154,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let g = generators::diamond([1.0, 2.0, 3.0, 1.5]);
         let d = 5.0;
-        let speeds = continuous::solve(&g, d, None, P, None).unwrap();
+        let speeds =
+            continuous::solve_dispatched(&PreparedGraph::new(&g), d, None, P, None).unwrap();
         let bad = local_optimality_probe(&g, &speeds, d, P, 300, 1e-3, 1e-5, &mut rng);
         assert_eq!(bad, 0, "optimal solution admits improving moves");
     }
@@ -177,7 +178,8 @@ mod tests {
         let g = generators::diamond([1.0, 2.0, 3.0, 1.5]);
         let d = 5.0;
         let lb = lower_bound_bundle(&g, d, P);
-        let speeds = continuous::solve(&g, d, None, P, None).unwrap();
+        let speeds =
+            continuous::solve_dispatched(&PreparedGraph::new(&g), d, None, P, None).unwrap();
         let e = continuous::energy_of_speeds(&g, &speeds, P);
         assert!(lb.best() <= e * (1.0 + 1e-9));
         assert!(lb.independent_tasks > 0.0 && lb.critical_path > 0.0);

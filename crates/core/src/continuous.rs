@@ -9,8 +9,10 @@
 //!   one of weight `(W_a^α + W_b^α)^{1/α}` (cube root of the sum of
 //!   cubes for the paper's `α = 3`), because the optimal energy of any
 //!   subgraph scales as `W^α / D^{α−1}` in its window `D`.
-//! * [`solve_general`] — the geometric program on arbitrary DAGs,
+//! * [`solve_general_warm`] — the geometric program on arbitrary DAGs,
 //!   solved by the `convex` crate's log-barrier interior point method.
+//! * [`solve_dispatched`] — the cheapest exact algorithm for the
+//!   prepared graph's shape, falling back to the geometric program.
 //!
 //! All solvers return **per-task constant speeds** (under the
 //! Continuous model one constant speed per task is optimal: the energy
@@ -81,6 +83,11 @@ pub fn solve_chain(
     s_max: Option<f64>,
 ) -> Result<Vec<f64>, SolveError> {
     check_feasible(g, deadline, s_max)?;
+    chain_speeds(g, deadline, s_max)
+}
+
+/// [`solve_chain`] past its feasibility check.
+fn chain_speeds(g: &TaskGraph, deadline: f64, s_max: Option<f64>) -> Result<Vec<f64>, SolveError> {
     let s = g.total_work() / deadline;
     if let Some(sm) = s_max {
         if s > sm * (1.0 + 1e-12) {
@@ -111,7 +118,23 @@ pub fn solve_fork(
         ));
     }
     check_feasible(g, deadline, s_max)?;
-    let root = g.sources()[0];
+    fork_speeds(g, g.sources()[0], deadline, s_max, p, || {
+        critical_path_weight(g)
+    })
+}
+
+/// [`solve_fork`] past its shape and feasibility checks, around `root`:
+/// the fork's source, or a join's sink (time reversal mirrors a join
+/// onto the fork with the same weights). `cp` yields the critical-path
+/// weight, read only to report a saturated infeasibility.
+fn fork_speeds(
+    g: &TaskGraph,
+    root: TaskId,
+    deadline: f64,
+    s_max: Option<f64>,
+    p: PowerLaw,
+    cp: impl Fn() -> f64,
+) -> Result<Vec<f64>, SolveError> {
     let w0 = g.weight(root);
     let children: Vec<TaskId> = g.tasks().filter(|&t| t != root).collect();
     let combined = p.parallel_combine(children.iter().map(|&c| g.weight(c)));
@@ -124,7 +147,7 @@ pub fn solve_fork(
             if d_prime <= 0.0 {
                 return Err(SolveError::Infeasible {
                     deadline,
-                    min_makespan: critical_path_weight(g) / sm,
+                    min_makespan: cp() / sm,
                 });
             }
             speeds[root.0] = sm;
@@ -133,7 +156,7 @@ pub fn solve_fork(
                 if s > sm * (1.0 + 1e-12) {
                     return Err(SolveError::Infeasible {
                         deadline,
-                        min_makespan: critical_path_weight(g) / sm,
+                        min_makespan: cp() / sm,
                     });
                 }
                 speeds[c.0] = s;
@@ -201,8 +224,8 @@ fn assign_window(tree: &SpTree, g: &TaskGraph, window: f64, p: PowerLaw, speeds:
 ///
 /// `s_max` caveat: the closed form assumes unbounded speeds. When an
 /// `s_max` is given and the unconstrained optimum violates it, the
-/// caller should fall back to [`solve_general`] (the dispatcher in
-/// [`crate::solver`] does).
+/// caller should fall back to [`solve_general_warm`] (the dispatcher
+/// [`solve_dispatched`] does).
 pub fn tree_decomposition(g: &TaskGraph) -> Option<SpTree> {
     if !structure::is_out_tree(g) {
         return None;
@@ -283,32 +306,6 @@ impl Objective for MinEnergyObjective {
     }
 }
 
-/// §2.1: the geometric program on an arbitrary execution graph,
-/// solved numerically. `precision_k = Some(K)` requests relative
-/// precision `1/K` (the Theorem 5 / Proposition 1 numerical scheme);
-/// `None` solves to the default tight tolerance (`1e-9`).
-///
-/// Variables: durations `d` and completion times `t`. Constraints:
-/// `t_i + d_j ≤ t_j` per edge, `d_i ≤ t_i` (non-negative start),
-/// `t_i ≤ D`, and `d_i ≤ w_i/s_max` when a top speed exists.
-pub fn solve_general(
-    g: &TaskGraph,
-    deadline: f64,
-    s_max: Option<f64>,
-    p: PowerLaw,
-    precision_k: Option<u32>,
-) -> Result<Vec<f64>, SolveError> {
-    solve_general_warm(
-        &PreparedGraph::new(g),
-        deadline,
-        None,
-        s_max,
-        p,
-        precision_k,
-        &mut SweepWarm::new(),
-    )
-}
-
 /// Cumulative barrier-solve statistics of one warm sweep chain (the
 /// evidence trail for "warm-starting shrinks Newton work" — bench X9
 /// records these).
@@ -351,11 +348,19 @@ impl SweepWarm {
     }
 }
 
-/// The geometric program on a prepared graph with a **box** on the
-/// speeds, `s_min ≤ s_i ≤ s_max` per task, and a [`SweepWarm`] chain
-/// threaded through. Critical path, topological order and transitive
-/// reduction come from the shared cache; a point solve passes a fresh
-/// [`SweepWarm::new`].
+/// §2.1: the geometric program on a prepared execution graph, solved
+/// numerically, with an optional **box** on the speeds,
+/// `s_min ≤ s_i ≤ s_max` per task, and a [`SweepWarm`] chain threaded
+/// through. Critical path, topological order and transitive reduction
+/// come from the shared cache; a point solve passes a fresh
+/// [`SweepWarm::new`]. `precision_k = Some(K)` requests relative
+/// precision `1/K` (the Theorem 5 / Proposition 1 numerical scheme);
+/// `None` solves to the default tight tolerance (`1e-9`).
+///
+/// Variables: durations `d` and completion times `t`. Constraints:
+/// `t_i + d_j ≤ t_j` per edge of the transitive reduction, `d_i ≤ t_i`
+/// (non-negative start), `t_i ≤ D`, and `w_i/s_max ≤ d_i ≤ w_i/s_min`
+/// for each bound given.
 ///
 /// The lower bound is what makes the rounding-based approximation
 /// algorithms (Theorem 5, Proposition 1) provable: the optimum of the
@@ -549,20 +554,10 @@ fn solve_normalized(
 
 /// Shape-dispatched continuous solve: the cheapest exact algorithm for
 /// the detected shape, falling back to the numerical solver for
-/// general DAGs or when `s_max` binds on a tree/SP closed form.
-pub fn solve(
-    g: &TaskGraph,
-    deadline: f64,
-    s_max: Option<f64>,
-    p: PowerLaw,
-    precision_k: Option<u32>,
-) -> Result<Vec<f64>, SolveError> {
-    solve_dispatched(&PreparedGraph::new(g), deadline, s_max, p, precision_k)
-}
-
-/// [`solve`] on a prepared graph: the shape classification, SP
-/// decomposition, and (for the numerical fallback) transitive
-/// reduction come from the shared cache.
+/// general DAGs or when `s_max` binds on a tree/SP closed form. The
+/// shape classification, SP decomposition, critical path and (for the
+/// numerical fallback) transitive reduction come from the shared
+/// cache; feasibility is checked once, here.
 pub fn solve_dispatched(
     prep: &PreparedGraph<'_>,
     deadline: f64,
@@ -572,14 +567,12 @@ pub fn solve_dispatched(
 ) -> Result<Vec<f64>, SolveError> {
     check_feasible_prepared(prep, deadline, s_max)?;
     let g = prep.graph();
+    let cp = || prep.critical_path_weight();
     let closed_form: Option<Vec<f64>> = match prep.shape() {
-        Shape::Single | Shape::Chain => Some(solve_chain(g, deadline, s_max)?),
-        Shape::Fork => Some(solve_fork(g, deadline, s_max, p)?),
-        Shape::Join => {
-            // Mirror of the fork through time reversal.
-            let rev = g.reversed();
-            Some(solve_fork(&rev, deadline, s_max, p)?)
-        }
+        Shape::Single | Shape::Chain => Some(chain_speeds(g, deadline, s_max)?),
+        Shape::Fork => Some(fork_speeds(g, g.sources()[0], deadline, s_max, p, cp)?),
+        // Mirror of the fork through time reversal.
+        Shape::Join => Some(fork_speeds(g, g.sinks()[0], deadline, s_max, p, cp)?),
         Shape::OutTree | Shape::InTree => Some(solve_tree(g, deadline, p)?),
         Shape::SeriesParallel => {
             let tree = prep.sp_tree().expect("classified as SP");
@@ -612,6 +605,27 @@ mod tests {
     use taskgraph::generators;
 
     const P: PowerLaw = PowerLaw::CUBIC;
+
+    fn solve(
+        g: &TaskGraph,
+        d: f64,
+        s_max: Option<f64>,
+        p: PowerLaw,
+        k: Option<u32>,
+    ) -> Result<Vec<f64>, SolveError> {
+        solve_dispatched(&PreparedGraph::new(g), d, s_max, p, k)
+    }
+
+    fn solve_general(
+        g: &TaskGraph,
+        d: f64,
+        s_max: Option<f64>,
+        p: PowerLaw,
+        k: Option<u32>,
+    ) -> Result<Vec<f64>, SolveError> {
+        let mut cold = SweepWarm::new();
+        solve_general_warm(&PreparedGraph::new(g), d, None, s_max, p, k, &mut cold)
+    }
 
     fn rel_close(a: f64, b: f64, tol: f64) {
         assert!(

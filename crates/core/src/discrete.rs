@@ -1,29 +1,35 @@
 //! Discrete-model solvers (Theorem 4: NP-complete; Proposition 1(b):
 //! rounding approximation).
 //!
-//! * [`exact`] — branch-and-bound over per-task mode choices. Worst
-//!   case exponential, as Theorem 4's NP-completeness predicts;
-//!   experiment T4 measures the blow-up on PARTITION-style instances.
-//!   On a node-budget trip with a feasible incumbent in hand the
-//!   search returns the incumbent as an **anytime** result
-//!   ([`ExactSolution::complete`] is `false` and
-//!   [`ExactSolution::lower_bound`] certifies the optimality gap)
-//!   instead of discarding it.
+//! * [`exact`] — branch-and-bound over per-task mode choices, the one
+//!   entry point of the exact search. Worst case exponential, as
+//!   Theorem 4's NP-completeness predicts; experiment T4 measures the
+//!   blow-up on PARTITION-style instances. It is a Bobpp-style
+//!   partition sweep ([`BnbConfig`]): one partition at one worker is
+//!   the plain sequential depth-first search, more partitions fan out
+//!   over worker threads (`engine::par_bnb`). On a node-budget trip
+//!   with a feasible incumbent in hand the search returns the
+//!   incumbent as an **anytime** result ([`ExactSolution::complete`]
+//!   is `false` and [`ExactSolution::lower_bound`] certifies the
+//!   optimality gap) instead of discarding it.
 //! * [`chain_dp`] — pseudo-polynomial dynamic program for chains with
 //!   a discretized time budget (NP-completeness is *weak* for chains).
-//! * [`round_up`] — Proposition 1(b): solve the Continuous relaxation
-//!   boxed to `[s_1, s_m]` to precision `1/K` and round each speed up
-//!   to the next mode; approximation factor
+//! * [`round_up_warm`] (and its cold face [`round_up_prepared`]) —
+//!   Proposition 1(b): solve the Continuous relaxation boxed to
+//!   `[s_1, s_m]` to precision `1/K` and round each speed up to the
+//!   next mode; approximation factor
 //!   `(1 + α/s_1)^{α_pow−1} · (1 + 1/K)^{α_pow−1}` where
 //!   `α = max_i (s_{i+1} − s_i)` (for the paper's cubic power law the
-//!   exponent is 2, matching the stated `(1+α/s₁)²(1+1/K)²`).
+//!   exponent is 2, matching the stated `(1+α/s₁)²(1+1/K)²`). The
+//!   Incremental approximation (Theorem 5) runs the same rounding body.
+//! * [`greedy_slowdown`] — the classic DVFS baseline (experiment X2).
 //!
-//! The search core is factored into a `SearchCtx` (all precomputed
-//! bounds) plus a subtree DFS that can start from a fixed assignment
-//! prefix — the building block `engine::par_bnb` partitions across
-//! worker threads Bobpp-style.
+//! Every entry point but the two baselines takes the caller's
+//! [`PreparedGraph`], so critical path, reduction and completion
+//! times come from its cache.
 
 use crate::continuous;
+use crate::engine::{par_bnb, profiling};
 use crate::error::SolveError;
 use models::{DiscreteModes, PowerLaw};
 use taskgraph::analysis::{critical_path_weight, topo_order};
@@ -70,6 +76,36 @@ pub struct ExactSolution {
     /// `complete`; otherwise the best of the boxed-relaxation bound
     /// (Proposition 1(b)) and the root combinatorial bound.
     pub lower_bound: f64,
+    /// Depth of the partition split (tasks fixed per prefix; `0` for
+    /// the one-partition sequential search).
+    pub depth: usize,
+    /// Per-subtree reports, in deterministic partition order (empty
+    /// when the frontier enumeration already pruned the whole tree
+    /// against the warm seed).
+    pub partitions: Vec<PartitionReport>,
+    /// Subtree pickups beyond each worker's first — dynamic
+    /// rebalancing activity (telemetry; not part of the deterministic
+    /// contract).
+    pub steals: u64,
+}
+
+/// Per-subtree search report (the X10 partition manifest rows).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartitionReport {
+    /// The subtree's content-stable key: the mode indices of the fixed
+    /// assignment prefix, in topological task order.
+    pub key: Vec<usize>,
+    /// Nodes expanded inside the subtree.
+    pub nodes: u64,
+    /// Deadline prunes inside the subtree.
+    pub pruned_infeasible: u64,
+    /// Bound prunes inside the subtree.
+    pub pruned_bound: u64,
+    /// Whether the subtree was exhausted (not budget-tripped).
+    pub complete: bool,
+    /// Best energy found *inside* this subtree, when it improved on
+    /// the seed bound the subtree started from.
+    pub energy: Option<f64>,
 }
 
 impl ExactSolution {
@@ -88,21 +124,51 @@ impl ExactSolution {
 pub const DEFAULT_NODE_BUDGET: u64 = 20_000_000;
 
 /// Branch-and-bound configuration (the knobs ablated in
-/// `benches/discrete.rs`).
+/// `benches/discrete.rs`). The default is the sequential search: one
+/// worker, one partition.
 #[derive(Debug, Clone, Copy)]
 pub struct BnbConfig {
-    /// Hard cap on explored nodes.
+    /// Worker threads to fan the partitions out over (1 = inline).
+    pub workers: usize,
+    /// Target partition count; `0` means one partition at one worker
+    /// and `4 × workers` otherwise (over-splitting keeps the atomic
+    /// work queue busy when subtree costs are skewed). The node counts
+    /// of a run are reproducible **per partition count**, so pin this
+    /// (not just `workers`) when comparing manifests.
+    pub partitions: usize,
+    /// Hard cap on explored nodes, split evenly across partitions
+    /// (`ceil(budget / partitions)` each).
     pub node_budget: u64,
     /// Seed the incumbent with the Proposition 1(b) rounding.
     pub warm_start: bool,
     /// Use the dynamic chain-cover lower bound in addition to the
-    /// static per-task bound (see [`exact_with_config`]).
+    /// static per-task bound (see [`exact`]).
     pub chain_bound: bool,
+}
+
+impl BnbConfig {
+    /// Deterministic defaults at `workers` threads.
+    pub fn with_workers(workers: usize) -> BnbConfig {
+        BnbConfig {
+            workers: workers.max(1),
+            ..BnbConfig::default()
+        }
+    }
+
+    fn target_partitions(&self) -> usize {
+        match (self.partitions, self.workers.max(1)) {
+            (0, 1) => 1,
+            (0, workers) => 4 * workers,
+            (partitions, _) => partitions,
+        }
+    }
 }
 
 impl Default for BnbConfig {
     fn default() -> Self {
         BnbConfig {
+            workers: 1,
+            partitions: 0,
             node_budget: DEFAULT_NODE_BUDGET,
             warm_start: true,
             chain_bound: true,
@@ -116,15 +182,6 @@ impl Default for BnbConfig {
 pub(crate) struct Incumbent {
     pub(crate) energy: f64,
     pub(crate) modes: Option<Vec<usize>>,
-}
-
-impl Incumbent {
-    pub(crate) fn new() -> Incumbent {
-        Incumbent {
-            energy: f64::INFINITY,
-            modes: None,
-        }
-    }
 }
 
 /// How one subtree search ended.
@@ -141,10 +198,11 @@ pub(crate) enum SubtreeOutcome {
 /// `SearchCtx` is shared by every parallel subtree worker.
 pub(crate) struct SearchCtx<'a> {
     g: &'a TaskGraph,
-    pub(crate) deadline: f64,
+    deadline: f64,
+    min_makespan: f64,
     p: PowerLaw,
-    pub(crate) speeds_list: Vec<f64>,
-    pub(crate) n: usize,
+    speeds_list: Vec<f64>,
+    n: usize,
     m: usize,
     order: Vec<TaskId>,
     pos: Vec<usize>,
@@ -155,28 +213,33 @@ pub(crate) struct SearchCtx<'a> {
     chain_w_suffix: Vec<Vec<f64>>,
     chain_lb_suffix: Vec<Vec<f64>>,
     chain_frontier: Vec<Vec<usize>>,
-    s_top: f64,
     s_bottom: f64,
     chain_bound: bool,
     cand: Vec<Vec<usize>>,
 }
 
 impl<'a> SearchCtx<'a> {
-    /// Precompute every bound for `(g, deadline, modes)`. Fails with
+    /// Precompute every bound for `(prep, deadline, modes)`. Fails with
     /// [`SolveError::Infeasible`] when even top speed misses the
-    /// deadline.
+    /// deadline. Feasibility and the minimum makespan come from the
+    /// prepared critical path; the branching order is the canonical
+    /// [`topo_order`] of the graph — not the instance's carried order,
+    /// which an edit may have shifted — so a patched instance branches
+    /// exactly like a rebuilt one.
     pub(crate) fn new(
-        g: &'a TaskGraph,
+        prep: &PreparedGraph<'a>,
         deadline: f64,
         modes: &DiscreteModes,
         p: PowerLaw,
         chain_bound: bool,
     ) -> Result<SearchCtx<'a>, SolveError> {
-        continuous::check_feasible(g, deadline, Some(modes.s_max()))?;
+        continuous::check_feasible_prepared(prep, deadline, Some(modes.s_max()))?;
+        let g = prep.graph();
         let n = g.n();
         let order = topo_order(g);
         let speeds_list = modes.speeds().to_vec();
         let m = speeds_list.len();
+        let min_makespan = prep.critical_path_weight() / modes.s_max();
 
         // Position of each task in the topological order.
         let mut pos = vec![0usize; n];
@@ -210,18 +273,16 @@ impl<'a> SearchCtx<'a> {
         let mut task_lb = vec![0.0f64; n];
         let mut min_mode_idx = vec![0usize; n];
         for i in 0..n {
+            let infeasible = SolveError::Infeasible {
+                deadline,
+                min_makespan,
+            };
             let window = deadline - tail[i] - est[i];
             if window <= 0.0 {
-                return Err(SolveError::Infeasible {
-                    deadline,
-                    min_makespan: critical_path_weight(g) / s_top,
-                });
+                return Err(infeasible);
             }
             let need = g.weights()[i] / window;
-            let s_lb = modes.round_up(need).ok_or(SolveError::Infeasible {
-                deadline,
-                min_makespan: critical_path_weight(g) / s_top,
-            })?;
+            let s_lb = modes.round_up(need).ok_or(infeasible)?;
             min_mode_idx[i] = speeds_list.iter().position(|&s| s >= s_lb - 1e-12).unwrap();
             task_lb[i] = p.energy_at_speed(g.weights()[i], s_lb);
         }
@@ -293,6 +354,7 @@ impl<'a> SearchCtx<'a> {
         Ok(SearchCtx {
             g,
             deadline,
+            min_makespan,
             p,
             speeds_list,
             n,
@@ -306,20 +368,14 @@ impl<'a> SearchCtx<'a> {
             chain_w_suffix,
             chain_lb_suffix,
             chain_frontier,
-            s_top,
             s_bottom: modes.s_min(),
             chain_bound,
             cand,
         })
     }
 
-    /// Minimum achievable makespan (for [`SolveError::Infeasible`]).
-    pub(crate) fn min_makespan(&self) -> f64 {
-        critical_path_weight(self.g) / self.s_top
-    }
-
     /// Map mode speeds back to mode indices (warm-start seeding).
-    pub(crate) fn modes_of_speeds(&self, speeds: &[f64]) -> Vec<usize> {
+    fn modes_of_speeds(&self, speeds: &[f64]) -> Vec<usize> {
         speeds
             .iter()
             .map(|&s| {
@@ -332,7 +388,7 @@ impl<'a> SearchCtx<'a> {
     }
 
     /// Per-task speeds of a mode-index assignment.
-    pub(crate) fn speeds_of(&self, modes_idx: &[usize]) -> Vec<f64> {
+    fn speeds_of(&self, modes_idx: &[usize]) -> Vec<f64> {
         modes_idx.iter().map(|&j| self.speeds_list[j]).collect()
     }
 
@@ -374,7 +430,7 @@ impl<'a> SearchCtx<'a> {
     /// Admissible lower bound on *any* complete assignment (depth 0):
     /// the chain-cover bound when enabled, the static suffix sum
     /// otherwise. Used as the open bound of anytime results.
-    pub(crate) fn root_lower_bound(&self) -> f64 {
+    fn root_lower_bound(&self) -> f64 {
         let ecl = vec![0.0f64; self.n];
         self.rem_lb(0, &ecl)
     }
@@ -390,7 +446,7 @@ impl<'a> SearchCtx<'a> {
     /// Returns `(depth, prefixes)`; an empty frontier means the whole
     /// tree was pruned against `incumbent_energy` (the seed is
     /// optimal). Enumeration work is charged to `stats`.
-    pub(crate) fn enumerate_frontier(
+    fn enumerate_frontier(
         &self,
         target: usize,
         incumbent_energy: f64,
@@ -583,138 +639,133 @@ impl<'a> SearchCtx<'a> {
         }
         SubtreeOutcome::Complete
     }
-
-    /// Package a finished (or budget-tripped) search into the public
-    /// result type.
-    pub(crate) fn conclude(
-        &self,
-        incumbent: Incumbent,
-        complete: bool,
-        stats: BnbStats,
-        relax_lb: f64,
-        budget: u64,
-    ) -> Result<ExactSolution, SolveError> {
-        match incumbent.modes {
-            Some(mi) => {
-                let energy = incumbent.energy;
-                let lower_bound = if complete {
-                    energy
-                } else {
-                    relax_lb.max(self.root_lower_bound()).min(energy)
-                };
-                Ok(ExactSolution {
-                    speeds: self.speeds_of(&mi),
-                    energy,
-                    stats,
-                    complete,
-                    lower_bound,
-                })
-            }
-            None if complete => Err(SolveError::Infeasible {
-                deadline: self.deadline,
-                min_makespan: self.min_makespan(),
-            }),
-            None => Err(SolveError::BudgetExhausted {
-                nodes: stats.nodes,
-                budget,
-            }),
-        }
-    }
 }
 
-/// Exact branch-and-bound (Theorem 4's problem).
+/// Exact branch-and-bound (Theorem 4's problem), the one entry point of
+/// the exact search.
 ///
 /// Tasks are assigned in topological order, so each task's earliest
 /// completion is known as soon as it is assigned. Pruning:
 ///
 /// 1. **Deadline**: completion of the assigned prefix plus the
 ///    top-speed tail of the heaviest remaining path must fit in `D`;
-/// 2. **Energy bound**: accumulated energy plus a per-task admissible
-///    lower bound (each unassigned task at the slowest mode that can
-///    possibly meet its window) must beat the incumbent.
+/// 2. **Energy bound**: accumulated energy plus an admissible lower
+///    bound on the unassigned suffix must beat the incumbent. The
+///    static bound prices each unassigned task at the slowest mode
+///    that can possibly meet its window. With
+///    [`BnbConfig::chain_bound`] on, a **chain-cover bound** joins it:
+///    the graph is covered once by disjoint directed paths (for
+///    execution graphs these are essentially the per-processor
+///    chains), and the remaining members of each chain must run
+///    *serially* between the chain's dynamic earliest start (known
+///    exactly from the assigned prefix) and the deadline — by
+///    convexity their energy is at least `W·max(W/window, s₁)^{α−1}`
+///    for total remaining work `W`. This is much tighter than per-task
+///    windows on serialized workloads.
 ///
-/// The initial incumbent is the [`round_up`] approximation, so the
-/// search starts with a provably near-optimal bound — and a
-/// node-budget trip degrades to an **anytime** result carrying that
-/// incumbent (or any improvement found before the trip) rather than
-/// an error; see [`ExactSolution::complete`].
+/// **Partition sweep** (Bobpp-style; PAPERS.md: Menouer & Le Cun,
+/// *deterministic parallel tree search*). A deterministic frontier
+/// enumeration splits the tree into [`BnbConfig`]'s target number of
+/// subtrees, which fan out over `workers` threads (`engine::par_bnb`).
+/// Each subtree prunes only against the warm seed and its own
+/// incumbent, so its node count is a pure function of `(instance,
+/// prefix, seed, per-subtree budget)`, and the lexicographic combine
+/// reproduces the sequential DFS's tie-breaking. One partition is
+/// therefore exactly the sequential search, and a complete solve
+/// returns bit-identical energy and speeds at every partition count.
+///
+/// With [`BnbConfig::warm_start`] the initial incumbent is the
+/// [`round_up_warm`] approximation on `prep`, so the search starts with
+/// a provably near-optimal bound — and a node-budget trip degrades to
+/// an **anytime** result carrying that incumbent (or any improvement
+/// found before the trip) rather than an error; see
+/// [`ExactSolution::complete`]. Only a trip with **no** incumbent — no
+/// warm start and no leaf reached — is [`SolveError::BudgetExhausted`].
+///
+/// The node and steal totals fold into this thread's
+/// [`crate::engine::profiling`] counters.
 pub fn exact(
-    g: &TaskGraph,
+    prep: &PreparedGraph<'_>,
     deadline: f64,
     modes: &DiscreteModes,
     p: PowerLaw,
+    cfg: &BnbConfig,
 ) -> Result<ExactSolution, SolveError> {
-    exact_with_config(g, deadline, modes, p, BnbConfig::default())
-}
-
-/// [`exact`] with an explicit node budget and optional warm start
-/// (kept for convenience; [`exact_with_config`] exposes all knobs).
-pub fn exact_with_budget(
-    g: &TaskGraph,
-    deadline: f64,
-    modes: &DiscreteModes,
-    p: PowerLaw,
-    node_budget: u64,
-    warm_start: bool,
-) -> Result<ExactSolution, SolveError> {
-    exact_with_config(
-        g,
-        deadline,
-        modes,
-        p,
-        BnbConfig {
-            node_budget,
-            warm_start,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`exact`] with full branch-and-bound configuration.
-///
-/// When [`BnbConfig::chain_bound`] is on, the energy lower bound for
-/// the unassigned suffix additionally uses a **chain-cover bound**:
-/// the graph is covered once by disjoint directed paths (for execution
-/// graphs these are essentially the per-processor chains), and the
-/// remaining members of each chain must run *serially* between the
-/// chain's dynamic earliest start (known exactly from the assigned
-/// prefix) and the deadline — by convexity their energy is at least
-/// `W·max(W/window, s₁)^{α−1}` for total remaining work `W`. This is
-/// much tighter than per-task windows on serialized workloads.
-///
-/// A node-budget trip returns `Ok` with the feasible incumbent when
-/// one exists (`complete == false`, `lower_bound` certifying the
-/// gap); only a trip with **no** incumbent — no warm start and no
-/// leaf reached — is [`SolveError::BudgetExhausted`].
-pub fn exact_with_config(
-    g: &TaskGraph,
-    deadline: f64,
-    modes: &DiscreteModes,
-    p: PowerLaw,
-    cfg: BnbConfig,
-) -> Result<ExactSolution, SolveError> {
-    let ctx = SearchCtx::new(g, deadline, modes, p, cfg.chain_bound)?;
-    let mut stats = BnbStats::default();
-    let mut incumbent = Incumbent::new();
-    let mut relax_lb = 0.0f64;
-    if cfg.warm_start {
-        // Warm start: the Proposition 1(b) rounding (guaranteed
-        // feasible), whose boxed relaxation also certifies a lower
-        // bound for the anytime gap.
-        if let Ok((speeds, lb)) = round_up_with_bound(g, deadline, modes, p, None) {
-            incumbent.energy = continuous::energy_of_speeds(g, &speeds, p);
-            incumbent.modes = Some(ctx.modes_of_speeds(&speeds));
-            relax_lb = lb;
+    let ctx = SearchCtx::new(prep, deadline, modes, p, cfg.chain_bound)?;
+    // The warm seed, as `(energy, mode indices)`, plus its certified
+    // relaxation lower bound. Without one the search starts cold: it
+    // still proves optimality on completion, but a budget trip then
+    // has nothing to return.
+    let mut cold = continuous::SweepWarm::new();
+    let (seed, relax_lb) = match cfg
+        .warm_start
+        .then(|| round_up_warm(prep, deadline, modes, p, None, &mut cold))
+    {
+        Some(Ok((speeds, lb))) => {
+            let energy = continuous::energy_of_speeds(prep.graph(), &speeds, p);
+            (Some((energy, ctx.modes_of_speeds(&speeds))), lb)
         }
+        _ => (None, 0.0),
+    };
+    let seed_energy = seed.as_ref().map_or(f64::INFINITY, |(e, _)| *e);
+
+    // An empty frontier means the enumeration pruned the whole tree
+    // against the seed: the seed is optimal (or nothing is feasible).
+    let mut stats = BnbStats::default();
+    let (depth, prefixes) =
+        ctx.enumerate_frontier(cfg.target_partitions(), seed_energy, &mut stats);
+    let per_budget = cfg.node_budget.div_ceil(prefixes.len().max(1) as u64);
+    let (results, steals) =
+        par_bnb::run_subtrees(&ctx, &prefixes, cfg.workers, per_budget, seed_energy);
+
+    // Lexicographic combine with strict `<`: reproduces the
+    // sequential DFS's first-optimal-leaf tie-breaking exactly.
+    let mut best = seed;
+    let mut complete = true;
+    let mut partitions = Vec::with_capacity(results.len());
+    for r in results {
+        complete &= r.report.complete;
+        if let Some((e, mi)) = r.best {
+            if best.as_ref().is_none_or(|(b, _)| e < *b) {
+                best = Some((e, mi));
+            }
+        }
+        stats.absorb(BnbStats {
+            nodes: r.report.nodes,
+            pruned_infeasible: r.report.pruned_infeasible,
+            pruned_bound: r.report.pruned_bound,
+        });
+        partitions.push(r.report);
     }
-    let outcome = ctx.search_subtree(&[], cfg.node_budget, &mut incumbent, &mut stats);
-    ctx.conclude(
-        incumbent,
-        outcome == SubtreeOutcome::Complete,
-        stats,
-        relax_lb,
-        cfg.node_budget,
-    )
+    profiling::add_bnb(stats.nodes, steals);
+
+    match best {
+        Some((energy, mi)) => {
+            let lower_bound = if complete {
+                energy
+            } else {
+                relax_lb.max(ctx.root_lower_bound()).min(energy)
+            };
+            Ok(ExactSolution {
+                speeds: ctx.speeds_of(&mi),
+                energy,
+                stats,
+                complete,
+                lower_bound,
+                depth,
+                partitions,
+                steals,
+            })
+        }
+        None if complete => Err(SolveError::Infeasible {
+            deadline,
+            min_makespan: ctx.min_makespan,
+        }),
+        None => Err(SolveError::BudgetExhausted {
+            nodes: stats.nodes,
+            budget: cfg.node_budget,
+        }),
+    }
 }
 
 /// Pseudo-polynomial DP for **chains** (single processor): discretize
@@ -736,9 +787,13 @@ pub fn chain_dp(
         return Err(SolveError::Unsupported("chain_dp requires a chain".into()));
     }
     continuous::check_feasible(g, deadline, Some(modes.s_max()))?;
-    assert!(resolution >= 1);
+    if resolution == 0 {
+        // Bad user input is an error, not a panic.
+        return Err(SolveError::Unsupported(
+            "chain_dp requires a resolution of at least one slot".into(),
+        ));
+    }
     let n = g.n();
-    let _ = modes.m();
     let slot = deadline / resolution as f64;
     // Chain order = topological order.
     let order = topo_order(g);
@@ -790,7 +845,11 @@ pub fn chain_dp(
 }
 
 /// Proposition 1(b): the rounding approximation for arbitrary mode
-/// sets.
+/// sets, with a [`continuous::SweepWarm`] chain threaded through the
+/// boxed relaxation. A deadline sweep seeds each barrier solve from the
+/// previous point's primal (see `continuous::solve_general_warm`),
+/// which is what makes sampled Discrete energy–deadline curves cheap; a
+/// point solve passes a fresh chain.
 ///
 /// Solves the Continuous relaxation **boxed to `[s_1, s_m]`** (so the
 /// relaxation optimum is a lower bound on the Discrete optimum, whose
@@ -799,38 +858,34 @@ pub fn chain_dp(
 /// durations, so feasibility is preserved; each speed grows by at most
 /// `1 + α/s_1`, giving the stated `(1 + α/s_1)² (1 + 1/K)²` energy
 /// factor for the cubic power law.
-pub fn round_up(
-    g: &TaskGraph,
+///
+/// Returns the speeds plus a certified lower bound on the Discrete
+/// optimum: every discrete assignment is feasible for the boxed
+/// relaxation, so the relaxation optimum lower-bounds the discrete
+/// optimum, and the barrier solve is within `(1 + 1/K)^{α−1}` of the
+/// relaxation optimum — `E_relaxed / (1 + 1/K)^{α−1}` is therefore a
+/// valid bound. This is what prices the optimality gap of anytime
+/// [`exact`] results.
+pub fn round_up_warm(
+    prep: &PreparedGraph<'_>,
     deadline: f64,
     modes: &DiscreteModes,
     p: PowerLaw,
     precision_k: Option<u32>,
-) -> Result<Vec<f64>, SolveError> {
-    round_up_prepared(&PreparedGraph::new(g), deadline, modes, p, precision_k)
-}
-
-/// [`round_up`] additionally returning a certified lower bound on the
-/// Discrete optimum, derived from the boxed relaxation: every discrete
-/// assignment is feasible for the boxed Continuous relaxation, so the
-/// relaxation optimum lower-bounds the discrete optimum, and the
-/// barrier solve is within `(1 + 1/K)^{α−1}` of the relaxation
-/// optimum — `E_relaxed / (1 + 1/K)^{α−1}` is therefore a valid
-/// bound. This is what prices the optimality gap of anytime
-/// branch-and-bound results.
-pub fn round_up_with_bound(
-    g: &TaskGraph,
-    deadline: f64,
-    modes: &DiscreteModes,
-    p: PowerLaw,
-    precision_k: Option<u32>,
+    warm: &mut continuous::SweepWarm,
 ) -> Result<(Vec<f64>, f64), SolveError> {
-    let prep = PreparedGraph::new(g);
-    let mut cold = continuous::SweepWarm::new();
-    round_up_warm_inner(&prep, deadline, modes, p, precision_k, &mut cold)
+    round_relaxed(
+        prep,
+        deadline,
+        (modes.m(), modes.s_min(), modes.s_max()),
+        |s| modes.round_up(s),
+        p,
+        precision_k,
+        warm,
+    )
 }
 
-/// [`round_up`] on a prepared graph (cached analysis for the boxed
-/// Continuous relaxation underneath).
+/// [`round_up_warm`]'s speeds from a cold barrier chain.
 pub fn round_up_prepared(
     prep: &PreparedGraph<'_>,
     deadline: f64,
@@ -839,43 +894,36 @@ pub fn round_up_prepared(
     precision_k: Option<u32>,
 ) -> Result<Vec<f64>, SolveError> {
     let mut cold = continuous::SweepWarm::new();
-    round_up_warm(prep, deadline, modes, p, precision_k, &mut cold)
+    round_up_warm(prep, deadline, modes, p, precision_k, &mut cold).map(|(speeds, _)| speeds)
 }
 
-/// [`round_up_prepared`] with a [`continuous::SweepWarm`] chain threaded
-/// through the boxed relaxation: a deadline sweep seeds each
-/// barrier solve from the previous point's primal (see
-/// `continuous::solve_general_warm`), which is what makes sampled
-/// Discrete energy–deadline curves cheap.
-pub fn round_up_warm(
+/// The rounding scheme of Proposition 1(b) and Theorem 5, shared by
+/// [`round_up_warm`] and [`crate::incremental::approx_warm`]: solve the
+/// Continuous relaxation boxed to the ladder's slowest and top modes,
+/// round each speed up with `round_up` (the ladder's smallest mode at
+/// or above a speed), and re-check the makespan. `ladder` is
+/// `(mode count, slowest mode, top mode)`; a one-mode ladder has no
+/// relaxation to solve. Returns the speeds and the relaxation lower
+/// bound described at [`round_up_warm`].
+pub(crate) fn round_relaxed(
     prep: &PreparedGraph<'_>,
     deadline: f64,
-    modes: &DiscreteModes,
-    p: PowerLaw,
-    precision_k: Option<u32>,
-    warm: &mut continuous::SweepWarm,
-) -> Result<Vec<f64>, SolveError> {
-    round_up_warm_inner(prep, deadline, modes, p, precision_k, warm).map(|(speeds, _)| speeds)
-}
-
-fn round_up_warm_inner(
-    prep: &PreparedGraph<'_>,
-    deadline: f64,
-    modes: &DiscreteModes,
+    (m, s_lo, s_top): (usize, f64, f64),
+    round_up: impl Fn(f64) -> Option<f64>,
     p: PowerLaw,
     precision_k: Option<u32>,
     warm: &mut continuous::SweepWarm,
 ) -> Result<(Vec<f64>, f64), SolveError> {
     let g = prep.graph();
-    let relaxed = if modes.m() == 1 {
+    let relaxed = if m == 1 {
         // Degenerate box: the only choice is the single mode.
-        vec![modes.s_min(); g.n()]
+        vec![s_lo; g.n()]
     } else {
         continuous::solve_general_warm(
             prep,
             deadline,
-            Some(modes.s_min()),
-            Some(modes.s_max()),
+            Some(s_lo),
+            Some(s_top),
             p,
             precision_k,
             warm,
@@ -887,11 +935,10 @@ fn round_up_warm_inner(
     // caller did not pin `K`).
     let k = precision_k.unwrap_or(1_000).max(1) as f64;
     let relax_lb = relax_energy / (1.0 + 1.0 / k).powf(p.alpha() - 1.0);
-    let mut speeds = Vec::with_capacity(g.n());
-    for &s in &relaxed {
-        let rounded = modes.round_up(s).unwrap_or(modes.s_max());
-        speeds.push(rounded);
-    }
+    let speeds: Vec<f64> = relaxed
+        .iter()
+        .map(|&s| round_up(s).unwrap_or(s_top))
+        .collect();
     // Feasibility paranoia: rounding up can only shrink durations, but
     // verify the makespan anyway (the relaxation is numerical).
     let durations: Vec<f64> = g
@@ -918,7 +965,7 @@ fn round_up_warm_inner(
 /// saving that keeps the schedule feasible, until no slowdown fits the
 /// deadline. `O(n²·m)` worst case — polynomial, hence (by Theorem 4)
 /// necessarily suboptimal on some instances; the experiments quantify
-/// the gap against [`exact`] and [`round_up`].
+/// the gap against [`exact`] and [`round_up_warm`].
 pub fn greedy_slowdown(
     g: &TaskGraph,
     deadline: f64,
@@ -988,12 +1035,31 @@ mod tests {
         DiscreteModes::new(v).unwrap()
     }
 
+    /// [`exact`] under `cfg` on a freshly prepared graph.
+    fn bnb(
+        g: &TaskGraph,
+        d: f64,
+        ms: &DiscreteModes,
+        cfg: BnbConfig,
+    ) -> Result<ExactSolution, SolveError> {
+        exact(&PreparedGraph::new(g), d, ms, P, &cfg)
+    }
+
+    fn round_up(
+        g: &TaskGraph,
+        d: f64,
+        ms: &DiscreteModes,
+        k: Option<u32>,
+    ) -> Result<Vec<f64>, SolveError> {
+        round_up_prepared(&PreparedGraph::new(g), d, ms, P, k)
+    }
+
     #[test]
     fn exact_single_task_picks_slowest_feasible_mode() {
         let g = generators::chain(&[4.0]);
         let ms = modes(&[1.0, 2.0, 4.0]);
         // Deadline 2.5: speed must be ≥ 1.6 → mode 2.
-        let sol = exact(&g, 2.5, &ms, P).unwrap();
+        let sol = bnb(&g, 2.5, &ms, BnbConfig::default()).unwrap();
         assert_eq!(sol.speeds, vec![2.0]);
         assert!((sol.energy - 16.0).abs() < 1e-9);
         assert!(sol.complete);
@@ -1006,7 +1072,7 @@ mod tests {
         // is (3,1) or (1,3) with energy 30.
         let g = generators::chain(&[3.0, 3.0]);
         let ms = modes(&[1.0, 3.0]);
-        let sol = exact(&g, 4.0, &ms, P).unwrap();
+        let sol = bnb(&g, 4.0, &ms, BnbConfig::default()).unwrap();
         assert!((sol.energy - 30.0).abs() < 1e-9, "energy {}", sol.energy);
         let mut sp = sol.speeds.clone();
         sp.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -1018,7 +1084,7 @@ mod tests {
         let g = generators::diamond([1.0, 2.0, 3.0, 1.5]);
         let ms = modes(&[0.8, 1.6, 2.4]);
         let d = 5.0;
-        let sol = exact(&g, d, &ms, P).unwrap();
+        let sol = bnb(&g, d, &ms, BnbConfig::default()).unwrap();
         // Brute force all 3^4 assignments.
         let mut best = f64::INFINITY;
         let sp = ms.speeds();
@@ -1054,8 +1120,10 @@ mod tests {
         let g = generators::diamond([1.0, 2.0, 3.0, 1.5]);
         let ms = modes(&[0.8, 1.6, 2.4]);
         let d = 5.0;
-        let sol = exact(&g, d, &ms, P).unwrap();
-        let cont = continuous::solve(&g, d, Some(ms.s_max()), P, None).unwrap();
+        let sol = bnb(&g, d, &ms, BnbConfig::default()).unwrap();
+        let cont =
+            continuous::solve_dispatched(&PreparedGraph::new(&g), d, Some(ms.s_max()), P, None)
+                .unwrap();
         let e_cont = continuous::energy_of_speeds(&g, &cont, P);
         assert!(sol.energy >= e_cont * (1.0 - 1e-9));
     }
@@ -1065,7 +1133,7 @@ mod tests {
         let g = generators::chain(&[4.0]);
         let ms = modes(&[1.0, 2.0]);
         assert!(matches!(
-            exact(&g, 1.5, &ms, P),
+            bnb(&g, 1.5, &ms, BnbConfig::default()),
             Err(SolveError::Infeasible { .. })
         ));
     }
@@ -1075,12 +1143,12 @@ mod tests {
         let g = generators::diamond([1.0, 2.0, 3.0, 1.5]);
         let ms = modes(&[0.8, 1.4, 2.0, 2.6]);
         let d = 5.0;
-        let speeds = round_up(&g, d, &ms, P, Some(100)).unwrap();
+        let speeds = round_up(&g, d, &ms, Some(100)).unwrap();
         for &s in &speeds {
             assert!(ms.contains(s), "{s} is not a mode");
         }
         let e_alg = continuous::energy_of_speeds(&g, &speeds, P);
-        let opt = exact(&g, d, &ms, P).unwrap().energy;
+        let opt = bnb(&g, d, &ms, BnbConfig::default()).unwrap().energy;
         let bound = (1.0 + ms.max_gap() / ms.s_min()).powi(2) * (1.0 + 1.0 / 100.0f64).powi(2);
         assert!(
             e_alg <= opt * bound * (1.0 + 1e-6),
@@ -1095,8 +1163,10 @@ mod tests {
         let g = generators::diamond([1.0, 2.0, 3.0, 1.5]);
         let ms = modes(&[0.8, 1.4, 2.0, 2.6]);
         let d = 5.0;
-        let (speeds, lb) = round_up_with_bound(&g, d, &ms, P, Some(1000)).unwrap();
-        let opt = exact(&g, d, &ms, P).unwrap().energy;
+        let mut cold = continuous::SweepWarm::new();
+        let (speeds, lb) =
+            round_up_warm(&PreparedGraph::new(&g), d, &ms, P, Some(1000), &mut cold).unwrap();
+        let opt = bnb(&g, d, &ms, BnbConfig::default()).unwrap().energy;
         assert!(lb <= opt * (1.0 + 1e-9), "bound {lb} exceeds optimum {opt}");
         let e_alg = continuous::energy_of_speeds(&g, &speeds, P);
         assert!(lb <= e_alg, "bound must not exceed its own rounding");
@@ -1107,10 +1177,10 @@ mod tests {
     fn round_up_single_mode() {
         let g = generators::chain(&[2.0, 2.0]);
         let ms = modes(&[2.0]);
-        let speeds = round_up(&g, 2.0, &ms, P, None).unwrap();
+        let speeds = round_up(&g, 2.0, &ms, None).unwrap();
         assert_eq!(speeds, vec![2.0, 2.0]);
         // Too tight for the single mode.
-        assert!(round_up(&g, 1.5, &ms, P, None).is_err());
+        assert!(round_up(&g, 1.5, &ms, None).is_err());
     }
 
     #[test]
@@ -1127,7 +1197,7 @@ mod tests {
             .map(|(&w, &s)| w / s)
             .collect();
         assert!(taskgraph::analysis::makespan(&g, &durations) <= d + 1e-9);
-        let exact_e = exact(&g, d, &ms, P).unwrap().energy;
+        let exact_e = bnb(&g, d, &ms, BnbConfig::default()).unwrap().energy;
         assert!(
             energy <= exact_e * 1.02 + 1e-9 && energy >= exact_e * (1.0 - 1e-9),
             "dp {energy} vs exact {exact_e}"
@@ -1140,6 +1210,16 @@ mod tests {
         let ms = modes(&[1.0]);
         assert!(matches!(
             chain_dp(&g, 10.0, &ms, P, 100),
+            Err(SolveError::Unsupported(_))
+        ));
+    }
+
+    #[test]
+    fn chain_dp_rejects_zero_resolution() {
+        let g = generators::chain(&[3.0, 2.0]);
+        let ms = modes(&[1.0, 2.0]);
+        assert!(matches!(
+            chain_dp(&g, 6.0, &ms, P, 0),
             Err(SolveError::Unsupported(_))
         ));
     }
@@ -1166,22 +1246,20 @@ mod tests {
         .unwrap();
         let ms = modes(&[0.6, 1.2, 1.8, 2.4, 3.0]);
         let d = 1.4 * taskgraph::analysis::critical_path_weight(&g) / ms.s_max();
-        let on = exact_with_config(
+        let on = bnb(
             &g,
             d,
             &ms,
-            P,
             BnbConfig {
                 chain_bound: true,
                 ..Default::default()
             },
         )
         .unwrap();
-        let off = exact_with_config(
+        let off = bnb(
             &g,
             d,
             &ms,
-            P,
             BnbConfig {
                 chain_bound: false,
                 ..Default::default()
@@ -1205,7 +1283,12 @@ mod tests {
         let values: Vec<f64> = (0..14).map(|i| 1.0 + (i as f64) * 0.37).collect();
         let (g, d) = generators::partition_chain(&values);
         let ms = modes(&[1.0, 2.0]);
-        let res = exact_with_budget(&g, d, &ms, P, 10, false);
+        let cfg = BnbConfig {
+            node_budget: 10,
+            warm_start: false,
+            ..Default::default()
+        };
+        let res = bnb(&g, d, &ms, cfg);
         assert!(matches!(
             res,
             Err(SolveError::BudgetExhausted {
@@ -1222,7 +1305,11 @@ mod tests {
         let values: Vec<f64> = (0..14).map(|i| 1.0 + (i as f64) * 0.37).collect();
         let (g, d) = generators::partition_chain(&values);
         let ms = modes(&[1.0, 2.0]);
-        let sol = exact_with_budget(&g, d, &ms, P, 10, true).unwrap();
+        let cfg = BnbConfig {
+            node_budget: 10,
+            ..Default::default()
+        };
+        let sol = bnb(&g, d, &ms, cfg).unwrap();
         assert!(!sol.complete);
         // Feasible, and no worse than the round-up seed.
         let durations: Vec<f64> = g
@@ -1232,14 +1319,14 @@ mod tests {
             .map(|(&w, &s)| w / s)
             .collect();
         assert!(taskgraph::analysis::makespan(&g, &durations) <= d * (1.0 + 1e-9));
-        let seed = round_up(&g, d, &ms, P, None).unwrap();
+        let seed = round_up(&g, d, &ms, None).unwrap();
         let e_seed = continuous::energy_of_speeds(&g, &seed, P);
         assert!(sol.energy <= e_seed * (1.0 + 1e-12));
         // The gap is certified: lower bound below the incumbent, and
         // below the true optimum.
         assert!(sol.lower_bound <= sol.energy);
         assert!(sol.gap() >= 0.0);
-        let opt = exact(&g, d, &ms, P).unwrap();
+        let opt = bnb(&g, d, &ms, BnbConfig::default()).unwrap();
         assert!(opt.complete);
         assert!(sol.lower_bound <= opt.energy * (1.0 + 1e-9));
         assert!(sol.energy >= opt.energy * (1.0 - 1e-9));
@@ -1253,7 +1340,8 @@ mod tests {
         let g = generators::diamond([1.0, 2.0, 3.0, 1.5]);
         let ms = modes(&[0.8, 1.6, 2.4]);
         let d = 5.0;
-        let ctx = SearchCtx::new(&g, d, &ms, P, true).unwrap();
+        let prep = PreparedGraph::new(&g);
+        let ctx = SearchCtx::new(&prep, d, &ms, P, true).unwrap();
         let mut s1 = BnbStats::default();
         let mut s2 = BnbStats::default();
         let (d1, f1) = ctx.enumerate_frontier(4, f64::INFINITY, &mut s1);
@@ -1263,13 +1351,16 @@ mod tests {
         assert_eq!(s1, s2);
         assert!(f1.len() >= 4 || d1 == g.n() - 1);
 
-        let mut best = Incumbent::new();
+        let mut best = Incumbent {
+            energy: f64::INFINITY,
+            modes: None,
+        };
         let mut stats = BnbStats::default();
         for prefix in &f1 {
             let out = ctx.search_subtree(prefix, u64::MAX, &mut best, &mut stats);
             assert_eq!(out, SubtreeOutcome::Complete);
         }
-        let seq = exact(&g, d, &ms, P).unwrap();
+        let seq = bnb(&g, d, &ms, BnbConfig::default()).unwrap();
         assert!((best.energy - seq.energy).abs() < 1e-12 * seq.energy);
     }
 
@@ -1290,7 +1381,7 @@ mod tests {
             .collect();
         assert!(taskgraph::analysis::makespan(&g, &durations) <= d * (1.0 + 1e-9));
         let e_greedy = continuous::energy_of_speeds(&g, &speeds, P);
-        let e_exact = exact(&g, d, &ms, P).unwrap().energy;
+        let e_exact = bnb(&g, d, &ms, BnbConfig::default()).unwrap().energy;
         assert!(e_greedy >= e_exact * (1.0 - 1e-9));
     }
 
@@ -1317,7 +1408,7 @@ mod tests {
         // {3,1,1,2,2,1}: total 10, perfect partition exists (5/5).
         let (g, d) = generators::partition_chain(&[3.0, 1.0, 1.0, 2.0, 2.0, 1.0]);
         let ms = modes(&[1.0, 2.0]);
-        let sol = exact(&g, d, &ms, P).unwrap();
+        let sol = bnb(&g, d, &ms, BnbConfig::default()).unwrap();
         // Optimal: fast set of weight exactly 5 → energy 4·5 + 1·5 = 25.
         assert!((sol.energy - 25.0).abs() < 1e-9, "energy {}", sol.energy);
     }

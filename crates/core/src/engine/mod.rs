@@ -31,7 +31,7 @@
 //! dispatch — existing call sites compile and behave unchanged.
 
 mod key;
-pub mod par_bnb;
+pub(crate) mod par_bnb;
 pub mod profiling;
 
 pub use key::{content_key, patched_key};
@@ -41,7 +41,6 @@ use crate::solver::{Solution, SolveOptions};
 pub use crate::vdd::VddWarm;
 use crate::{continuous, discrete, incremental, vdd};
 use models::{DiscreteModes, EnergyModel, PowerLaw, Schedule, SpeedProfile};
-use par_bnb::ParBnbConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
 pub use taskgraph::edit::GraphEdit;
 use taskgraph::structure::Shape;
@@ -206,6 +205,13 @@ fn schedule_from_speeds(prep: &PreparedGraph<'_>, speeds: &[f64]) -> Schedule {
     Schedule::new(starts, profiles)
 }
 
+/// The most points one sampled [`Engine::energy_curve`] may ask for:
+/// far above any plotted sweep, and small enough that sizing the
+/// deadline grid stays cheap. A count past it is
+/// [`SolveError::Unsupported`] before anything is allocated — a wire
+/// request must not size memory it cannot get.
+pub const MAX_CURVE_POINTS: usize = 4096;
+
 /// A curve's factor range scaled past f64's range: its deadlines
 /// cannot be solved, reported or compared.
 fn finite_range_error() -> SolveError {
@@ -325,8 +331,8 @@ impl Engine {
     ///   branch-and-bound on the grid when
     ///   [`SolveOptions::exact_incremental`] asks for it.
     ///
-    /// `workers ≥ 2` runs the exact searches as the `par_bnb`
-    /// partition sweep. `chain` threads one barrier warm start through
+    /// `workers ≥ 2` fans the exact searches' partition sweep out over
+    /// that many threads. `chain` threads one barrier warm start through
     /// the numerical routes (general-DAG geometric program, round-up,
     /// approximation) across an ascending deadline sweep; a point
     /// solve passes `None` and runs them cold.
@@ -359,7 +365,7 @@ impl Engine {
                     Some(found) => found,
                     None => (
                         "discrete-round-up",
-                        discrete::round_up_warm(prep, deadline, modes, p, Some(k), chain)?,
+                        discrete::round_up_warm(prep, deadline, modes, p, Some(k), chain)?.0,
                     ),
                 }
             }
@@ -383,13 +389,15 @@ impl Engine {
     }
 
     /// Theorem 4 branch-and-bound, when the search space is plausibly
-    /// tractable (it is exponential in general): the `par_bnb`
-    /// partition sweep at `workers ≥ 2`, the sequential search
-    /// otherwise. A budget trip **with** an incumbent comes back as an
-    /// anytime result; `None` defers to the rounding route — the
-    /// instance is too large, or the budget tripped with nothing in
-    /// hand (matched structurally on [`SolveError::BudgetExhausted`],
-    /// never on message strings).
+    /// tractable (it is exponential in general): one
+    /// [`discrete::exact`] partition sweep over `workers` threads —
+    /// the sequential search at one worker. A budget trip **with** an
+    /// incumbent comes back as an anytime result; `None` defers to the
+    /// rounding route — the instance is too large, or the budget
+    /// tripped with nothing in hand (matched structurally on
+    /// [`SolveError::BudgetExhausted`], never on message strings).
+    /// The search folds its node and steal totals into this thread's
+    /// profiling counters.
     fn exact_bnb(
         &self,
         prep: &PreparedGraph<'_>,
@@ -398,40 +406,22 @@ impl Engine {
         workers: usize,
         (seq_tag, par_tag, anytime_tag): BnbTags,
     ) -> Result<Option<(&'static str, Vec<f64>)>, SolveError> {
-        let g = prep.graph();
-        let n = g.n();
+        let n = prep.graph().n();
         if n > self.opts.exact_discrete_limit || (modes.m() as f64).powi(n as i32) > 5e9 {
             return Ok(None);
         }
-        let parallel = workers >= 2;
-        let (complete, speeds) = if parallel {
-            // par_bnb folds its own node and steal totals into this
-            // thread's profiling counters.
-            let cfg = ParBnbConfig::with_workers(workers);
-            match par_bnb::exact_par(g, deadline, modes, self.power, &cfg) {
-                Ok(sol) => (sol.complete, sol.speeds),
-                Err(SolveError::BudgetExhausted { .. }) => return Ok(None),
-                Err(e) => return Err(e),
-            }
-        } else {
-            match discrete::exact(g, deadline, modes, self.power) {
-                Ok(sol) => {
-                    profiling::add_bnb(sol.stats.nodes, 0);
-                    (sol.complete, sol.speeds)
-                }
-                Err(SolveError::BudgetExhausted { nodes, .. }) => {
-                    profiling::add_bnb(nodes, 0);
-                    return Ok(None);
-                }
-                Err(e) => return Err(e),
-            }
+        let cfg = discrete::BnbConfig::with_workers(workers);
+        let sol = match discrete::exact(prep, deadline, modes, self.power, &cfg) {
+            Ok(sol) => sol,
+            Err(SolveError::BudgetExhausted { .. }) => return Ok(None),
+            Err(e) => return Err(e),
         };
-        let tag = match (complete, parallel) {
+        let tag = match (sol.complete, workers >= 2) {
             (false, _) => anytime_tag,
             (true, true) => par_tag,
             (true, false) => seq_tag,
         };
-        Ok(Some((tag, speeds)))
+        Ok(Some((tag, sol.speeds)))
     }
 
     /// Validate and package a schedule produced by a solver.
@@ -612,8 +602,9 @@ impl Engine {
         })
     }
 
-    /// Sample the energy–deadline curve at `points ≥ 2` geometrically
-    /// spaced deadlines between `lo_factor` and `hi_factor` times the
+    /// Sample the energy–deadline curve at `2 ≤ points ≤`
+    /// [`MAX_CURVE_POINTS`] geometrically spaced deadlines between
+    /// `lo_factor` and `hi_factor` times the
     /// reference deadline (critical path at top speed, or at unit
     /// speed for unbounded Continuous). Infeasible points are skipped;
     /// other errors abort.
@@ -640,6 +631,11 @@ impl Engine {
         if points < 2 {
             return Err(SolveError::Unsupported(format!(
                 "energy_curve needs at least two points, got {points}"
+            )));
+        }
+        if points > MAX_CURVE_POINTS {
+            return Err(SolveError::Unsupported(format!(
+                "energy_curve takes at most {MAX_CURVE_POINTS} points, got {points}"
             )));
         }
         if !(lo_factor > 0.0 && hi_factor > lo_factor) {
@@ -1075,6 +1071,119 @@ mod tests {
         assert_eq!(delta.topo_order, 1, "topo order must be computed once");
         // Sanity: the solves were real.
         assert!(energies.windows(2).all(|w| w[1] < w[0]));
+    }
+
+    #[test]
+    fn every_route_reads_its_analysis_from_the_warm_cache() {
+        // The once-only promise, route by route: on a warm instance of
+        // every shape (plus one produced by a structural patch), a
+        // solve re-derives no classification, SP recognition or
+        // transitive reduction, and no topological order — except the
+        // branch-and-bound's one canonical branching order.
+        use std::sync::Arc;
+        let fork_join = generators::fork_join(1.0, &[2.0, 3.0, 1.0, 2.5], 1.5);
+        let instances: Vec<(Shape, TaskGraph)> = vec![
+            (Shape::Chain, generators::chain(&[1.0, 2.0, 1.5, 3.0])),
+            (Shape::Fork, generators::fork(1.0, &[2.0, 1.0, 3.0])),
+            (Shape::Join, generators::join(&[2.0, 1.0, 3.0], 1.0)),
+            (
+                Shape::InTree,
+                TaskGraph::new(
+                    vec![1.0, 2.0, 1.5, 3.0, 1.0],
+                    &[(0, 2), (1, 2), (2, 4), (3, 4)],
+                )
+                .unwrap(),
+            ),
+            (Shape::SeriesParallel, fork_join.clone()),
+            (
+                Shape::General,
+                TaskGraph::new(
+                    vec![1.0, 2.0, 3.0, 1.0, 2.0],
+                    &[(0, 2), (0, 3), (1, 3), (3, 4)],
+                )
+                .unwrap(),
+            ),
+        ];
+        let mut warm: Vec<(String, PreparedInstance)> = instances
+            .into_iter()
+            .map(|(shape, g)| {
+                let inst = PreparedInstance::new(Arc::new(g));
+                inst.warm();
+                assert_eq!(inst.view().shape(), shape);
+                (format!("{shape:?}"), inst)
+            })
+            .collect();
+        let base = PreparedInstance::new(Arc::new(fork_join));
+        base.warm();
+        let patched = base
+            .apply(&[GraphEdit::InsertEdge { from: 1, to: 2 }])
+            .unwrap();
+        patched.warm();
+        warm.push(("patched fork-join".into(), patched));
+
+        let modes = DiscreteModes::new(&[1.0, 2.0, 3.0]).unwrap();
+        let grid = IncrementalModes::new(1.0, 3.0, 0.5).unwrap();
+        let seq = Engine::new(P).threads(1);
+        let exact_inc = Engine::with_options(
+            P,
+            SolveOptions {
+                exact_incremental: true,
+                ..Default::default()
+            },
+        );
+        let round_up = Engine::with_options(
+            P,
+            SolveOptions {
+                exact_discrete_limit: 0,
+                ..Default::default()
+            },
+        );
+        let routes: Vec<(&str, Engine, EnergyModel)> = vec![
+            (
+                "continuous",
+                seq.clone(),
+                EnergyModel::continuous_unbounded(),
+            ),
+            ("continuous", seq.clone(), EnergyModel::continuous(3.0)),
+            (
+                "vdd-lp",
+                seq.clone(),
+                EnergyModel::VddHopping(modes.clone()),
+            ),
+            (
+                "discrete-bnb",
+                seq.clone(),
+                EnergyModel::Discrete(modes.clone()),
+            ),
+            (
+                "discrete-bnb-par",
+                Engine::new(P).threads(2),
+                EnergyModel::Discrete(modes.clone()),
+            ),
+            ("discrete-round-up", round_up, EnergyModel::Discrete(modes)),
+            (
+                "incremental-approx",
+                seq,
+                EnergyModel::Incremental(grid.clone()),
+            ),
+            ("incremental-bnb", exact_inc, EnergyModel::Incremental(grid)),
+        ];
+        for (label, inst) in &warm {
+            let view = inst.view();
+            let d = 1.5 * view.critical_path_weight() / 3.0;
+            for (tag, engine, model) in &routes {
+                let before = profiling::counts();
+                let sol = engine.solve(&view, model, d).unwrap();
+                let delta = profiling::counts() - before;
+                let what = format!("{label}, {} via {tag}", model.name());
+                assert_eq!(sol.algorithm, *tag, "{what}");
+                let bnb = tag.contains("-bnb");
+                assert_eq!(delta.topo_order, u64::from(bnb), "{what}: topo_order");
+                assert_eq!(delta.classify, 0, "{what}: classify");
+                assert_eq!(delta.sp_from_graph, 0, "{what}: sp_from_graph");
+                assert_eq!(delta.transitive_reduction, 0, "{what}: reduction");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! daemon surfaces per-worker totals in `stats`.
 //!
 //! The branch-and-bound counters follow the same discipline for the
-//! parallel search: `engine::par_bnb` aggregates its subtree workers'
+//! partition sweep: `discrete::exact` aggregates its subtree workers'
 //! statistics internally and the *calling* thread bumps the totals
 //! exactly once per solve (scoped worker threads have their own
 //! thread-locals that die with them), so a daemon worker's counter
@@ -66,8 +66,7 @@ pub(crate) fn bump_warm_lost() {
 }
 
 /// Fold one exact solve's branch-and-bound totals into this thread's
-/// counters (called once per solve by the sequential and parallel
-/// entry points).
+/// counters (called once per solve by `discrete::exact`).
 pub(crate) fn add_bnb(nodes: u64, steals: u64) {
     BNB_NODES.with(|c| c.set(c.get() + nodes));
     BNB_STEALS.with(|c| c.set(c.get() + steals));

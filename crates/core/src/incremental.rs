@@ -1,17 +1,27 @@
-//! Incremental-model solvers (Theorem 5 approximation; exact via
-//! branch-and-bound on the grid, which Theorem 4 covers since
-//! Incremental is a special case of Discrete).
+//! Incremental-model solvers: the Theorem 5 approximation.
+//!
+//! * [`approx_warm`] (and its cold face [`approx_prepared`]) — round
+//!   the boxed Continuous relaxation up to the grid, through the same
+//!   rounding body as `discrete::round_up_warm`;
+//! * [`approx_bound`] — its guaranteed factor.
+//!
+//! The exact solve is the Discrete branch-and-bound on the
+//! materialized grid, `discrete::exact` on
+//! [`IncrementalModes::to_discrete`]: Incremental is Discrete with
+//! regular spacing, so Theorem 4's NP-completeness covers it.
 
 use crate::continuous;
-use crate::discrete::{self, ExactSolution};
+use crate::discrete;
 use crate::error::SolveError;
 use models::{IncrementalModes, PowerLaw};
-use taskgraph::{PreparedGraph, TaskGraph};
+use taskgraph::PreparedGraph;
 
 /// Theorem 5: for any integer `K > 0`, approximate
 /// `MinEnergy(Ĝ, D)` within `(1 + δ/s_min)² · (1 + 1/K)²` in time
 /// polynomial in the instance and in `K` (exponent 2 = `α_pow − 1`
-/// for the paper's cubic power law).
+/// for the paper's cubic power law), with a [`continuous::SweepWarm`]
+/// chain threaded through the boxed relaxation for cheap sampled
+/// energy–deadline curves (a point solve passes a fresh chain).
 ///
 /// Algorithm: solve the Continuous relaxation boxed to
 /// `[s_min, top_mode]` to relative precision `1/K` (polynomial: the
@@ -20,33 +30,6 @@ use taskgraph::{PreparedGraph, TaskGraph};
 /// durations, so the schedule stays feasible; each speed inflates by
 /// at most `1 + δ/s_min`, hence the energy by at most
 /// `(1 + δ/s_min)^{α−1}`.
-pub fn approx(
-    g: &TaskGraph,
-    deadline: f64,
-    modes: &IncrementalModes,
-    p: PowerLaw,
-    k: u32,
-) -> Result<Vec<f64>, SolveError> {
-    approx_prepared(&PreparedGraph::new(g), deadline, modes, p, k)
-}
-
-/// [`approx`] on a prepared graph (cached analysis for the boxed
-/// Continuous relaxation underneath).
-pub fn approx_prepared(
-    prep: &PreparedGraph<'_>,
-    deadline: f64,
-    modes: &IncrementalModes,
-    p: PowerLaw,
-    k: u32,
-) -> Result<Vec<f64>, SolveError> {
-    let mut cold = continuous::SweepWarm::new();
-    approx_warm(prep, deadline, modes, p, k, &mut cold)
-}
-
-/// [`approx_prepared`] with a [`continuous::SweepWarm`] chain threaded
-/// through the boxed relaxation — the Incremental twin of
-/// `discrete::round_up_warm`, for cheap sampled energy–deadline
-/// curves.
 pub fn approx_warm(
     prep: &PreparedGraph<'_>,
     deadline: f64,
@@ -62,62 +45,52 @@ pub fn approx_warm(
             "Theorem 5 requires precision K > 0".into(),
         ));
     }
-    let g = prep.graph();
-    let relaxed = if modes.m() == 1 {
-        vec![modes.s_min(); g.n()]
-    } else {
-        continuous::solve_general_warm(
-            prep,
-            deadline,
-            Some(modes.s_min()),
-            Some(modes.top_mode()),
-            p,
-            Some(k),
-            warm,
-        )?
-    };
-    let mut speeds = Vec::with_capacity(g.n());
-    for &s in &relaxed {
-        speeds.push(modes.round_up(s).unwrap_or(modes.top_mode()));
-    }
-    let durations: Vec<f64> = g
-        .weights()
-        .iter()
-        .zip(&speeds)
-        .map(|(&w, &s)| w / s)
-        .collect();
-    let mk = prep.makespan(&durations);
-    if mk > deadline * (1.0 + 1e-6) {
-        return Err(SolveError::Numerical(format!(
-            "rounded schedule misses the deadline ({mk} > {deadline})"
-        )));
-    }
-    Ok(speeds)
+    discrete::round_relaxed(
+        prep,
+        deadline,
+        (modes.m(), modes.s_min(), modes.top_mode()),
+        |s| modes.round_up(s),
+        p,
+        Some(k),
+        warm,
+    )
+    .map(|(speeds, _)| speeds)
 }
 
-/// The guaranteed approximation factor of [`approx`]:
+/// [`approx_warm`] from a cold barrier chain.
+pub fn approx_prepared(
+    prep: &PreparedGraph<'_>,
+    deadline: f64,
+    modes: &IncrementalModes,
+    p: PowerLaw,
+    k: u32,
+) -> Result<Vec<f64>, SolveError> {
+    let mut cold = continuous::SweepWarm::new();
+    approx_warm(prep, deadline, modes, p, k, &mut cold)
+}
+
+/// The guaranteed approximation factor of [`approx_warm`]:
 /// `(1 + δ/s_min)^{α−1} · (1 + 1/K)^{α−1}`.
 pub fn approx_bound(modes: &IncrementalModes, p: PowerLaw, k: u32) -> f64 {
     modes.rounding_ratio(p.alpha()) * (1.0 + 1.0 / k as f64).powf(p.alpha() - 1.0)
 }
 
-/// Exact Incremental solve: Theorem 4 makes this NP-complete, so we
-/// reuse the Discrete branch-and-bound on the materialized grid.
-pub fn exact(
-    g: &TaskGraph,
-    deadline: f64,
-    modes: &IncrementalModes,
-    p: PowerLaw,
-) -> Result<ExactSolution, SolveError> {
-    discrete::exact(g, deadline, &modes.to_discrete(), p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taskgraph::generators;
+    use taskgraph::{generators, TaskGraph};
 
     const P: PowerLaw = PowerLaw::CUBIC;
+
+    fn approx(
+        g: &TaskGraph,
+        d: f64,
+        modes: &IncrementalModes,
+        p: PowerLaw,
+        k: u32,
+    ) -> Result<Vec<f64>, SolveError> {
+        approx_prepared(&PreparedGraph::new(g), d, modes, p, k)
+    }
 
     #[test]
     fn approx_speeds_live_on_the_grid() {
@@ -138,7 +111,11 @@ mod tests {
         let k = 10;
         let speeds = approx(&g, d, &modes, P, k).unwrap();
         let e_alg = continuous::energy_of_speeds(&g, &speeds, P);
-        let opt = exact(&g, d, &modes, P).unwrap().energy;
+        let grid = modes.to_discrete();
+        let cfg = discrete::BnbConfig::default();
+        let opt = discrete::exact(&PreparedGraph::new(&g), d, &grid, P, &cfg)
+            .unwrap()
+            .energy;
         let bound = approx_bound(&modes, P, k);
         assert!(
             e_alg <= opt * bound * (1.0 + 1e-6),
@@ -162,7 +139,8 @@ mod tests {
             "finer grid must not cost more: {e_fine} vs {e_coarse}"
         );
         // And the fine grid approaches the continuous optimum.
-        let cont = continuous::solve(&g, d, Some(3.0), P, None).unwrap();
+        let cont =
+            continuous::solve_dispatched(&PreparedGraph::new(&g), d, Some(3.0), P, None).unwrap();
         let e_cont = continuous::energy_of_speeds(&g, &cont, P);
         assert!(e_fine <= e_cont * coarse.rounding_ratio(3.0));
         assert!(e_fine <= e_cont * fine.rounding_ratio(3.0) * 1.01);

@@ -101,7 +101,9 @@ pub fn solve_with(
 #[doc(hidden)]
 pub mod reference {
     use super::*;
+    use crate::discrete::BnbConfig;
     use crate::{continuous, discrete, incremental, vdd};
+    use taskgraph::PreparedGraph;
 
     /// The pre-engine dispatch of [`solve_with`].
     pub fn solve_with(
@@ -111,12 +113,15 @@ pub mod reference {
         p: PowerLaw,
         opts: SolveOptions,
     ) -> Result<Solution, SolveError> {
+        let prep = PreparedGraph::new(g);
         let (schedule, algorithm) = match model {
             EnergyModel::Continuous { s_max } => {
-                let speeds = continuous::solve(g, deadline, *s_max, p, None)?;
+                let speeds = continuous::solve_dispatched(&prep, deadline, *s_max, p, None)?;
                 (Schedule::asap_from_speeds(g, &speeds), "continuous")
             }
-            EnergyModel::VddHopping(modes) => (vdd::solve_lp(g, deadline, modes, p)?, "vdd-lp"),
+            EnergyModel::VddHopping(modes) => {
+                (vdd::solve_lp_prepared(&prep, deadline, modes, p)?, "vdd-lp")
+            }
             EnergyModel::Discrete(modes) => {
                 // Exact only when the search space is plausibly tractable
                 // (Theorem 4: it is exponential); if the node budget still
@@ -126,7 +131,7 @@ pub mod reference {
                 let tractable = g.n() <= opts.exact_discrete_limit
                     && (modes.m() as f64).powi(g.n() as i32) <= 5e9;
                 let exact_result = if tractable {
-                    match discrete::exact(g, deadline, modes, p) {
+                    match discrete::exact(&prep, deadline, modes, p, &BnbConfig::default()) {
                         Ok(sol) => Some(sol),
                         // Budget trip with no incumbent.
                         Err(SolveError::BudgetExhausted { .. }) => None,
@@ -145,8 +150,8 @@ pub mod reference {
                         },
                     ),
                     None => {
-                        let speeds =
-                            discrete::round_up(g, deadline, modes, p, Some(opts.precision_k))?;
+                        let k = Some(opts.precision_k);
+                        let speeds = discrete::round_up_prepared(&prep, deadline, modes, p, k)?;
                         (Schedule::asap_from_speeds(g, &speeds), "discrete-round-up")
                     }
                 }
@@ -155,7 +160,8 @@ pub mod reference {
                 let tractable = g.n() <= opts.exact_discrete_limit
                     && (modes.m() as f64).powi(g.n() as i32) <= 5e9;
                 let exact_result = if opts.exact_incremental && tractable {
-                    match incremental::exact(g, deadline, modes, p) {
+                    let grid = modes.to_discrete();
+                    match discrete::exact(&prep, deadline, &grid, p, &BnbConfig::default()) {
                         Ok(sol) => Some(sol),
                         Err(SolveError::BudgetExhausted { .. }) => None,
                         Err(e) => return Err(e),
@@ -173,7 +179,8 @@ pub mod reference {
                         },
                     ),
                     None => {
-                        let speeds = incremental::approx(g, deadline, modes, p, opts.precision_k)?;
+                        let k = opts.precision_k;
+                        let speeds = incremental::approx_prepared(&prep, deadline, modes, p, k)?;
                         (Schedule::asap_from_speeds(g, &speeds), "incremental-approx")
                     }
                 }

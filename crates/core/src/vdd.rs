@@ -37,23 +37,13 @@ use taskgraph::{PreparedGraph, TaskGraph};
 /// below this).
 const PIECE_EPS: f64 = 1e-10;
 
-/// Solve Vdd-Hopping exactly via the LP of Theorem 3.
+/// Solve Vdd-Hopping exactly via the LP of Theorem 3: the schedule of
+/// [`solve_lp_warm`] without its warm handle.
 ///
 /// Returns the optimal schedule (piecewise-constant speed profiles and
 /// explicit start times taken from the LP's completion-time
-/// variables).
-pub fn solve_lp(
-    g: &TaskGraph,
-    deadline: f64,
-    modes: &DiscreteModes,
-    p: PowerLaw,
-) -> Result<Schedule, SolveError> {
-    solve_lp_prepared(&PreparedGraph::new(g), deadline, modes, p)
-}
-
-/// [`solve_lp`] on a prepared graph: the transitive reduction and
-/// critical path come from the shared cache instead of being
-/// re-derived per call.
+/// variables). The transitive reduction and critical path come from
+/// the shared cache instead of being re-derived per call.
 pub fn solve_lp_prepared(
     prep: &PreparedGraph<'_>,
     deadline: f64,
@@ -89,9 +79,9 @@ pub struct VddWarm {
     n: usize,
 }
 
-/// [`solve_lp_prepared`], additionally returning a [`VddWarm`] handle
-/// that can re-solve the instance after weight and/or deadline changes
-/// without a cold LP.
+/// The one Theorem 3 LP solve: the optimal schedule plus a [`VddWarm`]
+/// handle that can re-solve the instance after weight and/or deadline
+/// changes without a cold LP.
 pub fn solve_lp_warm(
     prep: &PreparedGraph<'_>,
     deadline: f64,
@@ -360,7 +350,8 @@ pub fn adjacent_mix(
     modes: &DiscreteModes,
     p: PowerLaw,
 ) -> Result<Schedule, SolveError> {
-    let speeds = continuous::solve(g, deadline, Some(modes.s_max()), p, None)?;
+    let prep = PreparedGraph::new(g);
+    let speeds = continuous::solve_dispatched(&prep, deadline, Some(modes.s_max()), p, None)?;
     let mut profiles = Vec::with_capacity(g.n());
     for (&w, &s_star) in g.weights().iter().zip(&speeds) {
         let profile = match modes.bracket(s_star) {
@@ -393,6 +384,15 @@ mod tests {
 
     fn modes(v: &[f64]) -> DiscreteModes {
         DiscreteModes::new(v).unwrap()
+    }
+
+    fn solve_lp(
+        g: &TaskGraph,
+        d: f64,
+        ms: &DiscreteModes,
+        p: PowerLaw,
+    ) -> Result<Schedule, SolveError> {
+        solve_lp_prepared(&PreparedGraph::new(g), d, ms, p)
     }
 
     #[test]
@@ -439,7 +439,9 @@ mod tests {
             .validate(&g, &EnergyModel::VddHopping(ms.clone()), d)
             .unwrap();
         let e_vdd = sched.energy(&g, P);
-        let cont = continuous::solve(&g, d, Some(ms.s_max()), P, None).unwrap();
+        let cont =
+            continuous::solve_dispatched(&PreparedGraph::new(&g), d, Some(ms.s_max()), P, None)
+                .unwrap();
         let e_cont = continuous::energy_of_speeds(&g, &cont, P);
         assert!(
             e_vdd >= e_cont * (1.0 - 1e-6),
@@ -486,7 +488,9 @@ mod tests {
         );
         // And the heuristic is within the bracketing bound of the
         // continuous optimum (mixing is convex interpolation).
-        let cont = continuous::solve(&g, d, Some(ms.s_max()), P, None).unwrap();
+        let cont =
+            continuous::solve_dispatched(&PreparedGraph::new(&g), d, Some(ms.s_max()), P, None)
+                .unwrap();
         let e_cont = continuous::energy_of_speeds(&g, &cont, P);
         assert!(e_heur >= e_cont * (1.0 - 1e-6));
     }

@@ -2,8 +2,9 @@
 //! deadlines, single-mode sets, and exact-boundary saturation.
 
 use models::{DiscreteModes, EnergyModel, IncrementalModes, PowerLaw};
+use reclaim_core::discrete::BnbConfig;
 use reclaim_core::{continuous, discrete, incremental, solve, vdd};
-use taskgraph::{generators, TaskGraph};
+use taskgraph::{generators, PreparedGraph, TaskGraph};
 
 const P: PowerLaw = PowerLaw::CUBIC;
 
@@ -14,17 +15,22 @@ fn single_task_all_models() {
     let inc = IncrementalModes::new(1.0, 4.0, 1.0).unwrap();
     let d = 2.5;
     // Continuous: run exactly for the deadline.
-    let s = continuous::solve(&g, d, None, P, None).unwrap();
+    let s = continuous::solve_dispatched(&PreparedGraph::new(&g), d, None, P, None).unwrap();
     assert!((s[0] - 4.0 / 2.5).abs() < 1e-12);
     // Discrete: slowest mode ≥ 1.6 → 2.0.
-    assert_eq!(discrete::exact(&g, d, &modes, P).unwrap().speeds, vec![2.0]);
+    assert_eq!(
+        discrete::exact(&PreparedGraph::new(&g), d, &modes, P, &BnbConfig::default())
+            .unwrap()
+            .speeds,
+        vec![2.0]
+    );
     // Vdd: mix modes 1 and 2 to average 1.6.
-    let sched = vdd::solve_lp(&g, d, &modes, P).unwrap();
+    let sched = vdd::solve_lp_prepared(&PreparedGraph::new(&g), d, &modes, P).unwrap();
     let e = sched.energy(&g, P);
     // x + 2y = 4, x + y = 2.5 → y = 1.5, x = 1: E = 1 + 8·1.5 = 13.
     assert!((e - 13.0).abs() < 1e-6, "{e}");
     // Incremental approximation at K = 1 is still feasible.
-    let si = incremental::approx(&g, d, &inc, P, 1).unwrap();
+    let si = incremental::approx_prepared(&PreparedGraph::new(&g), d, &inc, P, 1).unwrap();
     assert!(si[0] >= 1.6 - 1e-9);
 }
 
@@ -35,16 +41,20 @@ fn deadline_exactly_at_dmin() {
     let sm = 2.0;
     let d = taskgraph::analysis::critical_path_weight(&g) / sm;
     let modes = DiscreteModes::new(&[1.0, sm]).unwrap();
-    let sol = discrete::exact(&g, d, &modes, P).unwrap();
+    let sol =
+        discrete::exact(&PreparedGraph::new(&g), d, &modes, P, &BnbConfig::default()).unwrap();
     // Critical tasks (0, 2, 3) at s_max; the slack task may be slower.
     assert_eq!(sol.speeds[0], sm);
     assert_eq!(sol.speeds[2], sm);
     assert_eq!(sol.speeds[3], sm);
     // Continuous at the exact boundary with s_max.
-    let sc = continuous::solve(&g, d, Some(sm), P, None);
+    let sc = continuous::solve_dispatched(&PreparedGraph::new(&g), d, Some(sm), P, None);
     assert!(sc.is_ok(), "boundary deadline must be feasible: {sc:?}");
     // Just below is infeasible.
-    assert!(continuous::solve(&g, d * 0.999, Some(sm), P, None).is_err());
+    assert!(
+        continuous::solve_dispatched(&PreparedGraph::new(&g), d * 0.999, Some(sm), P, None)
+            .is_err()
+    );
 }
 
 #[test]
@@ -67,10 +77,10 @@ fn vdd_single_mode_set() {
     // m = 1: no mixing possible; the LP degenerates to fixed speeds.
     let g = generators::chain(&[2.0, 2.0]);
     let modes = DiscreteModes::new(&[2.0]).unwrap();
-    let sched = vdd::solve_lp(&g, 2.0, &modes, P).unwrap();
+    let sched = vdd::solve_lp_prepared(&PreparedGraph::new(&g), 2.0, &modes, P).unwrap();
     let e = sched.energy(&g, P);
     assert!((e - 16.0).abs() < 1e-6); // 4·4 work at s=2
-    assert!(vdd::solve_lp(&g, 1.9, &modes, P).is_err());
+    assert!(vdd::solve_lp_prepared(&PreparedGraph::new(&g), 1.9, &modes, P).is_err());
 }
 
 #[test]
@@ -79,9 +89,9 @@ fn incremental_degenerate_grid() {
     let inc = IncrementalModes::new(1.0, 1.5, 2.0).unwrap();
     assert_eq!(inc.m(), 1);
     let g = generators::chain(&[2.0]);
-    let speeds = incremental::approx(&g, 3.0, &inc, P, 10).unwrap();
+    let speeds = incremental::approx_prepared(&PreparedGraph::new(&g), 3.0, &inc, P, 10).unwrap();
     assert_eq!(speeds, vec![1.0]);
-    assert!(incremental::approx(&g, 1.0, &inc, P, 10).is_err());
+    assert!(incremental::approx_prepared(&PreparedGraph::new(&g), 1.0, &inc, P, 10).is_err());
 }
 
 #[test]
@@ -133,9 +143,11 @@ fn zero_and_negative_deadlines_rejected_everywhere() {
     let g = generators::chain(&[1.0]);
     let modes = DiscreteModes::new(&[1.0]).unwrap();
     for d in [0.0, -1.0] {
-        assert!(continuous::solve(&g, d, None, P, None).is_err());
-        assert!(vdd::solve_lp(&g, d, &modes, P).is_err());
-        assert!(discrete::exact(&g, d, &modes, P).is_err());
+        assert!(continuous::solve_dispatched(&PreparedGraph::new(&g), d, None, P, None).is_err());
+        assert!(vdd::solve_lp_prepared(&PreparedGraph::new(&g), d, &modes, P).is_err());
+        assert!(
+            discrete::exact(&PreparedGraph::new(&g), d, &modes, P, &BnbConfig::default()).is_err()
+        );
     }
 }
 
@@ -144,12 +156,30 @@ fn very_loose_deadline_numerics_hold() {
     // D = 10⁶ × dmin: speeds get tiny; the barrier must stay stable.
     let g = generators::diamond([1.0, 2.0, 3.0, 1.0]);
     let d = 1e6;
-    let s = continuous::solve_general(&g, d, None, P, None).unwrap();
+    let s = continuous::solve_general_warm(
+        &PreparedGraph::new(&g),
+        d,
+        None,
+        None,
+        P,
+        None,
+        &mut continuous::SweepWarm::new(),
+    )
+    .unwrap();
     let e = continuous::energy_of_speeds(&g, &s, P);
     // Scaling law from a reference deadline.
     let e_ref = continuous::energy_of_speeds(
         &g,
-        &continuous::solve_general(&g, 10.0, None, P, None).unwrap(),
+        &continuous::solve_general_warm(
+            &PreparedGraph::new(&g),
+            10.0,
+            None,
+            None,
+            P,
+            None,
+            &mut continuous::SweepWarm::new(),
+        )
+        .unwrap(),
         P,
     );
     let expect = e_ref * (10.0 / d) * (10.0 / d);
@@ -165,7 +195,7 @@ fn two_parallel_components_solve_independently() {
     // optimum treats them separately; energy adds up.
     let g = TaskGraph::new(vec![2.0, 3.0], &[]).unwrap();
     let d = 2.0;
-    let s = continuous::solve(&g, d, None, P, None).unwrap();
+    let s = continuous::solve_dispatched(&PreparedGraph::new(&g), d, None, P, None).unwrap();
     let e = continuous::energy_of_speeds(&g, &s, P);
     let expect = P.energy_for_work(2.0, d) + P.energy_for_work(3.0, d);
     assert!((e - expect).abs() < 1e-9 * expect);

@@ -160,12 +160,28 @@ fn bucket_of(key: u128, shards: usize) -> usize {
     (key % shards as u128) as usize
 }
 
+/// The most shards one corpus run may split into, locally or over the
+/// wire: far above any real split, and small enough that the shard
+/// buckets — and [`run_corpus`]'s one thread per shard — stay cheap.
+/// A larger count is rejected before anything is allocated or
+/// spawned.
+pub const MAX_SHARDS: usize = 1024;
+
 /// Partition `jobs` into `shards` buckets of `(content key, job)`,
 /// entries sorted by name within a bucket — the one assignment both
 /// [`run_corpus`] and the daemon's v4 `corpus` request use, so their
 /// manifests match by construction. One hash per job: the key that
-/// picks the shard is the key the manifest records.
-pub(crate) fn partition(jobs: Vec<CorpusJob>, shards: usize) -> Vec<Vec<(u128, CorpusJob)>> {
+/// picks the shard is the key the manifest records. A shard count
+/// past [`MAX_SHARDS`] is an error.
+pub(crate) fn partition(
+    jobs: Vec<CorpusJob>,
+    shards: usize,
+) -> Result<Vec<Vec<(u128, CorpusJob)>>, String> {
+    if shards > MAX_SHARDS {
+        return Err(format!(
+            "corpus takes at most {MAX_SHARDS} shards, got {shards}"
+        ));
+    }
     let mut buckets: Vec<Vec<(u128, CorpusJob)>> = (0..shards).map(|_| Vec::new()).collect();
     for job in jobs {
         let key = content_key(&job.graph, &job.model);
@@ -174,7 +190,7 @@ pub(crate) fn partition(jobs: Vec<CorpusJob>, shards: usize) -> Vec<Vec<(u128, C
     for bucket in &mut buckets {
         bucket.sort_by(|a, b| a.1.name.cmp(&b.1.name));
     }
-    buckets
+    Ok(buckets)
 }
 
 /// Solve one bucket of [`partition`] in order, `solve` answering each
@@ -221,11 +237,17 @@ pub(crate) fn run_shard(
 /// Partition `jobs` across `shards` engine shards and solve each shard
 /// on its own (single-engine-threaded) worker. Every shard appears in
 /// the output, including empty ones, in shard order; entries within a
-/// shard are sorted by name.
-pub fn run_corpus(jobs: Vec<CorpusJob>, shards: usize, power: PowerLaw) -> Vec<ShardOutcome> {
+/// shard are sorted by name. A shard count past [`MAX_SHARDS`] is an
+/// error, reported before any thread starts.
+pub fn run_corpus(
+    jobs: Vec<CorpusJob>,
+    shards: usize,
+    power: PowerLaw,
+) -> Result<Vec<ShardOutcome>, String> {
     let shards = shards.max(1);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = partition(jobs, shards)
+    let buckets = partition(jobs, shards)?;
+    Ok(std::thread::scope(|s| {
+        let handles: Vec<_> = buckets
             .into_iter()
             .enumerate()
             .map(|(shard, bucket)| {
@@ -241,7 +263,7 @@ pub fn run_corpus(jobs: Vec<CorpusJob>, shards: usize, power: PowerLaw) -> Vec<S
             .into_iter()
             .map(|h| h.join().expect("corpus shard worker panicked"))
             .collect()
-    })
+    }))
 }
 
 /// Write every shard's manifest and BENCH record into `dir`, creating
@@ -288,7 +310,7 @@ mod tests {
 
     #[test]
     fn every_shard_is_reported_and_entries_are_solved() {
-        let outcomes = run_corpus(jobs(), 4, PowerLaw::CUBIC);
+        let outcomes = run_corpus(jobs(), 4, PowerLaw::CUBIC).unwrap();
         assert_eq!(outcomes.len(), 4);
         let total: usize = outcomes.iter().map(|o| o.entries.len()).sum();
         assert_eq!(total, 6);
@@ -316,7 +338,7 @@ mod tests {
             model: EnergyModel::continuous(1.0),
             deadline: 1.0, // needs 4 time units at top speed
         };
-        let outcomes = run_corpus(vec![job], 1, PowerLaw::CUBIC);
+        let outcomes = run_corpus(vec![job], 1, PowerLaw::CUBIC).unwrap();
         let entry = &outcomes[0].entries[0];
         let err = entry.result.as_ref().unwrap_err();
         assert_eq!(err.kind, crate::proto::ErrorKind::Infeasible);

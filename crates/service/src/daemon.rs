@@ -1283,7 +1283,11 @@ fn corpus_one(
 ) -> Response {
     let engine = &engine.clone().threads(1);
     let shards = shards.max(1);
-    let outcomes = crate::corpus::partition(jobs, shards)
+    let buckets = match crate::corpus::partition(jobs, shards) {
+        Ok(buckets) => buckets,
+        Err(e) => return Response::Error(ErrorBody::new(ErrorKind::BadRequest, e)),
+    };
+    let outcomes = buckets
         .into_iter()
         .enumerate()
         .map(|(shard, bucket)| {

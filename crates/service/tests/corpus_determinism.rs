@@ -52,12 +52,12 @@ fn two_runs_produce_byte_identical_manifests() {
     const SHARDS: usize = 4;
     let p = models::PowerLaw::CUBIC;
 
-    let first = run_corpus(corpus_jobs(), SHARDS, p);
+    let first = run_corpus(corpus_jobs(), SHARDS, p).unwrap();
     // Second run: same jobs, reversed arrival order — assignment and
     // manifests must not care.
     let mut reversed = corpus_jobs();
     reversed.reverse();
-    let second = run_corpus(reversed, SHARDS, p);
+    let second = run_corpus(reversed, SHARDS, p).unwrap();
 
     let dir_a = temp_dir("a");
     let dir_b = temp_dir("b");
@@ -96,7 +96,7 @@ fn two_runs_produce_byte_identical_manifests() {
 
 #[test]
 fn shard_count_one_is_a_plain_sequential_run() {
-    let outcomes = run_corpus(corpus_jobs(), 1, models::PowerLaw::CUBIC);
+    let outcomes = run_corpus(corpus_jobs(), 1, models::PowerLaw::CUBIC).unwrap();
     assert_eq!(outcomes.len(), 1);
     assert_eq!(outcomes[0].entries.len(), 10);
     assert!(outcomes[0]

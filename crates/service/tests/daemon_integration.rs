@@ -620,6 +620,43 @@ fn non_finite_results_are_answered_not_fatal() {
     daemon.shutdown(client);
 }
 
+/// Two wire counts size an allocation before any solve runs: a sampled
+/// curve's `points` and a corpus run's `shards`. Both decode as
+/// integers up to 2^53, and an allocation that size aborts the whole
+/// process, so each is capped where it is consumed: the lone worker
+/// answers both frames under their own ids, and the plain solve after
+/// them is answered with nothing left in flight.
+#[test]
+fn oversized_counts_are_answered_not_fatal() {
+    let daemon = Spawned::new("oversized-counts", &["--workers", "1"]);
+    let mut client = daemon.client();
+    let mut raw = std::os::unix::net::UnixStream::connect(&daemon.socket).unwrap();
+    // A dead daemon never answers: fail instead of hanging.
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let frames = [
+        (
+            r#"{"v":1,"id":201,"type":"energy_curve","graph":{"weights":[1,2],"edges":[[0,1]]},"model":{"kind":"continuous"},"points":9007199254740992,"lo":1.05,"hi":3}"#,
+            ErrorKind::Unsupported,
+        ),
+        (
+            r#"{"v":4,"id":202,"type":"corpus","shards":9007199254740992,"jobs":[{"name":"a.inst","graph":{"weights":[1,2],"edges":[[0,1]]},"model":{"kind":"continuous"},"deadline":4}]}"#,
+            ErrorKind::BadRequest,
+        ),
+    ];
+    for (i, (frame, kind)) in frames.into_iter().enumerate() {
+        let resp = raw_exchange(&mut raw, frame);
+        assert_eq!(resp.id, 201 + i as u64, "answered under the frame's own id");
+        assert_eq!(expect_error(resp.response).kind, kind, "frame {frame}");
+    }
+
+    let g = generators::chain(&[1.0, 2.0]);
+    expect_solve(client.roundtrip(solve_req(&g)).unwrap().response);
+    let stats = expect_stats(client.roundtrip(Request::Stats).unwrap().response);
+    assert_eq!(stats.net.inflight, 0, "every admitted request answered");
+    drop(raw);
+    daemon.shutdown(client);
+}
+
 /// A frame that fails to decode is answered under its own `id`, both
 /// inline (small frames) and on the worker path (frames past the
 /// inline limit), so a pipelined client can match the error.
@@ -831,7 +868,7 @@ fn corpus_over_the_wire_matches_local_and_timeouts_are_structured() {
             deadline: 8.0,
         })
         .collect();
-    let local = run_corpus(jobs.clone(), 3, PowerLaw::CUBIC);
+    let local = run_corpus(jobs.clone(), 3, PowerLaw::CUBIC).unwrap();
 
     let reply = client
         .roundtrip(Request::Corpus {

@@ -5,9 +5,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use reclaim::core::discrete::BnbConfig;
 use reclaim::core::{continuous, discrete, vdd};
 use reclaim::models::{DiscreteModes, PowerLaw};
-use reclaim::taskgraph::{analysis, generators, TaskGraph};
+use reclaim::taskgraph::{analysis, generators, PreparedGraph, TaskGraph};
 
 const P: PowerLaw = PowerLaw::CUBIC;
 
@@ -60,7 +61,7 @@ proptest! {
     #[test]
     fn bnb_matches_brute_force((g, modes, d) in tiny_instance()) {
         let brute = brute_force(&g, d, &modes);
-        let bnb = discrete::exact(&g, d, &modes, P);
+        let bnb = discrete::exact(&PreparedGraph::new(&g), d, &modes, P, &BnbConfig::default());
         match (brute, bnb) {
             (Some(b), Ok(sol)) => {
                 prop_assert!((sol.energy - b).abs() <= 1e-9 * b.max(1.0),
@@ -75,7 +76,7 @@ proptest! {
     #[test]
     fn vdd_lp_lower_bounds_brute_force((g, modes, d) in tiny_instance()) {
         if let Some(brute) = brute_force(&g, d, &modes) {
-            let sched = vdd::solve_lp(&g, d, &modes, P).unwrap();
+            let sched = vdd::solve_lp_prepared(&PreparedGraph::new(&g), d, &modes, P).unwrap();
             let e_vdd = sched.energy(&g, P);
             prop_assert!(e_vdd <= brute * (1.0 + 1e-6),
                 "vdd {e_vdd} must not exceed the discrete optimum {brute}");
@@ -89,7 +90,8 @@ proptest! {
                 let e = continuous::energy_of_speeds(&g, &sp, P);
                 prop_assert!(e >= brute * (1.0 - 1e-9));
             }
-            if let Ok(sp) = discrete::round_up(&g, d, &modes, P, None) {
+            let prep = PreparedGraph::new(&g);
+            if let Ok(sp) = discrete::round_up_prepared(&prep, d, &modes, P, None) {
                 let e = continuous::energy_of_speeds(&g, &sp, P);
                 prop_assert!(e >= brute * (1.0 - 1e-9));
             }

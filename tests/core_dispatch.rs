@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reclaim::core::{continuous, solve, solve_with, SolveOptions};
 use reclaim::models::{DiscreteModes, EnergyModel, IncrementalModes, PowerLaw};
-use reclaim::taskgraph::{analysis, generators, structure, SpTree, TaskGraph};
+use reclaim::taskgraph::{analysis, generators, structure, PreparedGraph, SpTree, TaskGraph};
 
 const P: PowerLaw = PowerLaw::CUBIC;
 
@@ -79,7 +79,16 @@ fn continuous_routes_to_shape_solvers() {
                 let tree = SpTree::from_graph(&g).expect("SP fixture");
                 continuous::solve_sp(&g, &tree, d, P).unwrap()
             }
-            _ => continuous::solve_general(&g, d, None, P, None).unwrap(),
+            _ => continuous::solve_general_warm(
+                &PreparedGraph::new(&g),
+                d,
+                None,
+                None,
+                P,
+                None,
+                &mut continuous::SweepWarm::new(),
+            )
+            .unwrap(),
         };
         let e_direct = continuous::energy_of_speeds(&g, &direct, P);
         let tol = if name == "general" { 1e-4 } else { 1e-9 };

@@ -10,10 +10,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reclaim::core::discrete::{self, BnbConfig};
-use reclaim::core::engine::par_bnb::{self, ParBnbConfig};
 use reclaim::core::{continuous, Engine, SolveError, SolveOptions};
 use reclaim::models::{DiscreteModes, EnergyModel, IncrementalModes, PowerLaw};
-use reclaim::taskgraph::{analysis, generators, TaskGraph};
+use reclaim::taskgraph::{analysis, generators, PreparedGraph, TaskGraph};
 
 const P: PowerLaw = PowerLaw::CUBIC;
 
@@ -108,12 +107,13 @@ fn incremental_exact_takes_the_same_parallel_path() {
 fn partition_sweep_is_reproducible_at_every_width() {
     let (g, d, modes) = hard_chain();
     for partitions in [1usize, 2, 4, 8] {
-        let cfg = ParBnbConfig {
+        let cfg = BnbConfig {
             partitions,
-            ..ParBnbConfig::with_workers(workers_under_test().into_iter().max().unwrap())
+            ..BnbConfig::with_workers(workers_under_test().into_iter().max().unwrap())
         };
-        let a = par_bnb::exact_par(&g, d, &modes, P, &cfg).expect("first run");
-        let b = par_bnb::exact_par(&g, d, &modes, P, &cfg).expect("second run");
+        let prep = PreparedGraph::new(&g);
+        let a = discrete::exact(&prep, d, &modes, P, &cfg).expect("first run");
+        let b = discrete::exact(&prep, d, &modes, P, &cfg).expect("second run");
         assert_eq!(
             a.energy.to_bits(),
             b.energy.to_bits(),
@@ -130,7 +130,8 @@ fn partition_sweep_is_reproducible_at_every_width() {
 #[test]
 fn budget_trip_returns_anytime_incumbent_below_round_up() {
     let (g, d, modes) = hard_chain();
-    let full = discrete::exact(&g, d, &modes, P).expect("full solve");
+    let prep = PreparedGraph::new(&g);
+    let full = discrete::exact(&prep, d, &modes, P, &BnbConfig::default()).expect("full solve");
     assert!(full.complete);
     assert!(
         full.stats.nodes > 40,
@@ -140,12 +141,12 @@ fn budget_trip_returns_anytime_incumbent_below_round_up() {
 
     // Warm-seeded search under a tripping budget: the incumbent (the
     // round-up, or better) comes back as an anytime result.
-    let anytime = discrete::exact_with_config(
-        &g,
+    let anytime = discrete::exact(
+        &prep,
         d,
         &modes,
         P,
-        BnbConfig {
+        &BnbConfig {
             node_budget: 40,
             ..Default::default()
         },
@@ -153,7 +154,7 @@ fn budget_trip_returns_anytime_incumbent_below_round_up() {
     .expect("warm budget trip must carry the incumbent");
     assert!(!anytime.complete);
     assert!(anytime.gap() >= 0.0);
-    let round_up = discrete::round_up(&g, d, &modes, P, None).expect("round-up");
+    let round_up = discrete::round_up_prepared(&prep, d, &modes, P, None).expect("round-up");
     let e_round_up = continuous::energy_of_speeds(&g, &round_up, P);
     assert!(
         anytime.energy <= e_round_up * (1.0 + 1e-12),
@@ -163,7 +164,17 @@ fn budget_trip_returns_anytime_incumbent_below_round_up() {
     assert!(anytime.energy >= full.energy * (1.0 - 1e-12));
 
     // Cold and starved below the first leaf: the structured error.
-    let starved = discrete::exact_with_budget(&g, d, &modes, P, 3, false);
+    let starved = discrete::exact(
+        &prep,
+        d,
+        &modes,
+        P,
+        &BnbConfig {
+            node_budget: 3,
+            warm_start: false,
+            ..Default::default()
+        },
+    );
     assert!(
         matches!(starved, Err(SolveError::BudgetExhausted { budget: 3, .. })),
         "got {starved:?}"

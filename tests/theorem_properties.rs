@@ -1,9 +1,10 @@
 //! Property-based tests (proptest) on the paper's invariants.
 
 use proptest::prelude::*;
+use reclaim::core::discrete::BnbConfig;
 use reclaim::core::{continuous, discrete, vdd};
 use reclaim::models::{DiscreteModes, PowerLaw};
-use reclaim::taskgraph::{analysis, generators, SpTree, TaskGraph};
+use reclaim::taskgraph::{analysis, generators, PreparedGraph, SpTree, TaskGraph};
 
 const P: PowerLaw = PowerLaw::CUBIC;
 
@@ -76,7 +77,10 @@ proptest! {
     fn general_solver_is_bracketed(g in random_dag()) {
         let cp = analysis::critical_path_weight(&g);
         let d = cp * 1.5;
-        let speeds = continuous::solve_general(&g, d, None, P, None).unwrap();
+        let prep = PreparedGraph::new(&g);
+        let mut cold = continuous::SweepWarm::new();
+        let speeds =
+            continuous::solve_general_warm(&prep, d, None, None, P, None, &mut cold).unwrap();
         let e = continuous::energy_of_speeds(&g, &speeds, P);
         // Lower bound: each task alone in the whole window.
         let lb: f64 = g.weights().iter().map(|&w| P.energy_for_work(w, d)).sum();
@@ -103,13 +107,16 @@ proptest! {
         let speeds: Vec<f64> = (0..m).map(|i| 0.5 + i as f64 * rng.gen_range(0.3..1.0)).collect();
         let modes = DiscreteModes::new(&speeds).unwrap();
         let d = 1.4 * analysis::critical_path_weight(&g) / modes.s_max();
-        let sched = vdd::solve_lp(&g, d, &modes, P).unwrap();
+        let prep = PreparedGraph::new(&g);
+        let sched = vdd::solve_lp_prepared(&prep, d, &modes, P).unwrap();
         let e_vdd = sched.energy(&g, P);
-        let cont = continuous::solve(&g, d, Some(modes.s_max()), P, None).unwrap();
+        let cont = continuous::solve_dispatched(&prep, d, Some(modes.s_max()), P, None).unwrap();
         let e_cont = continuous::energy_of_speeds(&g, &cont, P);
         prop_assert!(e_vdd >= e_cont * (1.0 - 1e-5), "vdd {e_vdd} < cont {e_cont}");
         if g.n() <= 6 {
-            let e_disc = discrete::exact(&g, d, &modes, P).unwrap().energy;
+            let e_disc = discrete::exact(&prep, d, &modes, P, &BnbConfig::default())
+                .unwrap()
+                .energy;
             prop_assert!(e_vdd <= e_disc * (1.0 + 1e-6), "vdd {e_vdd} > disc {e_disc}");
         }
     }
@@ -129,9 +136,12 @@ proptest! {
         let modes = DiscreteModes::new(&speeds).unwrap();
         let d = 1.5 * analysis::critical_path_weight(&g) / modes.s_max();
         let k = 10u32;
-        let alg = discrete::round_up(&g, d, &modes, P, Some(k)).unwrap();
+        let prep = PreparedGraph::new(&g);
+        let alg = discrete::round_up_prepared(&prep, d, &modes, P, Some(k)).unwrap();
         let e_alg = continuous::energy_of_speeds(&g, &alg, P);
-        let opt = discrete::exact(&g, d, &modes, P).unwrap().energy;
+        let opt = discrete::exact(&prep, d, &modes, P, &BnbConfig::default())
+            .unwrap()
+            .energy;
         let bound = (1.0 + modes.max_gap() / modes.s_min()).powi(2)
             * (1.0 + 1.0 / k as f64).powi(2);
         prop_assert!(e_alg <= opt * bound * (1.0 + 1e-6),
@@ -161,11 +171,14 @@ proptest! {
     #[test]
     fn reversal_invariance(g in random_dag()) {
         let d = 1.5 * analysis::critical_path_weight(&g);
-        let e_fwd = continuous::energy_of_speeds(
-            &g, &continuous::solve_general(&g, d, None, P, None).unwrap(), P);
+        let gp = |g: &TaskGraph| {
+            let prep = PreparedGraph::new(g);
+            let mut cold = continuous::SweepWarm::new();
+            continuous::solve_general_warm(&prep, d, None, None, P, None, &mut cold).unwrap()
+        };
+        let e_fwd = continuous::energy_of_speeds(&g, &gp(&g), P);
         let rev = g.reversed();
-        let e_rev = continuous::energy_of_speeds(
-            &rev, &continuous::solve_general(&rev, d, None, P, None).unwrap(), P);
+        let e_rev = continuous::energy_of_speeds(&rev, &gp(&rev), P);
         prop_assert!((e_fwd - e_rev).abs() <= 1e-4 * e_fwd.max(1.0),
             "{e_fwd} vs {e_rev}");
     }

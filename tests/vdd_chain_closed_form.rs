@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reclaim::core::vdd;
 use reclaim::models::{DiscreteModes, PowerLaw};
-use reclaim::taskgraph::generators;
+use reclaim::taskgraph::{generators, PreparedGraph};
 
 const P: PowerLaw = PowerLaw::CUBIC;
 
@@ -53,7 +53,7 @@ proptest! {
         let total: f64 = ws.iter().sum();
         let d = tight * total / modes.s_max();
         let expect = chain_vdd_energy(total, d, &modes).expect("feasible by construction");
-        let sched = vdd::solve_lp(&g, d, &modes, P).unwrap();
+        let sched = vdd::solve_lp_prepared(&PreparedGraph::new(&g), d, &modes, P).unwrap();
         let got = sched.energy(&g, P);
         prop_assert!((got - expect).abs() <= 1e-6 * expect.max(1.0),
             "LP {got} vs closed form {expect} (W={total}, D={d})");
