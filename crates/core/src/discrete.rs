@@ -7,9 +7,9 @@
 //!   blow-up on PARTITION-style instances. It is a Bobpp-style
 //!   partition sweep ([`BnbConfig`]): one partition at one worker is
 //!   the plain sequential depth-first search, more partitions fan out
-//!   over worker threads (`engine::par_bnb`). On a node-budget trip
-//!   with a feasible incumbent in hand the search returns the
-//!   incumbent as an **anytime** result ([`ExactSolution::complete`]
+//!   over worker threads. On a node-budget trip with a feasible
+//!   incumbent in hand the search returns the incumbent as an
+//!   **anytime** result ([`ExactSolution::complete`]
 //!   is `false` and [`ExactSolution::lower_bound`] certifies the
 //!   optimality gap) instead of discarding it.
 //! * [`chain_dp`] — pseudo-polynomial dynamic program for chains with
@@ -29,7 +29,7 @@
 //! times come from its cache.
 
 use crate::continuous;
-use crate::engine::{par_bnb, profiling};
+use crate::engine::fan_out;
 use crate::error::SolveError;
 use models::{DiscreteModes, PowerLaw};
 use taskgraph::analysis::{critical_path_weight, topo_order};
@@ -179,14 +179,14 @@ impl Default for BnbConfig {
 /// A search incumbent: best energy seen plus the mode assignment that
 /// achieved it (`None` while only an externally seeded bound exists).
 #[derive(Debug, Clone)]
-pub(crate) struct Incumbent {
-    pub(crate) energy: f64,
-    pub(crate) modes: Option<Vec<usize>>,
+struct Incumbent {
+    energy: f64,
+    modes: Option<Vec<usize>>,
 }
 
 /// How one subtree search ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SubtreeOutcome {
+enum SubtreeOutcome {
     /// The subtree was exhausted: its part of the space is proven.
     Complete,
     /// The per-subtree node budget tripped.
@@ -196,7 +196,7 @@ pub(crate) enum SubtreeOutcome {
 /// All precomputed state of one branch-and-bound instance: bounds,
 /// chain cover, candidate orders. Immutable during the search, so one
 /// `SearchCtx` is shared by every parallel subtree worker.
-pub(crate) struct SearchCtx<'a> {
+struct SearchCtx<'a> {
     g: &'a TaskGraph,
     deadline: f64,
     min_makespan: f64,
@@ -226,7 +226,7 @@ impl<'a> SearchCtx<'a> {
     /// [`topo_order`] of the graph — not the instance's carried order,
     /// which an edit may have shifted — so a patched instance branches
     /// exactly like a rebuilt one.
-    pub(crate) fn new(
+    fn new(
         prep: &PreparedGraph<'a>,
         deadline: f64,
         modes: &DiscreteModes,
@@ -539,7 +539,7 @@ impl<'a> SearchCtx<'a> {
     ///   — never on what sibling subtrees found — which is what makes
     ///   the parallel partition sweep reproducible.
     /// * `node_budget` — cap on nodes charged to `stats` by this call.
-    pub(crate) fn search_subtree(
+    fn search_subtree(
         &self,
         prefix: &[usize],
         node_budget: u64,
@@ -666,13 +666,17 @@ impl<'a> SearchCtx<'a> {
 /// **Partition sweep** (Bobpp-style; PAPERS.md: Menouer & Le Cun,
 /// *deterministic parallel tree search*). A deterministic frontier
 /// enumeration splits the tree into [`BnbConfig`]'s target number of
-/// subtrees, which fan out over `workers` threads (`engine::par_bnb`).
+/// subtrees, which `workers` scoped threads pull from an atomic queue.
 /// Each subtree prunes only against the warm seed and its own
 /// incumbent, so its node count is a pure function of `(instance,
-/// prefix, seed, per-subtree budget)`, and the lexicographic combine
-/// reproduces the sequential DFS's tie-breaking. One partition is
-/// therefore exactly the sequential search, and a complete solve
-/// returns bit-identical energy and speeds at every partition count.
+/// prefix, seed, per-subtree budget)` — which thread runs it, and how
+/// often a thread picks up another ("steals"), costs no determinism.
+/// The frontier tiles the unpruned space and the bounds are
+/// admissible, so the optimum lies in exactly one partition, and the
+/// lexicographic combine with strict `<` reproduces the sequential
+/// DFS's tie-breaking. One partition is therefore exactly the
+/// sequential search, and a complete solve returns bit-identical
+/// energy and speeds at every partition count.
 ///
 /// With [`BnbConfig::warm_start`] the initial incumbent is the
 /// [`round_up_warm`] approximation on `prep`, so the search starts with
@@ -683,7 +687,7 @@ impl<'a> SearchCtx<'a> {
 /// warm start and no leaf reached — is [`SolveError::BudgetExhausted`].
 ///
 /// The node and steal totals fold into this thread's
-/// [`crate::engine::profiling`] counters.
+/// [`taskgraph::profiling`] counts, once per solve.
 pub fn exact(
     prep: &PreparedGraph<'_>,
     deadline: f64,
@@ -715,29 +719,33 @@ pub fn exact(
     let (depth, prefixes) =
         ctx.enumerate_frontier(cfg.target_partitions(), seed_energy, &mut stats);
     let per_budget = cfg.node_budget.div_ceil(prefixes.len().max(1) as u64);
-    let (results, steals) =
-        par_bnb::run_subtrees(&ctx, &prefixes, cfg.workers, per_budget, seed_energy);
+    let (results, steals) = fan_out(cfg.workers, prefixes.len(), |i| {
+        run_one(&ctx, &prefixes[i], per_budget, seed_energy)
+    });
 
     // Lexicographic combine with strict `<`: reproduces the
     // sequential DFS's first-optimal-leaf tie-breaking exactly.
     let mut best = seed;
     let mut complete = true;
     let mut partitions = Vec::with_capacity(results.len());
-    for r in results {
-        complete &= r.report.complete;
-        if let Some((e, mi)) = r.best {
+    for (report, found) in results {
+        complete &= report.complete;
+        if let Some((e, mi)) = found {
             if best.as_ref().is_none_or(|(b, _)| e < *b) {
                 best = Some((e, mi));
             }
         }
         stats.absorb(BnbStats {
-            nodes: r.report.nodes,
-            pruned_infeasible: r.report.pruned_infeasible,
-            pruned_bound: r.report.pruned_bound,
+            nodes: report.nodes,
+            pruned_infeasible: report.pruned_infeasible,
+            pruned_bound: report.pruned_bound,
         });
-        partitions.push(r.report);
+        partitions.push(report);
     }
-    profiling::add_bnb(stats.nodes, steals);
+    taskgraph::profiling::record(|c| {
+        c.bnb_nodes += stats.nodes;
+        c.bnb_steals += steals;
+    });
 
     match best {
         Some((energy, mi)) => {
@@ -766,6 +774,34 @@ pub fn exact(
             budget: cfg.node_budget,
         }),
     }
+}
+
+/// Search one subtree of [`exact`]'s partition sweep from a clean
+/// incumbent seeded at `seed_energy`, so the result depends only on
+/// the arguments, never on sibling progress: the subtree's manifest
+/// row, plus the best assignment found inside it as `(energy, mode
+/// indices)` when it beat the seed.
+fn run_one(
+    ctx: &SearchCtx<'_>,
+    prefix: &[usize],
+    budget: u64,
+    seed_energy: f64,
+) -> (PartitionReport, Option<(f64, Vec<usize>)>) {
+    let mut stats = BnbStats::default();
+    let mut inc = Incumbent {
+        energy: seed_energy,
+        modes: None,
+    };
+    let outcome = ctx.search_subtree(prefix, budget, &mut inc, &mut stats);
+    let report = PartitionReport {
+        key: prefix.to_vec(),
+        nodes: stats.nodes,
+        pruned_infeasible: stats.pruned_infeasible,
+        pruned_bound: stats.pruned_bound,
+        complete: outcome == SubtreeOutcome::Complete,
+        energy: inc.modes.as_ref().map(|_| inc.energy),
+    };
+    (report, inc.modes.map(|m| (inc.energy, m)))
 }
 
 /// Pseudo-polynomial DP for **chains** (single processor): discretize
@@ -1411,5 +1447,136 @@ mod tests {
         let sol = bnb(&g, d, &ms, BnbConfig::default()).unwrap();
         // Optimal: fast set of weight exactly 5 → energy 4·5 + 1·5 = 25.
         assert!((sol.energy - 25.0).abs() < 1e-9, "energy {}", sol.energy);
+    }
+
+    /// An 8-task DAG with a 4-mode ladder at 1.35 × the top-speed
+    /// critical path: enough search for every partition count.
+    fn fixture() -> (TaskGraph, f64, DiscreteModes) {
+        let g = TaskGraph::new(
+            vec![1.0, 2.0, 3.0, 1.5, 2.5, 1.0, 2.0, 1.2],
+            &[
+                (0, 1),
+                (0, 2),
+                (1, 3),
+                (2, 3),
+                (2, 4),
+                (3, 5),
+                (4, 5),
+                (5, 6),
+                (5, 7),
+            ],
+        )
+        .unwrap();
+        let ms = modes(&[0.6, 1.2, 1.8, 2.4]);
+        let d = 1.35 * critical_path_weight(&g) / ms.s_max();
+        (g, d, ms)
+    }
+
+    #[test]
+    fn parallel_matches_sequential_exactly() {
+        let (g, d, ms) = fixture();
+        let seq = bnb(&g, d, &ms, BnbConfig::default()).unwrap();
+        assert_eq!(seq.partitions.len(), 1, "one worker searches one tree");
+        for workers in [1, 2, 4] {
+            let cfg = BnbConfig {
+                partitions: 4 * workers,
+                ..BnbConfig::with_workers(workers)
+            };
+            let par = bnb(&g, d, &ms, cfg).unwrap();
+            assert!(par.partitions.len() > 1, "workers {workers}: one partition");
+            assert!(par.complete);
+            assert_eq!(
+                par.energy.to_bits(),
+                seq.energy.to_bits(),
+                "workers {workers}: {} vs {}",
+                par.energy,
+                seq.energy
+            );
+            assert_eq!(par.speeds, seq.speeds, "workers {workers}");
+            assert_eq!(par.gap(), 0.0);
+        }
+    }
+
+    #[test]
+    fn deterministic_mode_reproduces_per_partition_node_counts() {
+        let (g, d, ms) = fixture();
+        for partitions in [1, 2, 4, 8] {
+            let cfg = BnbConfig {
+                workers: 4,
+                partitions,
+                ..Default::default()
+            };
+            let a = bnb(&g, d, &ms, cfg).unwrap();
+            let b = bnb(&g, d, &ms, cfg).unwrap();
+            assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "p={partitions}");
+            assert_eq!(a.speeds, b.speeds, "p={partitions}");
+            assert_eq!(a.depth, b.depth, "p={partitions}");
+            assert_eq!(
+                a.partitions.len(),
+                b.partitions.len(),
+                "p={partitions}: partition sets must agree"
+            );
+            for (x, y) in a.partitions.iter().zip(&b.partitions) {
+                assert_eq!(
+                    x, y,
+                    "p={partitions}: per-partition report must be identical"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn budget_trip_returns_anytime_incumbent() {
+        // Tiny budget on a PARTITION gadget: the warm seed must
+        // survive the trip as an anytime result.
+        let values: Vec<f64> = (0..16).map(|i| 1.0 + (i as f64) * 0.31).collect();
+        let (g, d) = generators::partition_chain(&values);
+        let ms = modes(&[1.0, 2.0]);
+        let cfg = BnbConfig {
+            workers: 4,
+            node_budget: 50,
+            ..Default::default()
+        };
+        let sol = bnb(&g, d, &ms, cfg).unwrap();
+        assert!(!sol.complete);
+        assert!(sol.lower_bound <= sol.energy);
+        // Feasible and no worse than the round-up seed.
+        let durations: Vec<f64> = g
+            .weights()
+            .iter()
+            .zip(&sol.speeds)
+            .map(|(&w, &s)| w / s)
+            .collect();
+        assert!(taskgraph::analysis::makespan(&g, &durations) <= d * (1.0 + 1e-9));
+        let seed = round_up(&g, d, &ms, None).unwrap();
+        let e_seed = continuous::energy_of_speeds(&g, &seed, P);
+        assert!(sol.energy <= e_seed * (1.0 + 1e-12));
+    }
+
+    #[test]
+    fn cold_budget_trip_is_budget_exhausted() {
+        let values: Vec<f64> = (0..16).map(|i| 1.0 + (i as f64) * 0.31).collect();
+        let (g, d) = generators::partition_chain(&values);
+        let ms = modes(&[1.0, 2.0]);
+        let cfg = BnbConfig {
+            workers: 2,
+            node_budget: 8,
+            warm_start: false,
+            ..Default::default()
+        };
+        assert!(matches!(
+            bnb(&g, d, &ms, cfg),
+            Err(SolveError::BudgetExhausted { .. })
+        ));
+    }
+
+    #[test]
+    fn profiling_counters_fold_into_calling_thread() {
+        let (g, d, ms) = fixture();
+        let before = taskgraph::profiling::counts();
+        let sol = bnb(&g, d, &ms, BnbConfig::with_workers(4)).unwrap();
+        let delta = taskgraph::profiling::counts() - before;
+        assert_eq!(delta.bnb_nodes, sol.stats.nodes);
+        assert_eq!(delta.bnb_steals, sol.steals);
     }
 }

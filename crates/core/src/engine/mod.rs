@@ -31,7 +31,6 @@
 //! dispatch — existing call sites compile and behave unchanged.
 
 mod key;
-pub(crate) mod par_bnb;
 pub mod profiling;
 
 pub use key::{content_key, patched_key};
@@ -498,7 +497,7 @@ impl Engine {
             if warm_sol.is_ok() {
                 return warm_sol;
             }
-            profiling::bump_warm_lost();
+            taskgraph::profiling::record(|c| c.warm_lost += 1);
             *warm = None;
         }
         let (sched, handle) = vdd::solve_lp_warm(prep, deadline, modes, self.power)?;
@@ -802,7 +801,7 @@ impl Engine {
                 spent => {
                     if spent.is_some() {
                         // Spent basis: ledger it and rebuild cold.
-                        profiling::bump_warm_lost();
+                        taskgraph::profiling::record(|c| c.warm_lost += 1);
                         *warm = None;
                     }
                     // The fresh handle is kept only once its walk
@@ -954,47 +953,63 @@ impl Engine {
         Ok(segments)
     }
 
-    /// Run `f(0..n)` across scoped worker threads, returning results
-    /// in index order. Work is pulled from a shared atomic counter so
-    /// uneven instances balance; with one worker (or one item) it runs
-    /// inline.
+    /// [`fan_out`] over the engine's thread cap (default:
+    /// [`std::thread::available_parallelism`]).
     fn run_ordered<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        let workers = self
-            .threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-            .min(n.max(1));
-        if workers <= 1 {
-            return (0..n).map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut indexed: Vec<(usize, T)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            mine.push((i, f(i)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("engine worker panicked"))
-                .collect()
+        let workers = self.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
         });
-        indexed.sort_by_key(|&(i, _)| i);
-        indexed.into_iter().map(|(_, t)| t).collect()
+        fan_out(workers, n, f).0
     }
+}
+
+/// Run `f(0..n)` on up to `workers` scoped threads that pull indices
+/// from one atomic counter, so uneven items balance; inline at one
+/// worker or one item. Results come back in index order, with the
+/// pickups beyond each thread's first ("steals"; 0 inline). A scoped
+/// thread's [`taskgraph::profiling`] counts die with it, so each
+/// thread's counts fold into the caller's: the calling thread sees all
+/// the work it caused.
+pub(crate) fn fan_out<T: Send>(
+    workers: usize,
+    n: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> (Vec<T>, u64) {
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return ((0..n).map(f).collect(), 0);
+    }
+    let next = AtomicUsize::new(0);
+    let mut indexed = Vec::with_capacity(n);
+    let mut steals = 0;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        mine.push((i, f(i)));
+                    }
+                    // A fresh thread's counts are exactly its work.
+                    (mine, taskgraph::profiling::counts())
+                })
+            })
+            .collect();
+        for h in handles {
+            let (mine, work) = h.join().expect("fan-out worker panicked");
+            taskgraph::profiling::record(|c| *c += work);
+            steals += mine.len().saturating_sub(1) as u64;
+            indexed.extend(mine);
+        }
+    });
+    indexed.sort_by_key(|&(i, _)| i);
+    (indexed.into_iter().map(|(_, t)| t).collect(), steals)
 }
 
 /// Whether a Vdd warm basis retained for `base` still describes the LP
@@ -1253,16 +1268,42 @@ mod tests {
         let h = generators::chain(&[1.0, 2.0]);
         let jobs: Vec<(&TaskGraph, f64)> = vec![(&g, 5.0), (&g, 6.0), (&h, 4.0), (&g, 7.0)];
         let model = EnergyModel::continuous_unbounded();
-        let before = profiling::counts();
-        // Single worker: everything stays on this thread so the
-        // thread-local counters see the whole batch.
-        let results = Engine::new(P).threads(1).solve_batch(&model, &jobs);
-        assert!(results.iter().all(Result::is_ok));
-        let delta = profiling::counts() - before;
-        // Two distinct graphs → exactly two classifications and two
-        // topo orders, not four.
-        assert_eq!(delta.classify, 2);
-        assert_eq!(delta.topo_order, 2);
+        // The fan-out folds its threads' counts into this one, so the
+        // thread-local counters see the whole batch at any width.
+        for threads in [1, 4] {
+            let before = profiling::counts();
+            let results = Engine::new(P).threads(threads).solve_batch(&model, &jobs);
+            assert!(results.iter().all(Result::is_ok));
+            let delta = profiling::counts() - before;
+            // Two distinct graphs → exactly two classifications and two
+            // topo orders, not four.
+            assert_eq!(delta.classify, 2, "threads {threads}");
+            assert_eq!(delta.topo_order, 2, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn fan_out_keeps_branch_and_bound_nodes() {
+        // A sampled Discrete curve and a deadline batch fan their
+        // solves out over threads; the nodes those threads expand
+        // still land in the caller's counts.
+        let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
+        let model = EnergyModel::Discrete(DiscreteModes::new(&[0.5, 1.0, 2.0]).unwrap());
+        let prep = PreparedGraph::new(&g);
+        for threads in [1, 2] {
+            let engine = Engine::new(P).threads(threads);
+            let before = profiling::counts();
+            engine.energy_curve(&prep, &model, 6, 1.1, 3.0).unwrap();
+            let curve = profiling::counts() - before;
+            let results = engine.solve_deadlines(&prep, &model, &[5.0, 6.0, 7.0]);
+            assert!(results.iter().all(Result::is_ok));
+            let deadlines = profiling::counts() - before - curve;
+            assert_eq!(
+                (curve.bnb_nodes, deadlines.bnb_nodes),
+                (130, 71),
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]

@@ -259,12 +259,7 @@ impl InstanceCache {
         // recovered-after-restart) entry comes back with its analyses
         // and retained curve, skipping preparation entirely.
         let (built, curve, outcome) = match self.store.as_ref().and_then(|s| s.load(key)) {
-            Some(stored) => {
-                // `restore` validated each snapshot field; warm() fills
-                // anything a damaged field degraded to lazy.
-                stored.inst.warm();
-                (stored.inst, stored.curve, Prepared::StoreHit)
-            }
+            Some(stored) => (stored.inst, stored.curve, Prepared::StoreHit),
             None => {
                 let built = build();
                 built.warm();
@@ -357,14 +352,11 @@ impl InstanceCache {
             // Vdd warm slot starts empty (live LP handles are never
             // persisted) and rebuilds lazily.
             None => match self.store.as_ref().and_then(|s| s.load(base)) {
-                Some(stored) => {
-                    stored.inst.warm();
-                    (
-                        Arc::new(stored.inst),
-                        stored.model,
-                        Arc::new(Mutex::new(None)),
-                    )
-                }
+                Some(stored) => (
+                    Arc::new(stored.inst),
+                    stored.model,
+                    Arc::new(Mutex::new(None)),
+                ),
                 None => {
                     self.patch_misses.fetch_add(1, Ordering::Relaxed);
                     return Err(PatchError::UnknownBase);

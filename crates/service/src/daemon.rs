@@ -59,8 +59,9 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+use taskgraph::profiling::{self, Counts};
 use taskgraph::{PreparedInstance, TaskGraph};
 
 /// Where a daemon listens / where a client connects.
@@ -274,19 +275,6 @@ impl Write for Stream {
     }
 }
 
-#[derive(Default)]
-struct WorkerCounters {
-    requests: AtomicU64,
-    solves: AtomicU64,
-    solve_ns: AtomicU64,
-    warm_lost: AtomicU64,
-    bnb_nodes: AtomicU64,
-    bnb_steals: AtomicU64,
-    sp_splice: AtomicU64,
-    sp_splice_miss: AtomicU64,
-    cone_nodes: AtomicU64,
-}
-
 /// Socket-layer counters, shared between the poll loop (which owns
 /// the sockets) and the workers (which answer `stats` and count
 /// timeouts) — see [`NetStatsReport`] for the wire shape.
@@ -325,7 +313,9 @@ struct State {
     power: PowerLaw,
     shutdown: AtomicBool,
     net: NetCounters,
-    workers: Vec<WorkerCounters>,
+    /// Each worker's running total of its requests' work counts
+    /// ([`taskgraph::profiling`]), one delta added per request.
+    workers: Vec<Mutex<Counts>>,
     /// Thread slots currently in use across the pool: each busy
     /// worker holds one, plus any spare slots it borrowed for a
     /// parallel exact search. The invariant `active ≤ workers.len()`
@@ -422,7 +412,7 @@ impl Daemon {
             power: cfg.power,
             shutdown: AtomicBool::new(false),
             net: NetCounters::default(),
-            workers: (0..workers).map(|_| WorkerCounters::default()).collect(),
+            workers: (0..workers).map(|_| Mutex::default()).collect(),
             active: AtomicU64::new(0),
         });
         Ok(Daemon {
@@ -526,6 +516,13 @@ const LISTENER_TOKEN: u64 = u64::MAX - 1;
 /// always larger — skip the inline attempt entirely.
 const INLINE_MAX: usize = 512;
 
+/// Per-connection cap on answer bytes waiting unflushed: past it the
+/// poll loop stops reading that socket (inline answers count too), so
+/// a peer that sends without reading backs up into its own kernel
+/// buffer instead of the daemon's memory. Reading resumes as the
+/// queue flushes.
+const MAX_UNFLUSHED: usize = 1 << 20;
+
 /// How long the drain waits for peers to read their final responses
 /// once every admitted request is answered.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
@@ -547,6 +544,8 @@ struct Conn {
     wqueue: VecDeque<Vec<u8>>,
     /// Progress into the front of `wqueue`.
     wpos: usize,
+    /// Bytes of `wqueue` not yet written.
+    unflushed: usize,
     /// Admitted-but-unanswered requests from this connection.
     inflight: usize,
     /// No more reads: EOF, a framing violation, or a drain.
@@ -563,23 +562,25 @@ impl Conn {
             rbuf: FrameBuffer::new(),
             wqueue: VecDeque::new(),
             wpos: 0,
+            unflushed: 0,
             inflight: 0,
             read_closed: false,
             reg_read: true,
             reg_write: false,
         }
     }
-}
 
-/// A response payload as wire bytes (the same framing
-/// [`write_frame`] emits).
-fn frame_bytes(payload: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(payload.len().to_string().as_bytes());
-    out.push(b'\n');
-    out.extend_from_slice(payload.as_bytes());
-    out.push(b'\n');
-    out
+    /// Queue a response payload as wire bytes (the same framing
+    /// [`write_frame`] emits).
+    fn queue(&mut self, payload: &str) {
+        let mut frame = Vec::with_capacity(payload.len() + 24);
+        frame.extend_from_slice(payload.len().to_string().as_bytes());
+        frame.push(b'\n');
+        frame.extend_from_slice(payload.as_bytes());
+        frame.push(b'\n');
+        self.unflushed += frame.len();
+        self.wqueue.push_back(frame);
+    }
 }
 
 /// The daemon's poll loop: owns the listener, every connection socket,
@@ -709,19 +710,27 @@ impl EventLoop {
         if readable && !self.read_into(token, conn) {
             return false;
         }
-        // Admission may have been blocked at --max-inflight earlier;
-        // parked frames in the read buffer get another chance whenever
-        // the connection is driven (in particular after completions).
-        self.admit_frames(token, conn);
-        if !flush(conn) {
-            return false;
+        // Admission may have been blocked earlier; parked frames in
+        // the read buffer get another chance whenever the connection
+        // is driven (after completions), and again after every flush
+        // that frees room under the unflushed cap — the peer may have
+        // nothing more to send that would wake this connection.
+        loop {
+            self.admit_frames(token, conn);
+            let queued = conn.unflushed;
+            if !flush(conn) {
+                return false;
+            }
+            if conn.unflushed == queued || !self.admits(conn) {
+                break;
+            }
         }
         // Close once nothing more can arrive or depart: read side
         // done, every admitted request answered, every answer flushed.
         if conn.read_closed && conn.inflight == 0 && conn.wqueue.is_empty() {
             return false;
         }
-        let want_read = !conn.read_closed && !self.draining && conn.inflight < self.max_inflight;
+        let want_read = self.admits(conn);
         let want_write = !conn.wqueue.is_empty();
         if (want_read, want_write) != (conn.reg_read, conn.reg_write) {
             let _ = self
@@ -733,13 +742,24 @@ impl EventLoop {
         true
     }
 
+    /// The one admission rule: read and admit frames from `conn` only
+    /// while it is open for reading, the daemon is not draining, its
+    /// admitted requests are under `--max-inflight` and its unflushed
+    /// answers are within [`MAX_UNFLUSHED`].
+    fn admits(&self, conn: &Conn) -> bool {
+        !conn.read_closed
+            && !self.draining
+            && conn.inflight < self.max_inflight
+            && conn.unflushed <= MAX_UNFLUSHED
+    }
+
     /// Nonblocking reads into the connection's frame buffer, admitting
-    /// frames between chunks so `--max-inflight` bounds how much one
+    /// frames between chunks so the admission rule bounds how much one
     /// burst can buffer. Returns false when the socket errored.
     fn read_into(&mut self, token: u64, conn: &mut Conn) -> bool {
         let mut buf = [0u8; 64 * 1024];
         loop {
-            if conn.read_closed || self.draining || conn.inflight >= self.max_inflight {
+            if !self.admits(conn) {
                 return true;
             }
             match conn.stream.read(&mut buf) {
@@ -771,9 +791,10 @@ impl EventLoop {
     }
 
     /// Move complete frames out of the read buffer and dispatch them,
-    /// stopping at the admission bound (backpressure) or a drain.
+    /// stopping where the admission rule does (backpressure) or at a
+    /// drain.
     fn admit_frames(&mut self, token: u64, conn: &mut Conn) {
-        while !self.draining && !conn.read_closed && conn.inflight < self.max_inflight {
+        while self.admits(conn) {
             match conn.rbuf.next_frame() {
                 Ok(Some(payload)) => self.dispatch(token, conn, payload),
                 Ok(None) => return,
@@ -805,7 +826,7 @@ impl EventLoop {
                             id: env.id,
                             response: Response::Stats(stats_report(&self.state)),
                         };
-                        conn.wqueue.push_back(frame_bytes(&resp.encode()));
+                        conn.queue(&resp.encode());
                         return;
                     }
                     Request::Shutdown => {
@@ -814,7 +835,7 @@ impl EventLoop {
                             id: env.id,
                             response: Response::Shutdown,
                         };
-                        conn.wqueue.push_back(frame_bytes(&resp.encode()));
+                        conn.queue(&resp.encode());
                         self.start_drain();
                         return;
                     }
@@ -849,7 +870,7 @@ impl EventLoop {
             id,
             response: Response::Error(e),
         };
-        conn.wqueue.push_back(frame_bytes(&resp.encode()));
+        conn.queue(&resp.encode());
     }
 
     /// Move finished jobs from the workers into their connections'
@@ -874,7 +895,7 @@ impl EventLoop {
                 continue;
             };
             conn.inflight -= 1;
-            conn.wqueue.push_back(frame_bytes(&c.payload));
+            conn.queue(&c.payload);
             if self.drive_conn(c.token, &mut conn, false) {
                 self.conns.insert(c.token, conn);
             } else {
@@ -955,6 +976,7 @@ fn flush(conn: &mut Conn) -> bool {
             Ok(0) => return false,
             Ok(n) => {
                 conn.wpos += n;
+                conn.unflushed -= n;
                 if conn.wpos == front.len() {
                     conn.wqueue.pop_front();
                     conn.wpos = 0;
@@ -982,9 +1004,6 @@ fn worker_loop(
             Err(_) => return, // queue closed: daemon is draining
         };
         state.net.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        state.workers[worker_id]
-            .requests
-            .fetch_add(1, Ordering::Relaxed);
         // Go active, then borrow whatever is left of the pool for this
         // request: an exact search on a boosted engine (`threads ≥ 2`)
         // runs the parallel partition sweep on the borrowed slots.
@@ -993,45 +1012,23 @@ fn worker_loop(
         // (they time-share rather than wait).
         state.active.fetch_add(1, Ordering::AcqRel);
         let extra = reserve_spares(&state.active, pool);
-        // The engine's profiling counters are thread-local, and the
-        // parallel search folds its subtree workers' totals into the
-        // calling thread — this one. The delta across the request is
-        // exactly this request's events.
-        let before = reclaim_core::engine::profiling::counts();
-        let tg_before = taskgraph::profiling::counts();
+        // The work counts are thread-local, and every fan-out folds
+        // its threads' counts into the calling thread — this one. The
+        // delta across the request is exactly this request's work.
+        let before = profiling::counts();
+        profiling::record(|c| c.requests += 1);
         let (resp, stop) = if extra > 0 {
             let boosted = engine.clone().threads(1 + extra as usize);
             handle_payload(&job.payload, worker_id, state, &boosted, job.enqueued)
         } else {
             handle_payload(&job.payload, worker_id, state, &engine, job.enqueued)
         };
-        let delta = reclaim_core::engine::profiling::counts() - before;
-        let tg_delta = taskgraph::profiling::counts() - tg_before;
-        // Flush the deltas into the shared counters strictly before
-        // the response is handed to the poll loop: a client that has
-        // seen this response and then asks for `stats` (even as the
-        // last request before `shutdown`) must see this solve's
-        // counters, exactly once — no flush may ride on a worker
-        // surviving past the drain.
-        let counters = &state.workers[worker_id];
-        counters
-            .warm_lost
-            .fetch_add(delta.warm_lost, Ordering::Relaxed);
-        counters
-            .bnb_nodes
-            .fetch_add(delta.bnb_nodes, Ordering::Relaxed);
-        counters
-            .bnb_steals
-            .fetch_add(delta.bnb_steals, Ordering::Relaxed);
-        counters
-            .sp_splice
-            .fetch_add(tg_delta.sp_splice, Ordering::Relaxed);
-        counters
-            .sp_splice_miss
-            .fetch_add(tg_delta.sp_splice_miss, Ordering::Relaxed);
-        counters
-            .cone_nodes
-            .fetch_add(tg_delta.cone_nodes, Ordering::Relaxed);
+        // Flush the delta strictly before the response is handed to
+        // the poll loop: a client that has seen this response and then
+        // asks for `stats` (even as the last request before
+        // `shutdown`) must see this request's counts, exactly once —
+        // no flush may ride on a worker surviving past the drain.
+        *lock(&state.workers[worker_id]) += profiling::counts() - before;
         state.active.fetch_sub(1 + extra, Ordering::AcqRel);
         // Encode outside the lock: nothing that runs while it is held
         // may panic and poison the poll loop's completion queue.
@@ -1060,19 +1057,36 @@ fn stats_report(state: &State) -> StatsReport {
         workers: state
             .workers
             .iter()
-            .map(|w| WorkerStatsReport {
-                requests: w.requests.load(Ordering::Relaxed),
-                solves: w.solves.load(Ordering::Relaxed),
-                solve_ns: w.solve_ns.load(Ordering::Relaxed),
-                warm_lost: w.warm_lost.load(Ordering::Relaxed),
-                bnb_nodes: w.bnb_nodes.load(Ordering::Relaxed),
-                bnb_steals: w.bnb_steals.load(Ordering::Relaxed),
-                sp_splice: w.sp_splice.load(Ordering::Relaxed),
-                sp_splice_miss: w.sp_splice_miss.load(Ordering::Relaxed),
-                cone_nodes: w.cone_nodes.load(Ordering::Relaxed),
+            .map(|w| {
+                let c = *lock(w);
+                WorkerStatsReport {
+                    requests: c.requests,
+                    solves: c.solves,
+                    solve_ns: c.solve_ns,
+                    warm_lost: c.warm_lost,
+                    bnb_nodes: c.bnb_nodes,
+                    bnb_steals: c.bnb_steals,
+                    sp_splice: c.sp_splice,
+                    sp_splice_miss: c.sp_splice_miss,
+                    cone_nodes: c.cone_nodes,
+                }
             })
             .collect(),
     }
+}
+
+/// A worker's ledger. The lock only guards additions and copies of
+/// counters, so even a poisoned lock holds a usable total.
+fn lock(counts: &Mutex<Counts>) -> std::sync::MutexGuard<'_, Counts> {
+    counts.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Count one solve of `ns` nanoseconds in this thread's ledger.
+fn record_solve(ns: u64) {
+    profiling::record(|c| {
+        c.solves += 1;
+        c.solve_ns += ns;
+    });
 }
 
 /// Decode, dispatch, and answer one frame payload. `enqueued` is when
@@ -1147,7 +1161,6 @@ fn handle_payload(
         );
     }
     let as_of = env.as_of;
-    let counters = &state.workers[worker_id];
     let mut stop = false;
     let response = match env.request {
         Request::Solve {
@@ -1158,8 +1171,7 @@ fn handle_payload(
             let solved = prepare_maybe_as_of(state, graph, &model, as_of).and_then(
                 |(inst, cached, prep_ns, key)| {
                     timed_solve(
-                        state, engine, counters, worker_id, &inst, &model, deadline, cached,
-                        prep_ns, key,
+                        state, engine, worker_id, &inst, &model, deadline, cached, prep_ns, key,
                     )
                     .map_err(|e| ErrorBody::from(&e))
                 },
@@ -1182,7 +1194,7 @@ fn handle_payload(
                     // Preparation cost is attributed to the first item.
                     let prep_ns = if i == 0 { prep_ns } else { 0 };
                     timed_solve(
-                        state, engine, counters, worker_id, &inst, &model, d, cached, prep_ns, key,
+                        state, engine, worker_id, &inst, &model, d, cached, prep_ns, key,
                     )
                     .map_err(|e| ErrorBody::from(&e))
                 })
@@ -1210,29 +1222,26 @@ fn handle_payload(
                         })
                         .unwrap_or_else(|e| Response::Error(ErrorBody::from(&e)))
                 };
-                counters
-                    .solve_ns
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                counters.solves.fetch_add(1, Ordering::Relaxed);
+                record_solve(t0.elapsed().as_nanos() as u64);
                 result
             }
         },
         Request::Batch { model, jobs } => Response::Batch(
             jobs.into_iter()
                 .map(|(graph, deadline)| {
-                    solve_one(state, engine, counters, worker_id, graph, &model, deadline)
+                    solve_one(state, engine, worker_id, graph, &model, deadline)
                 })
                 .collect(),
         ),
         // Normally answered inline by the poll loop; kept here so a
         // padded (>INLINE_MAX) stats payload still answers correctly.
         Request::Stats => Response::Stats(stats_report(state)),
-        Request::Corpus { shards, jobs } => corpus_one(state, engine, counters, shards, jobs),
+        Request::Corpus { shards, jobs } => corpus_one(state, engine, shards, jobs),
         Request::Patch {
             base,
             edits,
             deadline,
-        } => patch_one(state, engine, counters, worker_id, base, &edits, deadline),
+        } => patch_one(state, engine, worker_id, base, &edits, deadline),
         Request::Lineage { key } => match &state.store {
             Some(store) => {
                 let hops = store.lineage_of(key);
@@ -1277,7 +1286,6 @@ fn handle_payload(
 fn corpus_one(
     state: &State,
     engine: &Engine,
-    counters: &WorkerCounters,
     shards: usize,
     jobs: Vec<crate::corpus::CorpusJob>,
 ) -> Response {
@@ -1295,14 +1303,12 @@ fn corpus_one(
                 crate::corpus::run_shard(shard, shards, bucket, |key, graph, model, deadline| {
                     let (inst, _, _, cache_key) = prepare(state, graph, model);
                     debug_assert_eq!(key, cache_key);
-                    counters.solves.fetch_add(1, Ordering::Relaxed);
+                    profiling::record(|c| c.solves += 1);
                     with_entry_warm(state, cache_key, |warm| {
                         engine.solve_warm(&inst.view(), model, deadline, warm)
                     })
                 });
-            counters
-                .solve_ns
-                .fetch_add(outcome.elapsed_ns as u64, Ordering::Relaxed);
+            profiling::record(|c| c.solve_ns += outcome.elapsed_ns as u64);
             outcome
         })
         .collect();
@@ -1318,7 +1324,6 @@ fn corpus_one(
 fn patch_one(
     state: &State,
     engine: &Engine,
-    counters: &WorkerCounters,
     worker_id: usize,
     base: u128,
     edits: &[taskgraph::edit::GraphEdit],
@@ -1344,8 +1349,7 @@ fn patch_one(
         engine.solve_warm(&patched.inst.view(), &patched.model, deadline, warm)
     });
     let solve_ns = t0.elapsed().as_nanos() as u64;
-    counters.solves.fetch_add(1, Ordering::Relaxed);
-    counters.solve_ns.fetch_add(solve_ns, Ordering::Relaxed);
+    record_solve(solve_ns);
     match result {
         Ok(sol) => Response::Patch(PatchReport {
             report: SolveReport {
@@ -1562,7 +1566,6 @@ fn curve_exact_one(
 fn solve_one(
     state: &State,
     engine: &Engine,
-    counters: &WorkerCounters,
     worker_id: usize,
     graph: TaskGraph,
     model: &EnergyModel,
@@ -1570,7 +1573,7 @@ fn solve_one(
 ) -> Result<SolveReport, ErrorBody> {
     let (inst, cached, prep_ns, key) = prepare(state, graph, model);
     timed_solve(
-        state, engine, counters, worker_id, &inst, model, deadline, cached, prep_ns, key,
+        state, engine, worker_id, &inst, model, deadline, cached, prep_ns, key,
     )
     .map_err(|e| ErrorBody::from(&e))
 }
@@ -1579,7 +1582,6 @@ fn solve_one(
 fn timed_solve(
     state: &State,
     engine: &Engine,
-    counters: &WorkerCounters,
     worker_id: usize,
     inst: &PreparedInstance,
     model: &EnergyModel,
@@ -1597,8 +1599,7 @@ fn timed_solve(
         engine.solve_warm(&inst.view(), model, deadline, warm)
     });
     let solve_ns = t0.elapsed().as_nanos() as u64;
-    counters.solves.fetch_add(1, Ordering::Relaxed);
-    counters.solve_ns.fetch_add(solve_ns, Ordering::Relaxed);
+    record_solve(solve_ns);
     result.map(|sol| SolveReport {
         energy: sol.energy,
         algorithm: sol.algorithm.to_string(),

@@ -664,7 +664,8 @@ pub struct CacheStatsReport {
     pub rekeys: u64,
 }
 
-/// One worker's counters.
+/// One worker's counters: its running total of the
+/// [`taskgraph::profiling`] counts its requests recorded.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkerStatsReport {
     /// Requests served.
@@ -674,19 +675,19 @@ pub struct WorkerStatsReport {
     /// Total nanoseconds in `Engine::solve`-family calls.
     pub solve_ns: u64,
     /// Warm-start states (Vdd LP bases) this worker lost to cold
-    /// retries ([`reclaim_core::engine::profiling`]): non-zero means
-    /// sweeps or patches silently paid for cold re-solves.
+    /// retries: non-zero means sweeps or patches silently paid for
+    /// cold re-solves.
     pub warm_lost: u64,
     /// Branch-and-bound nodes expanded by exact Discrete/Incremental
-    /// solves (parallel subtree workers fold into the issuing
-    /// worker's total).
+    /// solves (parallel subtree workers and fanned-out sweep points
+    /// fold into the issuing worker's total).
     pub bnb_nodes: u64,
     /// Parallel-search subtree pickups beyond each worker's first —
     /// how much the atomic work-queue rebalanced past the static
     /// split.
     pub bnb_steals: u64,
     /// Structural patches whose SP decomposition was locally spliced
-    /// instead of re-recognized ([`taskgraph::profiling`]).
+    /// instead of re-recognized.
     pub sp_splice: u64,
     /// Splice attempts that failed and fell back to lazy full
     /// recognition: non-zero means structural patches paid cold

@@ -245,7 +245,7 @@ fn snapshot_to_json(s: &AnalysisSnapshot) -> Json {
 }
 
 fn snapshot_from_json(v: &Json) -> AnalysisSnapshot {
-    // Field-level damage degrades to lazy recomputation (restore()
+    // Field-level damage degrades to recomputation (restore()
     // re-validates everything against the graph anyway).
     let topo = v.get("topo").and_then(Json::as_arr).map(|a| {
         a.iter()
@@ -535,7 +535,8 @@ impl Store {
     /// inconsistent file (bad record, or content that no longer hashes
     /// to `key`) is accounted in `corrupt_skipped`, removed, and
     /// reported as absent — never a panic, never a silent wrong
-    /// answer.
+    /// answer. The instance comes back warm: the analyses its graph
+    /// confirms are reused, the rest recomputed.
     pub fn load(&self, key: u128) -> Option<StoredEntry> {
         let path = self.instance_path(key);
         let data = fs::read(&path).ok()?;
@@ -715,7 +716,10 @@ fn decode_instance_payload(payload: &str, want_key: u128) -> Option<StoredEntry>
             cp_weight: None,
             reduced_edges: None,
         });
+    // `restore` keeps each snapshot field the graph confirms; warm()
+    // derives the critical path and fills whatever was dropped.
     let inst = PreparedInstance::restore(Arc::new(graph), &snap);
+    inst.warm();
     let curve = v.get("curve").and_then(curve_from_json);
     Some(StoredEntry { inst, model, curve })
 }

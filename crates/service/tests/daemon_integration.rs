@@ -902,3 +902,119 @@ fn corpus_over_the_wire_matches_local_and_timeouts_are_structured() {
     assert_eq!(stats.net.timeouts, 1, "the timeout is counted");
     daemon.shutdown(client);
 }
+
+/// A sampled Discrete curve on a daemon with a spare slot runs its
+/// points on the engine's scoped fan-out threads. The nodes those
+/// threads expand must still reach the serving worker's `stats` row:
+/// exactly as many as an in-process one-thread sweep expands.
+#[test]
+fn sampled_curve_counts_its_fan_out_nodes() {
+    use taskgraph::profiling;
+    let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
+    let model = EnergyModel::Discrete(models::DiscreteModes::new(&[0.5, 1.0, 2.0]).unwrap());
+    let before = profiling::counts();
+    let local = reclaim_core::Engine::new(models::PowerLaw::CUBIC)
+        .threads(1)
+        .energy_curve(&taskgraph::PreparedGraph::new(&g), &model, 6, 1.1, 3.0)
+        .unwrap();
+    let nodes = (profiling::counts() - before).bnb_nodes;
+    assert_eq!(nodes, 130);
+
+    // Two workers and one client: the serving worker borrows the idle
+    // slot and sweeps the points on two threads.
+    let daemon = Spawned::new("curve-nodes", &["--workers", "2"]);
+    let mut client = daemon.client();
+    let curve = Request::EnergyCurve {
+        graph: g,
+        model,
+        points: 6,
+        lo: 1.1,
+        hi: 3.0,
+        exact: false,
+    };
+    match client.roundtrip(curve).unwrap().response {
+        Response::Curve(points) => assert_eq!(points.len(), local.len()),
+        other => panic!("expected a sampled curve, got {other:?}"),
+    }
+    let stats = expect_stats(client.roundtrip(Request::Stats).unwrap().response);
+    assert_eq!(
+        stats.workers.iter().map(|w| w.bnb_nodes).sum::<u64>(),
+        nodes
+    );
+    daemon.shutdown(client);
+}
+
+/// A peer that sends without reading backs up into its own socket
+/// buffer, not the daemon's memory: past a fixed cap of unflushed
+/// answers the daemon stops reading that connection, keeps serving
+/// the others, and answers every frame once the peer drains.
+#[test]
+fn unread_answers_stop_reading_instead_of_queueing() {
+    use reclaim_service::proto::{read_frame, write_frame, ResponseEnvelope};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+    const FRAMES: usize = 100_000;
+
+    let daemon = Spawned::new("unread", &["--workers", "1"]);
+    let mut client = daemon.client();
+    let raw = std::os::unix::net::UnixStream::connect(&daemon.socket).unwrap();
+    let sent = Arc::new(AtomicUsize::new(0));
+    let writer = {
+        let mut w = raw.try_clone().unwrap();
+        let sent = Arc::clone(&sent);
+        std::thread::spawn(move || {
+            for id in 0..FRAMES {
+                write_frame(&mut w, &format!(r#"{{"v":1,"id":{id},"type":"stats"}}"#)).unwrap();
+                sent.store(id + 1, Ordering::Relaxed);
+            }
+        })
+    };
+    // The writer must stall (no progress for two seconds) long before
+    // it has sent every frame.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let (mut last, mut still) = (0, 0);
+    while still < 40 {
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            !writer.is_finished(),
+            "the daemon read all {FRAMES} frames while none of its answers was read"
+        );
+        assert!(
+            Instant::now() < deadline,
+            "the writer neither finished nor stalled"
+        );
+        let now = sent.load(Ordering::Relaxed);
+        still = if now == last { still + 1 } else { 0 };
+        last = now;
+    }
+    assert!(
+        last < FRAMES / 2,
+        "the writer sent {last} of {FRAMES} frames before it blocked"
+    );
+
+    // Meanwhile another connection is served.
+    expect_solve(
+        client
+            .roundtrip(solve_req(&generators::chain(&[1.0, 2.0])))
+            .unwrap()
+            .response,
+    );
+
+    // Draining: exactly one answer per frame, each under its id.
+    let mut reader = std::io::BufReader::new(raw);
+    for id in 0..FRAMES as u64 {
+        let payload = read_frame(&mut reader)
+            .unwrap()
+            .expect("an answer per frame");
+        let resp = ResponseEnvelope::decode(&payload).unwrap();
+        assert_eq!(resp.id, id, "answers in frame order");
+        expect_stats(resp.response);
+    }
+    writer.join().unwrap();
+    daemon.shutdown(client);
+    assert!(
+        read_frame(&mut reader).unwrap().is_none(),
+        "no answer beyond one per frame"
+    );
+}

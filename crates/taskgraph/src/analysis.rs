@@ -9,10 +9,10 @@ use crate::graph::{TaskGraph, TaskId};
 /// fails.
 ///
 /// Callers that solve the same graph repeatedly should compute the
-/// order once (e.g. via [`crate::PreparedGraph`]) and use the
-/// `*_ordered` variants below.
+/// order once, through [`crate::PreparedGraph`], whose analyses reuse
+/// it.
 pub fn topo_order(g: &TaskGraph) -> Vec<TaskId> {
-    crate::profiling::bump_topo_order();
+    crate::profiling::record(|c| c.topo_order += 1);
     topo_order_quiet(g)
 }
 
@@ -54,7 +54,11 @@ pub fn earliest_completion(g: &TaskGraph, durations: &[f64]) -> Vec<f64> {
 
 /// [`earliest_completion`] with a caller-supplied topological order
 /// (must be a valid order of `g`, e.g. from a cached analysis).
-pub fn earliest_completion_ordered(g: &TaskGraph, durations: &[f64], order: &[TaskId]) -> Vec<f64> {
+pub(crate) fn earliest_completion_ordered(
+    g: &TaskGraph,
+    durations: &[f64],
+    order: &[TaskId],
+) -> Vec<f64> {
     assert_eq!(durations.len(), g.n());
     debug_assert!(is_topo_order(g, order));
     let mut ecl = vec![0.0; g.n()];
@@ -72,7 +76,7 @@ pub fn latest_completion(g: &TaskGraph, durations: &[f64], deadline: f64) -> Vec
 }
 
 /// [`latest_completion`] with a caller-supplied topological order.
-pub fn latest_completion_ordered(
+pub(crate) fn latest_completion_ordered(
     g: &TaskGraph,
     durations: &[f64],
     deadline: f64,
@@ -96,13 +100,6 @@ pub fn latest_completion_ordered(
 /// completion over all tasks).
 pub fn makespan(g: &TaskGraph, durations: &[f64]) -> f64 {
     earliest_completion(g, durations)
-        .into_iter()
-        .fold(0.0f64, f64::max)
-}
-
-/// [`makespan`] with a caller-supplied topological order.
-pub fn makespan_ordered(g: &TaskGraph, durations: &[f64], order: &[TaskId]) -> f64 {
-    earliest_completion_ordered(g, durations, order)
         .into_iter()
         .fold(0.0f64, f64::max)
 }
@@ -188,7 +185,7 @@ pub fn reachability(g: &TaskGraph) -> Vec<Vec<u64>> {
 }
 
 /// [`reachability`] with a caller-supplied topological order.
-pub fn reachability_ordered(g: &TaskGraph, order: &[TaskId]) -> Vec<Vec<u64>> {
+fn reachability_ordered(g: &TaskGraph, order: &[TaskId]) -> Vec<Vec<u64>> {
     debug_assert!(is_topo_order(g, order));
     let n = g.n();
     let wds = n.div_ceil(64);
@@ -234,8 +231,8 @@ pub fn transitive_reduction(g: &TaskGraph) -> TaskGraph {
 
 /// [`transitive_reduction`] with a caller-supplied topological order.
 /// The reachability matrix it builds is dropped on return.
-pub fn transitive_reduction_ordered(g: &TaskGraph, order: &[TaskId]) -> TaskGraph {
-    crate::profiling::bump_transitive_reduction();
+pub(crate) fn transitive_reduction_ordered(g: &TaskGraph, order: &[TaskId]) -> TaskGraph {
+    crate::profiling::record(|c| c.transitive_reduction += 1);
     reduce(g, order)
 }
 
@@ -321,7 +318,7 @@ pub fn repair_topo_order(
         }
         cone += slots.len() as u64;
     }
-    crate::profiling::add_cone_nodes(cone);
+    crate::profiling::record(|c| c.cone_nodes += cone);
     debug_assert!(is_topo_order(g, &order));
     order
 }
@@ -375,7 +372,7 @@ pub fn repair_earliest_completion(
             }
         }
     }
-    crate::profiling::add_cone_nodes(visited);
+    crate::profiling::record(|c| c.cone_nodes += visited);
     debug_assert_eq!(ecl, earliest_completion_ordered(g, durations, order));
     ecl
 }
@@ -478,7 +475,7 @@ pub fn repair_reduction(
             redundant.push((x, y));
         }
     }
-    crate::profiling::add_cone_nodes(visited);
+    crate::profiling::record(|c| c.cone_nodes += visited);
     let reduced = without_edges(g, redundant);
     debug_assert_eq!(reduced, reduce(g, order));
     reduced

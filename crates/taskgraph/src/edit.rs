@@ -238,7 +238,7 @@ pub fn apply_edits(
 /// over the old one, the net edge changes
 /// come from the batch itself, and acyclicity follows from the old
 /// order unless an insertion breaks it.
-pub fn apply_edits_ordered(
+pub(crate) fn apply_edits_ordered(
     g: &TaskGraph,
     edits: &[GraphEdit],
     old_order: Option<&[TaskId]>,

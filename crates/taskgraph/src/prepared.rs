@@ -48,7 +48,7 @@ impl Caches {
 
     fn classification(&self, g: &TaskGraph) -> &(Shape, Option<SpTree>) {
         self.class
-            .get_or_init(|| Arc::new(structure::classify_with_tree_ordered(g, self.topo(g))))
+            .get_or_init(|| Arc::new(structure::classify_with_tree(g, Some(self.topo(g)))))
     }
 
     fn ecl(&self, g: &TaskGraph) -> &[f64] {
@@ -149,7 +149,9 @@ impl<'g> PreparedGraph<'g> {
 
     /// [`analysis::makespan`] using the cached order.
     pub fn makespan(&self, durations: &[f64]) -> f64 {
-        analysis::makespan_ordered(self.g, durations, self.topo())
+        self.earliest_completion(durations)
+            .into_iter()
+            .fold(0.0f64, f64::max)
     }
 }
 
@@ -219,9 +221,6 @@ impl PreparedInstance {
         let v = self.view();
         v.topo();
         let _ = v.sp_tree();
-        // Fill ecl explicitly: a snapshot-restored instance may carry
-        // cp_weight without it, and the repair layer needs it.
-        let _ = self.caches.ecl(&self.g);
         v.critical_path_weight();
         v.reduced();
         self
@@ -420,12 +419,17 @@ impl PreparedInstance {
 
     /// Rebuild an instance from a graph plus a previously exported
     /// [`AnalysisSnapshot`], pre-filling each cache the snapshot
-    /// carries. Each field is cheaply sanity-checked against the graph
-    /// (id ranges, lengths, the SP tree's junctions against the edge
-    /// set, DAG validity of the reduced edge set); anything
-    /// inconsistent is silently dropped and recomputes lazily — a
-    /// stale or hand-edited snapshot can cost time, never correctness.
-    /// A kept SP tree is brought into canonical form.
+    /// carries once the graph confirms it: the order must be a
+    /// topological order of the graph; an SP tree's junctions must
+    /// match the edge set; a class without a tree must be the verdict
+    /// of the `O(n + m)` [`structure::specific_shape`] (`General` only
+    /// when that finds no specific shape); every reduced edge must be
+    /// an edge of the graph. Anything else is silently dropped and
+    /// recomputes lazily — a stale or hand-edited snapshot can cost
+    /// time, never correctness. The critical path is never taken from
+    /// the snapshot: it derives from the completion times
+    /// [`Self::warm`] fills. A kept SP tree is brought into canonical
+    /// form.
     pub fn restore(g: Arc<TaskGraph>, snap: &AnalysisSnapshot) -> PreparedInstance {
         let n = g.n();
         let caches = Caches::default();
@@ -436,21 +440,26 @@ impl PreparedInstance {
             }
         }
         if let Some((shape, tree)) = &snap.class {
-            // A loaded tree takes the canonical form a fresh
-            // recognition builds, so a patch chain that passes through
-            // the store still depends on the graph alone.
-            if tree.as_ref().is_none_or(|t| t.validates(&g)) {
+            // Keep exactly the verdict a fresh classification reaches.
+            let confirmed = match (tree, structure::specific_shape(&g)) {
+                (None, Some(specific)) => *shape == specific,
+                (None, None) => *shape == Shape::General,
+                (Some(t), None) => *shape == Shape::SeriesParallel && t.validates(&g),
+                (Some(_), Some(_)) => false,
+            };
+            if confirmed {
+                // A loaded tree takes the canonical form a fresh
+                // recognition builds, so a patch chain that passes
+                // through the store still depends on the graph alone.
                 let tree = tree.clone().map(SpTree::canonical);
                 let _ = caches.class.set(Arc::new((*shape, tree)));
             }
         }
-        if let Some(cp) = snap.cp_weight {
-            if cp.is_finite() && cp > 0.0 {
-                let _ = caches.cp_weight.set(cp);
-            }
-        }
         if let Some(redges) = &snap.reduced_edges {
-            if redges.iter().all(|&(u, v)| u < n && v < n) {
+            if redges
+                .iter()
+                .all(|&(u, v)| u < n && v < n && g.has_edge(TaskId(u), TaskId(v)))
+            {
                 if let Ok(r) = TaskGraph::new(g.weights().to_vec(), redges) {
                     let _ = caches.reduced.set(r);
                 }
@@ -503,7 +512,8 @@ pub struct AnalysisSnapshot {
     pub topo: Option<Vec<usize>>,
     /// The cached shape classification and SP decomposition.
     pub class: Option<(Shape, Option<SpTree>)>,
-    /// The cached critical-path weight.
+    /// The cached critical-path weight. [`PreparedInstance::restore`]
+    /// derives it afresh rather than trusting this copy.
     pub cp_weight: Option<f64>,
     /// The edge set of the cached transitive reduction (its weights
     /// are always the graph's own).
@@ -870,19 +880,42 @@ mod tests {
 
     #[test]
     fn restore_drops_inconsistent_snapshot_fields() {
-        let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
-        let inst = PreparedInstance::new(Arc::new(g));
-        inst.warm();
-        let mut snap = inst.snapshot();
-        // Corrupt every field in a way cheap validation must catch.
-        snap.topo = Some(vec![3, 2, 1, 0]); // reversed: not a topo order
-        snap.cp_weight = Some(f64::NAN);
-        snap.reduced_edges = Some(vec![(0, 9)]); // out of range
-        let restored = PreparedInstance::restore(inst.graph_arc(), &snap);
-        // Nothing panics and every answer is still correct (recomputed).
-        assert_eq!(restored.view().critical_path_weight(), 8.0);
-        assert_eq!(restored.view().topo().len(), 4);
-        assert_eq!(restored.view().reduced().m(), 4);
+        let diamond = generators::diamond([1.0, 2.0, 3.0, 4.0]);
+        // Not series–parallel: the N pattern 0→2, 0→3, 1→3.
+        let general =
+            TaskGraph::new(vec![1.0; 5], &[(0, 2), (0, 3), (1, 3), (2, 4), (3, 4)]).unwrap();
+        assert_eq!(PreparedGraph::new(&general).shape(), Shape::General);
+        type Corrupt = fn(&mut AnalysisSnapshot);
+        let cases: [(&TaskGraph, Corrupt); 4] = [
+            // Every field, in a way a range check catches.
+            (&diamond, |s| {
+                s.topo = Some(vec![3, 2, 1, 0]); // reversed: not a topo order
+                s.cp_weight = Some(f64::NAN);
+                s.reduced_edges = Some(vec![(0, 9)]); // out of range
+            }),
+            // Consistent in itself, but wrong for the graph.
+            (&diamond, |s| s.cp_weight = Some(1.0)),
+            (&diamond, |s| s.class = Some((Shape::Chain, None))),
+            (&general, |s| s.reduced_edges.as_mut().unwrap().push((1, 2))),
+        ];
+        for (k, (g, corrupt)) in cases.into_iter().enumerate() {
+            let fresh = PreparedInstance::new(Arc::new(g.clone()));
+            fresh.warm();
+            let mut snap = fresh.snapshot();
+            corrupt(&mut snap);
+            let restored = PreparedInstance::restore(fresh.graph_arc(), &snap);
+            // Nothing panics and every answer is still correct
+            // (recomputed).
+            let (r, f) = (restored.view(), fresh.view());
+            assert_eq!(
+                r.critical_path_weight(),
+                f.critical_path_weight(),
+                "case {k}"
+            );
+            assert_eq!(r.topo().len(), g.n(), "case {k}");
+            assert_eq!(r.shape(), f.shape(), "case {k}");
+            assert_eq!(r.reduced().edges(), f.reduced().edges(), "case {k}");
+        }
     }
 
     #[test]

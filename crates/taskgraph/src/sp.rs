@@ -136,9 +136,9 @@ impl SpTree {
     /// [`SpTree::from_graph`] with a caller-supplied topological order
     /// of `g` (e.g. from [`crate::PreparedGraph`]), avoiding the
     /// internal re-derivation.
-    pub fn from_graph_ordered(g: &TaskGraph, order: &[TaskId]) -> Option<SpTree> {
+    pub(crate) fn from_graph_ordered(g: &TaskGraph, order: &[TaskId]) -> Option<SpTree> {
         debug_assert!(crate::analysis::is_topo_order(g, order));
-        crate::profiling::bump_sp_from_graph();
+        crate::profiling::record(|c| c.sp_from_graph += 1);
         let all: Vec<TaskId> = g.tasks().collect();
         Self::decompose(g, &all, order).map(SpTree::canonical)
     }
@@ -184,11 +184,11 @@ impl SpTree {
         debug_assert!(crate::analysis::is_topo_order(g, order));
         match self.splice_inner(g, order, touched) {
             Some(t) => {
-                crate::profiling::bump_sp_splice();
+                crate::profiling::record(|c| c.sp_splice += 1);
                 Some(t)
             }
             None => {
-                crate::profiling::bump_sp_splice_miss();
+                crate::profiling::record(|c| c.sp_splice_miss += 1);
                 None
             }
         }
@@ -237,7 +237,7 @@ impl SpTree {
         };
         let mut verts: Vec<TaskId> = region.iter().flat_map(|c| c.leaves()).collect();
         verts.sort_unstable();
-        crate::profiling::add_cone_nodes(verts.len() as u64);
+        crate::profiling::record(|c| c.cone_nodes += verts.len() as u64);
         // The region's own topological order (the global one filtered
         // once), so no recursion level rescans the whole graph's.
         mark.iter_mut().for_each(|m| *m = false);

@@ -109,25 +109,19 @@ fn only_sink(g: &TaskGraph) -> Option<TaskId> {
 /// SP graph; every fork is an out-tree; trees are checked before the
 /// (more expensive) SP recognition.
 pub fn classify(g: &TaskGraph) -> Shape {
-    classify_with_tree(g).0
+    classify_with_tree(g, None).0
 }
 
 /// [`classify`], also returning the series–parallel decomposition when
-/// the graph classified as [`Shape::SeriesParallel`] — so callers that
-/// cache the classification (e.g. [`crate::PreparedGraph`]) get the
-/// tree the recognition already built instead of recomputing it.
-pub fn classify_with_tree(g: &TaskGraph) -> (Shape, Option<SpTree>) {
-    classify_inner(g, None)
-}
-
-/// [`classify_with_tree`] with a caller-supplied topological order,
-/// so the SP recognition reuses it instead of re-deriving one.
-pub fn classify_with_tree_ordered(g: &TaskGraph, order: &[TaskId]) -> (Shape, Option<SpTree>) {
-    classify_inner(g, Some(order))
-}
-
-fn classify_inner(g: &TaskGraph, order: Option<&[TaskId]>) -> (Shape, Option<SpTree>) {
-    crate::profiling::bump_classify();
+/// the graph classified as [`Shape::SeriesParallel`] — so
+/// [`crate::PreparedGraph`] caches the tree the recognition already
+/// built — and reusing a caller-supplied topological order when given
+/// one.
+pub(crate) fn classify_with_tree(
+    g: &TaskGraph,
+    order: Option<&[TaskId]>,
+) -> (Shape, Option<SpTree>) {
+    crate::profiling::record(|c| c.classify += 1);
     if let Some(s) = specific_shape(g) {
         return (s, None);
     }

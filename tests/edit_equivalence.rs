@@ -304,10 +304,18 @@ proptest! {
 
         // Solving the patched instance costs exactly the baseline:
         // the weight edit invalidated nothing a solve would rebuild.
+        // The ledger also counts search work, which follows the new
+        // weights: only the branch-and-bound nodes and steals are set
+        // aside.
         let before = profiling::counts();
         solve_all(&patched);
         let patched_delta = profiling::counts() - before;
-        prop_assert_eq!(patched_delta, baseline, "edit must add zero analysis passes");
+        let passes = |c: profiling::Counts| profiling::Counts {
+            bnb_nodes: 0,
+            bnb_steals: 0,
+            ..c
+        };
+        prop_assert_eq!(passes(patched_delta), passes(baseline), "edit must add zero analysis passes");
     }
 
     /// Structural (edge-only) chains are *repaired*, not rebuilt:
