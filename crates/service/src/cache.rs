@@ -5,10 +5,16 @@
 //! from two connections, two files, or two runs of a client — maps to
 //! one [`taskgraph::PreparedInstance`] whose analysis (topological
 //! order, shape, SP tree, critical path, transitive reduction) is paid
-//! for exactly once. Values are `Arc<PreparedInstance>` plus the model
-//! the key was derived under and a shared Vdd warm-start slot: a hit
-//! hands out a clone of the handle, so eviction never invalidates an
-//! in-flight solve.
+//! for exactly once. The value is an [`Entry`]: the key, the prepared
+//! instance, the model the key was derived under, a Vdd warm-start
+//! slot and a retained-curve slot. Every lookup — [`get_or_prepare`],
+//! [`patch`], and the `as_of` rewind [`materialize`] — hands out an
+//! `Arc<Entry>`, the one handle a caller solves, walks curves and
+//! writes through the store with; eviction never invalidates it.
+//!
+//! [`get_or_prepare`]: InstanceCache::get_or_prepare
+//! [`patch`]: InstanceCache::patch
+//! [`materialize`]: InstanceCache::materialize
 //!
 //! # Patching
 //!
@@ -51,10 +57,11 @@
 //! curve *before* it is dropped (so eviction downgrades the entry
 //! from RAM to disk instead of destroying it — a re-request is a disk
 //! hit, [`Prepared::StoreHit`], not a cold re-prepare), and a RAM
-//! miss consults the store before building from scratch. Spills run
-//! under the cache lock on the eviction path; records are small
-//! (one JSON line) and the alternative — dropping the victim outside
-//! the lock — would let a racing re-request rebuild cold mid-spill.
+//! miss consults the store before building from scratch. Every one of
+//! these writes is one spill of an entry. Spills run under the cache
+//! lock on the eviction path; records are small (one JSON line) and
+//! the alternative — dropping the victim outside the lock — would let
+//! a racing re-request rebuild cold mid-spill.
 //!
 //! The key deliberately covers graph **and** model, even though the
 //! cached analysis is model-independent: one cache entry *is* one
@@ -67,9 +74,10 @@
 
 use models::EnergyModel;
 use reclaim_core::engine::{content_key, patched_key, vdd_basis_survives, VddWarm};
+use reclaim_core::ExactCurve;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use taskgraph::edit::{EditError, GraphEdit};
 use taskgraph::PreparedInstance;
 
@@ -94,11 +102,6 @@ impl Default for CacheConfig {
     }
 }
 
-/// The per-entry Vdd warm-start slot: the retained LP basis of the
-/// last Vdd-Hopping solve of this instance, if any. Shared (`Arc`) so
-/// a re-keyed patch chain keeps one slot alive across entries.
-pub type WarmSlot = Arc<Mutex<Option<VddWarm>>>;
-
 /// A retained exact energy–deadline curve (protocol v3): the segments
 /// of the last `energy_curve {exact}` request against this entry, with
 /// the deadline factors they were computed for. A repeat request with
@@ -110,19 +113,90 @@ pub struct CachedCurve {
     /// The `hi` factor of the request that built the curve.
     pub hi: f64,
     /// The curve itself.
-    pub curve: Arc<reclaim_core::ExactCurve>,
+    pub curve: Arc<ExactCurve>,
 }
 
-/// The per-entry retained-curve slot. Unlike [`WarmSlot`], this never
-/// travels across patches — the curve's energies depend on the task
-/// weights, so **any** edit invalidates it.
-pub type CurveSlot = Arc<Mutex<Option<CachedCurve>>>;
+/// One cached instance: the handle every caller solves, walks curves,
+/// patches and rewinds through, handed out as `Arc<Entry>` (eviction
+/// drops the cache's reference, never the caller's).
+pub struct Entry {
+    /// Content key of `(inst.graph(), model)`: the entry's identity.
+    pub key: u128,
+    /// The prepared, fully warmed instance.
+    pub inst: PreparedInstance,
+    /// The model the key was derived under.
+    pub model: EnergyModel,
+    /// The retained LP basis of the last Vdd-Hopping solve, if any.
+    /// Shared with the entry this one was patched from whenever the
+    /// LP matrix survived the edits.
+    warm: Arc<Mutex<Option<VddWarm>>>,
+    /// The retained exact curve. Unlike the warm slot this never
+    /// travels across patches — curve energies depend on the task
+    /// weights, so **any** edit invalidates it.
+    curve: Mutex<Option<CachedCurve>>,
+}
 
-struct Entry {
-    inst: Arc<PreparedInstance>,
-    model: EnergyModel,
-    warm: WarmSlot,
-    curve: CurveSlot,
+impl Entry {
+    fn new(
+        key: u128,
+        inst: PreparedInstance,
+        model: EnergyModel,
+        curve: Option<CachedCurve>,
+    ) -> Entry {
+        Entry {
+            key,
+            inst,
+            model,
+            warm: Arc::default(),
+            curve: Mutex::new(curve),
+        }
+    }
+
+    /// Run `f` with the Vdd warm handle taken out of its slot,
+    /// **without** holding the lock across the work: the handle is
+    /// taken under a short lock, `f` runs unlocked (a concurrent solve
+    /// of the same entry just runs cold — wasted work, never
+    /// serialization), and the refreshed handle is put back afterwards
+    /// (last writer wins). Any model may pass: the warm engine entry
+    /// points equal their cold twins for every model but Vdd-Hopping,
+    /// which alone fills the slot. A poisoned slot is reclaimed — the
+    /// handle inside is either intact or `None`, and either is a valid
+    /// starting point.
+    pub fn with_warm<T>(&self, f: impl FnOnce(&mut Option<VddWarm>) -> T) -> T {
+        let mut warm = self
+            .warm
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let out = f(&mut warm);
+        if let Some(handle) = warm {
+            *self.warm.lock().unwrap_or_else(PoisonError::into_inner) = Some(handle);
+        }
+        out
+    }
+
+    /// The retained exact curve, if one was computed for the deadline
+    /// factors `lo` and `hi`.
+    pub fn retained_curve(&self, lo: f64, hi: f64) -> Option<Arc<ExactCurve>> {
+        let slot = self.curve_guard();
+        let retained = slot.as_ref().filter(|c| c.lo == lo && c.hi == hi)?;
+        Some(Arc::clone(&retained.curve))
+    }
+
+    /// The curve slot, reclaimed if poisoned: it only ever holds a
+    /// whole curve or `None`.
+    fn curve_guard(&self) -> std::sync::MutexGuard<'_, Option<CachedCurve>> {
+        self.curve.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The share of `max_entries` (numerator, denominator) reused entries
+/// may hold and still be spared by eviction.
+const REUSED_SHARE: (usize, usize) = (4, 5);
+
+/// An entry's place in the LRU.
+struct Slot {
+    entry: Arc<Entry>,
     bytes: usize,
     last_used: u64,
     /// Looked up or patched since its insertion (or inherited from a
@@ -131,12 +205,8 @@ struct Entry {
     reused: bool,
 }
 
-/// The share of `max_entries` (numerator, denominator) reused entries
-/// may hold and still be spared by eviction.
-const REUSED_SHARE: (usize, usize) = (4, 5);
-
 struct Inner {
-    map: HashMap<u128, Entry>,
+    map: HashMap<u128, Slot>,
     bytes: usize,
     tick: u64,
 }
@@ -156,13 +226,15 @@ pub struct InstanceCache {
     rekeys: AtomicU64,
 }
 
-/// Where [`InstanceCache::get_or_prepare`] found the instance.
+/// Where [`InstanceCache::get_or_prepare`] (or
+/// [`InstanceCache::materialize`]) found the instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Prepared {
     /// Live in RAM.
     Hit,
-    /// RAM miss, re-materialized from the disk store's spilled entry
-    /// (analyses restored from the snapshot — no re-preparation).
+    /// RAM miss, re-materialized from the disk store (analyses
+    /// restored from the record, or replayed along the lineage — no
+    /// re-preparation).
     StoreHit,
     /// Built and fully warmed from scratch.
     Built,
@@ -174,28 +246,6 @@ impl Prepared {
     pub fn cached(self) -> bool {
         !matches!(self, Prepared::Built)
     }
-}
-
-/// A successfully applied [`InstanceCache::patch`].
-pub struct Patched {
-    /// The edited, selectively re-prepared instance.
-    pub inst: Arc<PreparedInstance>,
-    /// The model of the (base and patched) entry.
-    pub model: EnergyModel,
-    /// Content key of the edited instance — its cache identity from
-    /// now on.
-    pub key: u128,
-    /// The Vdd warm-start slot of the patched entry (the base's slot
-    /// for weight-only batches, a fresh empty one after structural
-    /// edits).
-    pub warm: WarmSlot,
-    /// Whether every edit in the batch was weight-only (nothing
-    /// structural was recomputed).
-    pub weight_only: bool,
-    /// Nanoseconds spent re-warming analyses the edits dropped
-    /// (`0` for weight-only batches — the carried caches *are* the
-    /// preparation).
-    pub prep_ns: u64,
 }
 
 /// Why a patch was refused.
@@ -236,29 +286,36 @@ impl InstanceCache {
         }
     }
 
-    /// Look up the instance for `key`, re-materializing it from the
-    /// disk store (when one is attached) or building (and fully
-    /// warming) it on a miss. `model` must be the model `key` was
-    /// derived under; it is stored with the entry so `patch` can
-    /// re-key without the client resending it. Returns the shared
-    /// handle and where it came from ([`Prepared`]). The builder and
-    /// the store load run *outside* the lock: two racing misses on one
-    /// key both build, and the first insertion wins — wasted work,
-    /// never a wrong answer.
+    /// The disk store behind the cache, if one is attached — for the
+    /// `lineage` walk, the `as_of` ancestor lookup and its `stats`.
+    pub fn store(&self) -> Option<&Store> {
+        self.store.as_deref()
+    }
+
+    /// Look up the entry for `key`, re-materializing it from the disk
+    /// store (when one is attached) or building (and fully warming) it
+    /// on a miss. `model` must be the model `key` was derived under;
+    /// it is stored with the entry so `patch` can re-key without the
+    /// client resending it. Returns the shared handle and where it came
+    /// from ([`Prepared`]). The builder and the store load run
+    /// *outside* the lock: two racing misses on one key both build,
+    /// and the first insertion wins — wasted work, never a wrong
+    /// answer.
     pub fn get_or_prepare(
         &self,
         key: u128,
         model: &EnergyModel,
         build: impl FnOnce() -> PreparedInstance,
-    ) -> (Arc<PreparedInstance>, Prepared) {
-        if let Some((inst, _)) = self.lookup(key) {
-            return (inst, Prepared::Hit);
+    ) -> (Arc<Entry>, Prepared) {
+        if let Some(entry) = self.lookup_quiet(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return (entry, Prepared::Hit);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         // A RAM miss consults the store first: a spilled (or
         // recovered-after-restart) entry comes back with its analyses
         // and retained curve, skipping preparation entirely.
-        let (built, curve, outcome) = match self.store.as_ref().and_then(|s| s.load(key)) {
+        let (inst, curve, outcome) = match self.store.as_ref().and_then(|s| s.load(key)) {
             Some(stored) => (stored.inst, stored.curve, Prepared::StoreHit),
             None => {
                 let built = build();
@@ -266,97 +323,68 @@ impl InstanceCache {
                 (built, None, Prepared::Built)
             }
         };
-        let bytes = built.approx_bytes();
-        let built = Arc::new(built);
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let inst = match inner.map.get_mut(&key) {
-            // A racing worker inserted while we were building: use
-            // (and refresh) the winner, drop our copy.
-            Some(e) => {
-                e.last_used = tick;
-                e.reused = true;
-                Arc::clone(&e.inst)
-            }
-            None => {
-                inner.bytes += bytes;
-                inner.map.insert(
-                    key,
-                    Entry {
-                        inst: Arc::clone(&built),
-                        model: model.clone(),
-                        warm: Arc::new(Mutex::new(None)),
-                        curve: Arc::new(Mutex::new(curve)),
-                        bytes,
-                        last_used: tick,
-                        reused: false,
-                    },
-                );
-                self.enforce_budget(&mut inner, key);
-                built
-            }
-        };
-        drop(inner);
+        let (entry, _) = self.insert(Entry::new(key, inst, model.clone(), curve), false, None);
         if outcome == Prepared::Built {
             // Write-through: a freshly built instance is on disk
             // before its first response leaves the daemon, so a crash
-            // right after never forgets it. Spill failures degrade to
-            // a RAM-only entry, never to a wrong answer.
-            if let Some(store) = &self.store {
-                let _ = store.save(key, model, &inst, None);
-            }
+            // right after never forgets it.
+            self.spill(&entry);
         }
-        (inst, outcome)
+        (entry, outcome)
     }
 
-    /// Look up `key` without counting a hit and without building —
-    /// the daemon's `as_of` time-travel path peeks for a live
-    /// ancestor before going to the store.
-    pub fn peek(&self, key: u128) -> Option<Arc<PreparedInstance>> {
-        self.lookup_quiet(key).map(|(inst, _)| inst)
-    }
-
-    /// The Vdd warm-start slot of an entry, if the entry is live. Used
-    /// by the daemon to retain the LP basis a solve produced so a
-    /// later `patch` can re-optimize it.
-    pub fn warm_slot(&self, key: u128) -> Option<WarmSlot> {
-        let inner = self.inner.lock().expect("cache lock poisoned");
-        inner.map.get(&key).map(|e| Arc::clone(&e.warm))
-    }
-
-    /// The retained-curve slot of an entry, if the entry is live. The
-    /// daemon parks the last exact energy–deadline curve here so
-    /// repeat requests are answered without re-walking the LP.
-    pub fn curve_slot(&self, key: u128) -> Option<CurveSlot> {
-        let inner = self.inner.lock().expect("cache lock poisoned");
-        inner.map.get(&key).map(|e| Arc::clone(&e.curve))
+    /// The entry for `key` as the `as_of` time-travel path needs it:
+    /// live in RAM (recency refreshed, no hit counted), or else
+    /// re-materialized by the attached store — from its record, or by
+    /// replaying the lineage from the nearest stored ancestor — and
+    /// inserted as an entry, counting one miss. A replayed version is
+    /// written through, so the next restart finds its record. `None`
+    /// when `key` is neither live nor materializable (or no store is
+    /// attached).
+    pub fn materialize(&self, key: u128) -> Option<(Arc<Entry>, Prepared)> {
+        if let Some(entry) = self.lookup_quiet(key) {
+            return Some((entry, Prepared::Hit));
+        }
+        let store = self.store.as_ref()?;
+        let stored = store.materialize(key)?;
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let entry = Entry::new(key, stored.inst, stored.model, stored.curve);
+        let (entry, inserted) = self.insert(entry, false, None);
+        // Still no record under `key` after materializing: the version
+        // was replayed.
+        if inserted && !store.contains(key) {
+            self.spill(&entry);
+        }
+        Some((entry, Prepared::StoreHit))
     }
 
     /// Apply an edit batch to the cached instance `base`, re-keying
     /// the entry in place (see the module docs). A base missing from
     /// RAM but present in the attached store re-materializes from
     /// disk first (eviction and restarts don't break patch chains).
-    /// On success the cache holds the patched instance under
-    /// [`Patched::key`] and no longer holds `base`; in-flight solves
-    /// against the base handle are unaffected (`Arc`).
-    pub fn patch(&self, base: u128, edits: &[GraphEdit]) -> Result<Patched, PatchError> {
+    /// On success the cache holds the patched entry under its new key
+    /// and no longer holds `base`; in-flight solves against the base
+    /// handle are unaffected (`Arc`). Also returns the nanoseconds
+    /// spent re-warming the analyses a structural batch dropped, or
+    /// `None` for a weight-only batch — every structural cache was
+    /// carried, so the patched instance is as prepared as its base.
+    pub fn patch(
+        &self,
+        base: u128,
+        edits: &[GraphEdit],
+    ) -> Result<(Arc<Entry>, Option<u64>), PatchError> {
         // Patch traffic is accounted in its own counters, not in the
         // plain hit/miss pair — `stats` must be able to tell them
         // apart.
-        let (base_inst, model, base_warm) = match self.lookup_quiet(base) {
-            Some((inst, (model, warm))) => (inst, model, warm),
+        let base = match self.lookup_quiet(base) {
+            Some(entry) => entry,
             // An attached store extends "held" to disk: a base that
             // was spilled on eviction (or recovered after a restart)
             // re-materializes and the patch proceeds as a hit — the
             // Vdd warm slot starts empty (live LP handles are never
             // persisted) and rebuilds lazily.
             None => match self.store.as_ref().and_then(|s| s.load(base)) {
-                Some(stored) => (
-                    Arc::new(stored.inst),
-                    stored.model,
-                    Arc::new(Mutex::new(None)),
-                ),
+                Some(stored) => Arc::new(Entry::new(base, stored.inst, stored.model, None)),
                 None => {
                     self.patch_misses.fetch_add(1, Ordering::Relaxed);
                     return Err(PatchError::UnknownBase);
@@ -365,125 +393,92 @@ impl InstanceCache {
         };
         // Apply (and, for structural batches, re-warm) outside the
         // lock — the expensive part must not serialize other workers.
-        let patched = base_inst.apply(edits).map_err(PatchError::Edit)?;
-        let weight_only = edits.iter().all(GraphEdit::is_weight_only);
-        let prep_ns = if weight_only {
-            // Every structural cache was carried over: the patched
-            // instance is as prepared as the base was.
-            0
-        } else {
+        let patched = base.inst.apply(edits).map_err(PatchError::Edit)?;
+        let rewarm_ns = (!edits.iter().all(GraphEdit::is_weight_only)).then(|| {
             let t0 = std::time::Instant::now();
             patched.warm();
             t0.elapsed().as_nanos() as u64
-        };
-        let key = patched_key(base, base_inst.graph(), edits)
-            .unwrap_or_else(|| content_key(patched.graph(), &model));
+        });
+        let key = patched_key(base.key, base.inst.graph(), edits)
+            .unwrap_or_else(|| content_key(patched.graph(), &base.model));
         // The retained Vdd basis travels whenever the patched LP is
-        // the same matrix.
-        let warm = if vdd_basis_survives(&base_inst, &patched, edits) {
-            base_warm
-        } else {
-            Arc::new(Mutex::new(None))
-        };
-        let bytes = patched.approx_bytes();
-        let inst = Arc::new(patched);
-
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.map.remove(&base) {
-            inner.bytes -= old.bytes;
-            self.rekeys.fetch_add(1, Ordering::Relaxed);
+        // the same matrix; the curve never does.
+        let mut entry = Entry::new(key, patched, base.model.clone(), None);
+        if vdd_basis_survives(&base.inst, &entry.inst, edits) {
+            entry.warm = Arc::clone(&base.warm);
         }
-        match inner.map.get_mut(&key) {
-            // The edited content was already cached (e.g. an edit that
-            // undoes a previous one): keep the existing entry.
-            Some(e) => {
-                e.last_used = tick;
-                e.reused = true;
-                let existing = Arc::clone(&e.inst);
-                let warm = Arc::clone(&e.warm);
-                drop(inner);
-                self.patch_hits.fetch_add(1, Ordering::Relaxed);
-                // The content was already cached, but the *edit* is
-                // new history: record it so `as_of` can walk through.
-                if let Some(store) = &self.store {
-                    let _ = store.record_patch(base, edits, key);
-                }
-                return Ok(Patched {
-                    inst: existing,
-                    model,
-                    key,
-                    warm,
-                    weight_only,
-                    prep_ns,
-                });
-            }
-            None => {
-                inner.bytes += bytes;
-                inner.map.insert(
-                    key,
-                    Entry {
-                        inst: Arc::clone(&inst),
-                        model: model.clone(),
-                        warm: Arc::clone(&warm),
-                        // Never carried over: curve energies depend on
-                        // the weights every patch may have changed.
-                        curve: Arc::new(Mutex::new(None)),
-                        bytes,
-                        last_used: tick,
-                        // Inherited from the base, which this patch
-                        // just reused.
-                        reused: true,
-                    },
-                );
-                self.enforce_budget(&mut inner, key);
-            }
-        }
-        drop(inner);
+        // The patched entry inherits the reuse mark of the base this
+        // patch just reused. When the edited content was already
+        // cached (e.g. an edit that undoes a previous one), that entry
+        // is kept.
+        let (entry, inserted) = self.insert(entry, true, Some(base.key));
         self.patch_hits.fetch_add(1, Ordering::Relaxed);
         // Lineage before content: if the daemon dies between the two
         // writes, a recorded hop whose child file is missing still
         // re-materializes by replay; a child file with no hop would
-        // strand the edit out of every `as_of` walk.
+        // strand the edit out of every `as_of` walk. An already cached
+        // content still records the hop: the *edit* is new history.
         if let Some(store) = &self.store {
-            let _ = store.record_patch(base, edits, key);
-            let _ = store.save(key, &model, &inst, None);
+            let _ = store.record_patch(base.key, edits, key);
         }
-        Ok(Patched {
-            inst,
-            model,
-            key,
-            warm,
-            weight_only,
-            prep_ns,
-        })
+        if inserted {
+            self.spill(&entry);
+        }
+        Ok((entry, rewarm_ns))
     }
 
-    /// The lookup half of [`Self::get_or_prepare`], counting a hit iff
-    /// present.
-    fn lookup(&self, key: u128) -> Option<(Arc<PreparedInstance>, (EnergyModel, WarmSlot))> {
-        let found = self.lookup_quiet(key);
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
+    /// Park an exact curve computed for `entry` in its curve slot and
+    /// write the entry through: the walked curve is the expensive
+    /// artifact, so a restarted daemon answers the repeat request from
+    /// disk.
+    pub fn retain_curve(&self, entry: &Entry, lo: f64, hi: f64, curve: Arc<ExactCurve>) {
+        *entry.curve_guard() = Some(CachedCurve { lo, hi, curve });
+        self.spill(entry);
     }
 
-    /// [`Self::lookup`] without touching the hit counter (recency and
-    /// the reuse mark are still refreshed) — the read half of `patch`.
-    fn lookup_quiet(&self, key: u128) -> Option<(Arc<PreparedInstance>, (EnergyModel, WarmSlot))> {
+    /// Look up `key` without touching the hit counter; recency and the
+    /// reuse mark are refreshed.
+    fn lookup_quiet(&self, key: u128) -> Option<Arc<Entry>> {
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(&key) {
-            Some(e) => {
-                e.last_used = tick;
-                e.reused = true;
-                Some((Arc::clone(&e.inst), (e.model.clone(), Arc::clone(&e.warm))))
-            }
-            None => None,
+        let slot = inner.map.get_mut(&key)?;
+        slot.last_used = tick;
+        slot.reused = true;
+        Some(Arc::clone(&slot.entry))
+    }
+
+    /// Insert `entry` under its key — after dropping the entry
+    /// `replaces` names, for a patch's re-key — unless that key is
+    /// live already: then the live entry is refreshed and kept (a
+    /// racing worker inserted while this one was building). Returns
+    /// the live entry and whether it is the one passed in.
+    fn insert(&self, entry: Entry, reused: bool, replaces: Option<u128>) -> (Arc<Entry>, bool) {
+        let bytes = entry.inst.approx_bytes();
+        let key = entry.key;
+        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        inner.tick += 1;
+        let tick = inner.tick;
+        if let Some(old) = replaces.and_then(|k| inner.map.remove(&k)) {
+            inner.bytes -= old.bytes;
+            self.rekeys.fetch_add(1, Ordering::Relaxed);
         }
+        if let Some(live) = inner.map.get_mut(&key) {
+            live.last_used = tick;
+            live.reused = true;
+            return (Arc::clone(&live.entry), false);
+        }
+        let entry = Arc::new(entry);
+        inner.bytes += bytes;
+        let slot = Slot {
+            entry: Arc::clone(&entry),
+            bytes,
+            last_used: tick,
+            reused,
+        };
+        inner.map.insert(key, slot);
+        self.enforce_budget(&mut inner, key);
+        (entry, true)
     }
 
     /// Evict entries until both budgets hold, never evicting `keep`
@@ -516,14 +511,18 @@ impl InstanceCache {
                 // re-spilled before the drop, so a re-request is a
                 // StoreHit (the Vdd warm slot holds a live LP handle
                 // and cannot be serialized; it alone rebuilds lazily).
-                if let Some(store) = &self.store {
-                    let curve = match e.curve.lock() {
-                        Ok(guard) => guard.clone(),
-                        Err(poisoned) => poisoned.into_inner().clone(),
-                    };
-                    let _ = store.save(victim, &e.model, &e.inst, curve.as_ref());
-                }
+                self.spill(&e.entry);
             }
+        }
+    }
+
+    /// Write `entry`, with its retained curve, to the attached store.
+    /// A failed write degrades the entry to RAM-only, never to a wrong
+    /// answer.
+    fn spill(&self, entry: &Entry) {
+        if let Some(store) = &self.store {
+            let curve = entry.curve_guard().clone();
+            let _ = store.save(entry.key, &entry.model, &entry.inst, curve.as_ref());
         }
     }
 
@@ -531,14 +530,9 @@ impl InstanceCache {
     /// The daemon calls this as its drain completes so a clean
     /// shutdown persists exactly the state a restart will recover.
     pub fn spill_all(&self) {
-        let Some(store) = &self.store else { return };
         let inner = self.inner.lock().expect("cache lock poisoned");
-        for (key, e) in &inner.map {
-            let curve = match e.curve.lock() {
-                Ok(guard) => guard.clone(),
-                Err(poisoned) => poisoned.into_inner().clone(),
-            };
-            let _ = store.save(*key, &e.model, &e.inst, curve.as_ref());
+        for slot in inner.map.values() {
+            self.spill(&slot.entry);
         }
     }
 
@@ -556,12 +550,6 @@ impl InstanceCache {
             rekeys: self.rekeys.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Convenience: the content key for a parsed instance (re-exported so
-/// daemon/corpus call one function).
-pub fn instance_key(g: &taskgraph::TaskGraph, model: &models::EnergyModel) -> u128 {
-    content_key(g, model)
 }
 
 #[cfg(test)]
@@ -638,7 +626,10 @@ mod tests {
         }
         assert_eq!(cache.stats().evictions, 9);
         for k in 1..=4 {
-            assert!(cache.peek(k).is_some(), "reused entry {k} must stay");
+            assert!(
+                cache.lookup_quiet(k).is_some(),
+                "reused entry {k} must stay"
+            );
         }
         // Reusing the last one-off too puts reused entries past 4/5 of
         // the budget: the least recently used entry goes, reused or
@@ -646,9 +637,9 @@ mod tests {
         cache.get_or_prepare(109, &model(), || panic!("hit expected"));
         cache.get_or_prepare(200, &model(), || prep(2.0));
         assert_eq!(cache.stats().evictions, 10);
-        assert!(cache.peek(1).is_none(), "LRU reused entry evicted");
+        assert!(cache.lookup_quiet(1).is_none(), "LRU reused entry evicted");
         for k in [2, 3, 4, 109, 200] {
-            assert!(cache.peek(k).is_some(), "entry {k} must stay");
+            assert!(cache.lookup_quiet(k).is_some(), "entry {k} must stay");
         }
     }
 
@@ -660,7 +651,7 @@ mod tests {
         });
         let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
         let m = model();
-        let k0 = instance_key(&g, &m);
+        let k0 = content_key(&g, &m);
         cache.get_or_prepare(k0, &m, || PreparedInstance::new(StdArc::new(g)));
         let head = cache
             .patch(
@@ -671,6 +662,7 @@ mod tests {
                 }],
             )
             .unwrap()
+            .0
             .key;
         // The chain head was never looked up under its own key, yet
         // one-off inserts past the budget leave it resident.
@@ -707,7 +699,7 @@ mod tests {
         cache.get_or_prepare(2, &model(), || prep(2.0)); // evicts 1
         assert_eq!(cache.stats().evictions, 1);
         // The handle still works: analysis remains usable.
-        assert!(held.view().critical_path_weight() > 0.0);
+        assert!(held.inst.view().critical_path_weight() > 0.0);
     }
 
     #[test]
@@ -717,8 +709,8 @@ mod tests {
             for _ in 0..8 {
                 let cache = StdArc::clone(&cache);
                 s.spawn(move || {
-                    let (inst, _) = cache.get_or_prepare(42, &model(), || prep(5.0));
-                    assert_eq!(inst.graph().n(), 4);
+                    let (entry, _) = cache.get_or_prepare(42, &model(), || prep(5.0));
+                    assert_eq!(entry.inst.graph().n(), 4);
                 });
             }
         });
@@ -733,7 +725,7 @@ mod tests {
         let cache = InstanceCache::new(CacheConfig::default());
         let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
         let m = model();
-        let base_key = instance_key(&g, &m);
+        let base_key = content_key(&g, &m);
         cache.get_or_prepare(base_key, &m, || {
             PreparedInstance::new(StdArc::new(g.clone()))
         });
@@ -741,13 +733,13 @@ mod tests {
             task: 1,
             weight: 5.0,
         }];
-        let patched = cache.patch(base_key, &edits).unwrap();
-        assert!(patched.weight_only);
-        assert_eq!(patched.prep_ns, 0);
+        let (patched, rewarm_ns) = cache.patch(base_key, &edits).unwrap();
+        assert!(rewarm_ns.is_none());
+        assert_eq!(rewarm_ns.unwrap_or(0), 0);
         assert_eq!(patched.inst.graph().weights()[1], 5.0);
         // The new key is what a full rehash of the edited graph gives.
         let (rebuilt, _) = taskgraph::edit::apply_edits(&g, &edits).unwrap();
-        assert_eq!(patched.key, instance_key(&rebuilt, &m));
+        assert_eq!(patched.key, content_key(&rebuilt, &m));
         // Re-key: one entry, reachable under the new key only.
         let s = cache.stats();
         assert_eq!((s.entries, s.patch_hits, s.rekeys), (1, 1, 1));
@@ -765,11 +757,11 @@ mod tests {
         let cache = InstanceCache::new(CacheConfig::default());
         let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
         let m = model();
-        let k0 = instance_key(&g, &m);
+        let k0 = content_key(&g, &m);
         cache.get_or_prepare(k0, &m, || PreparedInstance::new(StdArc::new(g.clone())));
-        let w0 = cache.warm_slot(k0).unwrap();
+        let w0 = StdArc::clone(&cache.lookup_quiet(k0).unwrap().warm);
         // Weight-only patch: the warm slot travels.
-        let p1 = cache
+        let (p1, _) = cache
             .patch(
                 k0,
                 &[GraphEdit::SetWeight {
@@ -780,10 +772,10 @@ mod tests {
             .unwrap();
         assert!(StdArc::ptr_eq(&w0, &p1.warm), "slot carried over");
         // Structural patch: fresh slot, measured re-warm.
-        let p2 = cache
+        let (p2, p2_rewarm_ns) = cache
             .patch(p1.key, &[GraphEdit::RemoveEdge { from: 0, to: 2 }])
             .unwrap();
-        assert!(!p2.weight_only);
+        assert!(p2_rewarm_ns.is_some());
         assert!(!StdArc::ptr_eq(&w0, &p2.warm), "slot reset");
         let s = cache.stats();
         assert_eq!((s.entries, s.patch_hits, s.rekeys), (1, 2, 2));
@@ -794,7 +786,7 @@ mod tests {
         let cache = InstanceCache::new(CacheConfig::default());
         let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
         let m = model();
-        let k0 = instance_key(&g, &m);
+        let k0 = content_key(&g, &m);
         cache.get_or_prepare(k0, &m, || PreparedInstance::new(StdArc::new(g)));
         match cache.patch(k0, &[GraphEdit::InsertEdge { from: 3, to: 0 }]) {
             Err(PatchError::Edit(_)) => {}
@@ -821,17 +813,17 @@ mod tests {
         );
         let m = model();
         let g1 = generators::diamond([1.0, 2.0, 3.0, 4.0]);
-        let k1 = instance_key(&g1, &m);
+        let k1 = content_key(&g1, &m);
         let (held, outcome) =
             cache.get_or_prepare(k1, &m, || PreparedInstance::new(StdArc::new(g1)));
         assert_eq!(outcome, Prepared::Built);
         // Park a retained curve in the entry's slot, as the daemon's
         // exact-curve path does.
-        let slot = cache.curve_slot(k1).unwrap();
-        *slot.lock().unwrap() = Some(CachedCurve {
-            lo: 1.05,
-            hi: 4.0,
-            curve: StdArc::new(reclaim_core::ExactCurve {
+        cache.retain_curve(
+            &held,
+            1.05,
+            4.0,
+            StdArc::new(reclaim_core::ExactCurve {
                 segments: vec![reclaim_core::CurveSegment {
                     deadline_lo: 2.0,
                     deadline_hi: 8.0,
@@ -840,8 +832,7 @@ mod tests {
                 exact: true,
                 stats: Default::default(),
             }),
-        });
-        drop(slot);
+        );
         // Evict k1 (entry budget 1) — the bugfix: the entry spills
         // with its curve instead of being destroyed.
         cache.get_or_prepare(2, &m, || prep(9.0));
@@ -851,10 +842,9 @@ mod tests {
             cache.get_or_prepare(k1, &m, || panic!("must reload from the store, not rebuild"));
         assert_eq!(outcome, Prepared::StoreHit);
         assert!(outcome.cached());
-        assert_eq!(reloaded.graph(), held.graph());
+        assert_eq!(reloaded.inst.graph(), held.inst.graph());
         // …and the retained curve came back with it.
-        let slot = cache.curve_slot(k1).unwrap();
-        let curve = slot.lock().unwrap().clone().expect("curve restored");
+        let curve = reloaded.curve_guard().clone().expect("curve restored");
         assert_eq!((curve.lo, curve.hi), (1.05, 4.0));
         assert_eq!(curve.curve.segments.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -874,28 +864,28 @@ mod tests {
         );
         let m = model();
         let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
-        let base_key = instance_key(&g, &m);
+        let base_key = content_key(&g, &m);
         cache.get_or_prepare(base_key, &m, || {
             PreparedInstance::new(StdArc::new(g.clone()))
         });
         // Evict the base (entry budget 1): it spills to disk only.
         cache.get_or_prepare(2, &m, || prep(9.0));
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.peek(base_key).is_none());
+        assert!(cache.lookup_quiet(base_key).is_none());
         // Patching the evicted base re-materializes it from the store
         // instead of erroring UnknownBase.
         let edits = [GraphEdit::SetWeight {
             task: 1,
             weight: 6.0,
         }];
-        let patched = cache.patch(base_key, &edits).unwrap();
+        let (patched, _) = cache.patch(base_key, &edits).unwrap();
         assert_eq!(patched.inst.graph().weights()[1], 6.0);
         let (rebuilt, _) = taskgraph::edit::apply_edits(&g, &edits).unwrap();
-        assert_eq!(patched.key, instance_key(&rebuilt, &m));
+        assert_eq!(patched.key, content_key(&rebuilt, &m));
         let s = cache.stats();
         assert_eq!((s.patch_hits, s.patch_misses), (1, 0));
         // The patched child is cached and the lineage hop was recorded.
-        assert!(cache.peek(patched.key).is_some());
+        assert!(cache.lookup_quiet(patched.key).is_some());
         let (parent, hop_edits) = store.parent_of(patched.key).expect("lineage hop recorded");
         assert_eq!(parent, base_key);
         assert_eq!(hop_edits.len(), 1);

@@ -15,7 +15,7 @@
 //!           ▼
 //!   frames ──► mpsc job queue ──► fixed worker pool (N std threads)
 //!                                    │  content-addressed cache
-//!                                    │  (Arc<PreparedInstance>, LRU)
+//!                                    │  (one Arc<Entry> each, LRU)
 //!                                    ▼
 //!              completion queue (worker → poll loop, wake via pipe)
 //!                                    ▼
@@ -35,13 +35,19 @@
 //! daemon has capacity — total solving threads stay bounded by
 //! `--workers` at reservation time.
 //!
+//! Every request reaches its instance through one handle, the cache's
+//! [`Entry`]: a solve, a deadline sweep, a batch job, a corpus job, a
+//! patch and an `as_of` rewind all get an `Arc<Entry>` from the cache
+//! and solve through its Vdd warm slot, walk curves through its curve
+//! slot, and leave every store write to the cache.
+//!
 //! `shutdown` closes the listener at once, answers every admitted
 //! request, flushes every write queue, closes **all** registered
 //! sockets (idle connections included — nothing lingers waiting for
 //! the peer), and joins the workers. A connection that sends bytes
 //! mid-drain is not admitted; its socket is closed with the rest.
 
-use crate::cache::{CacheConfig, CachedCurve, InstanceCache, PatchError};
+use crate::cache::{CacheConfig, Entry, InstanceCache, PatchError, Prepared};
 use crate::net::{Poller, WAKE_TOKEN};
 use crate::proto::{
     key_to_hex, write_frame, CurveExactReport, ErrorBody, ErrorKind, FrameBuffer, LineageReport,
@@ -306,10 +312,8 @@ impl NetCounters {
 }
 
 struct State {
+    /// The instance cache, and through it the disk store (`--store`).
     cache: InstanceCache,
-    /// The disk store behind the cache (`--store`), also reachable
-    /// directly for `lineage` / `as_of` walks and curve spills.
-    store: Option<Arc<Store>>,
     power: PowerLaw,
     shutdown: AtomicBool,
     net: NetCounters,
@@ -407,8 +411,7 @@ impl Daemon {
             None => None,
         };
         let state = Arc::new(State {
-            cache: InstanceCache::with_store(cfg.cache, store.clone()),
-            store,
+            cache: InstanceCache::with_store(cfg.cache, store),
             power: cfg.power,
             shutdown: AtomicBool::new(false),
             net: NetCounters::default(),
@@ -1052,7 +1055,7 @@ fn worker_loop(
 fn stats_report(state: &State) -> StatsReport {
     StatsReport {
         cache: state.cache.stats(),
-        store: state.store.as_ref().map(|s| s.stats()).unwrap_or_default(),
+        store: state.cache.store().map(Store::stats).unwrap_or_default(),
         net: state.net.report(),
         workers: state
             .workers
@@ -1168,14 +1171,11 @@ fn handle_payload(
             model,
             deadline,
         } => {
-            let solved = prepare_maybe_as_of(state, graph, &model, as_of).and_then(
-                |(inst, cached, prep_ns, key)| {
-                    timed_solve(
-                        state, engine, worker_id, &inst, &model, deadline, cached, prep_ns, key,
-                    )
-                    .map_err(|e| ErrorBody::from(&e))
-                },
-            );
+            let solved =
+                prepare_as_of(state, graph, &model, as_of).and_then(|(entry, cached, prep_ns)| {
+                    timed_solve(engine, worker_id, &entry, deadline, cached, prep_ns)
+                        .map_err(|e| ErrorBody::from(&e))
+                });
             match solved {
                 Ok(report) => Response::Solve(report),
                 Err(e) => Response::Error(e),
@@ -1186,17 +1186,15 @@ fn handle_payload(
             model,
             deadlines,
         } => {
-            let (inst, cached, prep_ns, key) = prepare(state, graph, &model);
+            let (entry, cached, prep_ns) = prepare(state, graph, &model);
             let items = deadlines
                 .iter()
                 .enumerate()
                 .map(|(i, &d)| {
                     // Preparation cost is attributed to the first item.
                     let prep_ns = if i == 0 { prep_ns } else { 0 };
-                    timed_solve(
-                        state, engine, worker_id, &inst, &model, d, cached, prep_ns, key,
-                    )
-                    .map_err(|e| ErrorBody::from(&e))
+                    timed_solve(engine, worker_id, &entry, d, cached, prep_ns)
+                        .map_err(|e| ErrorBody::from(&e))
                 })
                 .collect();
             Response::Deadlines(items)
@@ -1208,15 +1206,15 @@ fn handle_payload(
             lo,
             hi,
             exact,
-        } => match prepare_maybe_as_of(state, graph, &model, as_of) {
+        } => match prepare_as_of(state, graph, &model, as_of) {
             Err(e) => Response::Error(e),
-            Ok((inst, _, _, key)) => {
+            Ok((entry, _, _)) => {
                 let t0 = Instant::now();
                 let result = if exact {
-                    curve_exact_one(state, engine, &inst, &model, lo, hi, key)
+                    curve_exact_one(state, engine, &entry, lo, hi)
                 } else {
                     engine
-                        .energy_curve(&inst.view(), &model, points, lo, hi)
+                        .energy_curve(&entry.inst.view(), &entry.model, points, lo, hi)
                         .map(|curve| {
                             Response::Curve(curve.iter().map(|p| (p.deadline, p.energy)).collect())
                         })
@@ -1229,7 +1227,9 @@ fn handle_payload(
         Request::Batch { model, jobs } => Response::Batch(
             jobs.into_iter()
                 .map(|(graph, deadline)| {
-                    solve_one(state, engine, worker_id, graph, &model, deadline)
+                    let (entry, cached, prep_ns) = prepare(state, graph, &model);
+                    timed_solve(engine, worker_id, &entry, deadline, cached, prep_ns)
+                        .map_err(|e| ErrorBody::from(&e))
                 })
                 .collect(),
         ),
@@ -1242,7 +1242,7 @@ fn handle_payload(
             edits,
             deadline,
         } => patch_one(state, engine, worker_id, base, &edits, deadline),
-        Request::Lineage { key } => match &state.store {
+        Request::Lineage { key } => match state.cache.store() {
             Some(store) => {
                 let hops = store.lineage_of(key);
                 Response::Lineage(LineageReport {
@@ -1301,11 +1301,11 @@ fn corpus_one(
         .map(|(shard, bucket)| {
             let outcome =
                 crate::corpus::run_shard(shard, shards, bucket, |key, graph, model, deadline| {
-                    let (inst, _, _, cache_key) = prepare(state, graph, model);
-                    debug_assert_eq!(key, cache_key);
+                    let (entry, _, _) = prepare(state, graph, model);
+                    debug_assert_eq!(key, entry.key);
                     profiling::record(|c| c.solves += 1);
-                    with_entry_warm(state, cache_key, |warm| {
-                        engine.solve_warm(&inst.view(), model, deadline, warm)
+                    entry.with_warm(|warm| {
+                        engine.solve_warm(&entry.inst.view(), &entry.model, deadline, warm)
                     })
                 });
             profiling::record(|c| c.solve_ns += outcome.elapsed_ns as u64);
@@ -1329,8 +1329,8 @@ fn patch_one(
     edits: &[taskgraph::edit::GraphEdit],
     deadline: f64,
 ) -> Response {
-    let patched = match state.cache.patch(base, edits) {
-        Ok(p) => p,
+    let (entry, rewarm_ns) = match state.cache.patch(base, edits) {
+        Ok(patched) => patched,
         Err(PatchError::UnknownBase) => {
             return Response::Error(ErrorBody::new(
                 ErrorKind::UnknownBase,
@@ -1344,42 +1344,25 @@ fn patch_one(
             return Response::Error(ErrorBody::new(ErrorKind::BadRequest, e.to_string()))
         }
     };
-    let t0 = Instant::now();
-    let result = with_warm_slot(&patched.warm, |warm| {
-        engine.solve_warm(&patched.inst.view(), &patched.model, deadline, warm)
-    });
-    let solve_ns = t0.elapsed().as_nanos() as u64;
-    record_solve(solve_ns);
-    match result {
-        Ok(sol) => Response::Patch(PatchReport {
-            report: SolveReport {
-                energy: sol.energy,
-                algorithm: sol.algorithm.to_string(),
-                makespan: sol.schedule.makespan(patched.inst.graph()),
-                solve_ns,
-                prep_ns: patched.prep_ns,
-                cached: true,
-                worker: worker_id as u64,
-            },
-            key: patched.key,
-            warm_lp: sol.algorithm == "vdd-lp-warm",
+    let prep_ns = rewarm_ns.unwrap_or(0);
+    match timed_solve(engine, worker_id, &entry, deadline, true, prep_ns) {
+        Ok(report) => Response::Patch(PatchReport {
+            warm_lp: report.algorithm == "vdd-lp-warm",
+            report,
+            key: entry.key,
         }),
         Err(e) => Response::Error(ErrorBody::from(&e)),
     }
 }
 
-/// Cache-or-prepare the instance for `(graph, model)`. Returns the
-/// content key alongside so solve paths can reach the entry's warm
-/// slot. A store re-materialization counts as cached with `prep_ns 0`
-/// — preparation was not re-paid, which is what the field measures.
-fn prepare(
-    state: &State,
-    graph: TaskGraph,
-    model: &EnergyModel,
-) -> (Arc<PreparedInstance>, bool, u64, u128) {
+/// Cache-or-prepare the entry for `(graph, model)`, with what the
+/// solve report says about it: `cached`, and `prep_ns`. A store
+/// re-materialization counts as cached with `prep_ns 0` — preparation
+/// was not re-paid, which is what the field measures.
+fn prepare(state: &State, graph: TaskGraph, model: &EnergyModel) -> (Arc<Entry>, bool, u64) {
     let key = content_key(&graph, model);
     let t0 = Instant::now();
-    let (inst, outcome) = state
+    let (entry, outcome) = state
         .cache
         .get_or_prepare(key, model, move || PreparedInstance::new(Arc::new(graph)));
     let prep_ns = if outcome.cached() {
@@ -1387,44 +1370,32 @@ fn prepare(
     } else {
         t0.elapsed().as_nanos() as u64
     };
-    (inst, outcome.cached(), prep_ns, key)
+    (entry, outcome.cached(), prep_ns)
 }
 
 /// [`prepare`], or — when the request carried `as_of: depth` (v5) —
-/// the historical version `depth` recorded patches up the lineage
-/// chain from the request's content key.
-fn prepare_maybe_as_of(
+/// the entry of the version `depth` recorded patches up the lineage
+/// chain from `(graph, model)`'s content key: the live entry, or else
+/// the store's (record, or O(edits) lineage replay), inserted into the
+/// cache so repeat time-travel queries are plain hits
+/// ([`InstanceCache::materialize`]). Historical versions always report
+/// `cached: true`; `prep_ns` is the materialization cost (0 from RAM).
+fn prepare_as_of(
     state: &State,
     graph: TaskGraph,
     model: &EnergyModel,
     as_of: Option<u64>,
-) -> Result<(Arc<PreparedInstance>, bool, u64, u128), ErrorBody> {
-    match as_of {
-        None => Ok(prepare(state, graph, model)),
-        Some(depth) => rewind(state, &graph, model, depth),
-    }
-}
-
-/// Resolve the ancestor `depth` recorded patches up from
-/// `(graph, model)`'s content key and materialize it: from RAM when
-/// live, else from the store (direct file, or O(edits) lineage
-/// replay). The materialized version enters the cache under its own
-/// key, so repeat time-travel queries are plain hits. Historical
-/// versions always report `cached: true`; `prep_ns` is the
-/// materialization cost (0 from RAM).
-fn rewind(
-    state: &State,
-    graph: &TaskGraph,
-    model: &EnergyModel,
-    depth: u64,
-) -> Result<(Arc<PreparedInstance>, bool, u64, u128), ErrorBody> {
-    let Some(store) = &state.store else {
+) -> Result<(Arc<Entry>, bool, u64), ErrorBody> {
+    let Some(depth) = as_of else {
+        return Ok(prepare(state, graph, model));
+    };
+    let Some(store) = state.cache.store() else {
         return Err(ErrorBody::new(
             ErrorKind::BadRequest,
             "\"as_of\" requires a daemon started with --store".to_string(),
         ));
     };
-    let key = content_key(graph, model);
+    let key = content_key(&graph, model);
     let Some(ancestor) = store.ancestor_at(key, depth) else {
         return Err(ErrorBody::new(
             ErrorKind::BadRequest,
@@ -1434,11 +1405,8 @@ fn rewind(
             ),
         ));
     };
-    if let Some(inst) = state.cache.peek(ancestor) {
-        return Ok((inst, true, 0, ancestor));
-    }
     let t0 = Instant::now();
-    let Some(entry) = store.materialize(ancestor) else {
+    let Some((entry, outcome)) = state.cache.materialize(ancestor) else {
         return Err(ErrorBody::new(
             ErrorKind::BadRequest,
             format!(
@@ -1447,112 +1415,34 @@ fn rewind(
             ),
         ));
     };
-    let stored = entry.inst;
-    let (inst, _) = state
-        .cache
-        .get_or_prepare(ancestor, &entry.model, move || stored);
-    Ok((inst, true, t0.elapsed().as_nanos() as u64, ancestor))
-}
-
-/// Run `f` with the entry's Vdd warm handle taken out of its slot,
-/// **without** holding the lock across the work: the handle is taken
-/// under a short lock, the LP runs unlocked (a concurrent solve of the
-/// same key just runs cold — wasted work, never serialization), and
-/// the refreshed handle is put back afterwards (last writer wins). A
-/// poisoned slot is reclaimed rather than propagated — the handle
-/// inside is either intact or `None`, and either is a valid starting
-/// point.
-fn with_warm_slot<T>(
-    slot: &crate::cache::WarmSlot,
-    f: impl FnOnce(&mut Option<reclaim_core::engine::VddWarm>) -> T,
-) -> T {
-    let mut warm = match slot.lock() {
-        Ok(mut guard) => guard.take(),
-        Err(poisoned) => poisoned.into_inner().take(),
+    let prep_ns = match outcome {
+        Prepared::Hit => 0,
+        _ => t0.elapsed().as_nanos() as u64,
     };
-    let out = f(&mut warm);
-    if let Some(handle) = warm {
-        match slot.lock() {
-            Ok(mut guard) => *guard = Some(handle),
-            Err(poisoned) => *poisoned.into_inner() = Some(handle),
-        }
-    }
-    out
+    Ok((entry, true, prep_ns))
 }
 
-/// [`with_warm_slot`] on the live cache entry `key`, or on an empty
-/// local handle when the entry has been evicted since it was prepared.
-/// Any model may pass: the warm engine entry points equal their cold
-/// twins for every model but Vdd-Hopping, which alone fills the slot.
-fn with_entry_warm<T>(
-    state: &State,
-    key: u128,
-    f: impl FnOnce(&mut Option<reclaim_core::engine::VddWarm>) -> T,
-) -> T {
-    match state.cache.warm_slot(key) {
-        Some(slot) => with_warm_slot(&slot, f),
-        None => f(&mut None),
-    }
-}
-
-/// Handle one v3 exact `energy_curve`: serve the cached instance's
-/// retained curve when the deadline factors match (near-free repeat),
+/// Handle one v3 exact `energy_curve`: serve the entry's retained
+/// curve when the deadline factors match (near-free repeat),
 /// otherwise walk it — through the entry's retained Vdd LP basis, so
 /// an instance the daemon has solved before skips the cold two-phase
-/// LP — and retain the result in the entry's curve slot.
-fn curve_exact_one(
-    state: &State,
-    engine: &Engine,
-    inst: &PreparedInstance,
-    model: &EnergyModel,
-    lo: f64,
-    hi: f64,
-    key: u128,
-) -> Response {
-    let slot = state.cache.curve_slot(key);
-    if let Some(slot) = &slot {
-        let guard = match slot.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(c) = guard.as_ref() {
-            if c.lo == lo && c.hi == hi {
-                return Response::CurveExact(CurveExactReport {
-                    segments: c.curve.segments.clone(),
-                    exact: c.curve.exact,
-                    cached_curve: true,
-                });
-            }
-        }
+/// LP — and retain the result with the entry
+/// ([`InstanceCache::retain_curve`]).
+fn curve_exact_one(state: &State, engine: &Engine, entry: &Entry, lo: f64, hi: f64) -> Response {
+    if let Some(curve) = entry.retained_curve(lo, hi) {
+        return Response::CurveExact(CurveExactReport {
+            segments: curve.segments.clone(),
+            exact: curve.exact,
+            cached_curve: true,
+        });
     }
-    let result = with_entry_warm(state, key, |warm| {
-        engine.energy_curve_exact_warm(&inst.view(), model, lo, hi, warm)
+    let walked = entry.with_warm(|warm| {
+        engine.energy_curve_exact_warm(&entry.inst.view(), &entry.model, lo, hi, warm)
     });
-    match result {
+    match walked {
         Ok(curve) => {
             let curve = Arc::new(curve);
-            if let Some(slot) = &slot {
-                let cached = CachedCurve {
-                    lo,
-                    hi,
-                    curve: Arc::clone(&curve),
-                };
-                match slot.lock() {
-                    Ok(mut guard) => *guard = Some(cached),
-                    Err(poisoned) => *poisoned.into_inner() = Some(cached),
-                }
-            }
-            // Write-through: the walked curve is the expensive
-            // artifact — persist it with the entry so a restarted
-            // daemon answers the repeat request from disk.
-            if let Some(store) = &state.store {
-                let cached = CachedCurve {
-                    lo,
-                    hi,
-                    curve: Arc::clone(&curve),
-                };
-                let _ = store.save(key, model, inst, Some(&cached));
-            }
+            state.cache.retain_curve(entry, lo, hi, Arc::clone(&curve));
             Response::CurveExact(CurveExactReport {
                 segments: curve.segments.clone(),
                 exact: curve.exact,
@@ -1563,47 +1453,28 @@ fn curve_exact_one(
     }
 }
 
-fn solve_one(
-    state: &State,
-    engine: &Engine,
-    worker_id: usize,
-    graph: TaskGraph,
-    model: &EnergyModel,
-    deadline: f64,
-) -> Result<SolveReport, ErrorBody> {
-    let (inst, cached, prep_ns, key) = prepare(state, graph, model);
-    timed_solve(
-        state, engine, worker_id, &inst, model, deadline, cached, prep_ns, key,
-    )
-    .map_err(|e| ErrorBody::from(&e))
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Solve `entry` at `deadline` and time it. Vdd-Hopping solves go
+/// through the entry's warm slot: the first solve retains its optimal
+/// LP basis there, so later solves — and especially weight-only
+/// `patch` re-solves — re-optimize instead of running the two phases
+/// cold.
 fn timed_solve(
-    state: &State,
     engine: &Engine,
     worker_id: usize,
-    inst: &PreparedInstance,
-    model: &EnergyModel,
+    entry: &Entry,
     deadline: f64,
     cached: bool,
     prep_ns: u64,
-    key: u128,
 ) -> Result<SolveReport, reclaim_core::SolveError> {
     let t0 = Instant::now();
-    // Vdd-Hopping solves go through the entry's warm slot: the first
-    // solve retains its optimal LP basis there, so later solves — and
-    // especially weight-only `patch` re-solves — re-optimize instead
-    // of running the two phases cold.
-    let result = with_entry_warm(state, key, |warm| {
-        engine.solve_warm(&inst.view(), model, deadline, warm)
-    });
+    let result =
+        entry.with_warm(|warm| engine.solve_warm(&entry.inst.view(), &entry.model, deadline, warm));
     let solve_ns = t0.elapsed().as_nanos() as u64;
     record_solve(solve_ns);
     result.map(|sol| SolveReport {
         energy: sol.energy,
         algorithm: sol.algorithm.to_string(),
-        makespan: sol.schedule.makespan(inst.graph()),
+        makespan: sol.schedule.makespan(entry.inst.graph()),
         solve_ns,
         prep_ns,
         cached,

@@ -20,13 +20,15 @@
 //!   curves; v4 adds `corpus` and per-request `timeout_ms`; v5 adds
 //!   the `lineage` query and `as_of` time travel over the store's
 //!   patch lineage) with structured error mapping from
-//!   [`reclaim_core::SolveError`] and [`lp::LpError`] — the full wire
-//!   specification lives in `docs/PROTOCOL.md`;
+//!   [`reclaim_core::SolveError`] — the full wire specification lives
+//!   in `docs/PROTOCOL.md`;
 //! * [`store`] — the disk-backed, content-addressed instance store
 //!   behind `--store DIR`: crash-safe checksummed records, a patch
 //!   lineage log replayed in O(edits) for `as_of`, and the recovery
 //!   scan that lets a restarted daemon answer its old traffic warm;
-//! * [`cache`] — the cache itself, usable without the daemon, with
+//! * [`cache`] — the cache itself, usable without the daemon: each
+//!   instance is one [`cache::Entry`], the handle its solves, curve
+//!   walks, patches and store writes go through, with
 //!   **patch-in-place re-keying**: a cached instance can be mutated
 //!   by a [`taskgraph::edit::GraphEdit`] batch under selective cache
 //!   invalidation, keeping its Vdd warm-start basis across

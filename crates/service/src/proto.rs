@@ -1,6 +1,6 @@
 //! The `reclaimd` wire protocol: length-prefixed JSON lines,
 //! versioned request/response envelopes, and the structured error
-//! mapping from [`SolveError`] / [`lp::LpError`].
+//! mapping from [`SolveError`].
 //!
 //! # Framing
 //!
@@ -285,8 +285,7 @@ pub enum ErrorKind {
     /// The instance admits no schedule meeting the deadline
     /// ([`SolveError::Infeasible`] — carries `deadline`/`min_makespan`).
     Infeasible,
-    /// A numerical substrate failed ([`SolveError::Numerical`], or any
-    /// [`lp::LpError`] that is not an infeasibility).
+    /// A numerical substrate failed ([`SolveError::Numerical`]).
     Numerical,
     /// The model/graph/parameter combination is not supported
     /// ([`SolveError::Unsupported`]).
@@ -384,16 +383,6 @@ impl From<&SolveError> for ErrorBody {
                 ErrorBody::new(ErrorKind::BudgetExhausted, e.to_string())
             }
         }
-    }
-}
-
-impl From<&lp::LpError> for ErrorBody {
-    fn from(e: &lp::LpError) -> ErrorBody {
-        // LP infeasibility at this level means the *instance* is
-        // infeasible only when the caller says so; as a raw substrate
-        // failure it is reported in the numerical category with the
-        // variant name preserved in the message.
-        ErrorBody::new(ErrorKind::Numerical, format!("LP substrate: {e}"))
     }
 }
 
@@ -2065,8 +2054,5 @@ mod tests {
         let body = ErrorBody::from(&SolveError::Numerical("stall".into()));
         assert_eq!(body.kind, ErrorKind::Numerical);
         assert!(body.message.contains("stall"));
-        let body = ErrorBody::from(&lp::LpError::WarmStartLost);
-        assert_eq!(body.kind, ErrorKind::Numerical);
-        assert!(body.message.contains("LP"));
     }
 }

@@ -1,9 +1,13 @@
 //! The disk-backed, content-addressed instance store (protocol v5).
 //!
 //! A daemon started with `--store DIR` persists every prepared
-//! instance it builds — graph, model, the analysis caches
-//! ([`taskgraph::AnalysisSnapshot`]), and the retained exact curve —
-//! under its FNV-128 content key, one file per key:
+//! instance it builds under its FNV-128 content key, one file per key.
+//! A record keeps only what a load cannot cheaply re-derive: the
+//! graph, the model, the topological order and the shape class with
+//! its SP tree ([`taskgraph::AnalysisSnapshot`]), and the retained
+//! exact curve. The critical path and the transitive reduction are
+//! re-derived on load ([`taskgraph::PreparedInstance::restore`]); the
+//! reduction costs a pass only for a `General` graph. The layout:
 //!
 //! ```text
 //! DIR/instances/<32-hex-digit key>.inst    one record per file
@@ -227,26 +231,14 @@ fn snapshot_to_json(s: &AnalysisSnapshot) -> Json {
             pairs.push(("sp".into(), sp_to_json(tree)));
         }
     }
-    if let Some(cp) = s.cp_weight {
-        pairs.push(("cp_weight".into(), Json::num(cp)));
-    }
-    if let Some(redges) = &s.reduced_edges {
-        pairs.push((
-            "reduced".into(),
-            Json::Arr(
-                redges
-                    .iter()
-                    .map(|&(u, v)| Json::Arr(vec![Json::num(u as f64), Json::num(v as f64)]))
-                    .collect(),
-            ),
-        ));
-    }
     Json::Obj(pairs)
 }
 
 fn snapshot_from_json(v: &Json) -> AnalysisSnapshot {
     // Field-level damage degrades to recomputation (restore()
-    // re-validates everything against the graph anyway).
+    // re-validates everything against the graph anyway). Members other
+    // than these — older records also carry "cp_weight" and "reduced",
+    // which restore re-derives — are ignored.
     let topo = v.get("topo").and_then(Json::as_arr).map(|a| {
         a.iter()
             .filter_map(|i| i.as_u64().map(|i| i as usize))
@@ -257,19 +249,7 @@ fn snapshot_from_json(v: &Json) -> AnalysisSnapshot {
         .and_then(Json::as_str)
         .and_then(shape_from_wire)
         .map(|shape| (shape, v.get("sp").and_then(sp_from_json)));
-    AnalysisSnapshot {
-        topo,
-        class,
-        cp_weight: v.get("cp_weight").and_then(Json::as_f64),
-        reduced_edges: v.get("reduced").and_then(Json::as_arr).map(|a| {
-            a.iter()
-                .filter_map(|e| {
-                    let pair = e.as_arr().filter(|p| p.len() == 2)?;
-                    Some((pair[0].as_u64()? as usize, pair[1].as_u64()? as usize))
-                })
-                .collect()
-        }),
-    }
+    AnalysisSnapshot { topo, class }
 }
 
 fn curve_to_json(c: &CachedCurve) -> Json {
@@ -300,9 +280,11 @@ fn curve_from_json(v: &Json) -> Option<CachedCurve> {
 // The store
 // ---------------------------------------------------------------
 
-/// One instance as recovered from disk.
+/// One instance as recovered from disk, which the cache turns into an
+/// [`crate::cache::Entry`].
 pub struct StoredEntry {
-    /// The instance, with every persisted analysis cache pre-filled.
+    /// The instance, warm: each persisted analysis its graph confirms
+    /// is kept, the rest re-derived.
     pub inst: PreparedInstance,
     /// The model its key was derived under.
     pub model: EnergyModel,
@@ -710,14 +692,10 @@ fn decode_instance_payload(payload: &str, want_key: u128) -> Option<StoredEntry>
     let snap = v
         .get("analysis")
         .map(snapshot_from_json)
-        .unwrap_or(AnalysisSnapshot {
-            topo: None,
-            class: None,
-            cp_weight: None,
-            reduced_edges: None,
-        });
+        .unwrap_or_default();
     // `restore` keeps each snapshot field the graph confirms; warm()
-    // derives the critical path and fills whatever was dropped.
+    // derives the critical path and fills whatever was dropped (the
+    // reduction of a `General` graph among it).
     let inst = PreparedInstance::restore(Arc::new(graph), &snap);
     inst.warm();
     let curve = v.get("curve").and_then(curve_from_json);
@@ -727,7 +705,6 @@ fn decode_instance_payload(payload: &str, want_key: u128) -> Option<StoredEntry>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::instance_key;
     use taskgraph::generators;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -739,7 +716,7 @@ mod tests {
     fn inst(seed: f64) -> (PreparedInstance, EnergyModel, u128) {
         let g = generators::diamond([1.0, 2.0, 3.0, seed]);
         let m = EnergyModel::continuous_unbounded();
-        let key = instance_key(&g, &m);
+        let key = content_key(&g, &m);
         let inst = PreparedInstance::new(Arc::new(g));
         inst.warm();
         (inst, m, key)
@@ -824,7 +801,7 @@ mod tests {
         assert_eq!(s.corrupt_skipped, 0);
         let (_, m, key) = inst(4.0);
         let loaded = store.load(key).unwrap();
-        assert_eq!(instance_key(loaded.inst.graph(), &m), key);
+        assert_eq!(content_key(loaded.inst.graph(), &m), key);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -841,11 +818,11 @@ mod tests {
             weight: 5.0,
         }];
         let p1 = i.apply(&e1).unwrap();
-        let k1 = instance_key(p1.graph(), &m);
+        let k1 = content_key(p1.graph(), &m);
         store.record_patch(k0, &e1, k1).unwrap();
         let e2 = vec![GraphEdit::RemoveEdge { from: 0, to: 2 }];
         let p2 = p1.apply(&e2).unwrap();
-        let k2 = instance_key(p2.graph(), &m);
+        let k2 = content_key(p2.graph(), &m);
         store.record_patch(k1, &e2, k2).unwrap();
 
         let got = store.materialize(k2).expect("replay succeeds");
@@ -876,7 +853,7 @@ mod tests {
             task: 1,
             weight: 5.0,
         }];
-        let k1 = instance_key(i.apply(&e1).unwrap().graph(), &m);
+        let k1 = content_key(i.apply(&e1).unwrap().graph(), &m);
         {
             let store = Store::open(&dir, false).unwrap();
             store.save(k0, &m, &i, None).unwrap();
@@ -900,6 +877,57 @@ mod tests {
         let store = Store::open(&dir, false).unwrap();
         assert_eq!(store.stats().corrupt_skipped, 0);
         assert_eq!(fs::read(&log).unwrap(), first);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Records written before the store dropped `"cp_weight"` and
+    /// `"reduced"` still load, and their reduced edge list is ignored:
+    /// one that leaves out the non-redundant edge 1→3 no longer yields
+    /// a schedule that violates it.
+    #[test]
+    fn older_record_with_a_short_reduced_list_solves_like_fresh() {
+        let dir = tmpdir("short-reduced");
+        let edges = [(0, 2), (0, 3), (1, 3), (2, 4), (3, 4)];
+        let g = TaskGraph::new(vec![1.0, 2.0, 3.0, 4.0, 1.0], &edges).unwrap();
+        let modes = models::DiscreteModes::new(&[0.5, 1.0, 2.0]).unwrap();
+        let m = EnergyModel::VddHopping(modes);
+        let key = content_key(&g, &m);
+        let fresh = PreparedInstance::new(Arc::new(g.clone()));
+        fresh.warm();
+        let pair =
+            |&(u, v): &(usize, usize)| Json::Arr(vec![Json::num(u as f64), Json::num(v as f64)]);
+        let topo = fresh.snapshot().topo.unwrap();
+        let analysis = Json::Obj(vec![
+            (
+                "topo".into(),
+                Json::Arr(topo.iter().map(|&i| Json::num(i as f64)).collect()),
+            ),
+            ("shape".into(), Json::str("general")),
+            ("cp_weight".into(), Json::num(7.0)),
+            (
+                "reduced".into(),
+                Json::Arr(edges.iter().filter(|&&e| e != (1, 3)).map(pair).collect()),
+            ),
+        ]);
+        let payload = Json::Obj(vec![
+            ("key".into(), key.to_json()),
+            ("model".into(), m.to_json()),
+            ("graph".into(), g.to_json()),
+            ("analysis".into(), analysis),
+        ]);
+        let store = Store::open(&dir, false).unwrap();
+        fs::write(store.instance_path(key), encode_record(&payload.encode())).unwrap();
+        let loaded = store.load(key).expect("an older record still loads");
+        let engine = reclaim_core::Engine::new(models::PowerLaw::CUBIC);
+        let energy = |inst: &PreparedInstance| {
+            let sol = engine.solve(&inst.view(), &m, 5.25);
+            sol.map(|s| s.energy.to_bits())
+        };
+        let want = energy(&fresh).expect("the fresh instance solves");
+        assert_eq!(
+            energy(&loaded.inst).expect("the loaded instance solves"),
+            want
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

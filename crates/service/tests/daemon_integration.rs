@@ -1018,3 +1018,93 @@ fn unread_answers_stop_reading_instead_of_queueing() {
         "no answer beyond one per frame"
     );
 }
+
+/// `as_of` through an ancestor that exists only in the lineage log: a
+/// store holds the root's record and a two-hop lineage. Rewinding the
+/// leaf by one hop replays the middle version once; its exact curve is
+/// computed, then served from the entry's curve slot, and its solve
+/// equals an in-process solve of the rebuilt middle version.
+#[test]
+fn as_of_replays_a_lineage_only_ancestor_with_its_curve_slot() {
+    use models::PowerLaw;
+    use reclaim_core::engine::content_key;
+    use reclaim_core::Engine;
+    use reclaim_service::proto::CurveExactReport;
+    use reclaim_service::Store;
+    use std::sync::Arc;
+    use taskgraph::edit::{apply_edits, GraphEdit};
+    use taskgraph::PreparedInstance;
+
+    let dir = std::env::temp_dir().join(format!("reclaim-asof-lineage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let model = EnergyModel::continuous_unbounded();
+    let g0 = generators::diamond([1.0, 2.0, 3.0, 1.5]);
+    let e1 = [GraphEdit::SetWeight {
+        task: 1,
+        weight: 4.0,
+    }];
+    let e2 = [GraphEdit::SetWeight {
+        task: 2,
+        weight: 2.5,
+    }];
+    let (g1, _) = apply_edits(&g0, &e1).unwrap();
+    let (g2, _) = apply_edits(&g1, &e2).unwrap();
+    let [k0, k1, k2] = [&g0, &g1, &g2].map(|g| content_key(g, &model));
+    {
+        let store = Store::open(&dir, false).unwrap();
+        let root = PreparedInstance::new(Arc::new(g0));
+        root.warm();
+        store.save(k0, &model, &root, None).unwrap();
+        store.record_patch(k0, &e1, k1).unwrap();
+        store.record_patch(k1, &e2, k2).unwrap();
+    }
+
+    let daemon = Spawned::new("asof-lineage", &["--store", dir.to_str().unwrap()]);
+    let mut client = daemon.client();
+    client.set_as_of(Some(1));
+    let curve_req = Request::EnergyCurve {
+        graph: g2.clone(),
+        model: model.clone(),
+        points: 8,
+        lo: 1.05,
+        hi: 3.0,
+        exact: true,
+    };
+    let mut exact_curve = || -> CurveExactReport {
+        match client.roundtrip(curve_req.clone()).unwrap().response {
+            Response::CurveExact(c) => c,
+            other => panic!("expected an exact curve, got {other:?}"),
+        }
+    };
+    let first = exact_curve();
+    assert!(!first.cached_curve, "the replayed version walks its curve");
+    let again = exact_curve();
+    assert!(
+        again.cached_curve,
+        "the repeat is served from the curve slot"
+    );
+    assert_eq!(again.segments, first.segments);
+
+    let deadline = 1.5 * taskgraph::analysis::critical_path_weight(&g1);
+    let solve = Request::Solve {
+        graph: g2,
+        model: model.clone(),
+        deadline,
+    };
+    let solved = expect_solve(client.roundtrip(solve).unwrap().response);
+    let middle = PreparedInstance::new(Arc::new(g1));
+    let want = Engine::new(PowerLaw::CUBIC)
+        .solve(&middle.view(), &model, deadline)
+        .unwrap();
+    assert_eq!(solved.energy.to_bits(), want.energy.to_bits());
+    assert!(solved.cached, "historical versions report cached");
+
+    client.set_as_of(None);
+    let stats = expect_stats(client.roundtrip(Request::Stats).unwrap().response);
+    assert_eq!(
+        stats.store.replays, 1,
+        "the middle version is replayed once"
+    );
+    daemon.shutdown(client);
+    let _ = std::fs::remove_dir_all(&dir);
+}

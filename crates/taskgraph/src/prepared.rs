@@ -396,10 +396,13 @@ impl PreparedInstance {
         })
     }
 
-    /// Export every *currently filled* analysis cache as plain data,
-    /// for a persistence layer to serialize (the service's disk store
-    /// spills instances this way). Unfilled caches export as `None`
-    /// and simply recompute lazily after [`Self::restore`].
+    /// Export what a persistence layer must keep for [`Self::restore`]
+    /// to skip the full analysis passes (the service's disk store
+    /// spills instances this way): the topological order and the shape
+    /// class with its SP tree, each `None` while unfilled (it then
+    /// recomputes lazily). Nothing `restore` re-derives is exported:
+    /// the critical path follows from the completion times, and the
+    /// transitive reduction from the class.
     pub fn snapshot(&self) -> AnalysisSnapshot {
         AnalysisSnapshot {
             topo: self
@@ -408,12 +411,6 @@ impl PreparedInstance {
                 .get()
                 .map(|t| t.iter().map(|id| id.0).collect()),
             class: self.caches.class.get().map(|c| (**c).clone()),
-            cp_weight: self.caches.cp_weight.get().copied(),
-            reduced_edges: self
-                .caches
-                .reduced
-                .get()
-                .map(|r| r.edges().iter().map(|&(u, v)| (u.0, v.0)).collect()),
         }
     }
 
@@ -423,19 +420,23 @@ impl PreparedInstance {
     /// topological order of the graph; an SP tree's junctions must
     /// match the edge set; a class without a tree must be the verdict
     /// of the `O(n + m)` [`structure::specific_shape`] (`General` only
-    /// when that finds no specific shape); every reduced edge must be
-    /// an edge of the graph. Anything else is silently dropped and
-    /// recomputes lazily — a stale or hand-edited snapshot can cost
-    /// time, never correctness. The critical path is never taken from
-    /// the snapshot: it derives from the completion times
-    /// [`Self::warm`] fills. A kept SP tree is brought into canonical
-    /// form.
+    /// when that finds no specific shape). Anything else is silently
+    /// dropped and recomputes lazily — a stale or hand-edited snapshot
+    /// can cost time, never correctness. A kept SP tree is brought into
+    /// canonical form.
+    ///
+    /// A kept class other than `General` also fills the transitive
+    /// reduction without a pass: a confirmed SP tree makes the graph's
+    /// edges exactly its junction edges, and chains, forks, joins and
+    /// trees have no second path at all, so no edge is implied by
+    /// another and the reduction is the graph itself. A `General` (or
+    /// dropped) class leaves the reduction to [`Self::warm`], which
+    /// also derives the critical path.
     pub fn restore(g: Arc<TaskGraph>, snap: &AnalysisSnapshot) -> PreparedInstance {
-        let n = g.n();
         let caches = Caches::default();
         if let Some(topo) = &snap.topo {
             let ids: Vec<TaskId> = topo.iter().map(|&i| TaskId(i)).collect();
-            if topo.len() == n && analysis::is_topo_order(&g, &ids) {
+            if topo.len() == g.n() && analysis::is_topo_order(&g, &ids) {
                 let _ = caches.topo.set(ids);
             }
         }
@@ -453,15 +454,8 @@ impl PreparedInstance {
                 // through the store still depends on the graph alone.
                 let tree = tree.clone().map(SpTree::canonical);
                 let _ = caches.class.set(Arc::new((*shape, tree)));
-            }
-        }
-        if let Some(redges) = &snap.reduced_edges {
-            if redges
-                .iter()
-                .all(|&(u, v)| u < n && v < n && g.has_edge(TaskId(u), TaskId(v)))
-            {
-                if let Ok(r) = TaskGraph::new(g.weights().to_vec(), redges) {
-                    let _ = caches.reduced.set(r);
+                if *shape != Shape::General {
+                    let _ = caches.reduced.set((*g).clone());
                 }
             }
         }
@@ -501,23 +495,18 @@ impl PreparedInstance {
     }
 }
 
-/// Plain-data export of a [`PreparedInstance`]'s filled analysis
-/// caches — what [`PreparedInstance::snapshot`] returns and
+/// Plain-data export of what a [`PreparedInstance`] needs to come
+/// back without its full analysis passes — what
+/// [`PreparedInstance::snapshot`] returns and
 /// [`PreparedInstance::restore`] consumes. Task ids travel as raw
 /// `usize` indices so a persistence layer can serialize the snapshot
 /// without knowing about [`TaskId`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnalysisSnapshot {
     /// The cached topological order, as task indices.
     pub topo: Option<Vec<usize>>,
     /// The cached shape classification and SP decomposition.
     pub class: Option<(Shape, Option<SpTree>)>,
-    /// The cached critical-path weight. [`PreparedInstance::restore`]
-    /// derives it afresh rather than trusting this copy.
-    pub cp_weight: Option<f64>,
-    /// The edge set of the cached transitive reduction (its weights
-    /// are always the graph's own).
-    pub reduced_edges: Option<Vec<(usize, usize)>>,
 }
 
 #[cfg(test)]
@@ -858,8 +847,6 @@ mod tests {
         let snap = inst.snapshot();
         assert!(snap.topo.is_some());
         assert!(snap.class.is_some());
-        assert!(snap.cp_weight.is_some());
-        assert!(snap.reduced_edges.is_some());
 
         let restored = PreparedInstance::restore(inst.graph_arc(), &snap);
         let before = profiling::counts();
@@ -886,17 +873,19 @@ mod tests {
             TaskGraph::new(vec![1.0; 5], &[(0, 2), (0, 3), (1, 3), (2, 4), (3, 4)]).unwrap();
         assert_eq!(PreparedGraph::new(&general).shape(), Shape::General);
         type Corrupt = fn(&mut AnalysisSnapshot);
-        let cases: [(&TaskGraph, Corrupt); 4] = [
-            // Every field, in a way a range check catches.
+        let cases: [(&TaskGraph, Corrupt); 3] = [
+            // A field a range check catches.
             (&diamond, |s| {
                 s.topo = Some(vec![3, 2, 1, 0]); // reversed: not a topo order
-                s.cp_weight = Some(f64::NAN);
-                s.reduced_edges = Some(vec![(0, 9)]); // out of range
             }),
             // Consistent in itself, but wrong for the graph.
-            (&diamond, |s| s.cp_weight = Some(1.0)),
             (&diamond, |s| s.class = Some((Shape::Chain, None))),
-            (&general, |s| s.reduced_edges.as_mut().unwrap().push((1, 2))),
+            (&general, |s| {
+                let leaf = |i| SpTree::Leaf(TaskId(i));
+                let pair = |a, b| SpTree::Parallel(vec![leaf(a), leaf(b)]);
+                let tree = SpTree::Series(vec![pair(0, 1), pair(2, 3), leaf(4)]);
+                s.class = Some((Shape::SeriesParallel, Some(tree)));
+            }),
         ];
         for (k, (g, corrupt)) in cases.into_iter().enumerate() {
             let fresh = PreparedInstance::new(Arc::new(g.clone()));

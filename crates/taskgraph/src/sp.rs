@@ -411,12 +411,19 @@ impl SpTree {
     }
 
     /// Whether `self` is a valid series–parallel decomposition of `g`:
-    /// every series junction is the complete bipartite `sinks × sources`
-    /// of its neighbours, and those junction edges are *exactly* the
-    /// graph's edge set. `O(n + m)` adjacency lookups: verification is
-    /// linear even though recognition is not.
+    /// its leaves are the tasks, each exactly once; every series
+    /// junction is the complete bipartite `sinks × sources` of its
+    /// neighbours, and those junction edges are *exactly* the graph's
+    /// edge set. `O(n + m)` adjacency lookups: verification is linear
+    /// even though recognition is not.
     pub(crate) fn validates(&self, g: &TaskGraph) -> bool {
-        if self.len() != g.n() || self.leaves().iter().any(|t| t.0 >= g.n()) {
+        // A repeated leaf would count its junction edges twice, so the
+        // edge count below could match with a graph edge left out.
+        let mut seen = vec![false; g.n()];
+        let each_task_once = self.len() == g.n()
+            && (self.leaves().iter())
+                .all(|t| t.0 < g.n() && !std::mem::replace(&mut seen[t.0], true));
+        if !each_task_once {
             return false;
         }
         let mut stamp = vec![usize::MAX; g.n()];
@@ -700,6 +707,22 @@ mod tests {
         );
         assert_eq!(t.len(), 4);
         assert_eq!(t.depth(), 3);
+    }
+
+    #[test]
+    fn validation_needs_each_task_once() {
+        // The N graph 0→2, 0→3, 1→3 is not SP. A tree that repeats 3
+        // and leaves out 1 has one junction edge per graph edge, but
+        // the edge 1→3 is not among them.
+        let n = TaskGraph::new(vec![1.0; 4], &[(0, 2), (0, 3), (1, 3)]).unwrap();
+        let leaf = |i| SpTree::Leaf(TaskId(i));
+        let forged = SpTree::Series(vec![
+            leaf(0),
+            SpTree::Parallel(vec![leaf(2), leaf(3), leaf(3)]),
+        ]);
+        assert!(!forged.validates(&n));
+        let t = SpTree::from_graph(&diamond()).unwrap();
+        assert!(t.validates(&diamond()));
     }
 
     #[test]
