@@ -1,10 +1,12 @@
-//! Exact-curve bench: `Engine::energy_curve_exact` (breakpoint-walking
-//! dual simplex) against the sampled `Engine::energy_curve`, on a
-//! 200-task series–parallel Vdd-Hopping instance.
+//! Exact-curve bench: `Engine::energy_curve_exact` (the min-cost
+//! flow's augmentation record) against the sampled
+//! `Engine::energy_curve`, on a 200-task series–parallel Vdd-Hopping
+//! instance.
 //!
-//! The sampled sweep pays one cold two-phase LP plus a warm dual
-//! re-solve (and schedule extraction + validation) per point; the
-//! exact walk pays one dual pivot per breakpoint for the whole curve.
+//! The sampled sweep pays one cold solve plus a warm re-solve of the
+//! flow (and schedule extraction + validation) per point; the exact
+//! curve pays one cold solve down to the range's low end and reads
+//! every breakpoint off its augmentation record.
 //! Bench X9 (`experiments x9`) enforces the ≥ 8× acceptance bar; this
 //! harness tracks the same comparison under criterion for regressions,
 //! and the Discrete arm exercises the adaptively-sampled fallback with

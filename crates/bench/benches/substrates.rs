@@ -1,35 +1,10 @@
-//! Criterion benches for the substrate crates: simplex pivoting,
-//! barrier Newton steps, SP recognition, graph analysis.
+//! Criterion benches for the substrate crates: SP recognition and
+//! graph analysis.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lp::{Problem, Relation};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use taskgraph::{analysis, generators, SpTree};
-
-fn bench_simplex(c: &mut Criterion) {
-    let mut g = c.benchmark_group("lp-simplex");
-    g.sample_size(10);
-    for n in [20usize, 60, 120] {
-        // A dense random feasible LP: min cᵀx, Ax ≤ b with b > 0.
-        let mut rng = StdRng::seed_from_u64(n as u64);
-        let rows = n;
-        let mut p = Problem::new(n);
-        let obj: Vec<(usize, f64)> = (0..n).map(|j| (j, rng.gen_range(0.1..1.0))).collect();
-        p.set_objective(&obj);
-        for _ in 0..rows {
-            let coeffs: Vec<(usize, f64)> = (0..n).map(|j| (j, rng.gen_range(-0.5..1.0))).collect();
-            p.add_constraint(&coeffs, Relation::Le, rng.gen_range(1.0..5.0));
-            // Also a covering row to keep the optimum away from 0.
-        }
-        let cover: Vec<(usize, f64)> = (0..n).map(|j| (j, 1.0)).collect();
-        p.add_constraint(&cover, Relation::Ge, 1.0);
-        g.bench_with_input(BenchmarkId::new("vars", n), &n, |b, _| {
-            b.iter(|| p.solve().unwrap())
-        });
-    }
-    g.finish();
-}
 
 fn bench_sp_recognition(c: &mut Criterion) {
     let mut g = c.benchmark_group("taskgraph-sp-recognition");
@@ -59,10 +34,5 @@ fn bench_graph_analysis(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_simplex,
-    bench_sp_recognition,
-    bench_graph_analysis
-);
+criterion_group!(benches, bench_sp_recognition, bench_graph_analysis);
 criterion_main!(benches);

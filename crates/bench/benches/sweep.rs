@@ -5,8 +5,8 @@
 //!
 //! The engine must win by ≥ 2× in aggregate: the Continuous sweep
 //! collapses to one solve via `E*(D) = E*(D₀)·(D₀/D)^{α−1}`, and the
-//! Vdd sweep re-optimizes the previous point's LP basis instead of
-//! running the two-phase simplex cold at every deadline.
+//! Vdd sweep re-optimizes the previous point's min-cost flow instead
+//! of augmenting from zero flow at every deadline.
 
 use bench::deadline_grid;
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,6 +1,6 @@
-//! Criterion benches for the Vdd-Hopping LP (Theorem 3: polynomial
-//! time — measured here as simplex wall-clock vs instance size and
-//! mode count) and the adjacent-mix heuristic.
+//! Criterion benches for the Vdd-Hopping solver (Theorem 3: polynomial
+//! time — measured here as min-cost-flow wall-clock vs instance size
+//! and mode count) and the adjacent-mix heuristic.
 
 use bench::instances::{dmin, random_execution_graph, spread_modes};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

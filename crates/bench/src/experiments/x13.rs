@@ -33,9 +33,9 @@
 //! profiling counters, and (c) land on the exact instance the cold
 //! arm builds: same analyses, bit-identical continuous energy at full
 //! scale, bit-identical energies under all four models at a smaller
-//! scale (the Vdd LP is quartic-ish in task count; the equality is
-//! scale-free). A daemon round finally asserts the splice counters
-//! surface per worker in `stats` after a structural patch request.
+//! scale (the equality is scale-free). A daemon round finally asserts
+//! the splice counters surface per worker in `stats` after a
+//! structural patch request.
 //!
 //! **Scale.** The structural-patch arm also runs on a 4,001-task chain
 //! (no cold arm: re-preparing it costs seconds per step); its
@@ -277,7 +277,7 @@ pub fn run() -> Outcome {
         && patched.view().reduced().edges() == cold_leaf.view().reduced().edges()
         && energies_bit_identical(&patched, &cold_leaf, continuous);
 
-    // …and bit-identical under all four models at a scale the Vdd LP
+    // …and bit-identical under all four models at a scale every model
     // solves quickly (the equality is scale-free; 15 blocks = 61
     // tasks).
     let (k4, p4) = (15, 4);

@@ -4,7 +4,7 @@
 //! graph (the "before" path re-derives the analysis and solves every
 //! point cold; the "after" path prepares once, exploits the
 //! unbounded-Continuous scaling law `E*(D) = E*(D₀)·(D₀/D)^{α−1}`,
-//! and warm-starts the Vdd LP between points).
+//! and warm-starts the Vdd flow between points).
 //!
 //! The `BENCH_X6.json` metrics record both arms, so the perf trail
 //! keeps a before/after entry for the sweep path from this PR onward.

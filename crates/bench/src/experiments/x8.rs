@@ -4,17 +4,17 @@
 //!
 //! The paper's premise is re-solving `MinEnergy(G, D)` as the instance
 //! evolves. A daemon is started in-process; a 220-task series–parallel
-//! Vdd-Hopping instance is solved once (cold: graph preparation plus a
-//! cold two-phase LP, which also seeds the cache entry's retained LP
-//! basis). Then `N_PATCH` weight edits are sent as protocol-v2
+//! Vdd-Hopping instance is solved once (cold: graph preparation plus
+//! augmentations from zero flow, which also seed the cache entry's
+//! retained min-cost flow). Then `N_PATCH` weight edits are sent as protocol-v2
 //! `patch` requests, each naming the previous instance by content key
 //! and carrying only the delta. The structural pass condition:
 //!
 //! * every patch reports `prep_ns = 0` (selective invalidation carried
 //!   every structural analysis over) and `warm_lp` (the solve
-//!   re-optimized the retained basis instead of running cold);
+//!   re-optimized the retained flow instead of running cold);
 //! * every patched energy matches an independent cold solve of the
-//!   same edited graph to LP tolerance;
+//!   same edited graph to 1e-6;
 //! * the mean patched re-solve is **≥ 5× faster** than the mean cold
 //!   re-solve — and the cold arm is measured *in-process* (no daemon
 //!   round-trip), so the speedup is understated, not flattered.
@@ -58,8 +58,8 @@ pub fn run() -> Outcome {
     let daemon_thread = std::thread::spawn(move || daemon.run());
     let mut client = Client::connect(&endpoint).expect("connect to daemon");
 
-    // Seed: one cold solve of the base instance (also retains the LP
-    // basis in the cache entry's warm slot).
+    // Seed: one cold solve of the base instance (also retains the
+    // flow in the cache entry's warm slot).
     let t0 = std::time::Instant::now();
     let seed = client
         .roundtrip(Request::Solve {
@@ -134,27 +134,27 @@ pub fn run() -> Outcome {
     let speedup = cold_mean as f64 / patch_mean.max(1) as f64;
     let fast_enough = speedup >= 5.0;
 
-    let mut table = Table::new(&["arm", "re-solves", "mean(µs)", "prep(µs)", "lp"]);
+    let mut table = Table::new(&["arm", "re-solves", "mean(µs)", "prep(µs)", "flow"]);
     table.row(&[
         "cold (in-process)".into(),
         format!("{N_PATCH}"),
         format!("{:.1}", cold_mean as f64 / 1e3),
         "prep + solve".into(),
-        "two-phase".into(),
+        "from zero".into(),
     ]);
     table.row(&[
         "patched (daemon RTT incl.)".into(),
         format!("{N_PATCH}"),
         format!("{:.1}", patch_mean as f64 / 1e3),
         "0.0".into(),
-        "dual re-opt".into(),
+        "repair".into(),
     ]);
     table.row(&[
         "seed solve".into(),
         "1".into(),
         format!("{:.1}", seed_wall as f64 / 1e3),
         format!("{:.1}", seed.prep_ns as f64 / 1e3),
-        "two-phase".into(),
+        "from zero".into(),
     ]);
 
     let pass = all_prep_zero && all_warm && equivalent && fast_enough;
@@ -178,7 +178,7 @@ pub fn run() -> Outcome {
         ],
         table,
         verdict: format!(
-            "{}: {N_PATCH}/{N_PATCH} patches, prep_ns = 0 {}, warm LP {}, \
+            "{}: {N_PATCH}/{N_PATCH} patches, prep_ns = 0 {}, warm flow {}, \
              max energy drift {:.1e}, speedup {:.1}× (want ≥ 5×)",
             if pass { "PASS" } else { "FAIL" },
             if all_prep_zero { "✓" } else { "✗" },

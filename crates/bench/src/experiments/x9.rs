@@ -1,19 +1,19 @@
 //! X9 (extension) — exact parametric energy–deadline curves: the
-//! breakpoint-walking dual simplex versus the sampled sweep, plus the
+//! Vdd flow's augmentation record versus the sampled sweep, plus the
 //! barrier warm-start evidence for the round-up paths.
 //!
 //! **Arm 1 (Vdd, exact vs sampled).** A 220-task series–parallel
 //! Vdd-Hopping instance is solved once (the daemon steady state: the
-//! instance is cached and its entry retains the optimal LP basis).
-//! Then both curve paths run over the same deadline range:
+//! instance is cached and its entry retains the optimal min-cost
+//! flow). Then both curve paths run over the same deadline range:
 //!
 //! * *sampled*: `Engine::energy_curve` at 64 points — the pre-existing
-//!   API; each point is a warm dual-simplex re-solve plus schedule
-//!   extraction and validation, and the chain starts with its own cold
-//!   two-phase LP;
+//!   API; each point is a warm re-solve of the flow (drain the paths
+//!   the longer deadline no longer pays for) plus schedule extraction
+//!   and validation, and the chain starts with its own cold solve;
 //! * *exact*: `Engine::energy_curve_exact_warm` through the retained
-//!   basis — one repositioning re-solve, then `O(breakpoints)` dual
-//!   pivots for the **whole** curve, no per-sample work.
+//!   flow, whose augmentation record already reaches the range: the
+//!   **whole** curve is read off it, with no per-sample work.
 //!
 //! Pass requires the exact walk to be **≥ 8× faster** and the exact
 //! curve to be **pointwise equal** (≤ 1e-6 relative) to every sampled
@@ -53,23 +53,23 @@ pub fn run() -> Outcome {
     let prep = PreparedGraph::new(&g);
 
     // Steady state: the instance has been solved once at the tightest
-    // deadline of interest, so a warm LP basis is retained there —
-    // exactly what the daemon's cache entry holds after serving the
-    // instance.
+    // deadline of interest, so a warm flow is retained there, its
+    // record reaching that deadline — exactly what the daemon's cache
+    // entry holds after serving the instance.
     let mut warm = None;
     let seed_deadline = LO * prep.critical_path_weight() / 2.4;
     engine
         .solve_warm(&prep, &model, seed_deadline, &mut warm)
         .expect("seed solve");
 
-    // Sampled arm: the 64-point sweep (cold LP + warm chain inside).
+    // Sampled arm: the 64-point sweep (cold flow + warm chain inside).
     let t0 = std::time::Instant::now();
     let sampled = engine
         .energy_curve(&prep, &model, POINTS, LO, HI)
         .expect("sampled sweep");
     let sampled_ns = t0.elapsed().as_nanos() as u64;
 
-    // Exact arm: one breakpoint walk through the retained basis.
+    // Exact arm: the curve read off the retained flow's record.
     let t0 = std::time::Instant::now();
     let exact = engine
         .energy_curve_exact_warm(&prep, &model, LO, HI, &mut warm)
@@ -113,14 +113,14 @@ pub fn run() -> Outcome {
 
     let mut table = Table::new(&["arm", "work", "wall(ms)", "per-point"]);
     table.row(&[
-        "sampled (64 pts, warm LP chain)".into(),
-        format!("{POINTS} dual re-solves + extract/validate"),
+        "sampled (64 pts, warm flow chain)".into(),
+        format!("{POINTS} warm re-solves + extract/validate"),
         format!("{:.2}", sampled_ns as f64 / 1e6),
         format!("{:.2} ms", sampled_ns as f64 / 1e6 / POINTS as f64),
     ]);
     table.row(&[
-        "exact (breakpoint walk)".into(),
-        format!("{} pivots for the whole curve", exact.stats.lp_breakpoints),
+        "exact (augmentation record)".into(),
+        format!("{} breakpoints off the record", exact.stats.lp_breakpoints),
         format!("{:.2}", exact_ns as f64 / 1e6),
         "—".into(),
     ]);
@@ -134,8 +134,8 @@ pub fn run() -> Outcome {
     let pass = equivalent && fast_enough && newton_reduced;
     Outcome {
         id: "X9",
-        claim: "the exact Vdd energy-deadline curve (breakpoint-walking dual \
-                simplex) beats the 64-point sampled sweep by ≥ 8× with \
+        claim: "the exact Vdd energy-deadline curve (the min-cost flow's \
+                augmentation record) beats the 64-point sampled sweep by ≥ 8× with \
                 pointwise-identical energies, and barrier warm-starts cut \
                 Newton iterations on the round-up path",
         size: N_TASKS,

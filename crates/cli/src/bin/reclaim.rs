@@ -221,10 +221,10 @@ fn ask_command(args: &[String]) {
             std::process::exit(1);
         });
         let elapsed = t0.elapsed();
-        let mut hits = 0usize;
+        let mut reused = 0usize;
         for r in &responses {
             match &r.response {
-                Response::Solve(s) => hits += usize::from(s.cached),
+                Response::Solve(s) => reused += usize::from(s.cached),
                 Response::Error(e) => {
                     eprintln!("daemon error: {e}");
                     std::process::exit(1);
@@ -236,10 +236,10 @@ fn ask_command(args: &[String]) {
             }
         }
         println!(
-            "pipelined {} solves | window {} | {} cache hits | {:.3} ms total | {:.1} µs/request",
+            "pipelined {} solves | window {} | {} reused | {:.3} ms total | {:.1} µs/request",
             responses.len(),
             pipeline_k,
-            hits,
+            reused,
             elapsed.as_secs_f64() * 1e3,
             elapsed.as_secs_f64() * 1e6 / responses.len() as f64,
         );
@@ -273,13 +273,13 @@ fn ask_command(args: &[String]) {
         }) {
             Response::Solve(r) => println!(
                 "energy {:.6} | algorithm {} | makespan {:.6} | \
-                 solve {} µs | prep {} µs | cache {} | worker {}",
+                 solve {} µs | prep {} µs | analysis {} | worker {}",
                 r.energy,
                 r.algorithm,
                 r.makespan,
                 r.solve_ns / 1_000,
                 r.prep_ns / 1_000,
-                if r.cached { "hit" } else { "miss" },
+                if r.cached { "reused" } else { "built" },
                 r.worker
             ),
             Response::Error(e) => {

@@ -11,7 +11,7 @@
 //!   graph (lazily, thread-safely);
 //! * one private routing `match` holds the paper's model → algorithm
 //!   table (Continuous → Theorem 1/2 closed forms or the §2.1
-//!   geometric program; Vdd-Hopping → the Theorem 3 LP; Discrete →
+//!   geometric program; Vdd-Hopping → the Theorem 3 min-cost flow; Discrete →
 //!   Theorem 4 branch-and-bound, else the Proposition 1(b) round-up;
 //!   Incremental → the Theorem 5 approximation). Point solves and the
 //!   adaptive curve sampler both go through it, and the provenance
@@ -22,8 +22,8 @@
 //! * [`Engine::energy_curve`] samples a whole energy–deadline front,
 //!   with two sweep-specific shortcuts: the unbounded-Continuous
 //!   scaling law `E*(D) = E*(D₀)·(D₀/D)^{α−1}` collapses the sweep to
-//!   one solve, and Vdd-Hopping points reuse the previous point's LP
-//!   basis through the one [`VddWarm`] chain of
+//!   one solve, and Vdd-Hopping points reuse the previous point's
+//!   flow through the one [`VddWarm`] chain of
 //!   [`Engine::solve_deadlines`].
 //!
 //! The legacy [`crate::solve`] / [`crate::solve_with`] wrappers now
@@ -59,9 +59,9 @@ pub struct CurvePoint {
 /// Closed-form energy of one [`CurveSegment`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CurveEnergy {
-    /// `E(D) = a + b·D`. Exact for Vdd-Hopping (LP optima are
-    /// piecewise affine in the deadline — Theorem 3's LP under a
-    /// parametric RHS); also the interpolation form of the
+    /// `E(D) = a + b·D`. Exact for Vdd-Hopping (the optimum is
+    /// piecewise affine in the deadline, with a breakpoint at every
+    /// augmentation length of the flow); also the interpolation form of the
     /// adaptively-sampled fallback.
     Affine {
         /// Intercept.
@@ -112,8 +112,8 @@ impl CurveSegment {
 /// Cost counters of one [`Engine::energy_curve_exact`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CurveStats {
-    /// Dual-simplex basis changes the parametric LP walk crossed
-    /// (Vdd path; the whole curve costs `O(breakpoints)` pivots).
+    /// Breakpoints of the exact Vdd curve: the distinct augmentation
+    /// lengths of the flow inside the range.
     pub lp_breakpoints: usize,
     /// Point solves performed by the adaptive-sampling fallback.
     pub samples: usize,
@@ -322,7 +322,7 @@ impl Engine {
     ///
     /// * Continuous — Theorem 1/2 closed forms on recognized shapes,
     ///   the §2.1 geometric program on a general DAG;
-    /// * Vdd-Hopping — the Theorem 3 LP;
+    /// * Vdd-Hopping — the Theorem 3 min-cost flow;
     /// * Discrete — Theorem 4 branch-and-bound while tractable, else
     ///   (or on a budget trip with nothing in hand) the Proposition
     ///   1(b) round-up;
@@ -454,9 +454,9 @@ impl Engine {
     /// Vdd-Hopping warm-start handle across calls.
     ///
     /// For [`EnergyModel::VddHopping`], a populated `warm` handle is
-    /// re-optimized from its retained basis
-    /// ([`VddWarm::resolve`] → [`lp::PreparedLp::resolve_rhs`]) — the
-    /// one warm path behind deadline sweeps
+    /// re-optimized from its retained flow ([`VddWarm::resolve`]:
+    /// repair the arcs the change touched, then meet the deadline) —
+    /// the one warm path behind deadline sweeps
     /// ([`Engine::solve_deadlines`], [`Engine::energy_curve`]) and
     /// patch chains ([`vdd_basis_survives`]). The resulting
     /// schedule gets the same validation as every cold solve; on any
@@ -466,7 +466,7 @@ impl Engine {
     /// next call. Warm solutions are tagged `"vdd-lp-warm"`.
     ///
     /// For every other model this is exactly [`Engine::solve`]
-    /// (`warm` is left untouched — the handle belongs to the Vdd LP).
+    /// (`warm` is left untouched — the handle belongs to the Vdd flow).
     pub fn solve_warm(
         &self,
         prep: &PreparedGraph<'_>,
@@ -489,7 +489,7 @@ impl Engine {
         if let Some(w) = warm.as_mut() {
             // Feasibility was just established, so a warm Infeasible,
             // an invalid warm schedule, or any other failure means the
-            // basis is spent, not that the instance is unsolvable:
+            // handle is spent, not that the instance is unsolvable:
             // fall through to cold.
             let warm_sol = w
                 .resolve(prep, deadline)
@@ -562,8 +562,8 @@ impl Engine {
     ///
     /// Vdd-Hopping requests are sorted, deduplicated, and threaded
     /// through **one** [`VddWarm`] chain in increasing-deadline order
-    /// (each point re-optimizes the previous optimal basis instead of
-    /// re-running the two-phase simplex; duplicates share one solve).
+    /// (each point re-optimizes the previous optimal flow instead of
+    /// augmenting from zero; duplicates share one solve).
     /// Every other model fans the independent solves out over scoped
     /// worker threads, with the analysis cache shared (first one to
     /// need a pass fills it for everyone).
@@ -614,8 +614,8 @@ impl Engine {
     /// * unbounded Continuous: one solve plus the exact scaling law
     ///   `E*(D) = E*(D₀)·(D₀/D)^{α−1}` — the sweep costs one solve
     ///   instead of N;
-    /// * Vdd-Hopping: consecutive points re-optimize the previous LP
-    ///   basis under the moved deadline rows instead of solving cold
+    /// * Vdd-Hopping: consecutive points re-optimize the previous flow
+    ///   under the moved return arc instead of solving cold
     ///   (the [`VddWarm`] chain of [`Engine::solve_deadlines`]);
     /// * everything else: the points are independent solves fanned out
     ///   over threads.
@@ -696,11 +696,11 @@ impl Engine {
     ///
     /// Per model:
     ///
-    /// * **Vdd-Hopping** — exact. The Theorem-3 LP's deadline rows are
-    ///   a parametric RHS ray, so one breakpoint-walking dual-simplex
-    ///   pass ([`vdd::VddWarm::deadline_ray`]) yields the optimum as
-    ///   piecewise-affine segments in `O(breakpoints)` pivots, with no
-    ///   per-sample work at all.
+    /// * **Vdd-Hopping** — exact. The min-cost flow's augmentation
+    ///   record lists the curve's breakpoints, so
+    ///   [`vdd::VddWarm::deadline_ray`] reads the optimum off it as
+    ///   piecewise-affine segments, one per augmentation length, with
+    ///   no per-sample work at all.
     /// * **unbounded Continuous** — exact: one solve plus the scaling
     ///   law `E*(D) = E*(D₀)·(D₀/D)^{α−1}` gives a single
     ///   [`CurveEnergy::Power`] segment.
@@ -726,10 +726,11 @@ impl Engine {
     }
 
     /// [`Engine::energy_curve_exact`] reusing (and refreshing) a
-    /// retained Vdd warm-start handle: when `warm` holds the basis of
-    /// a previous solve of this instance, the exact Vdd curve skips
-    /// the cold two-phase LP entirely — the daemon's cached instances
-    /// ride this path. For other models `warm` is left untouched.
+    /// retained Vdd warm-start handle: when `warm` holds the flow of a
+    /// previous solve of this instance whose record reaches the range,
+    /// the exact Vdd curve costs no augmentation at all — the daemon's
+    /// cached instances ride this path. For other models `warm` is
+    /// left untouched.
     pub fn energy_curve_exact_warm(
         &self,
         prep: &PreparedGraph<'_>,
@@ -788,7 +789,7 @@ impl Engine {
             });
         }
 
-        // Vdd-Hopping: the parametric ray, warm when possible.
+        // Vdd-Hopping: the augmentation record, warm when possible.
         if let EnergyModel::VddHopping(modes) = model {
             if warm
                 .as_ref()
@@ -796,55 +797,30 @@ impl Engine {
             {
                 *warm = None;
             }
-            let ray = match warm.as_mut().map(|w| w.deadline_ray(prep, d_lo, d_hi)) {
+            let segments = match warm.as_mut().map(|w| w.deadline_ray(prep, d_lo, d_hi)) {
                 Some(held @ (Ok(_) | Err(SolveError::Infeasible { .. }))) => held,
                 spent => {
                     if spent.is_some() {
-                        // Spent basis: ledger it and rebuild cold.
+                        // Spent handle: ledger it and rebuild cold.
                         taskgraph::profiling::record(|c| c.warm_lost += 1);
-                        *warm = None;
                     }
-                    // The fresh handle is kept only once its walk
-                    // succeeded.
-                    vdd::solve_lp_warm(prep, d_lo, modes, self.power).and_then(|(_, mut fresh)| {
-                        let ray = fresh.deadline_ray(prep, d_lo, d_hi)?;
-                        *warm = Some(fresh);
-                        Ok(ray)
-                    })
+                    // The fresh handle is kept only once its curve is.
+                    let mut fresh = VddWarm::new(prep, modes, self.power);
+                    let segments = fresh.deadline_ray(prep, d_lo, d_hi);
+                    *warm = segments.is_ok().then_some(fresh);
+                    segments
                 }
-            };
-            match ray {
-                Ok(ray) => {
-                    stats.lp_breakpoints = ray.breakpoints();
-                    let segments = ray
-                        .segments
-                        .iter()
-                        .map(|s| CurveSegment {
-                            deadline_lo: s.t_lo,
-                            deadline_hi: s.t_hi.min(d_hi),
-                            energy: CurveEnergy::Affine {
-                                a: s.value_lo - s.slope * s.t_lo,
-                                b: s.slope,
-                            },
-                        })
-                        .collect();
-                    return Ok(ExactCurve {
-                        segments,
-                        exact: true,
-                        stats,
-                    });
-                }
-                Err(e @ SolveError::Infeasible { .. }) => return Err(e),
-                Err(_) => {
-                    // The walk itself degenerated (iteration cap,
-                    // blocked artificial): degrade to the sampled
-                    // fallback rather than failing the request.
-                }
-            }
+            }?;
+            stats.lp_breakpoints = segments.len().saturating_sub(1);
+            return Ok(ExactCurve {
+                segments,
+                exact: true,
+                stats,
+            });
         }
 
         // Adaptive sampling: Discrete / Incremental / capped
-        // Continuous (and the rare degenerate Vdd walk).
+        // Continuous.
         let segments = self.adaptive_curve(prep, model, d_lo, d_hi, &mut stats)?;
         Ok(ExactCurve {
             segments,
@@ -1012,20 +988,19 @@ pub(crate) fn fan_out<T: Send>(
     (indexed.into_iter().map(|(_, t)| t).collect(), steals)
 }
 
-/// Whether a Vdd warm basis retained for `base` still describes the LP
-/// of `patched`, the result of `base.apply(edits)` — the one rule every
-/// patch path follows before handing the basis to
+/// Whether a Vdd warm flow retained for `base` still lives on the task
+/// network of `patched`, the result of `base.apply(edits)` — the one
+/// rule every patch path follows before handing the flow to
 /// [`Engine::solve_warm`].
 ///
-/// The Theorem 3 LP's matrix is a function of the task count, the mode
-/// ladder and the **transitively reduced** precedence rows, so the
-/// basis survives a weight-only batch (only the RHS moves) and any
-/// structural batch that keeps the task set and the reduced edge
-/// sequence (e.g. inserting or removing a transitive edge). Row order
-/// matters, since basis indices are positional, so the sequences must
-/// match exactly. Every other batch spends the basis: the LP it
-/// implies is a different one, and a stale basis could validate as
-/// feasible yet be suboptimal.
+/// The network is a function of the task count, the mode ladder and
+/// the **transitively reduced** precedence edges, so the flow survives
+/// a weight-only batch (only arc lengths move) and any structural batch
+/// that keeps the task set and the reduced edge sequence (e.g.
+/// inserting or removing a transitive edge). Arc order matters, since
+/// the network is built in canonical reduced-edge order, so the
+/// sequences must match exactly. Every other batch spends the flow: it
+/// lives on another network.
 pub fn vdd_basis_survives(
     base: &PreparedInstance,
     patched: &PreparedInstance,

@@ -14,8 +14,8 @@ pub enum SolveError {
         /// feasible deadline).
         min_makespan: f64,
     },
-    /// The numerical substrate failed (barrier stall, LP iteration
-    /// cap). Carries a human-readable reason.
+    /// The numerical substrate failed (barrier stall, a warm flow
+    /// repair that did not converge). Carries a human-readable reason.
     Numerical(String),
     /// An exact search ran out of its node budget before finding any
     /// feasible incumbent to return. A budget trip *with* an incumbent

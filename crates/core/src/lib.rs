@@ -11,7 +11,7 @@
 //! | Theorem 1 (fork closed form, incl. `s_max`) | [`continuous::solve_fork`] |
 //! | Theorem 2 (trees, series–parallel) | [`continuous`] (`solve_tree`, `solve_sp`) |
 //! | §2.1 geometric program on DAGs | [`continuous::solve_general_warm`] |
-//! | Theorem 3 (Vdd-Hopping via LP) | [`vdd`] |
+//! | Theorem 3 (Vdd-Hopping via LP, solved as its dual min-cost flow) | [`vdd`] |
 //! | Theorem 4 (Discrete/Incremental exact, NP-hard) | [`discrete::exact`] |
 //! | Theorem 5 (Incremental approximation) | [`incremental`] |
 //! | Proposition 1 (model transfer bounds) | [`discrete::round_up_warm`], [`incremental`] |

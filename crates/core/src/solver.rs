@@ -53,7 +53,7 @@ impl Default for SolveOptions {
 ///
 /// * Continuous → exact closed form when the shape allows (Theorems 1
 ///   and 2), otherwise the geometric program (§2.1);
-/// * Vdd-Hopping → the Theorem 3 LP (exact, polynomial);
+/// * Vdd-Hopping → the Theorem 3 LP as a min-cost flow (exact, polynomial);
 /// * Discrete → exact branch-and-bound up to
 ///   [`SolveOptions::exact_discrete_limit`] tasks, then the
 ///   Proposition 1(b) rounding approximation;

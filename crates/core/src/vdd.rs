@@ -1,49 +1,77 @@
-//! Vdd-Hopping solver (Theorem 3): polynomial time via linear
-//! programming.
+//! Vdd-Hopping solver (Theorem 3): polynomial time, as the CPM
+//! time–cost trade-off solved by a min-cost flow.
 //!
-//! Under Vdd-Hopping a task may switch between modes during execution,
-//! so the decision per task is *how much time to spend in each mode*.
-//! With variables `x_{ij}` (time task `i` runs at mode `s_j`) and
-//! completion times `t_i`, `MinEnergy(Ĝ, D)` becomes the LP
+//! Under Vdd-Hopping a task may switch modes mid-execution. Given a
+//! duration `d` between `w/s_{j+1}` and `w/s_j`, work `w` is cheapest
+//! on those two bracketing modes (the "mix two consecutive modes"
+//! remark of the paper's conclusion), so a task's energy is convex and
+//! piecewise linear in its duration, with slope `−c_j` between the
+//! breakpoints `w/s_{j+1}` and `w/s_j`:
 //!
 //! ```text
-//! minimize   Σ_{i,j} s_j^α · x_{ij}
-//! subject to Σ_j s_j · x_{ij} = w_i                (work completion)
-//!            t_u + Σ_j x_{vj} ≤ t_v   ∀ (u,v) ∈ Ê  (precedence)
-//!            Σ_j x_{ij} ≤ t_i                      (start ≥ 0)
-//!            t_i ≤ D
-//!            x_{ij}, t_i ≥ 0
+//! c_j = (s_{j+1}^{α−1} − s_j^{α−1}) / (1/s_j − 1/s_{j+1})
 //! ```
 //!
-//! solved by the `lp` crate's two-phase simplex. The LP optimum uses
-//! at most two (consecutive) modes per task in basic solutions, which
-//! is the "mix two consecutive modes optimally" intuition of the
-//! paper's conclusion.
+//! the energy saved per unit of time between modes `j` and `j+1`,
+//! whatever the weight. Theorem 3's LP — minimize `Σ E_i(d_i)` under
+//! the precedence rows and the deadline — is then the time–cost
+//! trade-off of CPM, whose dual is a min-cost flow on the task network
+//! (Fulkerson 1961; Kelley 1961):
+//!
+//! ```text
+//! task i:       a_i → b_i, one parallel arc per mode j,
+//!               length w_i/s_j, capacity c_j − c_{j−1}  (c_0 = 0, c_m = ∞)
+//! s → a_i, b_i → t, b_u → a_v for (u, v) ∈ Ê:  length 0, uncapacitated
+//!
+//! E*(D) = Σ_i w_i·s_1^{α−1} + max over s–t flows f of (Σ length·f − D·|f|)
+//! ```
+//!
+//! Successive longest augmenting paths solve it: a Dijkstra on
+//! reduced lengths that stops once the sink is settled, then
+//! fewest-arc augmentations along the longest paths. The phases carry
+//! flows `δ_k` along falling lengths `ℓ_1 > ℓ_2 > …`, so
+//! `E*(D) = E_0 + Σ_k δ_k·max(0, ℓ_k − D)`: the augmentation record is
+//! the exact energy–deadline curve, and a point solve stops at the
+//! first `ℓ_k ≤ D`. The optimal event times are the flow's node
+//! potentials: task `i` starts at `τ(a_i)` and runs for
+//! `τ(b_i) − τ(a_i)` on the two modes bracketing its speed. By
+//! complementary slackness that schedule's energy equals the flow's
+//! objective, and every debug-build solve asserts it.
 //!
 //! [`adjacent_mix`] is the *heuristic* the conclusion contrasts with:
 //! take the continuous optimum and emulate each continuous speed by
 //! mixing its two bracketing modes, keeping per-task durations. It is
-//! always feasible but not always optimal, because the LP can also
-//! *rebalance durations between tasks* — experiment F4 quantifies the
-//! gap.
+//! always feasible but not always optimal, because the exact solver can
+//! also *rebalance durations between tasks* — experiment F4 quantifies
+//! the gap.
 
 use crate::continuous;
+use crate::engine::{CurveEnergy, CurveSegment};
 use crate::error::SolveError;
-use lp::{LpSolution, Problem, Relation};
 use models::{DiscreteModes, PowerLaw, Schedule, SpeedProfile};
-use taskgraph::{PreparedGraph, TaskGraph};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use taskgraph::{PreparedGraph, TaskGraph, TaskId};
 
-/// Minimum piece duration kept in an extracted profile (pure noise
-/// below this).
-const PIECE_EPS: f64 = 1e-10;
+/// Event times closer than this fraction of the time horizon count as
+/// equal, so rounding neither flags a respected arc as violated nor
+/// splits one augmentation length in two.
+const TIME_TOL: f64 = 1e-12;
 
-/// Solve Vdd-Hopping exactly via the LP of Theorem 3: the schedule of
+/// A residual capacity at or below this fraction of the finite
+/// capacities' sum counts as saturated.
+const CAP_TOL: f64 = 1e-12;
+
+/// No arc.
+const NONE: u32 = u32::MAX;
+
+/// Solve Vdd-Hopping exactly (Theorem 3): the schedule of
 /// [`solve_lp_warm`] without its warm handle.
 ///
 /// Returns the optimal schedule (piecewise-constant speed profiles and
-/// explicit start times taken from the LP's completion-time
-/// variables). The transitive reduction and critical path come from
-/// the shared cache instead of being re-derived per call.
+/// explicit start times taken from the flow's node potentials). The
+/// transitive reduction and critical path come from the shared cache
+/// instead of being re-derived per call.
 pub fn solve_lp_prepared(
     prep: &PreparedGraph<'_>,
     deadline: f64,
@@ -53,35 +81,61 @@ pub fn solve_lp_prepared(
     solve_lp_warm(prep, deadline, modes, p).map(|(sched, _)| sched)
 }
 
-/// A retained, re-optimizable Theorem 3 LP for **one graph structure
-/// and mode ladder** — the warm-start substrate of deadline sweeps,
-/// edited re-solves and exact curves, all driven through
-/// [`crate::engine::Engine::solve_warm`] and
+/// The retained min-cost flow of one Vdd-Hopping instance — its task
+/// network, flow, node potentials and augmentation record — behind
+/// deadline sweeps, edited re-solves and exact curves, all driven
+/// through [`crate::engine::Engine::solve_warm`] and
 /// [`crate::engine::Engine::energy_curve_exact_warm`].
 ///
-/// A deadline move shifts the RHS of the `t_i ≤ D` rows. Weight edits
-/// are the same parametric situation one row-block over: a task cost
-/// `w_i` is the RHS of the work-completion row `Σ_j s_j·x_{ij} = w_i`.
-/// Either keeps the LP's *matrix* (hence the retained basis's dual
-/// feasibility) intact and moves only `b`. [`VddWarm::resolve`]
-/// re-optimizes with a few dual-simplex pivots
-/// ([`lp::PreparedLp::resolve_rhs`]) instead of a cold two-phase run.
+/// Capacities depend only on the mode ladder and `α`, lengths only on
+/// the weights, and the deadline is the length of a return arc
+/// `t → s`. So the retained flow stays feasible under any weight or
+/// deadline change, and [`VddWarm::resolve`] only repairs it: it
+/// saturates the arcs the change made profitable (moving events along
+/// uncapacitated ones), routes the resulting imbalances along longest
+/// residual paths, then augments or drains until the event times meet
+/// the deadline. The record depends on the lengths alone: a
+/// deadline change keeps it, a weight change drops it.
 ///
-/// The handle is tied to the precedence structure the LP was built
-/// over: it stays valid across any number of weight and deadline
-/// changes, and must be discarded after edits that change the LP
-/// ([`crate::engine::vdd_basis_survives`] decides). Offered a graph
-/// with another task count, it reports itself spent.
+/// The handle is tied to the task set and the transitively reduced
+/// precedence it was built over ([`crate::engine::vdd_basis_survives`]
+/// decides); offered another structure, it reports itself spent.
 pub struct VddWarm {
-    lp: lp::PreparedLp,
-    deadline_rows: Vec<usize>,
     modes: DiscreteModes,
-    n: usize,
+    power: PowerLaw,
+    /// The weights the task arcs' lengths come from.
+    weights: Vec<f64>,
+    /// Capacity of every task's mode-`j` arc.
+    kappa: Vec<f64>,
+    /// Arc `e` and its reverse `e ^ 1`: head node, length and residual
+    /// capacity. Task arcs come first (task-major), then `s → a_i`,
+    /// `b_i → t`, the reduced edges in canonical order, and last the
+    /// return arc `t → s`.
+    head: Vec<u32>,
+    len: Vec<f64>,
+    res: Vec<f64>,
+    /// Node `v`'s out-arcs are `adj[first[v]..first[v + 1]]`. Nodes are
+    /// `a_i = 2i`, `b_i = 2i + 1`, then `s` and `t`. The return pair is
+    /// left out: only the searches that meet a deadline visit it.
+    first: Vec<u32>,
+    adj: Vec<u32>,
+    /// Node potentials: every residual arc but the return pair respects
+    /// them; once a deadline is met they are the event times.
+    tau: Vec<f64>,
+    /// `(ℓ_k, δ_k)` of every augmentation phase from zero flow.
+    record: Vec<(f64, f64)>,
+    /// The record holds the whole curve for deadlines from here up
+    /// (`∞`: no record).
+    floor: f64,
+    /// The longest path at `s_1`, the scale of the time tolerance.
+    horizon: f64,
+    /// Residual capacities at or below this count as saturated.
+    cap_tol: f64,
 }
 
-/// The one Theorem 3 LP solve: the optimal schedule plus a [`VddWarm`]
+/// The one Vdd-Hopping solve: the optimal schedule plus a [`VddWarm`]
 /// handle that can re-solve the instance after weight and/or deadline
-/// changes without a cold LP.
+/// changes without a cold solve.
 pub fn solve_lp_warm(
     prep: &PreparedGraph<'_>,
     deadline: f64,
@@ -89,40 +143,113 @@ pub fn solve_lp_warm(
     p: PowerLaw,
 ) -> Result<(Schedule, VddWarm), SolveError> {
     continuous::check_feasible_prepared(prep, deadline, Some(modes.s_max()))?;
-    let (prob, deadline_rows) = build_lp(prep, deadline, modes, p);
-    let (sol, handle) = prob
-        .solve_prepared()
-        .map_err(|e| lp_error(prep, deadline, modes, e))?;
-    let sched = extract_schedule(prep.graph(), modes, &sol);
-    Ok((
-        sched,
-        VddWarm {
-            lp: handle,
-            deadline_rows,
-            modes: modes.clone(),
-            n: prep.graph().n(),
-        },
-    ))
+    let mut warm = VddWarm::new(prep, modes, p);
+    warm.augment_from_zero(prep.topo(), deadline);
+    let sched = warm.settle(prep, deadline)?;
+    Ok((sched, warm))
+}
+
+/// Reusable buffers of the shortest-path searches.
+#[derive(Default)]
+struct Search {
+    dist: Vec<f64>,
+    pred: Vec<u32>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    queue: VecDeque<u32>,
 }
 
 impl VddWarm {
+    /// Build the task network of `prep` at zero flow.
+    pub(crate) fn new(prep: &PreparedGraph<'_>, modes: &DiscreteModes, power: PowerLaw) -> VddWarm {
+        let (g, speeds) = (prep.graph(), modes.speeds());
+        let (n, m) = (g.n(), speeds.len());
+        let rate = |s: f64| power.energy_at_speed(1.0, s);
+        let mut kappa = Vec::with_capacity(m);
+        let mut below = 0.0;
+        for (j, &s) in speeds.iter().enumerate() {
+            let c = match speeds.get(j + 1) {
+                Some(&up) => (rate(up) - rate(s)) / (1.0 / s - 1.0 / up),
+                None => f64::INFINITY,
+            };
+            kappa.push(c - below);
+            below = c;
+        }
+        let (s, t, inf) = (2 * n, 2 * n + 1, f64::INFINITY);
+        let edges = prep.reduced().edges();
+        let arcs = 2 * (n * m + 2 * n + edges.len() + 1);
+        let (mut head, mut len, mut res) = (
+            Vec::with_capacity(arcs),
+            Vec::with_capacity(arcs),
+            Vec::with_capacity(arcs),
+        );
+        let mut arc = |u: usize, v: usize, l: f64, cap: f64| {
+            head.extend([v as u32, u as u32]);
+            len.extend([l, -l]);
+            res.extend([cap, 0.0]);
+        };
+        for (i, &w) in g.weights().iter().enumerate() {
+            for (&sj, &cap) in speeds.iter().zip(&kappa) {
+                arc(2 * i, 2 * i + 1, w / sj, cap);
+            }
+        }
+        (0..n).for_each(|i| arc(s, 2 * i, 0.0, inf));
+        (0..n).for_each(|i| arc(2 * i + 1, t, 0.0, inf));
+        for &(u, v) in edges {
+            arc(2 * u.0 + 1, 2 * v.0, 0.0, inf);
+        }
+        arc(t, s, 0.0, inf);
+        let nodes = 2 * n + 2;
+        let paired = head.len() - 2;
+        let mut first = vec![0u32; nodes + 1];
+        for e in 0..paired {
+            first[head[e ^ 1] as usize + 1] += 1;
+        }
+        for v in 0..nodes {
+            first[v + 1] += first[v];
+        }
+        let mut fill = first.clone();
+        let mut adj = vec![0u32; paired];
+        for e in 0..paired {
+            let u = head[e ^ 1] as usize;
+            adj[fill[u] as usize] = e as u32;
+            fill[u] += 1;
+        }
+        VddWarm {
+            modes: modes.clone(),
+            power,
+            weights: g.weights().to_vec(),
+            cap_tol: CAP_TOL * kappa[..m - 1].iter().sum::<f64>(),
+            kappa,
+            head,
+            len,
+            res,
+            first,
+            adj,
+            tau: vec![0.0; nodes],
+            record: Vec::new(),
+            floor: f64::INFINITY,
+            horizon: 0.0,
+        }
+    }
+
     /// Re-solve against `prep`'s (possibly edited) weights and a new
-    /// deadline, starting from the retained optimal basis.
+    /// deadline, starting from the retained flow and potentials.
     ///
-    /// `prep` must describe the same precedence structure the handle
-    /// was built over — weight-only edits qualify, structural edits do
-    /// not. Errors other than [`SolveError::Infeasible`] mean the warm
-    /// basis could not be re-optimized (e.g.
-    /// [`lp::LpError::WarmStartLost`], or a changed task count); the
-    /// handle is then spent and the caller should fall back to a cold
-    /// solve.
+    /// `prep` must describe the same task set and reduced precedence
+    /// the handle was built over — weight-only edits qualify. Errors
+    /// other than [`SolveError::Infeasible`] mean the handle cannot
+    /// serve `prep` (another structure, or a repair that did not
+    /// converge); it is then spent and the caller should solve cold.
     pub fn resolve(
         &mut self,
         prep: &PreparedGraph<'_>,
         deadline: f64,
     ) -> Result<Schedule, SolveError> {
-        let sol = self.reposition(prep, deadline)?;
-        Ok(extract_schedule(prep.graph(), &self.modes, &sol))
+        self.fits(prep)?;
+        continuous::check_feasible_prepared(prep, deadline, Some(self.modes.s_max()))?;
+        let changed = self.set_lengths(prep.graph());
+        self.repair(&changed)?;
+        self.settle(prep, deadline)
     }
 
     /// The mode ladder the handle was built over.
@@ -130,208 +257,530 @@ impl VddWarm {
         &self.modes
     }
 
-    /// Walk the **exact** energy–deadline curve `E*(D)` for
-    /// `D ∈ [d_lo, d_hi]` by parametric-RHS dual simplex
-    /// ([`lp::PreparedLp::parametric_rhs`]): the Theorem-3 LP's
-    /// deadline rows `t_i ≤ D` are exactly the ray `b + t·𝟙`, so the
-    /// optimal energy is piecewise **affine in `D`** and the whole
-    /// curve costs one basis walk — one dual pivot per breakpoint, no
-    /// per-sample work at all.
-    ///
-    /// The returned ray's segments carry `t` in **absolute deadline
-    /// units** (`t_lo`/`t_hi` are deadlines, `value_*` are energies).
-    /// The handle is first re-positioned at `d_lo` (refreshing the
-    /// work rows from `prep`'s weights, like [`VddWarm::resolve`]) and
-    /// is left positioned at the end of the walk, still usable.
+    /// The **exact** energy–deadline curve `E*(D)` for
+    /// `D ∈ [d_lo, d_hi]`, read off the augmentation record: one affine
+    /// segment between consecutive augmentation lengths (zero-width
+    /// slivers and slopes equal to 1e-9 merged away). A record that does
+    /// not reach `d_lo` (or none, after a weight change) is rebuilt first
+    /// by augmenting from zero flow down to `d_lo`, which leaves the
+    /// handle optimal there and still usable.
     ///
     /// Errors: [`SolveError::Infeasible`] when `d_lo` is below the
     /// instance's minimum makespan; [`SolveError::Numerical`] when the
-    /// warm basis cannot drive the walk (callers fall back to the
-    /// sampled sweep).
+    /// handle was built over another structure.
     pub fn deadline_ray(
         &mut self,
         prep: &PreparedGraph<'_>,
         d_lo: f64,
         d_hi: f64,
-    ) -> Result<lp::RhsRay, SolveError> {
-        let sol = self.reposition(prep, d_lo)?;
-        // The handle carries the *matrix* it was built over. A stale
-        // handle — same task count, different precedence — would walk
-        // a curve for the wrong constraint set and label it exact, so
-        // validate the repositioned optimum against the caller's graph
-        // exactly as the warm solve paths do; a stale basis fails the
-        // precedence check and routes the caller to a cold rebuild.
-        let g = prep.graph();
-        let sched = extract_schedule(g, &self.modes, &sol);
-        sched
-            .validate(
-                g,
-                &models::EnergyModel::VddHopping(self.modes.clone()),
-                d_lo,
-            )
-            .map_err(|e| SolveError::Numerical(format!("warm basis stale for this graph: {e}")))?;
-        let dir: Vec<(usize, f64)> = self.deadline_rows.iter().map(|&r| (r, 1.0)).collect();
-        let mut ray = self
-            .lp
-            .parametric_rhs(&dir, d_hi - d_lo)
-            .map_err(|e| SolveError::Numerical(format!("deadline ray walk: {e}")))?;
-        // Shift the ray parameter into absolute deadline units.
-        for s in &mut ray.segments {
-            s.t_lo += d_lo;
-            if s.t_hi.is_finite() {
-                s.t_hi += d_lo;
+    ) -> Result<Vec<CurveSegment>, SolveError> {
+        self.fits(prep)?;
+        continuous::check_feasible_prepared(prep, d_lo, Some(self.modes.s_max()))?;
+        self.set_lengths(prep.graph());
+        if self.floor > d_lo {
+            self.augment_from_zero(prep.topo(), d_lo);
+        }
+        // Deadlines in (ℓ_k, ℓ_{k−1}] keep phases 0..k active, with
+        // energy a − b·D from the prefix sums (a, b) of (δ·ℓ, δ).
+        let active = self.record.iter().take_while(|&&(l, _)| l > d_lo).count();
+        let mut prefix = Vec::with_capacity(active + 1);
+        let (mut a, mut b) = (self.base_energy(), 0.0);
+        prefix.push((a, b));
+        for &(l, f) in &self.record[..active] {
+            a += f * l;
+            b += f;
+            prefix.push((a, b));
+        }
+        let mut segments = Vec::new();
+        let mut lo = d_lo;
+        for k in (0..=active).rev() {
+            let hi = match k {
+                0 => d_hi,
+                _ => self.record[k - 1].0.min(d_hi),
+            };
+            let (a, b) = prefix[k];
+            merge_segment(&mut segments, d_lo, lo, hi, a, -b);
+            lo = hi;
+            if lo >= d_hi {
+                break;
             }
         }
-        Ok(ray)
+        Ok(segments)
     }
 
-    /// Move the retained LP onto `prep`'s weights and `deadline` and
-    /// re-optimize it from the retained basis — the step both
-    /// [`VddWarm::resolve`] and [`VddWarm::deadline_ray`] start with.
-    fn reposition(
-        &mut self,
-        prep: &PreparedGraph<'_>,
-        deadline: f64,
-    ) -> Result<LpSolution, SolveError> {
-        let g = prep.graph();
-        if g.n() != self.n {
-            return Err(SolveError::Numerical(format!(
-                "warm Vdd LP was built over {} tasks, not {}",
-                self.n,
-                g.n()
-            )));
+    /// `Ok` when the handle's network is `prep`'s: the same task count
+    /// and the same reduced edge sequence.
+    fn fits(&self, prep: &PreparedGraph<'_>) -> Result<(), SolveError> {
+        let n = self.weights.len();
+        let edges = prep.reduced().edges();
+        let held = &self.head[2 * n * (self.kappa.len() + 2)..self.head.len() - 2];
+        let same = prep.graph().n() == n
+            && held.len() == 2 * edges.len()
+            && edges
+                .iter()
+                .zip(held.chunks(2))
+                .all(|(&(u, v), arc)| arc == [2 * v.0 as u32, 2 * u.0 as u32 + 1]);
+        if same {
+            Ok(())
+        } else {
+            Err(SolveError::Numerical(format!(
+                "the warm Vdd network was built over another task graph ({n} tasks, {} reduced edges)",
+                held.len() / 2
+            )))
         }
-        continuous::check_feasible_prepared(prep, deadline, Some(self.modes.s_max()))?;
-        // Work rows are rows 0..n by construction (`build_lp` adds
-        // them first); unchanged RHS entries are skipped inside
-        // `resolve_rhs`, so passing the full block is O(changed).
-        let mut changes: Vec<(usize, f64)> = g
+    }
+
+    /// Move the task arcs onto `g`'s weights. Returns the tasks whose
+    /// weight changed; any change drops the record.
+    fn set_lengths(&mut self, g: &TaskGraph) -> Vec<usize> {
+        let m = self.kappa.len();
+        let mut changed = Vec::new();
+        for (i, &w) in g.weights().iter().enumerate() {
+            if w.to_bits() == self.weights[i].to_bits() {
+                continue;
+            }
+            self.weights[i] = w;
+            for (j, &sj) in self.modes.speeds().iter().enumerate() {
+                let e = 2 * (i * m + j);
+                self.len[e] = w / sj;
+                self.len[e + 1] = -(w / sj);
+            }
+            changed.push(i);
+            self.record.clear();
+            self.floor = f64::INFINITY;
+        }
+        changed
+    }
+
+    /// Reset to zero flow and augment along longest residual `s`–`t`
+    /// paths until the longest is no longer than `d`, recording each
+    /// phase's length and flow.
+    fn augment_from_zero(&mut self, topo: &[TaskId], d: f64) {
+        let n = self.weights.len();
+        let m = self.kappa.len();
+        for k in 0..self.res.len() / 2 {
+            self.res[2 * k] = if k < n * m {
+                self.kappa[k % m]
+            } else {
+                f64::INFINITY
+            };
+            self.res[2 * k + 1] = 0.0;
+        }
+        // At zero flow the residual network is the DAG itself: one
+        // pass in topological order gives the longest distances.
+        let (s, t) = (2 * n, 2 * n + 1);
+        self.tau.fill(f64::NEG_INFINITY);
+        self.tau[s] = 0.0;
+        for v in std::iter::once(s).chain(topo.iter().flat_map(|x| [2 * x.0, 2 * x.0 + 1])) {
+            for k in self.first[v] as usize..self.first[v + 1] as usize {
+                let e = self.adj[k] as usize;
+                let w = self.head[e] as usize;
+                if self.live(e) && self.tau[v] + self.len[e] > self.tau[w] {
+                    self.tau[w] = self.tau[v] + self.len[e];
+                }
+            }
+        }
+        self.horizon = self.tau[t];
+        self.record.clear();
+        let mut search = Search::default();
+        self.floor = loop {
+            let ell = self.longest_path(&mut search);
+            if ell <= d {
+                break ell;
+            }
+            match self.augment_longest(&mut search) {
+                Some(flow) => self.record.push((ell, flow)),
+                // An uncapacitated path: ℓ is the minimum makespan.
+                None => break ell,
+            }
+        };
+    }
+
+    /// Make the potentials the longest residual distances from `s`
+    /// (return pair excluded) and return the longest `s`–`t` length.
+    fn longest_path(&mut self, search: &mut Search) -> f64 {
+        let t = self.tau.len() - 1;
+        self.dijkstra(&[t - 1], |v| v == t, false, search);
+        self.tau[t] - self.tau[t - 1]
+    }
+
+    /// Dijkstra on the reduced lengths `τ(w) − τ(v) − len ≥ 0` from
+    /// `sources` (at distance 0) until a node `is_sink` accepts is
+    /// settled, over the residual arcs (the return pair only
+    /// `with_return`). The potentials then drop by each node's distance,
+    /// capped at the sink's, which keeps every residual arc's reduced
+    /// length non-negative and makes the search tree's arcs tight.
+    /// Returns the sink, its tree path left in `search.pred`.
+    fn dijkstra(
+        &mut self,
+        sources: &[usize],
+        is_sink: impl Fn(usize) -> bool,
+        with_return: bool,
+        search: &mut Search,
+    ) -> Option<usize> {
+        let nodes = self.tau.len();
+        let (s, t, ret) = (nodes - 2, nodes - 1, self.head.len() - 2);
+        let Search {
+            dist, pred, heap, ..
+        } = search;
+        dist.clear();
+        dist.resize(nodes, f64::INFINITY);
+        pred.clear();
+        pred.resize(nodes, NONE);
+        heap.clear();
+        for &v in sources {
+            dist[v] = 0.0;
+            // Non-negative distances order like their bit patterns;
+            // ties settle the lower node first.
+            heap.push(Reverse((0, v as u32)));
+        }
+        let mut sink = None;
+        while let Some(Reverse((key, u))) = heap.pop() {
+            let (du, u) = (f64::from_bits(key), u as usize);
+            if du > dist[u] {
+                continue;
+            }
+            if is_sink(u) {
+                sink = Some(u);
+                break;
+            }
+            let (lo, hi) = (self.first[u] as usize, self.first[u + 1] as usize);
+            for k in lo..=hi {
+                // One slot past the node's own arcs: its return arc.
+                let e = match k {
+                    _ if k < hi => self.adj[k] as usize,
+                    _ if with_return && u == t => ret,
+                    _ if with_return && u == s => ret ^ 1,
+                    _ => break,
+                };
+                if !self.live(e) {
+                    continue;
+                }
+                let w = self.head[e] as usize;
+                let slack = self.tau[w] - self.tau[u] - self.len[e];
+                let cand = if slack > 0.0 { du + slack } else { du };
+                if cand < dist[w] {
+                    dist[w] = cand;
+                    pred[w] = e as u32;
+                    heap.push(Reverse((cand.to_bits(), w as u32)));
+                }
+            }
+        }
+        if let Some(v) = sink {
+            let cap = dist[v];
+            for (p, &dv) in self.tau.iter_mut().zip(dist.iter()) {
+                *p -= dv.min(cap);
+            }
+        }
+        sink
+    }
+
+    /// Maximum flow along the longest `s`–`t` paths (the residual arcs
+    /// the potentials make tight), by fewest-arc augmentations, so the
+    /// augmentation count is bounded by the network, not by the
+    /// capacities. `None` when one of those paths is uncapacitated.
+    fn augment_longest(&mut self, search: &mut Search) -> Option<f64> {
+        let t = self.tau.len() - 1;
+        let s = t - 1;
+        let ret = self.head.len() - 2;
+        let tol = TIME_TOL * self.horizon;
+        let Search { pred, queue, .. } = search;
+        let mut total = 0.0;
+        loop {
+            pred.clear();
+            pred.resize(self.tau.len(), NONE);
+            queue.clear();
+            queue.push_back(s as u32);
+            'search: while let Some(u) = queue.pop_front() {
+                let u = u as usize;
+                for k in self.first[u] as usize..self.first[u + 1] as usize {
+                    let e = self.adj[k] as usize;
+                    let w = self.head[e] as usize;
+                    if w == s
+                        || pred[w] != NONE
+                        || !self.live(e)
+                        || self.tau[w] - self.tau[u] - self.len[e] > tol
+                    {
+                        continue;
+                    }
+                    pred[w] = e as u32;
+                    if w == t {
+                        break 'search;
+                    }
+                    queue.push_back(w as u32);
+                }
+            }
+            if pred[t] == NONE {
+                return Some(total);
+            }
+            let amount = self.path_bottleneck(pred, t);
+            if amount == f64::INFINITY {
+                return None;
+            }
+            self.push_path(pred, t, amount);
+            // The return arc carries the flow back to s.
+            self.res[ret ^ 1] += amount;
+            total += amount;
+        }
+    }
+
+    /// Restore the potentials across the arcs of the `changed` tasks:
+    /// a task that no longer fits its window at top speed pushes later
+    /// events (saturating the capacitated arcs in the way), every other
+    /// violated arc is saturated, and the imbalances this leaves are
+    /// routed back. The flow then has no positive residual cycle apart
+    /// from the return pair.
+    fn repair(&mut self, changed: &[usize]) -> Result<(), SolveError> {
+        if changed.is_empty() {
+            return Ok(());
+        }
+        let m = self.kappa.len();
+        let eps = TIME_TOL * self.horizon;
+        let mut excess = vec![0.0; self.tau.len()];
+        for &i in changed {
+            let (a, b) = (2 * i, 2 * i + 1);
+            let need = self.tau[a] + self.len[2 * (i * m + m - 1)];
+            if need > self.tau[b] + eps {
+                self.raise(b, need, &mut excess);
+            }
+            for e in 2 * i * m..2 * (i + 1) * m {
+                if self.res[e].is_finite() && self.violated(e, eps) {
+                    self.saturate(e, &mut excess);
+                }
+            }
+        }
+        self.route(&mut excess, false)
+    }
+
+    /// Raise `τ(v0)` to `value`, and along every uncapacitated residual
+    /// arc the rise violates, its head too; a capacitated arc it
+    /// violates is saturated instead.
+    fn raise(&mut self, v0: usize, value: f64, excess: &mut [f64]) {
+        let eps = TIME_TOL * self.horizon;
+        let mut stack = vec![(v0, value)];
+        while let Some((v, value)) = stack.pop() {
+            if value <= self.tau[v] + eps {
+                continue;
+            }
+            self.tau[v] = value;
+            for k in self.first[v] as usize..self.first[v + 1] as usize {
+                let e = self.adj[k] as usize;
+                if !self.violated(e, eps) {
+                    continue;
+                }
+                if self.res[e].is_finite() {
+                    self.saturate(e, excess);
+                } else {
+                    stack.push((self.head[e] as usize, self.tau[v] + self.len[e]));
+                }
+            }
+        }
+    }
+
+    /// Meet deadline `d`: augment while a longest path exceeds it; then,
+    /// if the flow's event times end before it, take the flow off the
+    /// return arc and route it back, which drains every flow path
+    /// shorter than `d` and stretches the times to `d`.
+    fn meet_deadline(&mut self, d: f64) -> Result<(), SolveError> {
+        let nodes = self.tau.len();
+        let (s, t, ret) = (nodes - 2, nodes - 1, self.head.len() - 2);
+        self.len[ret] = -d;
+        self.len[ret ^ 1] = d;
+        let eps = TIME_TOL * self.horizon.max(d);
+        if self.tau[t] - self.tau[s] > d + eps {
+            let mut search = Search::default();
+            while self.longest_path(&mut search) > d {
+                if self.augment_longest(&mut search).is_none() {
+                    break;
+                }
+            }
+        }
+        if self.live(ret ^ 1) && self.tau[t] - self.tau[s] < d - eps {
+            let mut excess = vec![0.0; nodes];
+            self.saturate(ret ^ 1, &mut excess);
+            self.route(&mut excess, true)?;
+        }
+        let shift = self.tau[s];
+        for x in &mut self.tau {
+            *x -= shift;
+        }
+        Ok(())
+    }
+
+    /// Successive shortest paths from surplus to deficit nodes on the
+    /// reduced lengths (the return pair only `with_return`), until no
+    /// imbalance is left.
+    fn route(&mut self, excess: &mut [f64], with_return: bool) -> Result<(), SolveError> {
+        let tol = self.cap_tol;
+        let mut search = Search::default();
+        for _ in 0..4 * self.head.len() {
+            let sources: Vec<usize> = (0..excess.len()).filter(|&v| excess[v] > tol).collect();
+            if sources.is_empty() {
+                return Ok(());
+            }
+            let Some(sink) =
+                self.dijkstra(&sources, |v| excess[v] < -tol, with_return, &mut search)
+            else {
+                break;
+            };
+            let mut source = sink;
+            while search.pred[source] != NONE {
+                source = self.head[search.pred[source] as usize ^ 1] as usize;
+            }
+            let amount = self
+                .path_bottleneck(&search.pred, sink)
+                .min(excess[source])
+                .min(-excess[sink]);
+            self.push_path(&search.pred, sink, amount);
+            excess[source] -= amount;
+            excess[sink] += amount;
+        }
+        Err(SolveError::Numerical(
+            "the warm Vdd flow could not be repaired".into(),
+        ))
+    }
+
+    /// The smallest residual capacity on the search-tree path to `v`.
+    fn path_bottleneck(&self, pred: &[u32], mut v: usize) -> f64 {
+        let mut amount = f64::INFINITY;
+        while pred[v] != NONE {
+            let e = pred[v] as usize;
+            amount = amount.min(self.res[e]);
+            v = self.head[e ^ 1] as usize;
+        }
+        amount
+    }
+
+    /// Push `amount` along the search-tree path to `v`.
+    fn push_path(&mut self, pred: &[u32], mut v: usize, amount: f64) {
+        while pred[v] != NONE {
+            let e = pred[v] as usize;
+            self.res[e] -= amount;
+            self.res[e ^ 1] += amount;
+            v = self.head[e ^ 1] as usize;
+        }
+    }
+
+    /// Push arc `e`'s whole residual capacity, leaving the imbalance in
+    /// `excess`.
+    fn saturate(&mut self, e: usize, excess: &mut [f64]) {
+        let amount = std::mem::take(&mut self.res[e]);
+        self.res[e ^ 1] += amount;
+        excess[self.head[e ^ 1] as usize] -= amount;
+        excess[self.head[e] as usize] += amount;
+    }
+
+    /// Whether residual arc `e` wants its head later than it is.
+    fn violated(&self, e: usize, eps: f64) -> bool {
+        let (u, w) = (self.head[e ^ 1] as usize, self.head[e] as usize);
+        self.live(e) && self.tau[u] + self.len[e] > self.tau[w] + eps
+    }
+
+    fn live(&self, e: usize) -> bool {
+        self.res[e] > self.cap_tol
+    }
+
+    /// `E_0 = Σ_i w_i·s_1^{α−1}`: every task flat at the slowest mode.
+    fn base_energy(&self) -> f64 {
+        let rate = self.power.energy_at_speed(1.0, self.modes.s_min());
+        self.weights.iter().map(|&w| w * rate).sum()
+    }
+
+    /// Meet `deadline`, then read the schedule off the event times.
+    fn settle(&mut self, prep: &PreparedGraph<'_>, deadline: f64) -> Result<Schedule, SolveError> {
+        // Inside the feasibility check's tolerance below the minimum
+        // makespan, schedule at the minimum makespan.
+        let d = deadline.max(prep.critical_path_weight() / self.modes.s_max());
+        self.meet_deadline(d)?;
+        let sched = self.schedule(prep.graph());
+        #[cfg(debug_assertions)]
+        self.certify(prep.graph(), &sched);
+        Ok(sched)
+    }
+
+    /// Task `i` starts at `τ(a_i)` and runs for `τ(b_i) − τ(a_i)`,
+    /// clamped to `[w_i/s_m, w_i/s_1]`, on the two modes bracketing its
+    /// speed.
+    fn schedule(&self, g: &TaskGraph) -> Schedule {
+        let (s_lo, s_hi) = (self.modes.s_min(), self.modes.s_max());
+        let (starts, profiles): (Vec<f64>, Vec<SpeedProfile>) = g
             .weights()
             .iter()
             .enumerate()
-            .map(|(i, &w)| (i, w))
-            .collect();
-        changes.extend(self.deadline_rows.iter().map(|&r| (r, deadline)));
-        self.lp.resolve_rhs(&changes).map_err(|e| match e {
-            lp::LpError::Infeasible => SolveError::Infeasible {
-                deadline,
-                min_makespan: prep.critical_path_weight() / self.modes.s_max(),
-            },
-            other => SolveError::Numerical(format!("warm Vdd LP: {other}")),
-        })
+            .map(|(i, &w)| {
+                let (a, b) = (self.tau[2 * i], self.tau[2 * i + 1]);
+                let d = (b - a).clamp(w / s_hi, w / s_lo);
+                let speed = (w / d).clamp(s_lo, s_hi);
+                (a.max(0.0), two_mode_profile(w, speed, d, &self.modes))
+            })
+            .unzip();
+        Schedule::new(starts, profiles)
+    }
+
+    /// The duality certificate: the schedule's energy equals the
+    /// flow's objective `E_0 + Σ length·f` (the return arc's length is
+    /// `−D`).
+    #[cfg(debug_assertions)]
+    fn certify(&self, g: &TaskGraph, sched: &Schedule) {
+        let primal = sched.energy(g, self.power);
+        let dual = self.base_energy()
+            + (0..self.len.len())
+                .step_by(2)
+                .map(|e| self.len[e] * self.res[e ^ 1])
+                .sum::<f64>();
+        assert!(
+            (primal - dual).abs() <= 1e-9 * primal.abs(),
+            "Vdd duality gap: schedule energy {primal} vs flow objective {dual}"
+        );
     }
 }
 
-/// Build the Theorem 3 LP. Returns the problem and the row indices of
-/// the per-task deadline rows `t_i ≤ D` (for parametric re-solves).
-fn build_lp(
-    prep: &PreparedGraph<'_>,
-    deadline: f64,
-    modes: &DiscreteModes,
-    p: PowerLaw,
-) -> (Problem, Vec<usize>) {
-    let g = prep.graph();
-    let n = g.n();
-    let m = modes.m();
-    let x = |i: usize, j: usize| i * m + j;
-    let t = |i: usize| n * m + i;
-    let mut prob = Problem::new(n * m + n);
-
-    // Objective: Σ s_j^α x_ij.
-    let mut obj = Vec::with_capacity(n * m);
-    for i in 0..n {
-        for (j, &s) in modes.speeds().iter().enumerate() {
-            obj.push((x(i, j), p.power(s)));
-        }
-    }
-    prob.set_objective(&obj);
-
-    // Work completion.
-    for i in 0..n {
-        let coeffs: Vec<(usize, f64)> = modes
-            .speeds()
-            .iter()
-            .enumerate()
-            .map(|(j, &s)| (x(i, j), s))
-            .collect();
-        prob.add_constraint(&coeffs, Relation::Eq, g.weights()[i]);
-    }
-    // Precedence: t_u + d_v − t_v ≤ 0 (transitively reduced — same
-    // feasible set, fewer simplex rows).
-    for &(u, v) in prep.reduced().edges() {
-        let mut coeffs: Vec<(usize, f64)> = vec![(t(u.0), 1.0), (t(v.0), -1.0)];
-        for j in 0..m {
-            coeffs.push((x(v.0, j), 1.0));
-        }
-        prob.add_constraint(&coeffs, Relation::Le, 0.0);
-    }
-    // Start ≥ 0 and deadline.
-    let mut deadline_rows = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut coeffs: Vec<(usize, f64)> = vec![(t(i), -1.0)];
-        for j in 0..m {
-            coeffs.push((x(i, j), 1.0));
-        }
-        prob.add_constraint(&coeffs, Relation::Le, 0.0);
-        deadline_rows.push(prob.nrows());
-        prob.add_constraint(&[(t(i), 1.0)], Relation::Le, deadline);
-    }
-    (prob, deadline_rows)
-}
-
-fn lp_error(
-    prep: &PreparedGraph<'_>,
-    deadline: f64,
-    modes: &DiscreteModes,
-    e: lp::LpError,
-) -> SolveError {
-    match e {
-        lp::LpError::Infeasible => SolveError::Infeasible {
-            deadline,
-            min_makespan: prep.critical_path_weight() / modes.s_max(),
-        },
-        other => SolveError::Numerical(other.to_string()),
+/// Append the affine segment `E(D) = a + b·D` on `[lo, hi]` to a curve
+/// that starts at `d_lo`, with the merge rules of a parametric walk:
+/// a zero-width sliver widens the previous segment, a slope equal to
+/// the previous one (to 1e-9 relative) extends it, and a first segment
+/// of zero width gives way to the next.
+fn merge_segment(out: &mut Vec<CurveSegment>, d_lo: f64, lo: f64, hi: f64, a: f64, b: f64) {
+    let seg = CurveSegment {
+        deadline_lo: lo,
+        deadline_hi: hi,
+        energy: CurveEnergy::Affine { a, b },
+    };
+    let Some(last) = out.last_mut() else {
+        out.push(seg);
+        return;
+    };
+    let CurveEnergy::Affine { b: last_b, .. } = last.energy else {
+        unreachable!("Vdd segments are affine")
+    };
+    if hi <= lo + 1e-12 * (1.0 + (lo - d_lo).abs()) {
+        last.deadline_hi = last.deadline_hi.max(hi);
+    } else if last.deadline_hi <= last.deadline_lo {
+        *last = seg;
+    } else if (last_b - b).abs() <= 1e-9 * (1.0 + b.abs()) {
+        last.deadline_hi = hi;
+    } else {
+        out.push(seg);
     }
 }
 
-/// Extract per-task profiles and start times from an LP solution.
-fn extract_schedule(g: &TaskGraph, modes: &DiscreteModes, sol: &LpSolution) -> Schedule {
-    let n = g.n();
-    let m = modes.m();
-    let x = |i: usize, j: usize| i * m + j;
-    let t = |i: usize| n * m + i;
-    let mut starts = Vec::with_capacity(n);
-    let mut profiles = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut pieces: Vec<(f64, f64)> = Vec::new();
-        for (j, &s) in modes.speeds().iter().enumerate() {
-            let dur = sol.x[x(i, j)];
-            if dur > PIECE_EPS {
-                pieces.push((s, dur));
-            }
+/// Run work `w` for duration `d` (speed `speed = w/d`) on the two
+/// modes that bracket `speed`, or flat at `s_1` when `speed` is below
+/// it: the one two-mode rule of [`adjacent_mix`] and the exact
+/// solver's schedules.
+fn two_mode_profile(w: f64, speed: f64, d: f64, modes: &DiscreteModes) -> SpeedProfile {
+    match modes.bracket(speed) {
+        // Below the slowest mode: run flat at s_1.
+        None => SpeedProfile::Constant(modes.s_min()),
+        Some((lo, hi)) if (hi - lo).abs() <= 1e-12 * (1.0 + hi) => SpeedProfile::Constant(lo),
+        Some((lo, hi)) => {
+            // x_hi·hi + (d − x_hi)·lo = w  ⇒  x_hi = (w − lo·d)/(hi − lo)
+            let x_hi = (w - lo * d) / (hi - lo);
+            let x_lo = d - x_hi;
+            debug_assert!(x_hi >= -1e-9 && x_lo >= -1e-9);
+            SpeedProfile::Pieces(vec![(lo, x_lo.max(0.0)), (hi, x_hi.max(0.0))])
         }
-        // Guard against an all-noise extraction (cannot happen for a
-        // consistent LP, but keep the schedule well-formed).
-        if pieces.is_empty() {
-            pieces.push((modes.s_max(), g.weights()[i] / modes.s_max()));
-        }
-        // Remove tiny work drift from the simplex tolerance by scaling
-        // piece durations so ∫ s dt = w_i exactly.
-        let done: f64 = pieces.iter().map(|&(s, d)| s * d).sum();
-        let scale = g.weights()[i] / done;
-        for piece in &mut pieces {
-            piece.1 *= scale;
-        }
-        let duration: f64 = pieces.iter().map(|&(_, d)| d).sum();
-        let completion = sol.x[t(i)];
-        starts.push((completion - duration).max(0.0));
-        profiles.push(if pieces.len() == 1 {
-            SpeedProfile::Constant(pieces[0].0)
-        } else {
-            SpeedProfile::Pieces(pieces)
-        });
     }
-    Schedule::new(starts, profiles)
 }
 
 /// The adjacent-mode-mix heuristic (ablation F4).
@@ -352,32 +801,22 @@ pub fn adjacent_mix(
 ) -> Result<Schedule, SolveError> {
     let prep = PreparedGraph::new(g);
     let speeds = continuous::solve_dispatched(&prep, deadline, Some(modes.s_max()), p, None)?;
-    let mut profiles = Vec::with_capacity(g.n());
-    for (&w, &s_star) in g.weights().iter().zip(&speeds) {
-        let profile = match modes.bracket(s_star) {
-            None => {
-                // Below the slowest mode: run flat at s_1.
-                SpeedProfile::Constant(modes.s_min())
-            }
-            Some((lo, hi)) if (hi - lo).abs() <= 1e-12 * (1.0 + hi) => SpeedProfile::Constant(lo),
-            Some((lo, hi)) => {
-                let d = w / s_star;
-                // x_hi·hi + (d − x_hi)·lo = w  ⇒  x_hi = (w − lo·d)/(hi − lo)
-                let x_hi = (w - lo * d) / (hi - lo);
-                let x_lo = d - x_hi;
-                debug_assert!(x_hi >= -1e-9 && x_lo >= -1e-9);
-                SpeedProfile::Pieces(vec![(lo, x_lo.max(0.0)), (hi, x_hi.max(0.0))])
-            }
-        };
-        profiles.push(profile);
-    }
+    let profiles = g
+        .weights()
+        .iter()
+        .zip(&speeds)
+        .map(|(&w, &s_star)| two_mode_profile(w, s_star, w / s_star, modes))
+        .collect();
     Ok(Schedule::asap_from_profiles(g, profiles))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ExactCurve;
     use models::EnergyModel;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use taskgraph::generators;
 
     const P: PowerLaw = PowerLaw::CUBIC;
@@ -393,6 +832,23 @@ mod tests {
         p: PowerLaw,
     ) -> Result<Schedule, SolveError> {
         solve_lp_prepared(&PreparedGraph::new(g), d, ms, p)
+    }
+
+    fn curve(segments: Vec<CurveSegment>) -> ExactCurve {
+        ExactCurve {
+            segments,
+            exact: true,
+            stats: Default::default(),
+        }
+    }
+
+    fn rel_gap(a: f64, b: f64) -> f64 {
+        (a - b).abs() / b.abs()
+    }
+
+    fn warm_for(prep: &PreparedGraph<'_>, ms: &DiscreteModes) -> VddWarm {
+        let d = 1.5 * prep.critical_path_weight() / ms.s_max();
+        solve_lp_warm(prep, d, ms, P).unwrap().1
     }
 
     #[test]
@@ -461,7 +917,7 @@ mod tests {
 
     #[test]
     fn exact_mode_speed_uses_single_piece() {
-        // Deadline exactly w/s for mode 2: LP picks the single mode.
+        // Deadline exactly w/s for mode 2: the single mode is optimal.
         let g = generators::chain(&[4.0]);
         let ms = modes(&[1.0, 2.0, 4.0]);
         let sched = solve_lp(&g, 2.0, &ms, P).unwrap();
@@ -523,7 +979,7 @@ mod tests {
             .unwrap();
 
         // A chain of weight edits, each re-solved warm and compared
-        // against an independent cold LP on the edited graph.
+        // against an independent cold solve of the edited graph.
         let inst = taskgraph::PreparedInstance::new(std::sync::Arc::new(g));
         let mut current = inst.apply(&[]).unwrap();
         for (task, w) in [(1usize, 3.5), (2, 1.2), (0, 2.0)] {
@@ -570,25 +1026,28 @@ mod tests {
         let cp = taskgraph::analysis::critical_path_weight(&g);
         let (d_lo, d_hi) = (1.05 * cp / ms.s_max(), 3.0 * cp / ms.s_max());
         let (_, mut warm) = solve_lp_warm(&prep, d_lo, &ms, P).unwrap();
-        let ray = warm.deadline_ray(&prep, d_lo, d_hi).unwrap();
+        let ray = curve(warm.deadline_ray(&prep, d_lo, d_hi).unwrap());
         assert!(!ray.segments.is_empty());
         // Contiguous, monotone segment boundaries spanning [d_lo, d_hi].
-        assert!((ray.segments[0].t_lo - d_lo).abs() < 1e-9 * d_lo);
+        assert!((ray.segments[0].deadline_lo - d_lo).abs() < 1e-9 * d_lo);
         for w in ray.segments.windows(2) {
-            assert!((w[0].t_hi - w[1].t_lo).abs() < 1e-9 * (1.0 + w[0].t_hi.abs()));
+            assert!(
+                (w[0].deadline_hi - w[1].deadline_lo).abs() < 1e-9 * (1.0 + w[0].deadline_hi.abs())
+            );
         }
-        // Energy non-increasing in D, and pointwise equal to cold LPs.
+        // Energy non-increasing in D, and pointwise equal to cold solves.
         for k in 0..=16 {
             let d = d_lo + (d_hi - d_lo) * k as f64 / 16.0;
-            let exact = ray.value_at(d).unwrap();
+            let exact = ray.energy_at(d).unwrap();
             let cold = solve_lp_prepared(&prep, d, &ms, P).unwrap().energy(&g, P);
             assert!(
                 (exact - cold).abs() <= 1e-6 * (1.0 + cold),
                 "ray {exact} vs cold {cold} at D = {d}"
             );
         }
+        let value_lo = |s: &CurveSegment| s.energy_at(s.deadline_lo);
         for w in ray.segments.windows(2) {
-            assert!(w[1].value_lo <= w[0].value_lo * (1.0 + 1e-9));
+            assert!(value_lo(&w[1]) <= value_lo(&w[0]) * (1.0 + 1e-9));
         }
     }
 
@@ -603,7 +1062,7 @@ mod tests {
             Err(SolveError::Infeasible { .. })
         ));
         // The handle survives the rejection (feasibility pre-check
-        // fires before any tableau work).
+        // fires before the handle is touched).
         assert!(warm.resolve(&prep, 3.0).is_ok());
     }
 
@@ -633,6 +1092,184 @@ mod tests {
                         assert_eq!(idx[0].abs_diff(idx[1]), 1, "{ps:?}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn one_mode_ladder_runs_every_task_at_its_speed() {
+        let g = generators::diamond([1.0, 2.0, 3.0, 1.5]);
+        let ms = modes(&[1.5]);
+        let prep = PreparedGraph::new(&g);
+        let d_min = prep.critical_path_weight() / 1.5;
+        let (sched, mut warm) = solve_lp_warm(&prep, 1.2 * d_min, &ms, P).unwrap();
+        sched
+            .validate(&g, &EnergyModel::VddHopping(ms.clone()), 1.2 * d_min)
+            .unwrap();
+        let flat = 7.5 * 1.5 * 1.5;
+        assert!(rel_gap(sched.energy(&g, P), flat) <= 1e-12);
+        // The curve is flat from the minimum makespan on.
+        let ray = warm.deadline_ray(&prep, d_min, 2.0 * d_min).unwrap();
+        assert_eq!(ray.len(), 1);
+        assert!(matches!(ray[0].energy, CurveEnergy::Affine { b, .. } if b == 0.0));
+        assert!(rel_gap(ray[0].energy_at(d_min), flat) <= 1e-12);
+    }
+
+    #[test]
+    fn deadline_at_the_minimum_makespan() {
+        // Chain: every task at the top mode.
+        let g = generators::chain(&[1.0, 2.0, 3.0]);
+        let ms = modes(&[1.0, 2.0]);
+        let sched = solve_lp(&g, 3.0, &ms, P).unwrap();
+        sched
+            .validate(&g, &EnergyModel::VddHopping(ms.clone()), 3.0)
+            .unwrap();
+        assert!(rel_gap(sched.energy(&g, P), 24.0) <= 1e-12);
+        // Diamond: the critical tasks 0, 2, 3 at 2.4; task 1 (w = 2)
+        // fills its 3/2.4 window at exactly the 1.6 mode.
+        let g = generators::diamond([1.0, 2.0, 3.0, 1.5]);
+        let ms = modes(&[0.8, 1.6, 2.4]);
+        let d = 5.5 / 2.4;
+        let sched = solve_lp(&g, d, &ms, P).unwrap();
+        sched
+            .validate(&g, &EnergyModel::VddHopping(ms.clone()), d)
+            .unwrap();
+        let want = 5.5 * 2.4 * 2.4 + 2.0 * 1.6 * 1.6;
+        assert!(rel_gap(sched.energy(&g, P), want) <= 1e-12);
+    }
+
+    #[test]
+    fn deadline_past_the_slowest_critical_path_leaves_slack() {
+        let g = generators::diamond([1.0, 2.0, 3.0, 1.5]);
+        let ms = modes(&[0.8, 1.6, 2.4]);
+        let prep = PreparedGraph::new(&g);
+        let slowest = prep.critical_path_weight() / 0.8;
+        let d = 1.3 * slowest;
+        let (sched, mut warm) = solve_lp_warm(&prep, d, &ms, P).unwrap();
+        sched
+            .validate(&g, &EnergyModel::VddHopping(ms.clone()), d)
+            .unwrap();
+        for t in g.tasks() {
+            assert_eq!(sched.profile(t), &SpeedProfile::Constant(0.8));
+        }
+        let makespan = g
+            .tasks()
+            .map(|t| sched.completion(t, &g))
+            .fold(0.0, f64::max);
+        assert!(makespan < d * (1.0 - 1e-3), "makespan {makespan}");
+        let flat = 7.5 * 0.8 * 0.8;
+        assert!(rel_gap(sched.energy(&g, P), flat) <= 1e-12);
+        // Past cp/s_1 the curve is flat.
+        let ray = warm.deadline_ray(&prep, slowest, 2.0 * slowest).unwrap();
+        assert_eq!(ray.len(), 1);
+        assert!(matches!(ray[0].energy, CurveEnergy::Affine { b, .. } if b == 0.0));
+        assert!(rel_gap(ray[0].energy_at(slowest), flat) <= 1e-12);
+    }
+
+    #[test]
+    fn disconnected_components_add_up() {
+        let ms = modes(&[0.5, 1.0, 1.5, 2.0]);
+        let both =
+            TaskGraph::new(vec![1.0, 2.5, 3.0, 0.5, 1.5], &[(0, 1), (2, 3), (2, 4)]).unwrap();
+        let left = TaskGraph::new(vec![1.0, 2.5], &[(0, 1)]).unwrap();
+        let right = TaskGraph::new(vec![3.0, 0.5, 1.5], &[(0, 1), (0, 2)]).unwrap();
+        let energy = |g: &TaskGraph, d: f64| solve_lp(g, d, &ms, P).unwrap().energy(g, P);
+        for d in [2.3, 2.7, 4.0, 9.0] {
+            solve_lp(&both, d, &ms, P)
+                .unwrap()
+                .validate(&both, &EnergyModel::VddHopping(ms.clone()), d)
+                .unwrap();
+            let (e, l, r) = (energy(&both, d), energy(&left, d), energy(&right, d));
+            assert!(rel_gap(e, l + r) <= 1e-9, "D = {d}: {e} vs {l} + {r}");
+        }
+    }
+
+    #[test]
+    fn equal_weights_tie_augmentations() {
+        // Five independent equal tasks: five tied longest paths in one
+        // phase. Each fills its window at speed 4/3 — one time unit at
+        // 1, half a unit at 2 — for 1 + 8·0.5 = 5.
+        let g = TaskGraph::new(vec![2.0; 5], &[]).unwrap();
+        let ms = modes(&[1.0, 2.0]);
+        let (sched, warm) = solve_lp_warm(&PreparedGraph::new(&g), 1.5, &ms, P).unwrap();
+        assert!(rel_gap(sched.energy(&g, P), 25.0) <= 1e-12);
+        assert_eq!(warm.record.len(), 1, "one phase carries the tie");
+        // Equal middle tasks of a fork–join: the curve matches cold
+        // solves everywhere.
+        let g = generators::fork_join(1.0, &[2.0; 6], 1.0);
+        let ms = modes(&[0.5, 1.0, 1.5, 2.0]);
+        let prep = PreparedGraph::new(&g);
+        let d_min = prep.critical_path_weight() / 2.0;
+        let ray = curve(
+            warm_for(&prep, &ms)
+                .deadline_ray(&prep, d_min, 4.0 * d_min)
+                .unwrap(),
+        );
+        for k in 0..=12 {
+            let d = d_min * (1.0 + 3.0 * k as f64 / 12.0);
+            let cold = solve_lp(&g, d, &ms, P).unwrap().energy(&g, P);
+            assert!(rel_gap(ray.energy_at(d).unwrap(), cold) <= 1e-9, "D = {d}");
+        }
+    }
+
+    #[test]
+    fn retained_handle_is_linear_in_the_network() {
+        // The X8 instance: 220 tasks, four modes. The simplex's dense
+        // tableau held 1,115 × 2,216 numbers for it.
+        let mut rng = StdRng::seed_from_u64(8888);
+        let (g, _) = generators::random_sp(220, 0.55, 1.0, 5.0, &mut rng);
+        let ms = modes(&[0.6, 1.2, 1.8, 2.4]);
+        let prep = PreparedGraph::new(&g);
+        let mut warm = warm_for(&prep, &ms);
+        let cp = prep.critical_path_weight();
+        warm.deadline_ray(&prep, cp / 2.4, cp / 0.6).unwrap();
+        let held = warm.weights.len()
+            + warm.kappa.len()
+            + warm.head.len()
+            + warm.len.len()
+            + warm.res.len()
+            + warm.first.len()
+            + warm.adj.len()
+            + warm.tau.len()
+            + 2 * warm.record.len();
+        let network = g.n() * ms.m() + 2 * g.n() + prep.reduced().m() + 1;
+        assert!(
+            warm.record.len() <= g.n() * ms.m(),
+            "{} phases",
+            warm.record.len()
+        );
+        assert!(held <= 12 * network, "{held} numbers for {network} arcs");
+        assert!(held * 100 < 1115 * 2216, "{held} numbers");
+    }
+
+    #[test]
+    fn warm_resolves_match_cold_across_weight_and_deadline_moves() {
+        let ms = modes(&[0.6, 1.2, 1.8, 2.4]);
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut g, _) = generators::random_sp(30, 0.55, 1.0, 5.0, &mut rng);
+            let edges: Vec<(usize, usize)> = g.edges().iter().map(|&(u, v)| (u.0, v.0)).collect();
+            let mut warm = warm_for(&PreparedGraph::new(&g), &ms);
+            for step in 0..12 {
+                if step % 3 != 2 {
+                    let mut w = g.weights().to_vec();
+                    w[rng.gen_range(0..g.n())] *= rng.gen_range(0.5..2.0);
+                    g = TaskGraph::new(w, &edges).unwrap();
+                }
+                let prep = PreparedGraph::new(&g);
+                let d = rng.gen_range(1.0..3.5) * prep.critical_path_weight() / 2.4;
+                let sched = warm.resolve(&prep, d).unwrap();
+                sched
+                    .validate(&g, &EnergyModel::VddHopping(ms.clone()), d)
+                    .unwrap();
+                let (e, cold) = (
+                    sched.energy(&g, P),
+                    solve_lp_prepared(&prep, d, &ms, P).unwrap().energy(&g, P),
+                );
+                assert!(
+                    rel_gap(e, cold) <= 1e-9,
+                    "seed {seed} step {step}: {e} vs {cold}"
+                );
             }
         }
     }

@@ -27,7 +27,7 @@
 //! the base slot is replaced by the patched instance under its new
 //! key, modelling "this cached instance just changed" rather than
 //! growing a second copy per edit. The base's Vdd warm-start slot
-//! travels with the patched entry whenever the LP matrix is unchanged
+//! travels with the patched entry whenever the flow network survives
 //! ([`reclaim_core::engine::vdd_basis_survives`]) and is reset
 //! otherwise. Patch traffic is counted separately
 //! (`patch_hits` / `patch_misses` / `rekeys`) so `stats` can tell a
@@ -105,7 +105,7 @@ impl Default for CacheConfig {
 /// A retained exact energy–deadline curve (protocol v3): the segments
 /// of the last `energy_curve {exact}` request against this entry, with
 /// the deadline factors they were computed for. A repeat request with
-/// the same factors is answered from here without touching the LP.
+/// the same factors is answered from here without touching the flow.
 #[derive(Debug, Clone)]
 pub struct CachedCurve {
     /// The `lo` factor of the request that built the curve.
@@ -126,9 +126,9 @@ pub struct Entry {
     pub inst: PreparedInstance,
     /// The model the key was derived under.
     pub model: EnergyModel,
-    /// The retained LP basis of the last Vdd-Hopping solve, if any.
-    /// Shared with the entry this one was patched from whenever the
-    /// LP matrix survived the edits.
+    /// The retained min-cost flow of the last Vdd-Hopping solve, if
+    /// any. Shared with the entry this one was patched from whenever
+    /// the flow network survived the edits.
     warm: Arc<Mutex<Option<VddWarm>>>,
     /// The retained exact curve. Unlike the warm slot this never
     /// travels across patches — curve energies depend on the task
@@ -381,7 +381,7 @@ impl InstanceCache {
             // An attached store extends "held" to disk: a base that
             // was spilled on eviction (or recovered after a restart)
             // re-materializes and the patch proceeds as a hit — the
-            // Vdd warm slot starts empty (live LP handles are never
+            // Vdd warm slot starts empty (live flow handles are never
             // persisted) and rebuilds lazily.
             None => match self.store.as_ref().and_then(|s| s.load(base)) {
                 Some(stored) => Arc::new(Entry::new(base, stored.inst, stored.model, None)),
@@ -401,8 +401,8 @@ impl InstanceCache {
         });
         let key = patched_key(base.key, base.inst.graph(), edits)
             .unwrap_or_else(|| content_key(patched.graph(), &base.model));
-        // The retained Vdd basis travels whenever the patched LP is
-        // the same matrix; the curve never does.
+        // The retained Vdd flow travels whenever the patched network
+        // is the same; the curve never does.
         let mut entry = Entry::new(key, patched, base.model.clone(), None);
         if vdd_basis_survives(&base.inst, &entry.inst, edits) {
             entry.warm = Arc::clone(&base.warm);
@@ -509,7 +509,7 @@ impl InstanceCache {
                 // Eviction downgrades the entry from RAM to disk: the
                 // latest analyses and the retained curve are
                 // re-spilled before the drop, so a re-request is a
-                // StoreHit (the Vdd warm slot holds a live LP handle
+                // StoreHit (the Vdd warm slot holds a live flow handle
                 // and cannot be serialized; it alone rebuilds lazily).
                 self.spill(&e.entry);
             }

@@ -1277,7 +1277,7 @@ fn handle_payload(
 /// [`crate::corpus::run_shard`]), but solved through the daemon's
 /// content-addressed cache —
 /// repeat instances skip preparation, and Vdd-Hopping solves ride the
-/// entry's retained LP basis. Shards run sequentially on this worker;
+/// entry's retained flow. Shards run sequentially on this worker;
 /// cross-shard parallelism comes from the pool, not from nested
 /// threads — the solves are pinned to one thread (never the borrowed
 /// spare slots) so algorithm tags, and therefore shard manifests, are
@@ -1318,9 +1318,9 @@ fn corpus_one(
 /// Handle one v2 `patch`: edit the cached base instance in place
 /// (selective invalidation + incremental re-key, see
 /// [`InstanceCache::patch`]) and solve the result. Vdd-Hopping solves
-/// route through the entry's retained LP basis when one is available
+/// route through the entry's retained flow when one is available
 /// ([`Engine::solve_warm`]), so a weight-only patch skips graph
-/// preparation *and* the cold LP.
+/// preparation *and* the cold solve.
 fn patch_one(
     state: &State,
     engine: &Engine,
@@ -1424,9 +1424,9 @@ fn prepare_as_of(
 
 /// Handle one v3 exact `energy_curve`: serve the entry's retained
 /// curve when the deadline factors match (near-free repeat),
-/// otherwise walk it — through the entry's retained Vdd LP basis, so
-/// an instance the daemon has solved before skips the cold two-phase
-/// LP — and retain the result with the entry
+/// otherwise read it off the entry's retained Vdd flow, whose record
+/// usually reaches the range when the daemon has solved the instance
+/// before — and retain the result with the entry
 /// ([`InstanceCache::retain_curve`]).
 fn curve_exact_one(state: &State, engine: &Engine, entry: &Entry, lo: f64, hi: f64) -> Response {
     if let Some(curve) = entry.retained_curve(lo, hi) {
@@ -1455,9 +1455,9 @@ fn curve_exact_one(state: &State, engine: &Engine, entry: &Entry, lo: f64, hi: f
 
 /// Solve `entry` at `deadline` and time it. Vdd-Hopping solves go
 /// through the entry's warm slot: the first solve retains its optimal
-/// LP basis there, so later solves — and especially weight-only
-/// `patch` re-solves — re-optimize instead of running the two phases
-/// cold.
+/// flow there, so later solves — and especially weight-only `patch`
+/// re-solves — re-optimize instead of augmenting from zero flow
+/// again.
 fn timed_solve(
     engine: &Engine,
     worker_id: usize,

@@ -31,7 +31,7 @@
 //!   walks, patches and store writes go through, with
 //!   **patch-in-place re-keying**: a cached instance can be mutated
 //!   by a [`taskgraph::edit::GraphEdit`] batch under selective cache
-//!   invalidation, keeping its Vdd warm-start basis across
+//!   invalidation, keeping its Vdd warm-start flow across
 //!   weight-only edits;
 //! * [`client`] — a blocking client (used by `reclaim ask` and the
 //!   integration tests), including the v2 [`Client::patch`] call and

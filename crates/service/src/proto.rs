@@ -445,7 +445,7 @@ pub enum Request {
     /// solve the result, re-keying the cache entry in place. The
     /// client never resends the graph; on a weight-only batch the
     /// daemon also skips every structural re-analysis *and* (for
-    /// Vdd-Hopping) the cold LP.
+    /// Vdd-Hopping) the cold solve.
     Patch {
         /// Content key of the cached base instance
         /// ([`reclaim_core::engine::content_key`]).
@@ -624,8 +624,8 @@ pub struct PatchReport {
     /// Content key of the edited instance — the `base` for the next
     /// patch in a chain.
     pub key: u128,
-    /// Whether the Vdd-Hopping solve reused the retained LP basis
-    /// (`vdd-lp-warm`) instead of a cold two-phase run.
+    /// Whether the Vdd-Hopping solve reused the retained min-cost flow
+    /// (`vdd-lp-warm`) instead of a cold solve from zero flow.
     pub warm_lp: bool,
 }
 
@@ -663,7 +663,7 @@ pub struct WorkerStatsReport {
     pub solves: u64,
     /// Total nanoseconds in `Engine::solve`-family calls.
     pub solve_ns: u64,
-    /// Warm-start states (Vdd LP bases) this worker lost to cold
+    /// Warm-start states (Vdd flows) this worker lost to cold
     /// retries: non-zero means sweeps or patches silently paid for
     /// cold re-solves.
     pub warm_lost: u64,

@@ -78,8 +78,8 @@ counters! {
     /// prove a repair stayed local instead of silently degrading to a
     /// full pass.
     cone_nodes,
-    /// Times the solver engine lost a retained warm state (a Vdd LP
-    /// basis or a validated warm solution) and fell back to a cold
+    /// Times the solver engine lost a retained warm state (a Vdd
+    /// flow or a validated warm solution) and fell back to a cold
     /// path: failed re-optimizations inside sweeps, warm schedules
     /// failing validation, spent warm handles.
     warm_lost,

@@ -7,7 +7,6 @@
 //! Start with [`reclaim_core::solve`] and the `quickstart` example.
 
 pub use convex;
-pub use lp;
 pub use mapping;
 pub use models;
 pub use reclaim_cli as cli;
