@@ -39,24 +39,18 @@ fn bench_bnb_growth(c: &mut Criterion) {
     g.finish();
 }
 
-/// Ablation: the chain-cover lower bound vs the
-/// static per-task bound, on a mapped execution graph where several
-/// processor chains are serialized.
-fn bench_chain_bound_ablation(c: &mut Criterion) {
+/// The search on a mapped execution graph where several processor
+/// chains are serialized, the workload the chain-cover bound targets.
+fn bench_mapped_execution_graph(c: &mut Criterion) {
     let mut g = c.benchmark_group("discrete-bnb-chain-bound");
     g.sample_size(10);
     let modes = DiscreteModes::new(&[0.5, 1.0, 1.5, 2.0, 2.5, 3.0]).unwrap();
     let eg = bench::instances::random_execution_graph(4, 3, 2, 904);
     let d = 1.5 * bench::instances::dmin(&eg, modes.s_max());
-    for (label, chain_bound) in [("static-bound", false), ("chain-bound", true)] {
-        g.bench_function(label, |b| {
-            let cfg = BnbConfig {
-                chain_bound,
-                ..Default::default()
-            };
-            b.iter(|| discrete::exact(&PreparedGraph::new(&eg), d, &modes, P, &cfg).unwrap())
-        });
-    }
+    let cfg = BnbConfig::default();
+    g.bench_function("chain-bound", |b| {
+        b.iter(|| discrete::exact(&PreparedGraph::new(&eg), d, &modes, P, &cfg).unwrap())
+    });
     g.finish();
 }
 
@@ -93,7 +87,7 @@ fn bench_round_up(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_bnb_growth,
-    bench_chain_bound_ablation,
+    bench_mapped_execution_graph,
     bench_chain_dp,
     bench_round_up
 );

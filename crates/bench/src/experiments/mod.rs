@@ -108,8 +108,8 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
 type Runner = fn() -> Outcome;
 
 /// The experiment registry: every id with its runner, in canonical
-/// order — the single source of truth [`run_all`], [`all_ids`], and
-/// [`run_one`] all derive from.
+/// order — the single source of truth [`all_ids`] and [`run_one`]
+/// derive from.
 const EXPERIMENTS: &[(&str, Runner)] = &[
     ("t1", t1::run),
     ("t2", t2::run),
@@ -136,11 +136,6 @@ const EXPERIMENTS: &[(&str, Runner)] = &[
     ("x12", x12::run),
     ("x13", x13::run),
 ];
-
-/// Run every experiment in order.
-pub fn run_all() -> Vec<Outcome> {
-    EXPERIMENTS.iter().map(|&(_, run)| run()).collect()
-}
 
 /// Every experiment id, in canonical order.
 pub fn all_ids() -> Vec<&'static str> {

@@ -60,6 +60,18 @@ fn stdout_written(result: std::io::Result<()>) {
     }
 }
 
+/// The value after `flag` in `flags`, if the flag is there; a flag
+/// with nothing after it exits 2 naming the flag.
+fn flag_value<'a>(flags: &'a [String], flag: &str) -> Option<&'a str> {
+    let i = flags.iter().position(|a| a == flag)?;
+    let value = flags.get(i + 1).map(String::as_str);
+    if value.is_none() {
+        eprintln!("{flag} needs a value, got none");
+        std::process::exit(2);
+    }
+    value
+}
+
 /// `value` of `flag` parsed as a `T`; otherwise exit 2 naming the
 /// flag, what it needs and the value it got.
 fn parsed<T: std::str::FromStr>(flag: &str, needs: &str, value: &str) -> T {
@@ -110,14 +122,7 @@ fn usage() -> ! {
 /// Resolve `--socket` / `--tcp` flags into a daemon endpoint
 /// (default: `reclaimd.sock` in the working directory).
 fn endpoint_from_flags(flags: &[String]) -> Endpoint {
-    let value = |name: &str| {
-        flags
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| flags.get(i + 1))
-            .cloned()
-    };
-    if let Some(addr) = value("--tcp") {
+    if let Some(addr) = flag_value(flags, "--tcp") {
         let addr = addr.parse().unwrap_or_else(|_| {
             eprintln!("bad --tcp address {addr:?}");
             std::process::exit(2);
@@ -125,8 +130,8 @@ fn endpoint_from_flags(flags: &[String]) -> Endpoint {
         Endpoint::Tcp(addr)
     } else {
         Endpoint::Unix(
-            value("--socket")
-                .unwrap_or_else(|| "reclaimd.sock".into())
+            flag_value(flags, "--socket")
+                .unwrap_or("reclaimd.sock")
                 .into(),
         )
     }
@@ -141,16 +146,7 @@ fn ask_command(args: &[String]) {
         .collect();
     let stats = flags.iter().any(|a| a == "--stats");
     let shutdown = flags.iter().any(|a| a == "--shutdown");
-    let patch_spec = flags
-        .iter()
-        .position(|a| a == "--patch")
-        .map(|i| match flags.get(i + 1) {
-            Some(spec) => spec.clone(),
-            None => {
-                eprintln!("--patch requires an edit spec (e.g. 'set:3:2.5;link:1:2')");
-                std::process::exit(2);
-            }
-        });
+    let patch_spec = flag_value(&flags, "--patch");
     if file.is_none() && !stats && !shutdown {
         eprintln!("ask needs an instance file, --stats, or --shutdown");
         std::process::exit(2);
@@ -159,14 +155,7 @@ fn ask_command(args: &[String]) {
         eprintln!("--patch needs the instance file the patch is based on");
         std::process::exit(2);
     }
-    let flag_value = |name: &str| {
-        flags
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| flags.get(i + 1))
-            .cloned()
-    };
-    let pipeline_k: usize = flag_value("--pipeline")
+    let pipeline_k: usize = flag_value(&flags, "--pipeline")
         .map(|v| {
             v.parse().ok().filter(|&k| k >= 1).unwrap_or_else(|| {
                 eprintln!("--pipeline needs an integer ≥ 1, got {v:?}");
@@ -175,8 +164,8 @@ fn ask_command(args: &[String]) {
         })
         .unwrap_or(1);
     let timeout_ms: Option<u64> =
-        flag_value("--timeout").map(|v| parsed("--timeout", "milliseconds", &v));
-    let as_of: Option<u64> = flag_value("--as-of").map(|v| {
+        flag_value(&flags, "--timeout").map(|v| parsed("--timeout", "milliseconds", v));
+    let as_of: Option<u64> = flag_value(&flags, "--as-of").map(|v| {
         v.parse().ok().filter(|&d| d >= 1).unwrap_or_else(|| {
             eprintln!("--as-of needs a patch depth ≥ 1, got {v:?}");
             std::process::exit(2);
@@ -398,18 +387,13 @@ fn corpus_command(args: &[String]) {
         std::process::exit(2);
     };
     let flags = &args[1..];
-    let value = |name: &str| {
-        flags
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| flags.get(i + 1))
-            .map(String::as_str)
-    };
-    let shards: usize = value("--shards")
+    let shards: usize = flag_value(flags, "--shards")
         .map(|v| parsed("--shards", "an integer", v))
         .unwrap_or(2)
         .max(1);
-    let out_dir = value("--json").unwrap_or("bench-json").to_string();
+    let out_dir = flag_value(flags, "--json")
+        .unwrap_or("bench-json")
+        .to_string();
 
     // Deterministic enumeration: sorted file names. Parse errors are
     // fatal and fully attributed (file, line, offending token).
@@ -507,35 +491,29 @@ fn corpus_command(args: &[String]) {
 
 fn generate_command(args: &[String]) {
     let Some(family) = args.first() else { usage() };
+    let flags = &args[1..];
+    let value = |flag| flag_value(flags, flag);
+    let d = reclaim_cli::GenOptions::default();
+    let opts = reclaim_cli::GenOptions {
+        procs: value("--procs").map_or(d.procs, |v| parsed("--procs", "an integer", v)),
+        model: value("--model").map_or(d.model, str::to_string),
+        tightness: value("--tightness")
+            .map_or(d.tightness, |v| parsed("--tightness", "a number", v)),
+        seed: value("--seed").map_or(d.seed, |v| parsed("--seed", "an integer", v)),
+    };
+    // Every argument that is neither a flag nor a flag's value is an
+    // integer family parameter.
     let mut params = Vec::new();
-    let mut opts = reclaim_cli::GenOptions::default();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--procs" => {
-                opts.procs = args[i + 1].parse().expect("--procs P");
-                i += 2;
-            }
-            "--model" => {
-                opts.model = args[i + 1].clone();
-                i += 2;
-            }
-            "--tightness" => {
-                opts.tightness = args[i + 1].parse().expect("--tightness T");
-                i += 2;
-            }
-            "--seed" => {
-                opts.seed = args[i + 1].parse().expect("--seed S");
-                i += 2;
-            }
-            v => {
-                params.push(v.parse::<usize>().unwrap_or_else(|_| {
-                    eprintln!("bad family parameter {v:?}");
-                    std::process::exit(2);
-                }));
-                i += 1;
-            }
+    let mut rest = flags.iter();
+    while let Some(arg) = rest.next() {
+        if ["--procs", "--model", "--tightness", "--seed"].contains(&arg.as_str()) {
+            rest.next();
+            continue;
         }
+        params.push(arg.parse::<usize>().unwrap_or_else(|_| {
+            eprintln!("bad family parameter {arg:?}");
+            std::process::exit(2);
+        }));
     }
     match reclaim_cli::generate(family, &params, &opts) {
         Ok(text) => print!("{text}"),
@@ -639,13 +617,6 @@ fn main() {
         usage()
     };
     let flags = &args[2..];
-    let flag_value = |name: &str| -> Option<&str> {
-        flags
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| flags.get(i + 1))
-            .map(|s| s.as_str())
-    };
     let p = PowerLaw::CUBIC;
     let inst = load(path);
     // One prepared graph + engine for whatever the command needs:
@@ -763,20 +734,20 @@ fn main() {
                 eprintln!("gantt needs 'proc' lines in the instance");
                 std::process::exit(2);
             };
-            let width: usize = flag_value("--width")
+            let width: usize = flag_value(flags, "--width")
                 .map(|v| parsed("--width", "an integer", v))
                 .unwrap_or(64);
             let sol = solve_or_die();
             println!("{}", sim::gantt(&inst.graph, &sol.schedule, m, width));
         }
         "sweep" | "pareto" => {
-            let points: usize = flag_value("--points")
+            let points: usize = flag_value(flags, "--points")
                 .map(|v| parsed("--points", "an integer", v))
                 .unwrap_or(8);
-            let lo: f64 = flag_value("--lo")
+            let lo: f64 = flag_value(flags, "--lo")
                 .map(|v| parsed("--lo", "a number", v))
                 .unwrap_or(1.05);
-            let hi: f64 = flag_value("--hi")
+            let hi: f64 = flag_value(flags, "--hi")
                 .map(|v| parsed("--hi", "a number", v))
                 .unwrap_or(4.0);
             if cmd == "pareto" && flags.iter().any(|a| a == "--exact") {

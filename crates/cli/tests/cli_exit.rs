@@ -60,3 +60,28 @@ fn a_malformed_flag_value_is_named_with_exit_2() {
     }
     std::fs::remove_file(inst).unwrap();
 }
+
+#[test]
+fn a_missing_or_malformed_gen_flag_value_is_named_with_exit_2() {
+    let cases = [
+        ("--procs", None),
+        ("--procs", Some("x")),
+        ("--seed", Some("-1")),
+        ("--tightness", Some("tight")),
+    ];
+    for (flag, value) in cases {
+        let out = Command::new(RECLAIM)
+            .args(["gen", "fft", "3", flag])
+            .args(value)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value:?}: {stderr}");
+        let got = value.map_or("got none".to_string(), |v| format!("got {v:?}"));
+        assert!(
+            stderr.contains(flag) && stderr.contains(&got),
+            "{flag} {value:?}: the message names the flag and the value: {stderr}"
+        );
+    }
+}

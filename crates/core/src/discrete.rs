@@ -141,9 +141,6 @@ pub struct BnbConfig {
     pub node_budget: u64,
     /// Seed the incumbent with the Proposition 1(b) rounding.
     pub warm_start: bool,
-    /// Use the dynamic chain-cover lower bound in addition to the
-    /// static per-task bound (see [`exact`]).
-    pub chain_bound: bool,
 }
 
 impl BnbConfig {
@@ -171,7 +168,6 @@ impl Default for BnbConfig {
             partitions: 0,
             node_budget: DEFAULT_NODE_BUDGET,
             warm_start: true,
-            chain_bound: true,
         }
     }
 }
@@ -208,13 +204,11 @@ struct SearchCtx<'a> {
     pos: Vec<usize>,
     tail: Vec<f64>,
     est: Vec<f64>,
-    suffix_lb: Vec<f64>,
     chains: Vec<Vec<usize>>,
     chain_w_suffix: Vec<Vec<f64>>,
     chain_lb_suffix: Vec<Vec<f64>>,
     chain_frontier: Vec<Vec<usize>>,
     s_bottom: f64,
-    chain_bound: bool,
     cand: Vec<Vec<usize>>,
 }
 
@@ -231,7 +225,6 @@ impl<'a> SearchCtx<'a> {
         deadline: f64,
         modes: &DiscreteModes,
         p: PowerLaw,
-        chain_bound: bool,
     ) -> Result<SearchCtx<'a>, SolveError> {
         continuous::check_feasible_prepared(prep, deadline, Some(modes.s_max()))?;
         let g = prep.graph();
@@ -285,11 +278,6 @@ impl<'a> SearchCtx<'a> {
             let s_lb = modes.round_up(need).ok_or(infeasible)?;
             min_mode_idx[i] = speeds_list.iter().position(|&s| s >= s_lb - 1e-12).unwrap();
             task_lb[i] = p.energy_at_speed(g.weights()[i], s_lb);
-        }
-        // Suffix sums of the per-task lower bounds along the topo order.
-        let mut suffix_lb = vec![0.0f64; n + 1];
-        for k in (0..n).rev() {
-            suffix_lb[k] = suffix_lb[k + 1] + task_lb[order[k].0];
         }
 
         // Greedy chain cover: disjoint directed paths covering every
@@ -363,13 +351,11 @@ impl<'a> SearchCtx<'a> {
             pos,
             tail,
             est,
-            suffix_lb,
             chains,
             chain_w_suffix,
             chain_lb_suffix,
             chain_frontier,
             s_bottom: modes.s_min(),
-            chain_bound,
             cand,
         })
     }
@@ -396,9 +382,6 @@ impl<'a> SearchCtx<'a> {
     /// prefix of length `d1` is assigned (`ecl` holds the completion
     /// of every assigned task).
     fn rem_lb(&self, d1: usize, ecl: &[f64]) -> f64 {
-        if !self.chain_bound {
-            return self.suffix_lb[d1];
-        }
         let mut b = 0.0f64;
         for c in 0..self.chains.len() {
             let j = self.chain_frontier[c][d1];
@@ -428,8 +411,8 @@ impl<'a> SearchCtx<'a> {
     }
 
     /// Admissible lower bound on *any* complete assignment (depth 0):
-    /// the chain-cover bound when enabled, the static suffix sum
-    /// otherwise. Used as the open bound of anytime results.
+    /// the chain-cover bound. Used as the open bound of anytime
+    /// results.
     fn root_lower_bound(&self) -> f64 {
         let ecl = vec![0.0f64; self.n];
         self.rem_lb(0, &ecl)
@@ -617,19 +600,11 @@ impl<'a> SearchCtx<'a> {
                 ecl[i] = completion; // chain frontiers read it
                 let rem_lb = self.rem_lb(depth + 1, &ecl);
                 if e + rem_lb >= incumbent.energy * (1.0 - 1e-12) {
+                    // The chain bound is not monotone in the mode
+                    // index (a faster mode frees the chain windows):
+                    // try the next candidate.
                     stats.pruned_bound += 1;
-                    if self.chain_bound {
-                        // The dynamic chain bound is not monotone in
-                        // the mode index (a faster mode frees the
-                        // chain windows): try the next candidate.
-                        continue;
-                    }
-                    // Static bound: candidates are ordered by
-                    // increasing speed, hence increasing energy — once
-                    // a mode's bound fails, all faster modes fail too.
-                    assign[i] = usize::MAX;
-                    frames.pop();
-                    continue 'search;
+                    continue;
                 }
                 assign[i] = mode_idx;
                 energy_prefix[depth + 1] = e;
@@ -650,18 +625,18 @@ impl<'a> SearchCtx<'a> {
 /// 1. **Deadline**: completion of the assigned prefix plus the
 ///    top-speed tail of the heaviest remaining path must fit in `D`;
 /// 2. **Energy bound**: accumulated energy plus an admissible lower
-///    bound on the unassigned suffix must beat the incumbent. The
-///    static bound prices each unassigned task at the slowest mode
-///    that can possibly meet its window. With
-///    [`BnbConfig::chain_bound`] on, a **chain-cover bound** joins it:
-///    the graph is covered once by disjoint directed paths (for
-///    execution graphs these are essentially the per-processor
-///    chains), and the remaining members of each chain must run
-///    *serially* between the chain's dynamic earliest start (known
-///    exactly from the assigned prefix) and the deadline — by
-///    convexity their energy is at least `W·max(W/window, s₁)^{α−1}`
-///    for total remaining work `W`. This is much tighter than per-task
-///    windows on serialized workloads.
+///    bound on the unassigned suffix must beat the incumbent. That
+///    bound is the **chain-cover bound**: the graph is covered once by
+///    disjoint directed paths (for execution graphs these are
+///    essentially the per-processor chains), and the remaining members
+///    of each chain must run *serially* between the chain's dynamic
+///    earliest start (known exactly from the assigned prefix) and the
+///    deadline — by convexity their energy is at least
+///    `W·max(W/window, s₁)^{α−1}` for total remaining work `W`. Each
+///    chain contributes the larger of that and its members' static
+///    bounds (each task at the slowest mode that can possibly meet its
+///    widest window), which is much tighter than per-task windows
+///    alone on serialized workloads.
 ///
 /// **Partition sweep** (Bobpp-style; PAPERS.md: Menouer & Le Cun,
 /// *deterministic parallel tree search*). A deterministic frontier
@@ -695,7 +670,7 @@ pub fn exact(
     p: PowerLaw,
     cfg: &BnbConfig,
 ) -> Result<ExactSolution, SolveError> {
-    let ctx = SearchCtx::new(prep, deadline, modes, p, cfg.chain_bound)?;
+    let ctx = SearchCtx::new(prep, deadline, modes, p)?;
     // The warm seed, as `(energy, mode indices)`, plus its certified
     // relaxation lower bound. Without one the search starts cold: it
     // still proves optimality on completion, but a budget trip then
@@ -1271,46 +1246,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_bound_preserves_optimum() {
-        // The chain-cover bound must be admissible: switching it on
-        // and off gives the same optimal energy, only different node
-        // counts.
-        let g = taskgraph::TaskGraph::new(
-            vec![1.0, 2.0, 3.0, 1.5, 2.5, 1.0],
-            &[(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)],
-        )
-        .unwrap();
-        let ms = modes(&[0.6, 1.2, 1.8, 2.4, 3.0]);
-        let d = 1.4 * taskgraph::analysis::critical_path_weight(&g) / ms.s_max();
-        let on = bnb(
-            &g,
-            d,
-            &ms,
-            BnbConfig {
-                chain_bound: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let off = bnb(
-            &g,
-            d,
-            &ms,
-            BnbConfig {
-                chain_bound: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            (on.energy - off.energy).abs() < 1e-9 * on.energy,
-            "{} vs {}",
-            on.energy,
-            off.energy
-        );
-    }
-
-    #[test]
     fn node_budget_trip_without_incumbent_is_budget_exhausted() {
         // A partition chain large enough to exceed a tiny budget; no
         // warm start and no leaf reachable in 10 nodes → the search
@@ -1377,7 +1312,7 @@ mod tests {
         let ms = modes(&[0.8, 1.6, 2.4]);
         let d = 5.0;
         let prep = PreparedGraph::new(&g);
-        let ctx = SearchCtx::new(&prep, d, &ms, P, true).unwrap();
+        let ctx = SearchCtx::new(&prep, d, &ms, P).unwrap();
         let mut s1 = BnbStats::default();
         let mut s2 = BnbStats::default();
         let (d1, f1) = ctx.enumerate_frontier(4, f64::INFINITY, &mut s1);

@@ -24,7 +24,6 @@
 //! `match`, and fans batches out over threads.
 
 pub mod bicriteria;
-pub mod certify;
 pub mod continuous;
 pub mod discrete;
 pub mod engine;

@@ -149,6 +149,25 @@ pub fn solve_lp_warm(
     Ok((sched, warm))
 }
 
+/// The bytes of the arrays a [`VddWarm`] over `prep` and `modes`
+/// holds: what a cache charges for the handle an entry's first
+/// Vdd-Hopping solve parks, before that solve runs. The augmentation
+/// record, which grows with the solves, is left out.
+pub fn warm_bytes(prep: &PreparedGraph<'_>, modes: &DiscreteModes) -> usize {
+    let (n, m) = (prep.graph().n(), modes.m());
+    let arcs = arc_count(n, m, prep.reduced().m());
+    // Per arc: head and adj (u32), len and res (f64). Per node: first
+    // (u32) and tau (f64). Per task its weight, per mode its speed and
+    // capacity.
+    24 * arcs + 12 * (2 * n + 2) + 8 * n + 16 * m
+}
+
+/// Arcs of the task network over `n` tasks, `m` modes and `reduced`
+/// reduced edges, reverse arcs included.
+fn arc_count(n: usize, m: usize, reduced: usize) -> usize {
+    2 * (n * m + 2 * n + reduced + 1)
+}
+
 /// Reusable buffers of the shortest-path searches.
 #[derive(Default)]
 struct Search {
@@ -176,7 +195,7 @@ impl VddWarm {
         }
         let (s, t, inf) = (2 * n, 2 * n + 1, f64::INFINITY);
         let edges = prep.reduced().edges();
-        let arcs = 2 * (n * m + 2 * n + edges.len() + 1);
+        let arcs = arc_count(n, m, edges.len());
         let (mut head, mut len, mut res) = (
             Vec::with_capacity(arcs),
             Vec::with_capacity(arcs),
@@ -694,7 +713,7 @@ impl VddWarm {
         self.meet_deadline(d)?;
         let sched = self.schedule(prep.graph());
         #[cfg(debug_assertions)]
-        self.certify(prep.graph(), &sched);
+        self.check_duality(prep.graph(), &sched);
         Ok(sched)
     }
 
@@ -721,7 +740,7 @@ impl VddWarm {
     /// flow's objective `E_0 + Σ length·f` (the return arc's length is
     /// `−D`).
     #[cfg(debug_assertions)]
-    fn certify(&self, g: &TaskGraph, sched: &Schedule) {
+    fn check_duality(&self, g: &TaskGraph, sched: &Schedule) {
         let primal = sched.energy(g, self.power);
         let dual = self.base_energy()
             + (0..self.len.len())

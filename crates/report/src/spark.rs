@@ -29,21 +29,6 @@ pub fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-/// Sparkline with explicit bounds (for comparable charts across rows).
-pub fn sparkline_scaled(values: &[f64], lo: f64, hi: f64) -> String {
-    assert!(hi > lo);
-    values
-        .iter()
-        .map(|&v| {
-            if !v.is_finite() {
-                return '?';
-            }
-            let idx = ((v - lo) / (hi - lo) * 7.0).round().clamp(0.0, 7.0) as usize;
-            LEVELS[idx]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,13 +53,5 @@ mod tests {
     fn nan_marked() {
         let s = sparkline(&[1.0, f64::NAN, 2.0]);
         assert!(s.contains('?'));
-    }
-
-    #[test]
-    fn scaled_version_uses_external_bounds() {
-        // 5/10 of the range → index round(3.5) = 4.
-        let s = sparkline_scaled(&[5.0], 0.0, 10.0);
-        assert_eq!(s, "▅");
-        assert_eq!(sparkline_scaled(&[0.0, 10.0], 0.0, 10.0), "▁█");
     }
 }

@@ -1,13 +1,5 @@
 //! Summary statistics for experiment series.
 
-/// Arithmetic mean (NaN for an empty slice).
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
 /// Geometric mean (the standard aggregate for energy *ratios*; NaN for
 /// an empty slice, requires positive inputs).
 pub fn geo_mean(xs: &[f64]) -> f64 {
@@ -23,53 +15,6 @@ pub fn max(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::NAN, f64::max)
 }
 
-/// Minimum (NaN for an empty slice).
-pub fn min(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::NAN, f64::min)
-}
-
-/// Sample standard deviation (N−1 denominator; 0 for fewer than two
-/// samples).
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
-}
-
-/// A five-number summary of a series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Geometric mean.
-    pub geo_mean: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Sample standard deviation.
-    pub std_dev: f64,
-}
-
-impl Summary {
-    /// Summarize a series.
-    pub fn of(xs: &[f64]) -> Summary {
-        Summary {
-            n: xs.len(),
-            mean: mean(xs),
-            geo_mean: geo_mean(xs),
-            min: min(xs),
-            max: max(xs),
-            std_dev: std_dev(xs),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,33 +22,13 @@ mod tests {
     #[test]
     fn basic_stats() {
         let xs = [1.0, 2.0, 4.0];
-        assert!((mean(&xs) - 7.0 / 3.0).abs() < 1e-12);
         assert!((geo_mean(&xs) - 2.0).abs() < 1e-12);
         assert_eq!(max(&xs), 4.0);
-        assert_eq!(min(&xs), 1.0);
-    }
-
-    #[test]
-    fn std_dev_matches_hand_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        // Known example: population σ = 2, sample s = 2.138...
-        assert!((std_dev(&xs) - 2.13809).abs() < 1e-4);
-        assert_eq!(std_dev(&[1.0]), 0.0);
     }
 
     #[test]
     fn empty_series() {
-        assert!(mean(&[]).is_nan());
         assert!(geo_mean(&[]).is_nan());
         assert!(max(&[]).is_nan());
-    }
-
-    #[test]
-    fn summary_struct() {
-        let s = Summary::of(&[1.0, 2.0, 4.0]);
-        assert_eq!(s.n, 3);
-        assert!((s.geo_mean - 2.0).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
     }
 }

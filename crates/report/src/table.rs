@@ -36,22 +36,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Append a row of display-able values.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render as a column-aligned ASCII table with a separator line.
     pub fn render(&self) -> String {
         let ncols = self.headers.len();
@@ -114,12 +98,6 @@ impl Table {
     }
 }
 
-/// Format a float with a fixed number of significant decimals, used by
-/// all experiment binaries for consistent columns.
-pub fn fmt(v: f64, decimals: usize) -> String {
-    format!("{v:.decimals$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,8 +113,6 @@ mod tests {
         assert!(lines[0].contains("model"));
         assert!(lines[1].starts_with('-'));
         assert!(lines[2].starts_with("Continuous"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -153,13 +129,5 @@ mod tests {
     fn wrong_arity_panics() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn row_display_and_fmt() {
-        let mut t = Table::new(&["n"]);
-        t.row_display(&[42]);
-        assert!(t.render().contains("42"));
-        assert_eq!(fmt(1.23456, 2), "1.23");
     }
 }

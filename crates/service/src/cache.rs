@@ -35,7 +35,9 @@
 //!
 //! Eviction keeps a dual budget: a maximum entry count and a maximum
 //! (estimated) byte footprint
-//! ([`taskgraph::PreparedInstance::approx_bytes`]). Each entry records
+//! ([`taskgraph::PreparedInstance::approx_bytes`], plus
+//! [`reclaim_core::vdd::warm_bytes`] for the flow handle a
+//! Vdd-Hopping entry's warm slot holds). Each entry records
 //! whether it was ever **reused** — looked up again, or patched — and
 //! a patched entry inherits that mark from its base, so the head of a
 //! live patch chain always carries it. The victim is the least recently
@@ -74,7 +76,7 @@
 
 use models::EnergyModel;
 use reclaim_core::engine::{content_key, patched_key, vdd_basis_survives, VddWarm};
-use reclaim_core::ExactCurve;
+use reclaim_core::{vdd, ExactCurve};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -454,7 +456,13 @@ impl InstanceCache {
     /// racing worker inserted while this one was building). Returns
     /// the live entry and whether it is the one passed in.
     fn insert(&self, entry: Entry, reused: bool, replaces: Option<u128>) -> (Arc<Entry>, bool) {
-        let bytes = entry.inst.approx_bytes();
+        // A Vdd-Hopping entry is charged up front for the flow handle
+        // its first solve parks in the warm slot.
+        let warm = match &entry.model {
+            EnergyModel::VddHopping(modes) => vdd::warm_bytes(&entry.inst.view(), modes),
+            _ => 0,
+        };
+        let bytes = warm + entry.inst.approx_bytes();
         let key = entry.key;
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         inner.tick += 1;
@@ -779,6 +787,44 @@ mod tests {
         assert!(!StdArc::ptr_eq(&w0, &p2.warm), "slot reset");
         let s = cache.stats();
         assert_eq!((s.entries, s.patch_hits, s.rekeys), (1, 2, 2));
+    }
+
+    #[test]
+    fn a_vdd_entry_is_charged_for_its_flow_handle() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(220);
+        let g = generators::layered_dag(22, 10, 0.3, 1.0, 5.0, &mut rng);
+        let modes = models::DiscreteModes::new(&[0.5, 1.0, 1.5, 2.0, 3.0]).unwrap();
+        let insert = |model: &EnergyModel| {
+            let cache = InstanceCache::new(CacheConfig::default());
+            let build = || PreparedInstance::new(StdArc::new(g.clone()));
+            let (entry, _) = cache.get_or_prepare(content_key(&g, model), model, build);
+            (cache, entry)
+        };
+
+        let vdd = EnergyModel::VddHopping(modes.clone());
+        let (cache, entry) = insert(&vdd);
+        let deadline = 1.5 * entry.inst.view().critical_path_weight() / modes.s_max();
+        let engine = reclaim_core::Engine::new(models::PowerLaw::CUBIC);
+        entry
+            .with_warm(|warm| engine.solve_warm(&entry.inst.view(), &vdd, deadline, warm))
+            .unwrap();
+        assert!(
+            entry.with_warm(|warm| warm.is_some()),
+            "the solve parked its flow"
+        );
+        // The flow's arcs, reverse arcs included: 24 B each in the
+        // head, adjacency, length and residual arrays.
+        let reduced = entry.inst.view().reduced().m();
+        let arcs = 2 * (g.n() * modes.m() + 2 * g.n() + reduced + 1);
+        let charged = cache.stats().bytes as usize;
+        assert!(
+            charged >= entry.inst.approx_bytes() + 24 * arcs,
+            "{charged} B charged for a {arcs}-arc flow"
+        );
+
+        let (cache, entry) = insert(&EnergyModel::continuous_unbounded());
+        assert_eq!(cache.stats().bytes as usize, entry.inst.approx_bytes());
     }
 
     #[test]

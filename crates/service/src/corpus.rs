@@ -151,15 +151,6 @@ impl ShardOutcome {
     }
 }
 
-/// The shard a job lands on: a pure function of content.
-pub fn shard_of(job: &CorpusJob, shards: usize) -> usize {
-    bucket_of(content_key(&job.graph, &job.model), shards)
-}
-
-fn bucket_of(key: u128, shards: usize) -> usize {
-    (key % shards as u128) as usize
-}
-
 /// The most shards one corpus run may split into, locally or over the
 /// wire: far above any real split, and small enough that the shard
 /// buckets — and [`run_corpus`]'s one thread per shard — stay cheap.
@@ -185,7 +176,7 @@ pub(crate) fn partition(
     let mut buckets: Vec<Vec<(u128, CorpusJob)>> = (0..shards).map(|_| Vec::new()).collect();
     for job in jobs {
         let key = content_key(&job.graph, &job.model);
-        buckets[bucket_of(key, shards)].push((key, job));
+        buckets[(key % shards as u128) as usize].push((key, job));
     }
     for bucket in &mut buckets {
         bucket.sort_by(|a, b| a.1.name.cmp(&b.1.name));
@@ -300,12 +291,16 @@ mod tests {
 
     #[test]
     fn sharding_is_content_addressed_not_order_addressed() {
-        let a = jobs();
-        let mut b = jobs();
-        b.reverse();
-        for (x, y) in a.iter().zip(b.iter().rev()) {
-            assert_eq!(shard_of(x, 4), shard_of(y, 4));
-        }
+        let names = |jobs: Vec<CorpusJob>| -> Vec<Vec<String>> {
+            let buckets = partition(jobs, 4).unwrap();
+            buckets
+                .into_iter()
+                .map(|b| b.into_iter().map(|(_, job)| job.name).collect())
+                .collect()
+        };
+        let mut reversed = jobs();
+        reversed.reverse();
+        assert_eq!(names(jobs()), names(reversed));
     }
 
     #[test]

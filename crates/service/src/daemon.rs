@@ -50,9 +50,9 @@
 use crate::cache::{CacheConfig, Entry, InstanceCache, PatchError, Prepared};
 use crate::net::{Poller, WAKE_TOKEN};
 use crate::proto::{
-    key_to_hex, write_frame, CurveExactReport, ErrorBody, ErrorKind, FrameBuffer, LineageReport,
-    NetStatsReport, PatchReport, Request, RequestEnvelope, Response, ResponseEnvelope, SolveReport,
-    StatsReport, WorkerStatsReport, MIN_PROTOCOL_VERSION,
+    frame, key_to_hex, write_frame, CurveExactReport, ErrorBody, ErrorKind, FrameBuffer,
+    LineageReport, NetStatsReport, PatchReport, Request, RequestEnvelope, Response,
+    ResponseEnvelope, SolveReport, StatsReport, WorkerStatsReport, MIN_PROTOCOL_VERSION,
 };
 use crate::store::Store;
 use models::{EnergyModel, PowerLaw};
@@ -488,11 +488,6 @@ impl Daemon {
     }
 }
 
-/// Convenience: bind and run in one call.
-pub fn run(cfg: DaemonConfig) -> io::Result<()> {
-    Daemon::bind(cfg)?.run()
-}
-
 impl Listener {
     fn as_raw_fd(&self) -> RawFd {
         match self {
@@ -573,14 +568,9 @@ impl Conn {
         }
     }
 
-    /// Queue a response payload as wire bytes (the same framing
-    /// [`write_frame`] emits).
+    /// Queue a response payload as its [`frame`] bytes.
     fn queue(&mut self, payload: &str) {
-        let mut frame = Vec::with_capacity(payload.len() + 24);
-        frame.extend_from_slice(payload.len().to_string().as_bytes());
-        frame.push(b'\n');
-        frame.extend_from_slice(payload.as_bytes());
-        frame.push(b'\n');
+        let frame = frame(payload);
         self.unflushed += frame.len();
         self.wqueue.push_back(frame);
     }

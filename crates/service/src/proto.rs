@@ -135,15 +135,20 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Write one frame as a single transport write (three small writes
-/// would interact badly with Nagle's algorithm on TCP endpoints).
-pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
+/// The wire bytes of one frame: `<len>\n<payload>\n`.
+pub fn frame(payload: &str) -> Vec<u8> {
     debug_assert!(!payload.contains('\n'), "payload must be one line");
     let mut buf = Vec::with_capacity(payload.len() + 24);
     buf.extend_from_slice(format!("{}\n", payload.len()).as_bytes());
     buf.extend_from_slice(payload.as_bytes());
     buf.push(b'\n');
-    w.write_all(&buf)?;
+    buf
+}
+
+/// Write one [`frame`] as a single transport write (three small writes
+/// would interact badly with Nagle's algorithm on TCP endpoints).
+pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
+    w.write_all(&frame(payload))?;
     w.flush()
 }
 

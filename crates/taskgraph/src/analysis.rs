@@ -236,6 +236,12 @@ pub(crate) fn transitive_reduction_ordered(g: &TaskGraph, order: &[TaskId]) -> T
     reduce(g, order)
 }
 
+/// Whether `g` is its own transitive reduction, by the full pass and
+/// without the profiling bump (for debug-build checks).
+pub(crate) fn is_reduced(g: &TaskGraph) -> bool {
+    reduce(g, &topo_order_quiet(g)) == *g
+}
+
 /// The reduction pass itself, without the profiling bump.
 fn reduce(g: &TaskGraph, order: &[TaskId]) -> TaskGraph {
     let reach = reachability_ordered(g, order);

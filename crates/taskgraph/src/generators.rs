@@ -64,12 +64,6 @@ pub fn random_out_tree<R: Rng>(n: usize, lo: f64, hi: f64, rng: &mut R) -> TaskG
     TaskGraph::new(w, &edges).expect("recursive tree is a DAG")
 }
 
-/// A uniformly random in-tree on `n` nodes (the reversal of a random
-/// recursive out-tree): every non-root task has exactly one successor.
-pub fn random_in_tree<R: Rng>(n: usize, lo: f64, hi: f64, rng: &mut R) -> TaskGraph {
-    random_out_tree(n, lo, hi, rng).reversed()
-}
-
 /// A random layered DAG: `layers` layers of `width` tasks; each task in
 /// layer `ℓ+1` receives an edge from each task of layer `ℓ` with
 /// probability `p_edge`, plus one guaranteed incoming edge (so that the
@@ -210,16 +204,6 @@ mod tests {
             assert_eq!(g.n(), n);
             assert_eq!(g.m(), n - 1);
             assert!(crate::structure::is_out_tree(&g));
-        }
-    }
-
-    #[test]
-    fn random_in_tree_is_in_tree() {
-        let mut rng = StdRng::seed_from_u64(17);
-        for n in [2usize, 6, 25] {
-            let g = random_in_tree(n, 1.0, 3.0, &mut rng);
-            assert!(crate::structure::is_in_tree(&g));
-            assert_eq!(g.sinks().len(), 1);
         }
     }
 

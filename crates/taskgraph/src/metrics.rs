@@ -1,7 +1,7 @@
 //! Structural metrics of execution graphs, for experiment reporting.
 
 use crate::analysis::topo_order;
-use crate::graph::{TaskGraph, TaskId};
+use crate::graph::TaskGraph;
 
 /// Summary metrics of a DAG.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,23 +61,6 @@ pub fn metrics(g: &TaskGraph) -> GraphMetrics {
     }
 }
 
-/// The number of tasks per hop-level, index = level.
-pub fn level_widths(g: &TaskGraph) -> Vec<usize> {
-    let lvl = levels(g);
-    let depth = lvl.iter().max().map_or(0, |&d| d + 1);
-    let mut width_at = vec![0usize; depth];
-    for &l in &lvl {
-        width_at[l] += 1;
-    }
-    width_at
-}
-
-/// Whether `t` lies on some critical (heaviest) path.
-pub fn is_critical(g: &TaskGraph, t: TaskId, tol: f64) -> bool {
-    let s = crate::analysis::slack(g, g.weights(), crate::analysis::critical_path_weight(g));
-    s[t.0].abs() <= tol
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,17 +83,6 @@ mod tests {
         assert_eq!(m.depth, 2);
         assert_eq!(m.max_level_width, 3);
         assert!((m.parallelism - 2.0).abs() < 1e-12); // 4 work / 2 cp
-        assert_eq!(level_widths(&g), vec![1, 3]);
-    }
-
-    #[test]
-    fn diamond_criticality() {
-        let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
-        use crate::graph::TaskId;
-        assert!(is_critical(&g, TaskId(0), 1e-9));
-        assert!(!is_critical(&g, TaskId(1), 1e-9));
-        assert!(is_critical(&g, TaskId(2), 1e-9));
-        assert!(is_critical(&g, TaskId(3), 1e-9));
     }
 
     #[test]

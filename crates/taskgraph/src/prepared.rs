@@ -32,6 +32,8 @@ struct Caches {
     /// shares the tree instead of copying it.
     class: OnceLock<Arc<(Shape, Option<SpTree>)>>,
     cp_weight: OnceLock<f64>,
+    /// The bitset reduction pass, filled only for a graph whose class
+    /// is `General` or not yet known (see [`Caches::reduced`]).
     reduced: OnceLock<TaskGraph>,
     /// Earliest completion times at unit speed (durations = weights):
     /// the critical-path weight is its maximum, and a cached copy is
@@ -62,9 +64,29 @@ impl Caches {
             .get_or_init(|| self.ecl(g).iter().fold(0.0f64, |a, &b| a.max(b)))
     }
 
-    fn reduced(&self, g: &TaskGraph) -> &TaskGraph {
-        self.reduced
-            .get_or_init(|| analysis::transitive_reduction_ordered(g, self.topo(g)))
+    /// The transitive reduction. A graph whose class is known and is
+    /// not `General` is its own reduction — SP graphs have only
+    /// junction edges, and chains, forks, joins and trees have no
+    /// second path — so it is returned as it is and nothing is cached.
+    /// Otherwise the bitset pass runs once. The class is consulted, never
+    /// computed: a bare graph pays no SP recognition for its reduction.
+    fn reduced<'a>(&'a self, g: &'a TaskGraph) -> &'a TaskGraph {
+        self.known_reduction(g).unwrap_or_else(|| {
+            self.reduced
+                .get_or_init(|| analysis::transitive_reduction_ordered(g, self.topo(g)))
+        })
+    }
+
+    /// The reduction if it is known without a pass: the graph itself
+    /// under a filled class other than `General`, else the cached pass.
+    fn known_reduction<'a>(&'a self, g: &'a TaskGraph) -> Option<&'a TaskGraph> {
+        match self.class.get() {
+            Some(c) if c.0 != Shape::General => {
+                debug_assert!(analysis::is_reduced(g), "{:?} with a redundant edge", c.0);
+                Some(g)
+            }
+            _ => self.reduced.get(),
+        }
     }
 }
 
@@ -130,9 +152,11 @@ impl<'g> PreparedGraph<'g> {
         self.caches.cp_weight(self.g)
     }
 
-    /// The cached transitive reduction
-    /// ([`analysis::transitive_reduction`]): same precedence relation,
-    /// minimal edge set — what the LP/barrier substrates want.
+    /// The transitive reduction ([`analysis::transitive_reduction`]):
+    /// same precedence relation, minimal edge set — what the flow and
+    /// barrier substrates want. Once the shape is known and is not
+    /// [`Shape::General`] this is the graph itself; otherwise the
+    /// reduction pass runs once and is cached.
     pub fn reduced(&self) -> &TaskGraph {
         self.caches.reduced(self.g)
     }
@@ -198,11 +222,6 @@ impl PreparedInstance {
         &self.g
     }
 
-    /// A clone of the owning handle.
-    pub fn graph_arc(&self) -> Arc<TaskGraph> {
-        Arc::clone(&self.g)
-    }
-
     /// A borrowed [`PreparedGraph`] view sharing this instance's
     /// caches — pass it to anything taking `&PreparedGraph`.
     pub fn view(&self) -> PreparedGraph<'_> {
@@ -216,7 +235,9 @@ impl PreparedInstance {
     /// completion times / critical path, transitive reduction), so
     /// subsequent solves through [`Self::view`] pay zero analysis cost
     /// — and subsequent [`Self::apply`] calls can repair every
-    /// analysis locally. Returns `self` for chaining.
+    /// analysis locally. The classification comes first, so only a
+    /// `General` graph runs a reduction pass. Returns `self` for
+    /// chaining.
     pub fn warm(&self) -> &Self {
         let v = self.view();
         v.topo();
@@ -249,9 +270,11 @@ impl PreparedInstance {
     ///   locally (Pearce–Kelly, [`analysis::repair_topo_order`]); the
     ///   SP tree is spliced ([`SpTree::splice`]: only the subtree
     ///   spanning the touched edges rebuilds); the transitive
-    ///   reduction re-tests only the edges inside a changed edge's
-    ///   topological window ([`analysis::repair_reduction`]);
-    ///   completion times relax within the cone. A cache whose repair
+    ///   reduction is the graph itself while the class stays other than
+    ///   `General`, and otherwise re-tests only the edges inside a
+    ///   changed edge's topological window
+    ///   ([`analysis::repair_reduction`]); completion times relax
+    ///   within the cone. A cache whose repair
     ///   provably cannot apply (e.g. the splice fails) is dropped and
     ///   recomputes lazily — repair can cost a fallback, never
     ///   correctness;
@@ -339,9 +362,9 @@ impl PreparedInstance {
             if effect.weight_only {
                 // Structure untouched: the edited graph already shares
                 // the base's topology; the classification is shared as
-                // it is, and the reduction keeps its own topology under
-                // the new weights (no reduction pass, no profiling
-                // bump).
+                // it is, and a cached reduction keeps its own topology
+                // under the new weights (no reduction pass, no
+                // profiling bump).
                 if let Some(c) = self.caches.class.get() {
                     let _ = caches.class.set(Arc::clone(c));
                 }
@@ -369,20 +392,25 @@ impl PreparedInstance {
                     }
                 }
 
-                // — transitive reduction: re-test only the edges inside
-                //   a changed edge's topological window.
-                if let (Some(red0), Some(order0)) =
-                    (self.caches.reduced.get(), self.caches.topo.get())
-                {
-                    let repaired = analysis::repair_reduction(
-                        red0,
-                        order0,
-                        &edited,
-                        order,
-                        &effect.inserted_edges,
-                        &effect.removed_edges,
-                    );
-                    let _ = caches.reduced.set(repaired);
+                // — transitive reduction: none to keep while the class
+                //   stays other than `General`; otherwise re-test only
+                //   the edges inside a changed edge's topological
+                //   window of the base's reduction.
+                let specific = caches.class.get().is_some_and(|c| c.0 != Shape::General);
+                if !specific {
+                    if let (Some(red0), Some(order0)) =
+                        (self.caches.known_reduction(&self.g), self.caches.topo.get())
+                    {
+                        let repaired = analysis::repair_reduction(
+                            red0,
+                            order0,
+                            &edited,
+                            order,
+                            &effect.inserted_edges,
+                            &effect.removed_edges,
+                        );
+                        let _ = caches.reduced.set(repaired);
+                    }
                 }
             }
 
@@ -425,13 +453,10 @@ impl PreparedInstance {
     /// can cost time, never correctness. A kept SP tree is brought into
     /// canonical form.
     ///
-    /// A kept class other than `General` also fills the transitive
-    /// reduction without a pass: a confirmed SP tree makes the graph's
-    /// edges exactly its junction edges, and chains, forks, joins and
-    /// trees have no second path at all, so no edge is implied by
-    /// another and the reduction is the graph itself. A `General` (or
-    /// dropped) class leaves the reduction to [`Self::warm`], which
-    /// also derives the critical path.
+    /// A kept class other than `General` also settles the transitive
+    /// reduction: it is the graph itself. A `General` (or dropped)
+    /// class leaves the reduction to [`Self::warm`], which also
+    /// derives the critical path.
     pub fn restore(g: Arc<TaskGraph>, snap: &AnalysisSnapshot) -> PreparedInstance {
         let caches = Caches::default();
         if let Some(topo) = &snap.topo {
@@ -454,9 +479,6 @@ impl PreparedInstance {
                 // through the store still depends on the graph alone.
                 let tree = tree.clone().map(SpTree::canonical);
                 let _ = caches.class.set(Arc::new((*shape, tree)));
-                if *shape != Shape::General {
-                    let _ = caches.reduced.set((*g).clone());
-                }
             }
         }
         PreparedInstance {
@@ -767,6 +789,31 @@ mod tests {
             patched.view().critical_path_weight(),
             fresh.critical_path_weight()
         );
+        // The graph stayed SP, so it is its own reduction: nothing was
+        // repaired or cached for it.
+        assert!(patched.caches.reduced.get().is_none());
+        assert!(std::ptr::eq(patched.view().reduced(), patched.graph()));
+    }
+
+    #[test]
+    fn warm_reduces_only_a_general_graph() {
+        let sp = generators::diamond([1.0, 2.0, 3.0, 4.0]);
+        // Not series–parallel: the N pattern 0→2, 0→3, 1→3.
+        let general =
+            TaskGraph::new(vec![1.0; 5], &[(0, 2), (0, 3), (1, 3), (2, 4), (3, 4)]).unwrap();
+        for (g, passes) in [(sp, 0), (general, 1)] {
+            let inst = PreparedInstance::new(Arc::new(g));
+            let before = profiling::counts();
+            inst.warm();
+            let delta = profiling::counts() - before;
+            let shape = inst.view().shape();
+            assert_eq!(delta.transitive_reduction, passes, "{shape:?}");
+            assert_eq!(
+                inst.view().reduced().edges(),
+                analysis::transitive_reduction(inst.graph()).edges(),
+                "{shape:?}"
+            );
+        }
     }
 
     #[test]
@@ -848,7 +895,7 @@ mod tests {
         assert!(snap.topo.is_some());
         assert!(snap.class.is_some());
 
-        let restored = PreparedInstance::restore(inst.graph_arc(), &snap);
+        let restored = PreparedInstance::restore(Arc::new(inst.graph().clone()), &snap);
         let before = profiling::counts();
         assert_eq!(restored.view().shape(), Shape::SeriesParallel);
         assert_eq!(restored.view().critical_path_weight(), 8.0);
@@ -892,7 +939,7 @@ mod tests {
             fresh.warm();
             let mut snap = fresh.snapshot();
             corrupt(&mut snap);
-            let restored = PreparedInstance::restore(fresh.graph_arc(), &snap);
+            let restored = PreparedInstance::restore(Arc::new(g.clone()), &snap);
             // Nothing panics and every answer is still correct
             // (recomputed).
             let (r, f) = (restored.view(), fresh.view());
