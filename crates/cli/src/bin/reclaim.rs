@@ -25,6 +25,7 @@ use reclaim_core::Engine;
 use reclaim_service::proto::{Request, Response};
 use reclaim_service::{client::Client, corpus, daemon, Endpoint};
 use report::Table;
+use taskgraph::profiling::CounterTable;
 use taskgraph::PreparedGraph;
 
 // `println!` and `print!` for this binary: once stdout's reader has
@@ -66,8 +67,7 @@ fn flag_value<'a>(flags: &'a [String], flag: &str) -> Option<&'a str> {
     let i = flags.iter().position(|a| a == flag)?;
     let value = flags.get(i + 1).map(String::as_str);
     if value.is_none() {
-        eprintln!("{flag} needs a value, got none");
-        std::process::exit(2);
+        fail(2, format!("{flag} needs a value, got none"));
     }
     value
 }
@@ -75,14 +75,14 @@ fn flag_value<'a>(flags: &'a [String], flag: &str) -> Option<&'a str> {
 /// `value` of `flag` parsed as a `T`; otherwise exit 2 naming the
 /// flag, what it needs and the value it got.
 fn parsed<T: std::str::FromStr>(flag: &str, needs: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} needs {needs}, got {value:?}");
-        std::process::exit(2);
-    })
+    value
+        .parse()
+        .unwrap_or_else(|_| fail(2, format!("{flag} needs {needs}, got {value:?}")))
 }
 
 fn usage() -> ! {
-    eprintln!(
+    fail(
+        2,
         "usage: reclaim <command> <instance-file> [options]\n\
          commands:\n\
            solve    — solve the instance, print the schedule [--dot]\n\
@@ -114,19 +114,17 @@ fn usage() -> ! {
                       reclaim lineage <key> [--socket PATH|--tcp ADDR]\n\
            corpus   — shard a directory of .inst files across engines\n\
                       reclaim corpus <dir> [--shards N] [--json DIR]\n\
-                      [--socket PATH|--tcp ADDR]  (run through a daemon)"
-    );
-    std::process::exit(2);
+                      [--socket PATH|--tcp ADDR]  (run through a daemon)",
+    )
 }
 
 /// Resolve `--socket` / `--tcp` flags into a daemon endpoint
 /// (default: `reclaimd.sock` in the working directory).
 fn endpoint_from_flags(flags: &[String]) -> Endpoint {
     if let Some(addr) = flag_value(flags, "--tcp") {
-        let addr = addr.parse().unwrap_or_else(|_| {
-            eprintln!("bad --tcp address {addr:?}");
-            std::process::exit(2);
-        });
+        let addr = addr
+            .parse()
+            .unwrap_or_else(|_| fail(2, format!("bad --tcp address {addr:?}")));
         Endpoint::Tcp(addr)
     } else {
         Endpoint::Unix(
@@ -148,38 +146,32 @@ fn ask_command(args: &[String]) {
     let shutdown = flags.iter().any(|a| a == "--shutdown");
     let patch_spec = flag_value(&flags, "--patch");
     if file.is_none() && !stats && !shutdown {
-        eprintln!("ask needs an instance file, --stats, or --shutdown");
-        std::process::exit(2);
+        fail(2, "ask needs an instance file, --stats, or --shutdown");
     }
     if patch_spec.is_some() && file.is_none() {
-        eprintln!("--patch needs the instance file the patch is based on");
-        std::process::exit(2);
+        fail(2, "--patch needs the instance file the patch is based on");
     }
     let pipeline_k: usize = flag_value(&flags, "--pipeline")
         .map(|v| {
-            v.parse().ok().filter(|&k| k >= 1).unwrap_or_else(|| {
-                eprintln!("--pipeline needs an integer ≥ 1, got {v:?}");
-                std::process::exit(2);
-            })
+            v.parse()
+                .ok()
+                .filter(|&k| k >= 1)
+                .unwrap_or_else(|| fail(2, format!("--pipeline needs an integer ≥ 1, got {v:?}")))
         })
         .unwrap_or(1);
     let timeout_ms: Option<u64> =
         flag_value(&flags, "--timeout").map(|v| parsed("--timeout", "milliseconds", v));
     let as_of: Option<u64> = flag_value(&flags, "--as-of").map(|v| {
-        v.parse().ok().filter(|&d| d >= 1).unwrap_or_else(|| {
-            eprintln!("--as-of needs a patch depth ≥ 1, got {v:?}");
-            std::process::exit(2);
-        })
+        v.parse()
+            .ok()
+            .filter(|&d| d >= 1)
+            .unwrap_or_else(|| fail(2, format!("--as-of needs a patch depth ≥ 1, got {v:?}")))
     });
     if as_of.is_some() && file.is_none() {
-        eprintln!("--as-of needs the instance file whose lineage to rewind");
-        std::process::exit(2);
+        fail(2, "--as-of needs the instance file whose lineage to rewind");
     }
     let ep = endpoint_from_flags(&flags);
-    let mut client = Client::connect(&ep).unwrap_or_else(|e| {
-        eprintln!("cannot connect to {ep}: {e} (is reclaimd running?)");
-        std::process::exit(1);
-    });
+    let mut client = connect(&ep);
     client.set_timeout_ms(timeout_ms);
     client.set_as_of(as_of);
     // Pipelined mode: send the file's solve K times in one window
@@ -188,8 +180,7 @@ fn ask_command(args: &[String]) {
     // shell.
     if pipeline_k > 1 {
         let Some(path) = file else {
-            eprintln!("--pipeline needs an instance file");
-            std::process::exit(2);
+            fail(2, "--pipeline needs an instance file");
         };
         let inst = load(path);
         let req = Request::Solve {
@@ -200,28 +191,18 @@ fn ask_command(args: &[String]) {
         let t0 = std::time::Instant::now();
         let mut pipe = client.pipeline(pipeline_k);
         for _ in 0..pipeline_k {
-            pipe.send(req.clone()).unwrap_or_else(|e| {
-                eprintln!("pipelined send failed: {e}");
-                std::process::exit(1);
-            });
+            pipe.send(req.clone())
+                .unwrap_or_else(|e| fail(1, format!("pipelined send failed: {e}")));
         }
-        let responses = pipe.drain().unwrap_or_else(|e| {
-            eprintln!("pipelined exchange failed: {e}");
-            std::process::exit(1);
-        });
+        let responses = pipe
+            .drain()
+            .unwrap_or_else(|e| fail(1, format!("pipelined exchange failed: {e}")));
         let elapsed = t0.elapsed();
         let mut reused = 0usize;
         for r in &responses {
             match &r.response {
                 Response::Solve(s) => reused += usize::from(s.cached),
-                Response::Error(e) => {
-                    eprintln!("daemon error: {e}");
-                    std::process::exit(1);
-                }
-                other => {
-                    eprintln!("unexpected response: {other:?}");
-                    std::process::exit(1);
-                }
+                other => unexpected(other),
             }
         }
         println!(
@@ -246,10 +227,7 @@ fn ask_command(args: &[String]) {
         }
         client
             .roundtrip(req)
-            .unwrap_or_else(|e| {
-                eprintln!("request failed: {e}");
-                std::process::exit(1);
-            })
+            .unwrap_or_else(|e| fail(1, format!("request failed: {e}")))
             .response
     };
     // (In pipelined mode the file was already solved above.)
@@ -271,20 +249,11 @@ fn ask_command(args: &[String]) {
                 if r.cached { "reused" } else { "built" },
                 r.worker
             ),
-            Response::Error(e) => {
-                eprintln!("daemon error: {e}");
-                std::process::exit(1);
-            }
-            other => {
-                eprintln!("unexpected response: {other:?}");
-                std::process::exit(1);
-            }
+            other => unexpected(&other),
         }
         if let Some(spec) = &patch_spec {
-            let edits = reclaim_cli::parse_edits(spec).unwrap_or_else(|e| {
-                eprintln!("--patch: {e}");
-                std::process::exit(2);
-            });
+            let edits =
+                reclaim_cli::parse_edits(spec).unwrap_or_else(|e| fail(2, format!("--patch: {e}")));
             // The daemon holds the just-solved instance; name it by
             // content key and send only the delta.
             let base = reclaim_core::engine::content_key(&inst.graph, &inst.model);
@@ -304,87 +273,34 @@ fn ask_command(args: &[String]) {
                     if p.warm_lp { "warm" } else { "cold" },
                     reclaim_service::proto::key_to_hex(p.key),
                 ),
-                Response::Error(e) => {
-                    eprintln!("daemon error: {e}");
-                    std::process::exit(1);
-                }
-                other => {
-                    eprintln!("unexpected response: {other:?}");
-                    std::process::exit(1);
-                }
+                other => unexpected(&other),
             }
         }
     }
     if stats {
         match roundtrip(Request::Stats) {
             Response::Stats(s) => {
-                println!(
-                    "cache: {} entries | {} bytes | {} hits | {} misses | {} evictions | \
-                     {} patch hits | {} patch misses | {} rekeys",
-                    s.cache.entries,
-                    s.cache.bytes,
-                    s.cache.hits,
-                    s.cache.misses,
-                    s.cache.evictions,
-                    s.cache.patch_hits,
-                    s.cache.patch_misses,
-                    s.cache.rekeys
-                );
-                println!(
-                    "store: {} entries | {} bytes | {} recovered | \
-                     {} corrupt skipped | {} replays",
-                    s.store.entries,
-                    s.store.bytes,
-                    s.store.recovered,
-                    s.store.corrupt_skipped,
-                    s.store.replays
-                );
+                stats_line("cache", &s.cache);
+                stats_line("store", &s.store);
                 for (i, w) in s.workers.iter().enumerate() {
-                    println!(
-                        "worker {i}: {} requests | {} solves | {} µs solving | {} warm lost | \
-                         {} bnb nodes | {} steals | {} splices ({} miss) | {} cone nodes",
-                        w.requests,
-                        w.solves,
-                        w.solve_ns / 1_000,
-                        w.warm_lost,
-                        w.bnb_nodes,
-                        w.bnb_steals,
-                        w.sp_splice,
-                        w.sp_splice_miss,
-                        w.cone_nodes
-                    );
+                    stats_line(&format!("worker {i}"), w);
                 }
-                println!(
-                    "net: {} connections | {} queue depth | {} inflight | \
-                     {} rejected | {} timeouts",
-                    s.net.connections,
-                    s.net.queue_depth,
-                    s.net.inflight,
-                    s.net.rejected,
-                    s.net.timeouts
-                );
+                stats_line("net", &s.net);
             }
-            other => {
-                eprintln!("unexpected response: {other:?}");
-                std::process::exit(1);
-            }
+            other => unexpected(&other),
         }
     }
     if shutdown {
         match roundtrip(Request::Shutdown) {
             Response::Shutdown => println!("daemon stopping"),
-            other => {
-                eprintln!("unexpected response: {other:?}");
-                std::process::exit(1);
-            }
+            other => unexpected(&other),
         }
     }
 }
 
 fn corpus_command(args: &[String]) {
     let Some(dir) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("corpus needs a directory of .inst files");
-        std::process::exit(2);
+        fail(2, "corpus needs a directory of .inst files");
     };
     let flags = &args[1..];
     let shards: usize = flag_value(flags, "--shards")
@@ -398,18 +314,14 @@ fn corpus_command(args: &[String]) {
     // Deterministic enumeration: sorted file names. Parse errors are
     // fatal and fully attributed (file, line, offending token).
     let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| {
-            eprintln!("cannot read {dir}: {e}");
-            std::process::exit(2);
-        })
+        .unwrap_or_else(|e| fail(2, format!("cannot read {dir}: {e}")))
         .filter_map(Result::ok)
         .map(|e| e.path())
         .filter(|p| p.extension().is_some_and(|x| x == "inst"))
         .collect();
     paths.sort();
     if paths.is_empty() {
-        eprintln!("no .inst files in {dir}");
-        std::process::exit(2);
+        fail(2, format!("no .inst files in {dir}"));
     }
     let jobs: Vec<corpus::CorpusJob> = paths
         .iter()
@@ -433,32 +345,17 @@ fn corpus_command(args: &[String]) {
     // byte-identical to a local run.
     let outcomes = if flags.iter().any(|a| a == "--socket" || a == "--tcp") {
         let ep = endpoint_from_flags(flags);
-        let mut client = Client::connect(&ep).unwrap_or_else(|e| {
-            eprintln!("cannot connect to {ep}: {e} (is reclaimd running?)");
-            std::process::exit(1);
-        });
+        let mut client = connect(&ep);
         match client.roundtrip(Request::Corpus { shards, jobs }) {
             Ok(resp) => match resp.response {
                 Response::Corpus(outcomes) => outcomes,
-                Response::Error(e) => {
-                    eprintln!("daemon error: {e}");
-                    std::process::exit(1);
-                }
-                other => {
-                    eprintln!("unexpected response: {other:?}");
-                    std::process::exit(1);
-                }
+                other => unexpected(&other),
             },
-            Err(e) => {
-                eprintln!("corpus request failed: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(1, format!("corpus request failed: {e}")),
         }
     } else {
-        corpus::run_corpus(jobs, shards, PowerLaw::CUBIC).unwrap_or_else(|e| {
-            eprintln!("--shards: {e}");
-            std::process::exit(2);
-        })
+        corpus::run_corpus(jobs, shards, PowerLaw::CUBIC)
+            .unwrap_or_else(|e| fail(2, format!("--shards: {e}")))
     };
     let mut t = Table::new(&[
         "shard",
@@ -479,11 +376,8 @@ fn corpus_command(args: &[String]) {
         ]);
     }
     println!("{}", t.render());
-    let written =
-        corpus::write_outputs(std::path::Path::new(&out_dir), &outcomes).unwrap_or_else(|e| {
-            eprintln!("cannot write corpus outputs to {out_dir}: {e}");
-            std::process::exit(1);
-        });
+    let written = corpus::write_outputs(std::path::Path::new(&out_dir), &outcomes)
+        .unwrap_or_else(|e| fail(1, format!("cannot write corpus outputs to {out_dir}: {e}")));
     for p in written {
         println!("wrote {}", p.display());
     }
@@ -510,17 +404,14 @@ fn generate_command(args: &[String]) {
             rest.next();
             continue;
         }
-        params.push(arg.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("bad family parameter {arg:?}");
-            std::process::exit(2);
-        }));
+        params.push(
+            arg.parse::<usize>()
+                .unwrap_or_else(|_| fail(2, format!("bad family parameter {arg:?}"))),
+        );
     }
     match reclaim_cli::generate(family, &params, &opts) {
         Ok(text) => print!("{text}"),
-        Err(e) => {
-            eprintln!("gen failed: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => fail(2, format!("gen failed: {e}")),
     }
 }
 
@@ -530,22 +421,20 @@ fn generate_command(args: &[String]) {
 /// started with `--store`.
 fn lineage_command(args: &[String]) {
     let Some(raw) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("lineage needs a content key (0x-prefixed 32 hex digits)");
-        std::process::exit(2);
+        fail(2, "lineage needs a content key (0x-prefixed 32 hex digits)");
     };
     let key = reclaim_service::proto::key_from_hex(raw).unwrap_or_else(|| {
-        eprintln!("malformed content key {raw:?} (want 0x-prefixed 32 hex digits)");
-        std::process::exit(2);
+        fail(
+            2,
+            format!("malformed content key {raw:?} (want 0x-prefixed 32 hex digits)"),
+        )
     });
     let ep = endpoint_from_flags(&args[1..]);
-    let mut client = Client::connect(&ep).unwrap_or_else(|e| {
-        eprintln!("cannot reach daemon at {ep}: {e}");
-        std::process::exit(1);
-    });
-    let reply = client.lineage(key).unwrap_or_else(|e| {
-        eprintln!("request failed: {e}");
-        std::process::exit(1);
-    });
+    let mut client = Client::connect(&ep)
+        .unwrap_or_else(|e| fail(1, format!("cannot reach daemon at {ep}: {e}")));
+    let reply = client
+        .lineage(key)
+        .unwrap_or_else(|e| fail(1, format!("request failed: {e}")));
     match reply.response {
         Response::Lineage(report) => {
             println!(
@@ -563,26 +452,50 @@ fn lineage_command(args: &[String]) {
                 );
             }
         }
-        Response::Error(e) => {
-            eprintln!("daemon error: {e}");
-            std::process::exit(1);
-        }
-        other => {
-            eprintln!("unexpected response: {other:?}");
-            std::process::exit(1);
-        }
+        other => unexpected(&other),
     }
 }
 
-fn load(path: &str) -> Instance {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    parse(&text).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(2);
+/// Give up: print `msg` to stderr and exit with `code` (2 for bad
+/// input, 1 for a failure past it). Every command gives up here.
+fn fail(code: i32, msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code)
+}
+
+/// The daemon at `ep`, or give up.
+fn connect(ep: &Endpoint) -> Client {
+    Client::connect(ep).unwrap_or_else(|e| {
+        fail(
+            1,
+            format!("cannot connect to {ep}: {e} (is reclaimd running?)"),
+        )
     })
+}
+
+/// Give up on an answer the command did not ask for: a daemon error,
+/// or a response of another kind.
+fn unexpected(resp: &Response) -> ! {
+    match resp {
+        Response::Error(e) => fail(1, format!("daemon error: {e}")),
+        other => fail(1, format!("unexpected response: {other:?}")),
+    }
+}
+
+/// Print one `stats` block as `<block>: <value> <name> | …`, each
+/// counter labelled by its wire key with `_` read as a space.
+fn stats_line(block: &str, table: &impl CounterTable) {
+    let counters: Vec<String> = table
+        .fields()
+        .map(|(name, n)| format!("{n} {}", name.replace('_', " ")))
+        .collect();
+    println!("{block}: {}", counters.join(" | "));
+}
+
+fn load(path: &str) -> Instance {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(2, format!("cannot read {path}: {e}")));
+    parse(&text).unwrap_or_else(|e| fail(2, format!("{path}: {e}")))
 }
 
 fn main() {
@@ -592,19 +505,14 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("gen") => return generate_command(&args[1..]),
         Some("serve") => {
-            let cfg = daemon::config_from_args(&args[1..]).unwrap_or_else(|e| {
-                eprintln!("serve: {e}");
-                std::process::exit(2);
-            });
+            let cfg = daemon::config_from_args(&args[1..])
+                .unwrap_or_else(|e| fail(2, format!("serve: {e}")));
             let workers = cfg.workers;
-            let d = daemon::Daemon::bind(cfg).unwrap_or_else(|e| {
-                eprintln!("serve: bind failed: {e}");
-                std::process::exit(1);
-            });
+            let d = daemon::Daemon::bind(cfg)
+                .unwrap_or_else(|e| fail(1, format!("serve: bind failed: {e}")));
             eprintln!("serving on {} ({workers} workers)", d.endpoint());
             if let Err(e) = d.run() {
-                eprintln!("serve: {e}");
-                std::process::exit(1);
+                fail(1, format!("serve: {e}"));
             }
             return;
         }
@@ -626,10 +534,7 @@ fn main() {
     let solve_or_die = || {
         engine
             .solve(&prep, &inst.model, inst.deadline)
-            .unwrap_or_else(|e| {
-                eprintln!("solve failed: {e}");
-                std::process::exit(1);
-            })
+            .unwrap_or_else(|e| fail(1, format!("solve failed: {e}")))
     };
 
     match cmd.as_str() {
@@ -647,11 +552,13 @@ fn main() {
                 let dmin = prep.critical_path_weight() / sm;
                 println!("{dmin}");
                 if inst.deadline < dmin {
-                    eprintln!(
-                        "warning: instance deadline {} is below dmin — infeasible",
-                        inst.deadline
+                    fail(
+                        1,
+                        format!(
+                            "warning: instance deadline {} is below dmin — infeasible",
+                            inst.deadline
+                        ),
                     );
-                    std::process::exit(1);
                 }
             }
             None => println!("0 (unbounded speeds: any positive deadline is feasible)"),
@@ -703,15 +610,11 @@ fn main() {
         }
         "simulate" => {
             let sol = solve_or_die();
-            let res = sim::simulate(&inst.graph, &sol.schedule, p).unwrap_or_else(|e| {
-                eprintln!("simulation rejected the schedule: {e}");
-                std::process::exit(1);
-            });
+            let res = sim::simulate(&inst.graph, &sol.schedule, p)
+                .unwrap_or_else(|e| fail(1, format!("simulation rejected the schedule: {e}")));
             if let Some(m) = &inst.mapping {
-                sim::check_mapping_consistency(&inst.graph, &sol.schedule, m).unwrap_or_else(|e| {
-                    eprintln!("mapping inconsistency: {e}");
-                    std::process::exit(1);
-                });
+                sim::check_mapping_consistency(&inst.graph, &sol.schedule, m)
+                    .unwrap_or_else(|e| fail(1, format!("mapping inconsistency: {e}")));
             }
             println!(
                 "replayed {} tasks | integrated energy {:.6} (analytic {:.6}) | \
@@ -725,14 +628,15 @@ fn main() {
             );
             let drift = (res.energy - sol.energy).abs() / sol.energy.max(1e-12);
             if drift > 1e-6 {
-                eprintln!("warning: energy drift {drift:.2e} between trace and analytic");
-                std::process::exit(1);
+                fail(
+                    1,
+                    format!("warning: energy drift {drift:.2e} between trace and analytic"),
+                );
             }
         }
         "gantt" => {
             let Some(m) = &inst.mapping else {
-                eprintln!("gantt needs 'proc' lines in the instance");
-                std::process::exit(2);
+                fail(2, "gantt needs 'proc' lines in the instance");
             };
             let width: usize = flag_value(flags, "--width")
                 .map(|v| parsed("--width", "an integer", v))
@@ -753,10 +657,7 @@ fn main() {
             if cmd == "pareto" && flags.iter().any(|a| a == "--exact") {
                 let curve = engine
                     .energy_curve_exact(&prep, &inst.model, lo, hi)
-                    .unwrap_or_else(|e| {
-                        eprintln!("pareto failed: {e}");
-                        std::process::exit(1);
-                    });
+                    .unwrap_or_else(|e| fail(1, format!("pareto failed: {e}")));
                 let mut t = Table::new(&["from D", "to D", "energy E(D)", "E(from)", "E(to)"]);
                 for s in &curve.segments {
                     let form = match s.energy {
@@ -790,10 +691,7 @@ fn main() {
             } else {
                 let curve = engine
                     .energy_curve(&prep, &inst.model, points, lo, hi)
-                    .unwrap_or_else(|e| {
-                        eprintln!("sweep failed: {e}");
-                        std::process::exit(1);
-                    });
+                    .unwrap_or_else(|e| fail(1, format!("sweep failed: {e}")));
                 let mut t = Table::new(&["deadline", "energy"]);
                 for pt in &curve {
                     t.row(&[format!("{:.4}", pt.deadline), format!("{:.6}", pt.energy)]);

@@ -78,12 +78,12 @@ use models::EnergyModel;
 use reclaim_core::engine::{content_key, patched_key, vdd_basis_survives, VddWarm};
 use reclaim_core::{vdd, ExactCurve};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 use taskgraph::edit::{EditError, GraphEdit};
 use taskgraph::PreparedInstance;
 
-use crate::proto::CacheStatsReport;
+use crate::proto::{CacheStatsReport, SharedCacheStats};
 use crate::store::Store;
 
 /// Budgets for [`InstanceCache`].
@@ -220,12 +220,9 @@ pub struct InstanceCache {
     /// Disk backing (protocol v5): spill on build/patch/evict, load
     /// on RAM miss, record patch lineage. `None` without `--store`.
     store: Option<Arc<Store>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    patch_hits: AtomicU64,
-    patch_misses: AtomicU64,
-    rekeys: AtomicU64,
+    /// The traffic counters; `entries` and `bytes` are read from
+    /// `inner` instead.
+    counts: SharedCacheStats,
 }
 
 /// Where [`InstanceCache::get_or_prepare`] (or
@@ -279,12 +276,7 @@ impl InstanceCache {
                 tick: 0,
             }),
             store,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            patch_hits: AtomicU64::new(0),
-            patch_misses: AtomicU64::new(0),
-            rekeys: AtomicU64::new(0),
+            counts: SharedCacheStats::default(),
         }
     }
 
@@ -310,10 +302,10 @@ impl InstanceCache {
         build: impl FnOnce() -> PreparedInstance,
     ) -> (Arc<Entry>, Prepared) {
         if let Some(entry) = self.lookup_quiet(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counts.hits.fetch_add(1, Ordering::Relaxed);
             return (entry, Prepared::Hit);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counts.misses.fetch_add(1, Ordering::Relaxed);
         // A RAM miss consults the store first: a spilled (or
         // recovered-after-restart) entry comes back with its analyses
         // and retained curve, skipping preparation entirely.
@@ -349,7 +341,7 @@ impl InstanceCache {
         }
         let store = self.store.as_ref()?;
         let stored = store.materialize(key)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counts.misses.fetch_add(1, Ordering::Relaxed);
         let entry = Entry::new(key, stored.inst, stored.model, stored.curve);
         let (entry, inserted) = self.insert(entry, false, None);
         // Still no record under `key` after materializing: the version
@@ -388,7 +380,7 @@ impl InstanceCache {
             None => match self.store.as_ref().and_then(|s| s.load(base)) {
                 Some(stored) => Arc::new(Entry::new(base, stored.inst, stored.model, None)),
                 None => {
-                    self.patch_misses.fetch_add(1, Ordering::Relaxed);
+                    self.counts.patch_misses.fetch_add(1, Ordering::Relaxed);
                     return Err(PatchError::UnknownBase);
                 }
             },
@@ -414,12 +406,13 @@ impl InstanceCache {
         // cached (e.g. an edit that undoes a previous one), that entry
         // is kept.
         let (entry, inserted) = self.insert(entry, true, Some(base.key));
-        self.patch_hits.fetch_add(1, Ordering::Relaxed);
+        self.counts.patch_hits.fetch_add(1, Ordering::Relaxed);
         // Lineage before content: if the daemon dies between the two
         // writes, a recorded hop whose child file is missing still
         // re-materializes by replay; a child file with no hop would
         // strand the edit out of every `as_of` walk. An already cached
-        // content still records the hop: the *edit* is new history.
+        // content still records the hop: the *edit* is new history. A
+        // failed append is counted in the store's `write_failures`.
         if let Some(store) = &self.store {
             let _ = store.record_patch(base.key, edits, key);
         }
@@ -469,7 +462,7 @@ impl InstanceCache {
         let tick = inner.tick;
         if let Some(old) = replaces.and_then(|k| inner.map.remove(&k)) {
             inner.bytes -= old.bytes;
-            self.rekeys.fetch_add(1, Ordering::Relaxed);
+            self.counts.rekeys.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(live) = inner.map.get_mut(&key) {
             live.last_used = tick;
@@ -513,7 +506,7 @@ impl InstanceCache {
             let Some(victim) = victim else { break };
             if let Some(e) = inner.map.remove(&victim) {
                 inner.bytes -= e.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.counts.evictions.fetch_add(1, Ordering::Relaxed);
                 // Eviction downgrades the entry from RAM to disk: the
                 // latest analyses and the retained curve are
                 // re-spilled before the drop, so a re-request is a
@@ -526,7 +519,7 @@ impl InstanceCache {
 
     /// Write `entry`, with its retained curve, to the attached store.
     /// A failed write degrades the entry to RAM-only, never to a wrong
-    /// answer.
+    /// answer; the store counts it in `write_failures`.
     fn spill(&self, entry: &Entry) {
         if let Some(store) = &self.store {
             let curve = entry.curve_guard().clone();
@@ -550,12 +543,7 @@ impl InstanceCache {
         CacheStatsReport {
             entries: inner.map.len() as u64,
             bytes: inner.bytes as u64,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            patch_hits: self.patch_hits.load(Ordering::Relaxed),
-            patch_misses: self.patch_misses.load(Ordering::Relaxed),
-            rekeys: self.rekeys.load(Ordering::Relaxed),
+            ..self.counts.load()
         }
     }
 }
@@ -936,5 +924,32 @@ mod tests {
         assert_eq!(parent, base_key);
         assert_eq!(hop_edits.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_store_writes_are_counted_and_answers_still_come_back() {
+        let dir = std::env::temp_dir().join(format!("reclaim-cache-wf-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = StdArc::new(crate::store::Store::open(&dir, false).unwrap());
+        // Every later write fails: the directory is gone (unlike a
+        // read-only mode, this holds for root too).
+        std::fs::remove_dir_all(&dir).unwrap();
+        let cache = InstanceCache::with_store(CacheConfig::default(), Some(StdArc::clone(&store)));
+        let m = model();
+        let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
+        let base_key = content_key(&g, &m);
+        let (base, outcome) = cache.get_or_prepare(base_key, &m, || {
+            PreparedInstance::new(StdArc::new(g.clone()))
+        });
+        assert_eq!((base.key, outcome), (base_key, Prepared::Built));
+        let edits = [GraphEdit::SetWeight {
+            task: 1,
+            weight: 6.0,
+        }];
+        let (patched, _) = cache.patch(base_key, &edits).unwrap();
+        assert_eq!(patched.inst.graph().weights()[1], 6.0);
+        // The build's spill, the patch's lineage append and its spill.
+        assert!(store.stats().write_failures >= 2, "{:?}", store.stats());
+        assert_eq!(store.stats().entries, 0);
     }
 }

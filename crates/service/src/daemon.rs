@@ -51,8 +51,8 @@ use crate::cache::{CacheConfig, Entry, InstanceCache, PatchError, Prepared};
 use crate::net::{Poller, WAKE_TOKEN};
 use crate::proto::{
     frame, key_to_hex, write_frame, CurveExactReport, ErrorBody, ErrorKind, FrameBuffer,
-    LineageReport, NetStatsReport, PatchReport, Request, RequestEnvelope, Response,
-    ResponseEnvelope, SolveReport, StatsReport, WorkerStatsReport, MIN_PROTOCOL_VERSION,
+    LineageReport, PatchReport, Request, RequestEnvelope, Response, ResponseEnvelope,
+    SharedNetStats, SolveReport, StatsReport, MIN_PROTOCOL_VERSION,
 };
 use crate::store::Store;
 use models::{EnergyModel, PowerLaw};
@@ -64,10 +64,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-use taskgraph::profiling::{self, Counts};
+use taskgraph::profiling::{self, SharedCounts};
 use taskgraph::{PreparedInstance, TaskGraph};
 
 /// Where a daemon listens / where a client connects.
@@ -281,45 +281,17 @@ impl Write for Stream {
     }
 }
 
-/// Socket-layer counters, shared between the poll loop (which owns
-/// the sockets) and the workers (which answer `stats` and count
-/// timeouts) — see [`NetStatsReport`] for the wire shape.
-#[derive(Default)]
-struct NetCounters {
-    /// Open registered connections (gauge).
-    connections: AtomicU64,
-    /// Admitted jobs not yet pulled by a worker (gauge).
-    queue_depth: AtomicU64,
-    /// Admitted jobs not yet answered (gauge; queued + in a worker).
-    inflight: AtomicU64,
-    /// Connections refused at the `--max-connections` accept cap.
-    rejected: AtomicU64,
-    /// Requests answered with the `timeout` error kind because they
-    /// out-waited their `timeout_ms` budget in the queue.
-    timeouts: AtomicU64,
-}
-
-impl NetCounters {
-    fn report(&self) -> NetStatsReport {
-        NetStatsReport {
-            connections: self.connections.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            inflight: self.inflight.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-        }
-    }
-}
-
 struct State {
     /// The instance cache, and through it the disk store (`--store`).
     cache: InstanceCache,
     power: PowerLaw,
-    shutdown: AtomicBool,
-    net: NetCounters,
+    /// Socket-layer counters, shared between the poll loop (which owns
+    /// the sockets) and the workers (which answer `stats` and count
+    /// timeouts).
+    net: SharedNetStats,
     /// Each worker's running total of its requests' work counts
     /// ([`taskgraph::profiling`]), one delta added per request.
-    workers: Vec<Mutex<Counts>>,
+    workers: Vec<SharedCounts>,
     /// Thread slots currently in use across the pool: each busy
     /// worker holds one, plus any spare slots it borrowed for a
     /// parallel exact search. The invariant `active ≤ workers.len()`
@@ -413,9 +385,8 @@ impl Daemon {
         let state = Arc::new(State {
             cache: InstanceCache::with_store(cfg.cache, store),
             power: cfg.power,
-            shutdown: AtomicBool::new(false),
-            net: NetCounters::default(),
-            workers: (0..workers).map(|_| Mutex::default()).collect(),
+            net: SharedNetStats::default(),
+            workers: (0..workers).map(|_| SharedCounts::default()).collect(),
             active: AtomicU64::new(0),
         });
         Ok(Daemon {
@@ -905,7 +876,6 @@ impl EventLoop {
             return;
         }
         self.draining = true;
-        self.state.shutdown.store(true, Ordering::SeqCst);
         if let Some(listener) = self.listener.take() {
             let _ = self.poller.deregister(listener.as_raw_fd());
             drop(listener);
@@ -1020,8 +990,11 @@ fn worker_loop(
         // the poll loop: a client that has seen this response and then
         // asks for `stats` (even as the last request before
         // `shutdown`) must see this request's counts, exactly once —
-        // no flush may ride on a worker surviving past the drain.
-        *lock(&state.workers[worker_id]) += profiling::counts() - before;
+        // no flush may ride on a worker surviving past the drain. The
+        // adds are relaxed: the completion queue's lock, released
+        // after them and taken by the poll loop before it writes the
+        // answer, orders them before any later `stats` read.
+        state.workers[worker_id].add(profiling::counts() - before);
         state.active.fetch_sub(1 + extra, Ordering::AcqRel);
         // Encode outside the lock: nothing that runs while it is held
         // may panic and poison the poll loop's completion queue.
@@ -1046,32 +1019,9 @@ fn stats_report(state: &State) -> StatsReport {
     StatsReport {
         cache: state.cache.stats(),
         store: state.cache.store().map(Store::stats).unwrap_or_default(),
-        net: state.net.report(),
-        workers: state
-            .workers
-            .iter()
-            .map(|w| {
-                let c = *lock(w);
-                WorkerStatsReport {
-                    requests: c.requests,
-                    solves: c.solves,
-                    solve_ns: c.solve_ns,
-                    warm_lost: c.warm_lost,
-                    bnb_nodes: c.bnb_nodes,
-                    bnb_steals: c.bnb_steals,
-                    sp_splice: c.sp_splice,
-                    sp_splice_miss: c.sp_splice_miss,
-                    cone_nodes: c.cone_nodes,
-                }
-            })
-            .collect(),
+        net: state.net.load(),
+        workers: state.workers.iter().map(SharedCounts::load).collect(),
     }
-}
-
-/// A worker's ledger. The lock only guards additions and copies of
-/// counters, so even a poisoned lock holds a usable total.
-fn lock(counts: &Mutex<Counts>) -> std::sync::MutexGuard<'_, Counts> {
-    counts.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Count one solve of `ns` nanoseconds in this thread's ledger.

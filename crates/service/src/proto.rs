@@ -67,9 +67,12 @@
 //!
 //! * `wire_struct!` covers objects whose JSON keys are their field
 //!   names, listed in wire order. A bare field is required; `f = d`
-//!   reads as `d` when absent or malformed (counters newer than the
+//!   reads as `d` when absent or malformed (fields newer than the
 //!   peer); `f: opt` is left off the wire while unset (`None`, or a
 //!   `false` flag), so older peers never see it.
+//! * The `stats` blocks are counter tables
+//!   ([`taskgraph::counters!`]), and one codec serves them all: keys
+//!   in table order, and a counter the peer omits reads as 0.
 //! * `wire_enum!` covers objects told apart by a tag: requests by
 //!   `type`, edits by `op`, curve-segment energies by `form`.
 //! * The rest is written by hand, only where the JSON shape is not the
@@ -90,7 +93,8 @@ use reclaim_core::{CurveEnergy, CurveSegment, SolveError};
 use std::fmt;
 use std::io::{self, Read, Write};
 use taskgraph::edit::GraphEdit;
-use taskgraph::TaskGraph;
+use taskgraph::profiling::CounterTable;
+use taskgraph::{counters, TaskGraph};
 
 /// The newest protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 5;
@@ -634,65 +638,6 @@ pub struct PatchReport {
     pub warm_lp: bool,
 }
 
-/// Cache counters, as reported by `stats`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CacheStatsReport {
-    /// Live entries.
-    pub entries: u64,
-    /// Estimated resident bytes of live entries.
-    pub bytes: u64,
-    /// Lookup hits since start (plain requests resolving to a cached
-    /// instance — patch traffic is counted separately below).
-    pub hits: u64,
-    /// Lookup misses since start.
-    pub misses: u64,
-    /// Evictions since start.
-    pub evictions: u64,
-    /// `patch` requests whose base key was held (served in place).
-    pub patch_hits: u64,
-    /// `patch` requests whose base key was absent
-    /// ([`ErrorKind::UnknownBase`] answers).
-    pub patch_misses: u64,
-    /// In-place re-keys: patched entries that replaced their base
-    /// entry under the edited content key.
-    pub rekeys: u64,
-}
-
-/// One worker's counters: its running total of the
-/// [`taskgraph::profiling`] counts its requests recorded.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct WorkerStatsReport {
-    /// Requests served.
-    pub requests: u64,
-    /// Individual solves performed (a batch counts each job).
-    pub solves: u64,
-    /// Total nanoseconds in `Engine::solve`-family calls.
-    pub solve_ns: u64,
-    /// Warm-start states (Vdd flows) this worker lost to cold
-    /// retries: non-zero means sweeps or patches silently paid for
-    /// cold re-solves.
-    pub warm_lost: u64,
-    /// Branch-and-bound nodes expanded by exact Discrete/Incremental
-    /// solves (parallel subtree workers and fanned-out sweep points
-    /// fold into the issuing worker's total).
-    pub bnb_nodes: u64,
-    /// Parallel-search subtree pickups beyond each worker's first —
-    /// how much the atomic work-queue rebalanced past the static
-    /// split.
-    pub bnb_steals: u64,
-    /// Structural patches whose SP decomposition was locally spliced
-    /// instead of re-recognized.
-    pub sp_splice: u64,
-    /// Splice attempts that failed and fell back to lazy full
-    /// recognition: non-zero means structural patches paid cold
-    /// re-analyses.
-    pub sp_splice_miss: u64,
-    /// Total tasks visited by cone-bounded cache repairs (topo-order
-    /// shifts, completion-time relaxations, reduction repairs, SP
-    /// splices) — how local the locality actually was.
-    pub cone_nodes: u64,
-}
-
 /// One edge of a patch lineage chain (v5): `parent` was patched with
 /// `edits` to produce `child`.
 #[derive(Debug, Clone, PartialEq)]
@@ -717,41 +662,71 @@ pub struct LineageReport {
     pub hops: Vec<LineageHop>,
 }
 
-/// Disk-store counters (v5; daemons without `--store`, and older
-/// daemons, report zeros).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StoreStatsReport {
-    /// Instance entries on disk.
-    pub entries: u64,
-    /// Total bytes of instance entries on disk.
-    pub bytes: u64,
-    /// Valid instance records recovered by the boot scan.
-    pub recovered: u64,
-    /// Corrupt or torn records skipped (boot scan plus later loads) —
-    /// every damaged record is accounted here, never lost silently.
-    pub corrupt_skipped: u64,
-    /// Lineage replay steps performed to materialize historical
-    /// versions (`as_of` traffic).
-    pub replays: u64,
+counters! {
+    /// Cache counters, as reported by `stats`.
+    pub struct CacheStatsReport / SharedCacheStats {
+        /// Live entries.
+        entries,
+        /// Estimated resident bytes of live entries.
+        bytes,
+        /// Lookup hits since start (plain requests resolving to a cached
+        /// instance — patch traffic is counted separately below).
+        hits,
+        /// Lookup misses since start.
+        misses,
+        /// Evictions since start.
+        evictions,
+        /// `patch` requests whose base key was held (served in place).
+        patch_hits,
+        /// `patch` requests whose base key was absent
+        /// ([`ErrorKind::UnknownBase`] answers).
+        patch_misses,
+        /// In-place re-keys: patched entries that replaced their base
+        /// entry under the edited content key.
+        rekeys,
+    }
+
+    /// Event-loop admission counters (v4; older daemons report zeros).
+    pub struct NetStatsReport / SharedNetStats {
+        /// Currently open connections.
+        connections,
+        /// Admitted requests sitting in the worker queue right now.
+        queue_depth,
+        /// Admitted requests not yet answered (queued + solving +
+        /// completion not yet written back).
+        inflight,
+        /// Connections refused at accept because `--max-connections` was
+        /// reached.
+        rejected,
+        /// Requests answered with [`ErrorKind::Timeout`] because their
+        /// `timeout_ms` budget elapsed in the queue.
+        timeouts,
+    }
+
+    /// Disk-store counters (v5; daemons without `--store`, and older
+    /// daemons, report zeros).
+    pub struct StoreStatsReport / SharedStoreStats {
+        /// Instance entries on disk.
+        entries,
+        /// Total bytes of instance entries on disk.
+        bytes,
+        /// Valid instance records recovered by the boot scan.
+        recovered,
+        /// Corrupt or torn records skipped (boot scan plus later loads) —
+        /// every damaged record is accounted here, never lost silently.
+        corrupt_skipped,
+        /// Lineage replay steps performed to materialize historical
+        /// versions (`as_of` traffic).
+        replays,
+        /// Failed instance writes and lineage appends: each left its
+        /// entry in RAM only, or its patch out of the lineage log.
+        write_failures,
+    }
 }
 
-/// Event-loop admission counters (v4; older daemons report zeros).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct NetStatsReport {
-    /// Currently open connections.
-    pub connections: u64,
-    /// Admitted requests sitting in the worker queue right now.
-    pub queue_depth: u64,
-    /// Admitted requests not yet answered (queued + solving +
-    /// completion not yet written back).
-    pub inflight: u64,
-    /// Connections refused at accept because `--max-connections` was
-    /// reached.
-    pub rejected: u64,
-    /// Requests answered with [`ErrorKind::Timeout`] because their
-    /// `timeout_ms` budget elapsed in the queue.
-    pub timeouts: u64,
-}
+/// One worker's counters: its whole [`taskgraph::profiling`] ledger,
+/// the running total of the counts its requests recorded.
+pub type WorkerStatsReport = taskgraph::profiling::Counts;
 
 /// The `stats` response body.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -1025,47 +1000,34 @@ wire_struct!(LineageHop {
 
 wire_struct!(LineageReport { key, depth, hops });
 
-// Counters newer than a peer's build read as zero, and so do the
-// `net` (v4) and `store` (v5) blocks older daemons leave out.
-wire_struct!(CacheStatsReport {
-    entries,
-    bytes,
-    hits,
-    misses,
-    evictions,
-    patch_hits = 0,
-    patch_misses = 0,
-    rekeys = 0,
-});
+/// The `stats` blocks: counter tables that share one codec.
+trait StatsBlock: CounterTable {}
 
-wire_struct!(WorkerStatsReport {
-    requests,
-    solves,
-    solve_ns,
-    warm_lost = 0,
-    bnb_nodes = 0,
-    bnb_steals = 0,
-    sp_splice = 0,
-    sp_splice_miss = 0,
-    cone_nodes = 0,
-});
+impl StatsBlock for CacheStatsReport {}
+impl StatsBlock for WorkerStatsReport {}
+impl StatsBlock for NetStatsReport {}
+impl StatsBlock for StoreStatsReport {}
 
-wire_struct!(NetStatsReport {
-    connections = 0,
-    queue_depth = 0,
-    inflight = 0,
-    rejected = 0,
-    timeouts = 0,
-});
+/// Keys in table order; a counter absent from the object (newer than
+/// the peer's build) or malformed reads as 0.
+impl<T: StatsBlock> Wire for T {
+    fn to_json(&self) -> Json {
+        Json::Obj(
+            self.fields()
+                .map(|(k, n)| (k.to_string(), n.to_json()))
+                .collect(),
+        )
+    }
 
-wire_struct!(StoreStatsReport {
-    entries = 0,
-    bytes = 0,
-    recovered = 0,
-    corrupt_skipped = 0,
-    replays = 0,
-});
+    fn from_json(v: &Json) -> Result<Self, ErrorBody> {
+        if !matches!(v, Json::Obj(_)) {
+            return Err(shape("an object"));
+        }
+        Ok(T::from_fn(|k| v.get(k).and_then(Json::as_u64).unwrap_or(0)))
+    }
+}
 
+// Older daemons leave out the `net` (v4) and `store` (v5) blocks.
 wire_struct!(StatsReport {
     cache,
     workers,
@@ -1685,6 +1647,10 @@ mod tests {
                         sp_splice: 11,
                         sp_splice_miss: 1,
                         cone_nodes: 42,
+                        topo_order: 13,
+                        classify: 3,
+                        sp_from_graph: 2,
+                        transitive_reduction: 1,
                     },
                     WorkerStatsReport::default(),
                 ],
@@ -1701,6 +1667,7 @@ mod tests {
                     recovered: 6,
                     corrupt_skipped: 1,
                     replays: 4,
+                    write_failures: 3,
                 },
             }),
             Response::Lineage(LineageReport {
@@ -1819,6 +1786,33 @@ mod tests {
         let v = json::parse(payload).unwrap();
         let s = StatsReport::from_json(&v).unwrap();
         assert_eq!(s.store, StoreStatsReport::default());
+    }
+
+    /// Every `stats` block is a counter table: each name once, and a
+    /// by-name build over its by-name read gives the value back.
+    #[test]
+    fn counter_tables_name_each_counter_once_and_rebuild_by_name() {
+        fn check<T: CounterTable + PartialEq + fmt::Debug>() {
+            let mut names = T::NAMES.to_vec();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), T::NAMES.len(), "{:?}", T::NAMES);
+            // Distinct values, so a swapped pair of fields shows.
+            let mut n = 0;
+            let t = T::from_fn(|_| {
+                n += 1;
+                n
+            });
+            let fields: Vec<_> = t.fields().collect();
+            assert_eq!(fields.len(), T::NAMES.len());
+            assert!(fields.iter().map(|(k, _)| k).eq(T::NAMES));
+            let rebuilt = T::from_fn(|k| fields.iter().find(|(f, _)| *f == k).unwrap().1);
+            assert_eq!(rebuilt, t);
+        }
+        check::<WorkerStatsReport>();
+        check::<CacheStatsReport>();
+        check::<NetStatsReport>();
+        check::<StoreStatsReport>();
     }
 
     #[test]

@@ -58,7 +58,9 @@
 
 use crate::cache::CachedCurve;
 use crate::json::{self, Json};
-use crate::proto::{key_from_hex, key_to_hex, LineageHop, StoreStatsReport, Wire};
+use crate::proto::{
+    key_from_hex, key_to_hex, LineageHop, SharedStoreStats, StoreStatsReport, Wire,
+};
 use models::EnergyModel;
 use reclaim_core::engine::content_key;
 use reclaim_core::{CurveSegment, CurveStats, ExactCurve};
@@ -304,9 +306,9 @@ pub struct Store {
     sizes: Mutex<HashMap<u128, u64>>,
     /// Serializes lineage-log appends.
     log: Mutex<()>,
-    recovered: AtomicU64,
-    corrupt_skipped: AtomicU64,
-    replays: AtomicU64,
+    /// The `stats` counters; `entries` and `bytes` are read from
+    /// `sizes` instead.
+    counts: SharedStoreStats,
     /// Uniquifies temp-file names across racing writers.
     tmp_seq: AtomicU64,
 }
@@ -327,9 +329,7 @@ impl Store {
             lineage: Mutex::new(HashMap::new()),
             sizes: Mutex::new(HashMap::new()),
             log: Mutex::new(()),
-            recovered: AtomicU64::new(0),
-            corrupt_skipped: AtomicU64::new(0),
-            replays: AtomicU64::new(0),
+            counts: SharedStoreStats::default(),
             tmp_seq: AtomicU64::new(0),
         };
         store.scan_instances()?;
@@ -377,11 +377,11 @@ impl Store {
             let mut pos = 0;
             match parse_record(&data, &mut pos) {
                 Ok(Some(_)) if pos == data.len() => {
-                    self.recovered.fetch_add(1, Ordering::Relaxed);
+                    self.counts.recovered.fetch_add(1, Ordering::Relaxed);
                     sizes.insert(key, data.len() as u64);
                 }
                 _ => {
-                    self.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
+                    self.counts.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
                     fs::remove_file(&path)?;
                 }
             }
@@ -406,11 +406,11 @@ impl Store {
                 Ok(None) => break,
                 Err(RecordDamage::Corrupt) => {
                     damaged = true;
-                    self.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
+                    self.counts.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(RecordDamage::Torn) => {
                     damaged = true;
-                    self.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
+                    self.counts.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
             }
@@ -429,7 +429,7 @@ impl Store {
                 // Checksum-valid but semantically unreadable: account
                 // it like any other damaged record.
                 damaged = true;
-                self.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
+                self.counts.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
                 continue;
             };
             // First recorded parent wins (mirrors record_patch).
@@ -505,7 +505,8 @@ impl Store {
             pairs.push(("curve".into(), curve_to_json(c)));
         }
         let record = encode_record(&Json::Obj(pairs).encode());
-        self.write_atomic(&self.instance_path(key), record.as_bytes())?;
+        let written = self.write_atomic(&self.instance_path(key), record.as_bytes());
+        self.counted(written)?;
         self.sizes
             .lock()
             .expect("store lock poisoned")
@@ -538,7 +539,7 @@ impl Store {
     }
 
     fn discard_damaged(&self, key: u128, path: &Path) {
-        self.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
+        self.counts.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
         let _ = fs::remove_file(path);
         self.sizes.lock().expect("store lock poisoned").remove(&key);
     }
@@ -567,15 +568,27 @@ impl Store {
         };
         let record = encode_record(&hop.to_json().encode());
         let _guard = self.log.lock().expect("store lock poisoned");
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.log_path())?;
-        f.write_all(record.as_bytes())?;
-        if self.fsync {
-            f.sync_all()?;
+        let append = || {
+            let mut f = fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.log_path())?;
+            f.write_all(record.as_bytes())?;
+            if self.fsync {
+                f.sync_all()?;
+            }
+            Ok(())
+        };
+        self.counted(append())
+    }
+
+    /// Pass a write's outcome through, counting a failure in
+    /// `write_failures`.
+    fn counted(&self, written: io::Result<()>) -> io::Result<()> {
+        if written.is_err() {
+            self.counts.write_failures.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(())
+        written
     }
 
     /// The recorded parent of `key`, with the edit batch that
@@ -646,7 +659,7 @@ impl Store {
                 let mut inst = base.inst;
                 for batch in batches.iter().rev() {
                     inst = inst.apply(batch).ok()?;
-                    self.replays.fetch_add(1, Ordering::Relaxed);
+                    self.counts.replays.fetch_add(1, Ordering::Relaxed);
                 }
                 inst.warm();
                 if content_key(inst.graph(), &base.model) != key {
@@ -669,9 +682,7 @@ impl Store {
         StoreStatsReport {
             entries: sizes.len() as u64,
             bytes: sizes.values().sum(),
-            recovered: self.recovered.load(Ordering::Relaxed),
-            corrupt_skipped: self.corrupt_skipped.load(Ordering::Relaxed),
-            replays: self.replays.load(Ordering::Relaxed),
+            ..self.counts.load()
         }
     }
 }

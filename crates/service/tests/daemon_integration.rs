@@ -274,6 +274,26 @@ fn repeated_solve_hits_cache_and_skips_preparation() {
     daemon.shutdown(client);
 }
 
+/// A worker's `stats` row is its whole work ledger: a cold solve of an
+/// SP graph shows its one classification and its one SP recognition,
+/// and a repeat of the same frame, a cache hit, adds neither.
+#[test]
+fn worker_row_shows_the_analysis_passes_a_cold_solve_paid() {
+    let daemon = Spawned::new("ledger", &["--workers", "1"]);
+    let mut client = daemon.client();
+    let g = big_graph(4);
+    assert!(!expect_solve(client.roundtrip(solve_req(&g)).unwrap().response).cached);
+    let cold = expect_stats(client.roundtrip(Request::Stats).unwrap().response).workers[0];
+    assert_eq!((cold.classify, cold.sp_from_graph), (1, 1), "{cold:?}");
+
+    assert!(expect_solve(client.roundtrip(solve_req(&g)).unwrap().response).cached);
+    let hot = expect_stats(client.roundtrip(Request::Stats).unwrap().response).workers[0];
+    let delta = hot - cold;
+    assert_eq!((delta.requests, delta.solves), (1, 1));
+    assert_eq!((delta.classify, delta.sp_from_graph), (0, 0), "{delta:?}");
+    daemon.shutdown(client);
+}
+
 /// Under a one-entry budget, a second distinct instance evicts the
 /// first (and the evictee misses when it returns).
 #[test]

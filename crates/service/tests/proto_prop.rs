@@ -18,6 +18,7 @@ use reclaim_service::proto::{
     MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use taskgraph::edit::GraphEdit;
+use taskgraph::profiling::CounterTable;
 use taskgraph::{generators, TaskGraph};
 
 fn arb_model() -> impl Strategy<Value = EnergyModel> {
@@ -320,53 +321,24 @@ fn arb_entry() -> impl Strategy<Value = CorpusEntry> {
         )
 }
 
-/// A stats report with every counter drawn from `seed`.
+/// A stats report with every counter drawn from `seed`: each table is
+/// built by name, so a new counter is round-tripped without an edit
+/// here.
 fn stats(seed: u64, workers: usize) -> StatsReport {
     let mut x = seed;
-    let mut next = || {
+    let mut next = |_: &str| {
         x = x
             .wrapping_mul(6_364_136_223_846_793_005)
             .wrapping_add(1_442_695_040_888_963_407);
         x >> 24 // 40 bits: exact on the wire
     };
     StatsReport {
-        cache: CacheStatsReport {
-            entries: next(),
-            bytes: next(),
-            hits: next(),
-            misses: next(),
-            evictions: next(),
-            patch_hits: next(),
-            patch_misses: next(),
-            rekeys: next(),
-        },
+        cache: CacheStatsReport::from_fn(&mut next),
         workers: (0..workers)
-            .map(|_| WorkerStatsReport {
-                requests: next(),
-                solves: next(),
-                solve_ns: next(),
-                warm_lost: next(),
-                bnb_nodes: next(),
-                bnb_steals: next(),
-                sp_splice: next(),
-                sp_splice_miss: next(),
-                cone_nodes: next(),
-            })
+            .map(|_| WorkerStatsReport::from_fn(&mut next))
             .collect(),
-        net: NetStatsReport {
-            connections: next(),
-            queue_depth: next(),
-            inflight: next(),
-            rejected: next(),
-            timeouts: next(),
-        },
-        store: StoreStatsReport {
-            entries: next(),
-            bytes: next(),
-            recovered: next(),
-            corrupt_skipped: next(),
-            replays: next(),
-        },
+        net: NetStatsReport::from_fn(&mut next),
+        store: StoreStatsReport::from_fn(&mut next),
     }
 }
 
