@@ -88,7 +88,8 @@ fn main() {
     for id in &run_ids {
         let start = std::time::Instant::now();
         let o = experiments::run_one(id).unwrap_or_else(|| {
-            eprintln!("unknown experiment id: {id} (use t1..t7, f1..f4, x1..x8)");
+            let known = experiments::all_ids().join(", ");
+            eprintln!("unknown experiment id: {id} (known: {known})");
             std::process::exit(2);
         });
         let mean_ns = start.elapsed().as_nanos();

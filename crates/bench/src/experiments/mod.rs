@@ -29,8 +29,15 @@ pub mod x7;
 pub mod x8;
 pub mod x9;
 
-use models::PowerLaw;
+use models::{EnergyModel, PowerLaw};
 use reclaim_core::continuous;
+use reclaim_core::engine::content_key;
+use reclaim_service::client::Client;
+use reclaim_service::daemon::{Daemon, DaemonConfig};
+use reclaim_service::proto::{Request, Response, StatsReport};
+use reclaim_service::Endpoint;
+use std::thread::JoinHandle;
+use taskgraph::edit::GraphEdit;
 use taskgraph::{PreparedGraph, TaskGraph};
 
 /// The paper's power law, used by every experiment.
@@ -102,6 +109,191 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = std::time::Instant::now();
     let v = f();
     (v, start.elapsed().as_secs_f64())
+}
+
+/// A deterministic xorshift64 stream from `seed`: each call steps the
+/// state and returns it modulo `m`.
+pub fn xorshift(seed: u64) -> impl FnMut(u64) -> u64 {
+    let mut x = seed;
+    move |m| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % m
+    }
+}
+
+/// The `pct`-th percentile of nanosecond samples, in microseconds (0
+/// without samples).
+pub fn percentile(samples_ns: &[u64], pct: usize) -> f64 {
+    let mut sorted = samples_ns.to_vec();
+    sorted.sort_unstable();
+    let idx = (sorted.len() * pct / 100).min(sorted.len().saturating_sub(1));
+    sorted.get(idx).map_or(0.0, |&ns| ns as f64 / 1e3)
+}
+
+/// Write an experiment's manifest to `path`, creating its directory
+/// first.
+pub fn write_manifest(path: &str, text: &str) {
+    let path = std::path::Path::new(path);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("create manifest directory");
+    }
+    std::fs::write(path, text).expect("write manifest");
+}
+
+/// An in-process `reclaimd` on an ephemeral TCP port, for the
+/// experiments that drive a live daemon.
+pub struct LiveDaemon {
+    endpoint: Endpoint,
+    thread: JoinHandle<std::io::Result<()>>,
+}
+
+impl LiveDaemon {
+    /// Bind `cfg` on `127.0.0.1:0` (a store-backed daemon runs its
+    /// recovery scan here) and serve it on a thread of its own.
+    pub fn start(cfg: DaemonConfig) -> LiveDaemon {
+        let daemon = Daemon::bind(DaemonConfig {
+            tcp: Some("127.0.0.1:0".into()),
+            ..cfg
+        })
+        .expect("bind ephemeral daemon");
+        LiveDaemon {
+            endpoint: daemon.endpoint(),
+            thread: std::thread::spawn(move || daemon.run()),
+        }
+    }
+
+    /// A new connection.
+    pub fn client(&self) -> Client {
+        Client::connect(&self.endpoint).expect("connect to daemon")
+    }
+
+    /// The daemon's `stats` counters.
+    pub fn stats(&self) -> StatsReport {
+        match self
+            .client()
+            .roundtrip(Request::Stats)
+            .expect("stats")
+            .response
+        {
+            Response::Stats(s) => s,
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+
+    /// Ask for `shutdown` and wait until the daemon has drained.
+    pub fn shutdown(self) {
+        match self
+            .client()
+            .roundtrip(Request::Shutdown)
+            .expect("shutdown")
+            .response
+        {
+            Response::Shutdown => {}
+            other => panic!("unexpected response: {other:?}"),
+        }
+        self.thread
+            .join()
+            .expect("daemon thread")
+            .expect("daemon run");
+    }
+}
+
+/// Deadline slack factor of the replayed traces' cached solves.
+pub const SLACK: f64 = 1.35;
+/// Deadline-factor range of the replayed traces' energy curves.
+pub const CURVE_LO: f64 = 1.1;
+/// See [`CURVE_LO`].
+pub const CURVE_HI: f64 = 1.6;
+
+/// What a response must be for the trace entry that asked for it.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum Kind {
+    Solve,
+    Deadlines,
+    CurveSampled,
+    CurveExact,
+    Patch,
+    Corpus,
+}
+
+/// Whether `resp` is the answer a request of `kind` calls for.
+pub fn kind_matches(kind: Kind, resp: &Response) -> bool {
+    matches!(
+        (kind, resp),
+        (Kind::Solve, Response::Solve(_))
+            | (Kind::Deadlines, Response::Deadlines(_))
+            | (Kind::CurveSampled, Response::Curve(_))
+            | (Kind::CurveExact, Response::CurveExact(_))
+            | (Kind::Patch, Response::Patch(_))
+            | (Kind::Corpus, Response::Corpus(_))
+    )
+}
+
+/// A `solve` of `g` under `model` at `deadline`.
+pub fn solve_request(g: &TaskGraph, model: &EnergyModel, deadline: f64) -> (Kind, Request) {
+    let graph = g.clone();
+    let model = model.clone();
+    (
+        Kind::Solve,
+        Request::Solve {
+            graph,
+            model,
+            deadline,
+        },
+    )
+}
+
+/// A four-point energy curve of `g` under `model` over
+/// [`CURVE_LO`]`..`[`CURVE_HI`], exact or sampled.
+pub fn curve_request(g: &TaskGraph, model: &EnergyModel, exact: bool) -> (Kind, Request) {
+    let kind = if exact {
+        Kind::CurveExact
+    } else {
+        Kind::CurveSampled
+    };
+    let request = Request::EnergyCurve {
+        graph: g.clone(),
+        model: model.clone(),
+        points: 4,
+        lo: CURVE_LO,
+        hi: CURVE_HI,
+        exact,
+    };
+    (kind, request)
+}
+
+/// An identity patch of the instance cached for `g` under `model`: set
+/// `task`'s weight and set it back. The patched key equals the base
+/// key, so the entry is re-inserted in place and the base stays
+/// patchable for a whole trace — repeatable, and safe to run
+/// concurrently inside a pipeline window — while the full patch path
+/// still runs: edit application, instance clone, re-solve, rekey
+/// accounting, lineage.
+pub fn identity_patch(
+    g: &TaskGraph,
+    model: &EnergyModel,
+    task: usize,
+    deadline: f64,
+) -> (Kind, Request) {
+    let w0 = g.weights()[task];
+    let edits = vec![
+        GraphEdit::SetWeight {
+            task,
+            weight: w0 + 1.0,
+        },
+        GraphEdit::SetWeight { task, weight: w0 },
+    ];
+    let base = content_key(g, model);
+    (
+        Kind::Patch,
+        Request::Patch {
+            base,
+            edits,
+            deadline,
+        },
+    )
 }
 
 /// An experiment entry point.

@@ -70,14 +70,9 @@ const CORE_SLACK: f64 = 12.0;
 /// Irregular core weights in `[1, 3)` from a fixed xorshift stream —
 /// deterministic across runs and platforms.
 fn core_weights() -> Vec<f64> {
-    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut roll = super::xorshift(0x2545_f491_4f6c_dd1d);
     (0..N_CORE)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            1.0 + (x % 1000) as f64 / 500.0
-        })
+        .map(|_| 1.0 + roll(1000) as f64 / 500.0)
         .collect()
 }
 
@@ -109,9 +104,9 @@ fn manifest(partitions: &[PartitionReport]) -> String {
              \"pruned_infeasible\": {}, \"pruned_bound\": {}, \
              \"complete\": {}, \"energy_bits\": {}}}{}\n",
             key.join(", "),
-            p.nodes,
-            p.pruned_infeasible,
-            p.pruned_bound,
+            p.stats.nodes,
+            p.stats.pruned_infeasible,
+            p.stats.pruned_bound,
             p.complete,
             energy,
             if i + 1 < partitions.len() { "," } else { "" },
@@ -164,7 +159,7 @@ pub fn run() -> Outcome {
     let node_ratio = par1.stats.nodes as f64 / seq.stats.nodes.max(1) as f64;
     let fast_enough = speedup >= 2.0 || cores < WORKERS;
     if let Ok(path) = std::env::var("X10_MANIFEST") {
-        std::fs::write(&path, manifest(&par1.partitions)).expect("write X10 manifest");
+        super::write_manifest(&path, &manifest(&par1.partitions));
     }
 
     // Anytime arm: a budget far below the full search must surface

@@ -37,17 +37,19 @@
 //! `X11_SMOKE=1` shrinks the trace for quick CI runs; the manifest
 //! determinism contract holds at every scale.
 
-use super::Outcome;
+use super::{
+    curve_request, identity_patch, kind_matches, percentile, solve_request, write_manifest,
+    xorshift, Kind, LiveDaemon, Outcome, SLACK,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use reclaim_core::engine::content_key;
-use reclaim_service::client::Client;
+use reclaim_service::cache::CacheConfig;
 use reclaim_service::corpus::CorpusJob;
-use reclaim_service::daemon::{Daemon, DaemonConfig};
-use reclaim_service::proto::{Request, RequestEnvelope, Response};
-use reclaim_service::Endpoint;
+use reclaim_service::daemon::DaemonConfig;
+use reclaim_service::proto::{Request, RequestEnvelope, ResponseEnvelope};
 use report::Table;
-use taskgraph::edit::GraphEdit;
+use std::collections::HashMap;
+use std::time::Instant;
 use taskgraph::{generators, TaskGraph};
 
 /// Pipelined arm's window; matches the daemon's default
@@ -55,11 +57,6 @@ use taskgraph::{generators, TaskGraph};
 const WINDOW: usize = 32;
 /// Gate the speedup only at this many cores or more.
 const GATE_CORES: usize = 4;
-/// Deadline slack factor for the cached solves.
-const SLACK: f64 = 1.35;
-/// Exact/sampled curve deadline-factor range.
-const CURVE_LO: f64 = 1.1;
-const CURVE_HI: f64 = 1.6;
 
 /// Full-scale vs `X11_SMOKE=1` trace dimensions: (connections,
 /// requests per connection).
@@ -69,29 +66,6 @@ fn scale() -> (usize, usize) {
     } else {
         (120, 180)
     }
-}
-
-/// What a response must be for the trace entry that asked for it.
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum Kind {
-    Solve,
-    Deadlines,
-    CurveSampled,
-    CurveExact,
-    Patch,
-    Corpus,
-}
-
-fn kind_matches(kind: Kind, resp: &Response) -> bool {
-    matches!(
-        (kind, resp),
-        (Kind::Solve, Response::Solve(_))
-            | (Kind::Deadlines, Response::Deadlines(_))
-            | (Kind::CurveSampled, Response::Curve(_))
-            | (Kind::CurveExact, Response::CurveExact(_))
-            | (Kind::Patch, Response::Patch(_))
-            | (Kind::Corpus, Response::Corpus(_))
-    )
 }
 
 /// The fixed workload pool: small series–parallel graphs (sizes
@@ -135,24 +109,10 @@ fn pool() -> Pool {
 
 /// Deal the deterministic trace: `conns` connections of `per_conn`
 /// requests each, from the weighted mix. Depends only on the seed and
-/// the pool — never on timing.
-///
-/// Patch requests use *identity batches* — set a weight, set it back
-/// — so the XOR-delta patched key equals the base key and the cache
-/// entry is re-inserted in place. That makes patches repeatable (a
-/// rekeying patch consumes its base: the entry moves to the patched
-/// key and a second patch of the same base is `unknown-base`) and
-/// safe to run concurrently inside a pipeline window, while still
-/// driving the full patch path: edit application, instance clone,
-/// re-solve, rekey accounting.
+/// the pool — never on timing. Patch requests are
+/// [`identity_patch`]es, so every base stays patchable.
 fn trace(pool: &Pool, conns: usize, per_conn: usize) -> Vec<Vec<(Kind, Request)>> {
-    let mut x = 0x2545_f491_4f6c_dd1du64;
-    let mut roll = move |m: u64| {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x % m
-    };
+    let mut roll = xorshift(0x2545_f491_4f6c_dd1d);
     (0..conns)
         .map(|_| {
             (0..per_conn)
@@ -160,14 +120,7 @@ fn trace(pool: &Pool, conns: usize, per_conn: usize) -> Vec<Vec<(Kind, Request)>
                     let (g, d) = &pool.graphs[roll(pool.graphs.len() as u64) as usize];
                     match roll(100) {
                         // Cached solves dominate, as in real traffic.
-                        0..=49 => (
-                            Kind::Solve,
-                            Request::Solve {
-                                graph: g.clone(),
-                                model: pool.solve_model.clone(),
-                                deadline: *d,
-                            },
-                        ),
+                        0..=49 => solve_request(g, &pool.solve_model, *d),
                         50..=59 => (
                             Kind::Deadlines,
                             Request::SolveDeadlines {
@@ -181,45 +134,11 @@ fn trace(pool: &Pool, conns: usize, per_conn: usize) -> Vec<Vec<(Kind, Request)>
                         // time, so they ride on the smallest graph
                         // only (they exercise the protocol, not the
                         // throughput claim).
-                        60..=61 => (
-                            Kind::CurveSampled,
-                            Request::EnergyCurve {
-                                graph: pool.graphs[0].0.clone(),
-                                model: pool.curve_model.clone(),
-                                points: 4,
-                                lo: CURVE_LO,
-                                hi: CURVE_HI,
-                                exact: false,
-                            },
-                        ),
-                        62..=69 => (
-                            Kind::CurveExact,
-                            Request::EnergyCurve {
-                                graph: g.clone(),
-                                model: pool.curve_model.clone(),
-                                points: 4,
-                                lo: CURVE_LO,
-                                hi: CURVE_HI,
-                                exact: true,
-                            },
-                        ),
+                        60..=61 => curve_request(&pool.graphs[0].0, &pool.curve_model, false),
+                        62..=69 => curve_request(g, &pool.curve_model, true),
                         70..=94 => {
                             let task = roll(g.n() as u64) as usize;
-                            let w0 = g.weights()[task];
-                            (
-                                Kind::Patch,
-                                Request::Patch {
-                                    base: content_key(g, &pool.solve_model),
-                                    edits: vec![
-                                        GraphEdit::SetWeight {
-                                            task,
-                                            weight: w0 + 1.0,
-                                        },
-                                        GraphEdit::SetWeight { task, weight: w0 },
-                                    ],
-                                    deadline: *d,
-                                },
-                            )
+                            identity_patch(g, &pool.solve_model, task, *d)
                         }
                         _ => (
                             Kind::Corpus,
@@ -265,19 +184,18 @@ struct Arm {
 
 /// Replay the trace connection by connection at the given window.
 /// Window 1 is the serial arm; the code path is otherwise identical.
-fn replay(ep: &Endpoint, trace: &[Vec<(Kind, Request)>], window: usize) -> Arm {
+fn replay(daemon: &LiveDaemon, trace: &[Vec<(Kind, Request)>], window: usize) -> Arm {
     let mut lat_ns = Vec::new();
     let mut answered = 0usize;
     let mut mismatched = 0usize;
     let mut dropped = 0usize;
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     for conn in trace {
-        let mut client = Client::connect(ep).expect("connect replay client");
+        let mut client = daemon.client();
         let mut pipe = client.pipeline(window);
-        let mut sent: std::collections::HashMap<u64, (std::time::Instant, Kind)> =
-            std::collections::HashMap::new();
-        let mut record = |resp: reclaim_service::proto::ResponseEnvelope,
-                          sent: &mut std::collections::HashMap<u64, (std::time::Instant, Kind)>,
+        let mut sent: HashMap<u64, (Instant, Kind)> = HashMap::new();
+        let mut record = |resp: ResponseEnvelope,
+                          sent: &mut HashMap<u64, (Instant, Kind)>,
                           lat_ns: &mut Vec<u64>| {
             let Some((at, kind)) = sent.remove(&resp.id) else {
                 mismatched += 1;
@@ -295,7 +213,7 @@ fn replay(ep: &Endpoint, trace: &[Vec<(Kind, Request)>], window: usize) -> Arm {
         };
         for (kind, req) in conn {
             let id = pipe.send(req.clone()).expect("pipelined send");
-            sent.insert(id, (std::time::Instant::now(), *kind));
+            sent.insert(id, (Instant::now(), *kind));
             // Responses collected while `send` waited for window
             // space: timestamp them now, not at the final drain.
             for resp in pipe.take_ready() {
@@ -319,38 +237,23 @@ fn replay(ep: &Endpoint, trace: &[Vec<(Kind, Request)>], window: usize) -> Arm {
 
 /// Fresh daemon + identical warmup (populate solve, curve, and corpus
 /// caches so the replay measures the transport, not cold solves).
-fn spawn_warm_daemon(pool: &Pool) -> (Endpoint, std::thread::JoinHandle<std::io::Result<()>>) {
-    let daemon = Daemon::bind(DaemonConfig {
-        tcp: Some("127.0.0.1:0".into()),
+fn spawn_warm_daemon(pool: &Pool) -> LiveDaemon {
+    let daemon = LiveDaemon::start(DaemonConfig {
         workers: 4,
-        cache: reclaim_service::cache::CacheConfig {
+        cache: CacheConfig {
             max_entries: 4096,
             max_bytes: 256 << 20,
         },
         ..DaemonConfig::default()
-    })
-    .expect("bind ephemeral daemon");
-    let ep = daemon.endpoint();
-    let handle = std::thread::spawn(move || daemon.run());
-    let mut client = Client::connect(&ep).expect("connect warmup client");
+    });
+    let mut client = daemon.client();
     for (g, d) in &pool.graphs {
-        client
-            .roundtrip(Request::Solve {
-                graph: g.clone(),
-                model: pool.solve_model.clone(),
-                deadline: *d,
-            })
-            .expect("warmup solve");
-        client
-            .roundtrip(Request::EnergyCurve {
-                graph: g.clone(),
-                model: pool.curve_model.clone(),
-                points: 4,
-                lo: CURVE_LO,
-                hi: CURVE_HI,
-                exact: true,
-            })
-            .expect("warmup curve");
+        for (_, req) in [
+            solve_request(g, &pool.solve_model, *d),
+            curve_request(g, &pool.curve_model, true),
+        ] {
+            client.roundtrip(req).expect("warmup request");
+        }
     }
     client
         .roundtrip(Request::Corpus {
@@ -358,29 +261,7 @@ fn spawn_warm_daemon(pool: &Pool) -> (Endpoint, std::thread::JoinHandle<std::io:
             jobs: pool.corpus_jobs.clone(),
         })
         .expect("warmup corpus");
-    (ep, handle)
-}
-
-fn shutdown(ep: &Endpoint, handle: std::thread::JoinHandle<std::io::Result<()>>) {
-    let mut client = Client::connect(ep).expect("connect for shutdown");
-    match client
-        .roundtrip(Request::Shutdown)
-        .expect("shutdown")
-        .response
-    {
-        Response::Shutdown => {}
-        other => panic!("unexpected response: {other:?}"),
-    }
-    drop(client);
-    handle.join().expect("daemon thread").expect("daemon run");
-}
-
-fn percentile(sorted_ns: &[u64], pct: usize) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = (sorted_ns.len() * pct / 100).min(sorted_ns.len() - 1);
-    sorted_ns[idx] as f64 / 1e3
+    daemon
 }
 
 /// Run the experiment.
@@ -391,28 +272,30 @@ pub fn run() -> Outcome {
     let requests: usize = trace.iter().map(Vec::len).sum();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if let Ok(path) = std::env::var("X11_MANIFEST") {
-        std::fs::write(&path, manifest(&trace)).expect("write X11 manifest");
+        write_manifest(&path, &manifest(&trace));
     }
 
-    let (ep, handle) = spawn_warm_daemon(&pool);
-    let serial = replay(&ep, &trace, 1);
-    shutdown(&ep, handle);
+    let daemon = spawn_warm_daemon(&pool);
+    let serial = replay(&daemon, &trace, 1);
+    daemon.shutdown();
 
-    let (ep, handle) = spawn_warm_daemon(&pool);
-    let pipelined = replay(&ep, &trace, WINDOW);
-    shutdown(&ep, handle);
+    let daemon = spawn_warm_daemon(&pool);
+    let pipelined = replay(&daemon, &trace, WINDOW);
+    daemon.shutdown();
 
     let speedup = serial.wall_ns as f64 / pipelined.wall_ns.max(1) as f64;
     let fast_enough = speedup >= 4.0 || cores < GATE_CORES;
     let clean = |a: &Arm| a.answered == requests && a.mismatched == 0 && a.dropped == 0;
     let lossless = clean(&serial) && clean(&pipelined);
 
-    let mut serial_lat = serial.lat_ns.clone();
-    serial_lat.sort_unstable();
-    let mut pipe_lat = pipelined.lat_ns.clone();
-    pipe_lat.sort_unstable();
-    let (s_p50, s_p99) = (percentile(&serial_lat, 50), percentile(&serial_lat, 99));
-    let (p_p50, p_p99) = (percentile(&pipe_lat, 50), percentile(&pipe_lat, 99));
+    let (s_p50, s_p99) = (
+        percentile(&serial.lat_ns, 50),
+        percentile(&serial.lat_ns, 99),
+    );
+    let (p_p50, p_p99) = (
+        percentile(&pipelined.lat_ns, 50),
+        percentile(&pipelined.lat_ns, 99),
+    );
 
     let mut table = Table::new(&[
         "arm",

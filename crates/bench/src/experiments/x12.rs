@@ -15,7 +15,7 @@
 //! * *populate*: a fresh daemon with `--store DIR` answers the trace,
 //!   then shuts down cleanly (clean shutdown spills every cached
 //!   instance and retained curve to the store);
-//! * *warm*: a second daemon boots on the populated store — the bind
+//! * *warm*: a second daemon boots on the populated store — its start
 //!   (which includes the recovery scan) is timed — and answers the
 //!   same trace. Every instance it needs re-materializes from disk:
 //!   zero prepare passes, curves served from restored slots;
@@ -33,26 +33,21 @@
 //! `X12_SMOKE=1` shrinks the trace for quick CI runs; every gate
 //! holds at every scale.
 
-use super::Outcome;
+use super::{
+    curve_request, identity_patch, kind_matches, percentile, solve_request, time_it, xorshift,
+    Kind, LiveDaemon, Outcome, SLACK,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use reclaim_core::engine::content_key;
-use reclaim_service::client::Client;
-use reclaim_service::daemon::{Daemon, DaemonConfig};
+use reclaim_service::cache::CacheConfig;
+use reclaim_service::daemon::DaemonConfig;
 use reclaim_service::proto::{Request, Response};
-use reclaim_service::Endpoint;
 use report::Table;
 use std::path::PathBuf;
-use taskgraph::edit::GraphEdit;
 use taskgraph::{generators, TaskGraph};
 
 /// The headline bar: cold prepare passes ≥ this multiple of warm.
 const GATE_RATIO: f64 = 5.0;
-/// Deadline slack factor for the cached solves.
-const SLACK: f64 = 1.35;
-/// Exact curve deadline-factor range.
-const CURVE_LO: f64 = 1.1;
-const CURVE_HI: f64 = 1.6;
 
 /// Full-scale vs `X12_SMOKE=1` trace dimensions: (graphs, total
 /// requests including the per-graph preamble).
@@ -62,14 +57,6 @@ fn scale() -> (usize, usize) {
     } else {
         (40, 1200)
     }
-}
-
-/// What a response must be for the trace entry that asked for it.
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum Kind {
-    Solve,
-    Patch,
-    CurveExact,
 }
 
 /// The fixed workload pool: series–parallel graphs with their solve
@@ -106,81 +93,24 @@ fn trace(pool: &Pool, total: usize) -> Vec<(Kind, Request)> {
     let mut out: Vec<(Kind, Request)> = pool
         .graphs
         .iter()
-        .map(|(g, d)| {
-            (
-                Kind::Solve,
-                Request::Solve {
-                    graph: g.clone(),
-                    model: pool.solve_model.clone(),
-                    deadline: *d,
-                },
-            )
-        })
+        .map(|(g, d)| solve_request(g, &pool.solve_model, *d))
         .collect();
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    let mut roll = move |m: u64| {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x % m
-    };
+    let mut roll = xorshift(0x9e37_79b9_7f4a_7c15);
     while out.len() < total {
         let (g, d) = &pool.graphs[roll(pool.graphs.len() as u64) as usize];
         let entry = match roll(100) {
-            0..=54 => (
-                Kind::Solve,
-                Request::Solve {
-                    graph: g.clone(),
-                    model: pool.solve_model.clone(),
-                    deadline: *d,
-                },
-            ),
-            // Identity batches keep the patched key equal to the base
-            // key, so bases stay patchable for the whole trace while
-            // the full patch path (edit application, re-solve, rekey
-            // accounting, lineage) still runs.
+            0..=54 => solve_request(g, &pool.solve_model, *d),
+            // Identity batches keep every base patchable for the whole
+            // trace.
             55..=84 => {
                 let task = roll(g.n() as u64) as usize;
-                let w0 = g.weights()[task];
-                (
-                    Kind::Patch,
-                    Request::Patch {
-                        base: content_key(g, &pool.solve_model),
-                        edits: vec![
-                            GraphEdit::SetWeight {
-                                task,
-                                weight: w0 + 1.0,
-                            },
-                            GraphEdit::SetWeight { task, weight: w0 },
-                        ],
-                        deadline: *d,
-                    },
-                )
+                identity_patch(g, &pool.solve_model, task, *d)
             }
-            _ => (
-                Kind::CurveExact,
-                Request::EnergyCurve {
-                    graph: g.clone(),
-                    model: pool.curve_model.clone(),
-                    points: 4,
-                    lo: CURVE_LO,
-                    hi: CURVE_HI,
-                    exact: true,
-                },
-            ),
+            _ => curve_request(g, &pool.curve_model, true),
         };
         out.push(entry);
     }
     out
-}
-
-fn kind_matches(kind: Kind, resp: &Response) -> bool {
-    matches!(
-        (kind, resp),
-        (Kind::Solve, Response::Solve(_))
-            | (Kind::Patch, Response::Patch(_))
-            | (Kind::CurveExact, Response::CurveExact(_))
-    )
 }
 
 /// A timing-free fingerprint of one response: energy bits for solves
@@ -212,8 +142,8 @@ struct Arm {
 }
 
 /// Replay the trace serially over one connection.
-fn replay(ep: &Endpoint, trace: &[(Kind, Request)]) -> Arm {
-    let mut client = Client::connect(ep).expect("connect replay client");
+fn replay(daemon: &LiveDaemon, trace: &[(Kind, Request)]) -> Arm {
+    let mut client = daemon.client();
     let mut arm = Arm {
         lat_ns: Vec::with_capacity(trace.len()),
         answered: 0,
@@ -244,59 +174,18 @@ fn replay(ep: &Endpoint, trace: &[(Kind, Request)]) -> Arm {
     arm
 }
 
-/// Bind an in-process daemon, optionally on a store directory, and
-/// return its endpoint, its thread, and how long the bind took (for
-/// store-backed daemons that is recovery: the boot scan runs inside).
-fn spawn_daemon(
-    store: Option<PathBuf>,
-) -> (Endpoint, std::thread::JoinHandle<std::io::Result<()>>, u64) {
-    let t0 = std::time::Instant::now();
-    let daemon = Daemon::bind(DaemonConfig {
-        tcp: Some("127.0.0.1:0".into()),
+/// Start an in-process daemon, optionally on a store directory (whose
+/// recovery scan then runs inside the start).
+fn start_daemon(store: Option<PathBuf>) -> LiveDaemon {
+    LiveDaemon::start(DaemonConfig {
         workers: 2,
-        cache: reclaim_service::cache::CacheConfig {
+        cache: CacheConfig {
             max_entries: 4096,
             max_bytes: 256 << 20,
         },
         store,
         ..DaemonConfig::default()
     })
-    .expect("bind ephemeral daemon");
-    let bind_ns = t0.elapsed().as_nanos() as u64;
-    let ep = daemon.endpoint();
-    let handle = std::thread::spawn(move || daemon.run());
-    (ep, handle, bind_ns)
-}
-
-/// Fetch the daemon's store counters.
-fn store_stats(ep: &Endpoint) -> reclaim_service::proto::StoreStatsReport {
-    let mut client = Client::connect(ep).expect("connect stats client");
-    match client.roundtrip(Request::Stats).expect("stats").response {
-        Response::Stats(s) => s.store,
-        other => panic!("unexpected response: {other:?}"),
-    }
-}
-
-fn shutdown(ep: &Endpoint, handle: std::thread::JoinHandle<std::io::Result<()>>) {
-    let mut client = Client::connect(ep).expect("connect for shutdown");
-    match client
-        .roundtrip(Request::Shutdown)
-        .expect("shutdown")
-        .response
-    {
-        Response::Shutdown => {}
-        other => panic!("unexpected response: {other:?}"),
-    }
-    drop(client);
-    handle.join().expect("daemon thread").expect("daemon run");
-}
-
-fn percentile(sorted_ns: &[u64], pct: usize) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = (sorted_ns.len() * pct / 100).min(sorted_ns.len() - 1);
-    sorted_ns[idx] as f64 / 1e3
 }
 
 /// Run the experiment.
@@ -312,23 +201,23 @@ pub fn run() -> Outcome {
 
     // Arm 1: populate the store, then shut down cleanly (the spill on
     // shutdown is what a warm restart recovers from).
-    let (ep, handle, _) = spawn_daemon(Some(dir.clone()));
-    let populate = replay(&ep, &trace);
-    let populated = store_stats(&ep);
-    shutdown(&ep, handle);
+    let daemon = start_daemon(Some(dir.clone()));
+    let populate = replay(&daemon, &trace);
+    let populated = daemon.stats().store;
+    daemon.shutdown();
 
-    // Arm 2: restart on the populated store. The bind is the
+    // Arm 2: restart on the populated store. The start is the
     // recovery: the boot scan re-indexes every entry before the
     // socket opens.
-    let (ep, handle, recovery_ns) = spawn_daemon(Some(dir.clone()));
-    let warm = replay(&ep, &trace);
-    let recovered = store_stats(&ep);
-    shutdown(&ep, handle);
+    let (daemon, recovery_s) = time_it(|| start_daemon(Some(dir.clone())));
+    let warm = replay(&daemon, &trace);
+    let recovered = daemon.stats().store;
+    daemon.shutdown();
 
     // Arm 3: no store — every distinct instance pays its prepare.
-    let (ep, handle, _) = spawn_daemon(None);
-    let cold = replay(&ep, &trace);
-    shutdown(&ep, handle);
+    let daemon = start_daemon(None);
+    let cold = replay(&daemon, &trace);
+    daemon.shutdown();
 
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -342,12 +231,8 @@ pub fn run() -> Outcome {
     let few_prepares = prepare_ratio >= GATE_RATIO;
     let recovered_warm = recovered.recovered > 0;
 
-    let mut warm_lat = warm.lat_ns.clone();
-    warm_lat.sort_unstable();
-    let mut cold_lat = cold.lat_ns.clone();
-    cold_lat.sort_unstable();
-    let (w_p50, w_p99) = (percentile(&warm_lat, 50), percentile(&warm_lat, 99));
-    let (c_p50, c_p99) = (percentile(&cold_lat, 50), percentile(&cold_lat, 99));
+    let (w_p50, w_p99) = (percentile(&warm.lat_ns, 50), percentile(&warm.lat_ns, 99));
+    let (c_p50, c_p99) = (percentile(&cold.lat_ns, 50), percentile(&cold.lat_ns, 99));
 
     let mut table = Table::new(&[
         "arm",
@@ -358,25 +243,21 @@ pub fn run() -> Outcome {
         "p99(µs)",
         "mismatched",
     ]);
-    let mut row = |name: &str, a: &Arm, p50: f64, p99: f64| {
+    for (name, a) in [
+        ("populate (store, cold)", &populate),
+        ("warm restart (store)", &warm),
+        ("cold (no store)", &cold),
+    ] {
         table.row(&[
             name.into(),
             format!("{requests}"),
             format!("{}", a.prepares),
             format!("{}", a.cached_curves),
-            format!("{p50:.1}"),
-            format!("{p99:.1}"),
+            format!("{:.1}", percentile(&a.lat_ns, 50)),
+            format!("{:.1}", percentile(&a.lat_ns, 99)),
             format!("{}", a.mismatched),
         ]);
-    };
-    {
-        let mut pop_lat = populate.lat_ns.clone();
-        pop_lat.sort_unstable();
-        let (p50, p99) = (percentile(&pop_lat, 50), percentile(&pop_lat, 99));
-        row("populate (store, cold)", &populate, p50, p99);
     }
-    row("warm restart (store)", &warm, w_p50, w_p99);
-    row("cold (no store)", &cold, c_p50, c_p99);
 
     let pass = lossless && answers_match && few_prepares && recovered_warm;
     Outcome {
@@ -393,7 +274,7 @@ pub fn run() -> Outcome {
             ("cold_prepares", cold.prepares as f64),
             ("warm_prepares", warm.prepares as f64),
             ("prepare_ratio", prepare_ratio),
-            ("recovery_ms", recovery_ns as f64 / 1e6),
+            ("recovery_ms", recovery_s * 1e3),
             ("warm_p50_us", w_p50),
             ("warm_p99_us", w_p99),
             ("cold_p50_us", c_p50),
@@ -414,7 +295,7 @@ pub fn run() -> Outcome {
             if pass { "PASS" } else { "FAIL" },
             cold.prepares,
             warm.prepares,
-            recovery_ns as f64 / 1e6,
+            recovery_s * 1e3,
             recovered.recovered,
             if answers_match {
                 "bit-identical"

@@ -44,11 +44,10 @@
 //! `X13_SMOKE=1` shrinks the instances for quick CI runs; every gate
 //! holds at every scale.
 
-use super::{Outcome, P};
+use super::{LiveDaemon, Outcome, P};
 use reclaim_core::engine::content_key;
 use reclaim_core::Engine;
-use reclaim_service::client::Client;
-use reclaim_service::daemon::{Daemon, DaemonConfig};
+use reclaim_service::daemon::DaemonConfig;
 use reclaim_service::proto::{Request, Response};
 use report::Table;
 use std::sync::Arc;
@@ -174,15 +173,11 @@ fn energies_bit_identical(
 /// Drive one solve + one structural patch through an in-process
 /// daemon and return the summed per-worker `sp_splice` from `stats`.
 fn daemon_splices(k: usize) -> u64 {
-    let daemon = Daemon::bind(DaemonConfig {
-        tcp: Some("127.0.0.1:0".into()),
+    let daemon = LiveDaemon::start(DaemonConfig {
         workers: 2,
         ..DaemonConfig::default()
-    })
-    .expect("bind ephemeral daemon");
-    let ep = daemon.endpoint();
-    let handle = std::thread::spawn(move || daemon.run());
-    let mut client = Client::connect(&ep).expect("connect daemon client");
+    });
+    let mut client = daemon.client();
 
     let g = block_graph(k);
     let model = models::EnergyModel::continuous_unbounded();
@@ -204,20 +199,8 @@ fn daemon_splices(k: usize) -> u64 {
         .expect("daemon patch");
     assert!(matches!(resp.response, Response::Patch(_)), "{resp:?}");
 
-    let splices = match client.roundtrip(Request::Stats).expect("stats").response {
-        Response::Stats(s) => s.workers.iter().map(|w| w.sp_splice).sum(),
-        other => panic!("unexpected response: {other:?}"),
-    };
-    match client
-        .roundtrip(Request::Shutdown)
-        .expect("shutdown")
-        .response
-    {
-        Response::Shutdown => {}
-        other => panic!("unexpected response: {other:?}"),
-    }
-    drop(client);
-    handle.join().expect("daemon thread").expect("daemon run");
+    let splices = daemon.stats().workers.iter().map(|w| w.sp_splice).sum();
+    daemon.shutdown();
     splices
 }
 

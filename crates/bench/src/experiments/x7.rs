@@ -13,11 +13,10 @@
 //! `BENCH_X7.json` (`cold_ns` vs `warm_mean_ns`) so the perf trail
 //! tracks daemon latency from this PR onward.
 
-use super::Outcome;
+use super::{LiveDaemon, Outcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use reclaim_service::client::Client;
-use reclaim_service::daemon::{Daemon, DaemonConfig};
+use reclaim_service::daemon::DaemonConfig;
 use reclaim_service::proto::{Request, Response, SolveReport};
 use report::Table;
 use taskgraph::generators;
@@ -34,16 +33,11 @@ pub fn run() -> Outcome {
     let model = models::EnergyModel::continuous_unbounded();
     let deadline = 1.4 * taskgraph::analysis::critical_path_weight(&g);
 
-    let daemon = Daemon::bind(DaemonConfig {
-        tcp: Some("127.0.0.1:0".into()),
+    let daemon = LiveDaemon::start(DaemonConfig {
         workers: 2,
         ..DaemonConfig::default()
-    })
-    .expect("bind ephemeral daemon");
-    let endpoint = daemon.endpoint();
-    let daemon_thread = std::thread::spawn(move || daemon.run());
-
-    let mut client = Client::connect(&endpoint).expect("connect to daemon");
+    });
+    let mut client = daemon.client();
     let mut ask = |g: &taskgraph::TaskGraph| -> (SolveReport, u128) {
         let t0 = std::time::Instant::now();
         let resp = client
@@ -68,23 +62,8 @@ pub fn run() -> Outcome {
         warm_wall_total += wall;
         warm_reports.push(r);
     }
-    let stats = match client.roundtrip(Request::Stats).expect("stats").response {
-        Response::Stats(s) => s,
-        other => panic!("unexpected response: {other:?}"),
-    };
-    match client
-        .roundtrip(Request::Shutdown)
-        .expect("shutdown")
-        .response
-    {
-        Response::Shutdown => {}
-        other => panic!("unexpected response: {other:?}"),
-    }
-    drop(client);
-    daemon_thread
-        .join()
-        .expect("daemon thread")
-        .expect("daemon run");
+    let stats = daemon.stats();
+    daemon.shutdown();
 
     let hits_ok = stats.cache.hits >= WARM_REQUESTS as u64;
     let all_cached = warm_reports.iter().all(|r| r.cached && r.prep_ns == 0);

@@ -23,13 +23,12 @@
 //! `patch_mean_ns`, `speedup_x`) for the perf trail, plus the pass
 //! conditions CI gates on (`warm_lp_hits`, `prep_zero`, `max_drift`).
 
-use super::Outcome;
+use super::{LiveDaemon, Outcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reclaim_core::engine::content_key;
 use reclaim_core::Engine;
-use reclaim_service::client::Client;
-use reclaim_service::daemon::{Daemon, DaemonConfig};
+use reclaim_service::daemon::DaemonConfig;
 use reclaim_service::proto::{PatchReport, Request, Response};
 use report::Table;
 use taskgraph::edit::{apply_edits, GraphEdit};
@@ -48,15 +47,11 @@ pub fn run() -> Outcome {
     let model = models::EnergyModel::VddHopping(modes);
     let deadline = 1.4 * taskgraph::analysis::critical_path_weight(&g) / 2.4;
 
-    let daemon = Daemon::bind(DaemonConfig {
-        tcp: Some("127.0.0.1:0".into()),
+    let daemon = LiveDaemon::start(DaemonConfig {
         workers: 2,
         ..DaemonConfig::default()
-    })
-    .expect("bind ephemeral daemon");
-    let endpoint = daemon.endpoint();
-    let daemon_thread = std::thread::spawn(move || daemon.run());
-    let mut client = Client::connect(&endpoint).expect("connect to daemon");
+    });
+    let mut client = daemon.client();
 
     // Seed: one cold solve of the base instance (also retains the
     // flow in the cache entry's warm slot).
@@ -112,19 +107,7 @@ pub fn run() -> Outcome {
         patch_reports.push((p, wall));
     }
 
-    match client
-        .roundtrip(Request::Shutdown)
-        .expect("shutdown")
-        .response
-    {
-        Response::Shutdown => {}
-        other => panic!("unexpected response: {other:?}"),
-    }
-    drop(client);
-    daemon_thread
-        .join()
-        .expect("daemon thread")
-        .expect("daemon run");
+    daemon.shutdown();
 
     let all_prep_zero = patch_reports.iter().all(|(p, _)| p.report.prep_ns == 0);
     let all_warm = patch_reports.iter().all(|(p, _)| p.warm_lp);

@@ -82,10 +82,10 @@ pub struct BarrierSolution {
     pub gap: f64,
     /// Total Newton steps across all centering problems.
     pub newton_steps: usize,
-    /// The barrier weight the solve terminated at. Feed
-    /// `t_final / mu` back into [`BarrierSolver::minimize_warm`] (via
-    /// [`WarmStart`]) to re-enter the central path near its end on the
-    /// next, nearby problem of a sweep.
+    /// The barrier weight the solve terminated at. Feed it back into
+    /// [`BarrierSolver::minimize_warm`] (via [`WarmStart`]) to re-enter
+    /// the central path near its end on the next, nearby problem of a
+    /// sweep.
     pub t_final: f64,
 }
 
@@ -103,31 +103,26 @@ pub struct WarmStart {
     pub t_final: f64,
 }
 
+/// Barrier weight multiplier per outer iteration.
+const MU: f64 = 20.0;
+/// Maximum Newton steps per centering problem.
+const MAX_NEWTON: usize = 80;
+/// Line-search backtracking factor.
+const BETA: f64 = 0.5;
+/// Line-search sufficient-decrease factor.
+const ALPHA: f64 = 0.25;
+
 /// The log-barrier solver (Boyd & Vandenberghe §11.3).
 #[derive(Debug, Clone)]
 pub struct BarrierSolver {
     /// Target duality-gap bound `m / t` (absolute, also scaled by the
     /// objective magnitude).
     pub tol: f64,
-    /// Barrier weight multiplier per outer iteration.
-    pub mu: f64,
-    /// Maximum Newton steps per centering problem.
-    pub max_newton: usize,
-    /// Line-search backtracking factor.
-    pub beta: f64,
-    /// Line-search sufficient-decrease factor.
-    pub alpha: f64,
 }
 
 impl Default for BarrierSolver {
     fn default() -> Self {
-        BarrierSolver {
-            tol: 1e-9,
-            mu: 20.0,
-            max_newton: 80,
-            beta: 0.5,
-            alpha: 0.25,
-        }
+        BarrierSolver { tol: 1e-9 }
     }
 }
 
@@ -138,7 +133,6 @@ impl BarrierSolver {
     pub fn with_precision_k(k: u32) -> BarrierSolver {
         BarrierSolver {
             tol: 1.0 / (k.max(1) as f64),
-            ..BarrierSolver::default()
         }
     }
 
@@ -227,7 +221,7 @@ impl BarrierSolver {
         loop {
             // ---- Centering: Newton on  t·f(x) − Σ log(slack_k).
             let mut made_progress = false;
-            for _ in 0..self.max_newton {
+            for _ in 0..MAX_NEWTON {
                 // Gradient and Hessian of the barrier-augmented
                 // objective: the Hessian is diag(t·f'') plus
                 // Σ c cᵀ / slack² over the constraints.
@@ -266,13 +260,13 @@ impl BarrierSolver {
                     let feasible = constraints.iter().all(|c| c.slack(&cand) > 0.0);
                     if feasible {
                         let fv = self.barrier_value(obj, constraints, &cand, t);
-                        if fv.is_finite() && fv <= f0 - self.alpha * step * gdx {
+                        if fv.is_finite() && fv <= f0 - ALPHA * step * gdx {
                             x = cand;
                             accepted = true;
                             break;
                         }
                     }
-                    step *= self.beta;
+                    step *= BETA;
                 }
                 newton_steps += 1;
                 if !accepted {
@@ -298,7 +292,7 @@ impl BarrierSolver {
             if !made_progress && gap > self.tol * scale * 1e3 {
                 return Err(ConvexError::Stalled);
             }
-            t *= self.mu;
+            t *= MU;
         }
     }
 

@@ -25,8 +25,8 @@
 //!
 //! The barrier method is the standard one (Boyd & Vandenberghe §11,
 //! the reference the paper itself cites): follow the central path,
-//! multiplying the barrier weight by `mu` until the duality gap bound
-//! `m / t` falls under the caller's tolerance.
+//! multiplying the barrier weight by 20 per round until the duality
+//! gap bound `m / t` falls under the caller's tolerance.
 
 pub mod barrier;
 pub mod linalg;

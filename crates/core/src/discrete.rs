@@ -95,12 +95,8 @@ pub struct PartitionReport {
     /// The subtree's content-stable key: the mode indices of the fixed
     /// assignment prefix, in topological task order.
     pub key: Vec<usize>,
-    /// Nodes expanded inside the subtree.
-    pub nodes: u64,
-    /// Deadline prunes inside the subtree.
-    pub pruned_infeasible: u64,
-    /// Bound prunes inside the subtree.
-    pub pruned_bound: u64,
+    /// Nodes expanded and pruned inside the subtree.
+    pub stats: BnbStats,
     /// Whether the subtree was exhausted (not budget-tripped).
     pub complete: bool,
     /// Best energy found *inside* this subtree, when it improved on
@@ -189,8 +185,19 @@ enum SubtreeOutcome {
     Budget,
 }
 
+/// A partial assignment: modes for a prefix of the tasks in
+/// topological order.
+struct Partial {
+    /// Completion time of each assigned task.
+    ecl: Vec<f64>,
+    /// `energy[k]`: energy of the first `k` tasks (`n + 1` slots).
+    energy: Vec<f64>,
+    /// Mode index per task (`usize::MAX` while unassigned).
+    assign: Vec<usize>,
+}
+
 /// All precomputed state of one branch-and-bound instance: bounds,
-/// chain cover, candidate orders. Immutable during the search, so one
+/// chain cover, candidate ranges. Immutable during the search, so one
 /// `SearchCtx` is shared by every parallel subtree worker.
 struct SearchCtx<'a> {
     g: &'a TaskGraph,
@@ -209,7 +216,9 @@ struct SearchCtx<'a> {
     chain_lb_suffix: Vec<Vec<f64>>,
     chain_frontier: Vec<Vec<usize>>,
     s_bottom: f64,
-    cand: Vec<Vec<usize>>,
+    /// Per task, the slowest possibly feasible mode: its candidates
+    /// are the modes `lo[i]..m`.
+    lo: Vec<usize>,
 }
 
 impl<'a> SearchCtx<'a> {
@@ -264,7 +273,7 @@ impl<'a> SearchCtx<'a> {
         // Per-task energy lower bound: the slowest mode that fits the
         // task's widest possible window [est, D − tail].
         let mut task_lb = vec![0.0f64; n];
-        let mut min_mode_idx = vec![0usize; n];
+        let mut lo = vec![0usize; n];
         for i in 0..n {
             let infeasible = SolveError::Infeasible {
                 deadline,
@@ -276,7 +285,7 @@ impl<'a> SearchCtx<'a> {
             }
             let need = g.weights()[i] / window;
             let s_lb = modes.round_up(need).ok_or(infeasible)?;
-            min_mode_idx[i] = speeds_list.iter().position(|&s| s >= s_lb - 1e-12).unwrap();
+            lo[i] = speeds_list.iter().position(|&s| s >= s_lb - 1e-12).unwrap();
             task_lb[i] = p.energy_at_speed(g.weights()[i], s_lb);
         }
 
@@ -335,10 +344,6 @@ impl<'a> SearchCtx<'a> {
             }
         }
 
-        // Candidate modes per task: the slowest possibly feasible mode
-        // up to the fastest.
-        let cand: Vec<Vec<usize>> = min_mode_idx.iter().map(|&lo| (lo..m).collect()).collect();
-
         Ok(SearchCtx {
             g,
             deadline,
@@ -356,7 +361,7 @@ impl<'a> SearchCtx<'a> {
             chain_lb_suffix,
             chain_frontier,
             s_bottom: modes.s_min(),
-            cand,
+            lo,
         })
     }
 
@@ -449,7 +454,14 @@ impl<'a> SearchCtx<'a> {
         {
             let mut next = Vec::with_capacity(frontier.len() * 2);
             for prefix in &frontier {
-                self.expand_prefix(prefix, incumbent_energy, &mut next, stats);
+                // One level deeper, cut by the subtree search's own test.
+                let mut at = self.replay(prefix);
+                for mode_idx in self.lo[self.order[depth].0]..self.m {
+                    stats.nodes += 1;
+                    if self.branch(&mut at, depth, mode_idx, incumbent_energy, stats) {
+                        next.push([prefix.as_slice(), &[mode_idx]].concat());
+                    }
+                }
             }
             frontier = next;
             depth += 1;
@@ -457,58 +469,78 @@ impl<'a> SearchCtx<'a> {
         (depth, frontier)
     }
 
-    /// Expand one frontier prefix by one level, pruning children
-    /// exactly as the subtree search would.
-    fn expand_prefix(
-        &self,
-        prefix: &[usize],
-        incumbent_energy: f64,
-        out: &mut Vec<Vec<usize>>,
-        stats: &mut BnbStats,
-    ) {
-        let g = self.g;
-        let depth = prefix.len();
-        let mut ecl = vec![0.0f64; self.n];
-        let mut energy = 0.0f64;
+    /// Replay a fixed prefix: mode indices for the first
+    /// `prefix.len()` tasks in topological order.
+    fn replay(&self, prefix: &[usize]) -> Partial {
+        let mut at = Partial {
+            ecl: vec![0.0f64; self.n],
+            energy: vec![0.0f64; self.n + 1],
+            assign: vec![usize::MAX; self.n],
+        };
         for (k, &mode_idx) in prefix.iter().enumerate() {
-            let task = self.order[k];
-            let i = task.0;
+            let i = self.order[k].0;
             let s = self.speeds_list[mode_idx];
-            let start = g
-                .preds(task)
-                .iter()
-                .map(|&q| ecl[q.0])
-                .fold(0.0f64, f64::max);
-            ecl[i] = start + g.weights()[i] / s;
-            energy += self.p.energy_at_speed(g.weights()[i], s);
+            at.ecl[i] = self.completion(k, s, &at.ecl);
+            at.energy[k + 1] = at.energy[k] + self.p.energy_at_speed(self.g.weights()[i], s);
+            at.assign[i] = mode_idx;
         }
+        at
+    }
+
+    /// Completion of the task at topological position `depth` run at
+    /// speed `s`, started once its predecessors' completions in `ecl`.
+    #[inline(always)]
+    fn completion(&self, depth: usize, s: f64, ecl: &[f64]) -> f64 {
         let task = self.order[depth];
-        let i = task.0;
-        let start = g
+        let start = self
+            .g
             .preds(task)
             .iter()
             .map(|&q| ecl[q.0])
             .fold(0.0f64, f64::max);
-        for &mode_idx in &self.cand[i] {
-            stats.nodes += 1;
-            let s = self.speeds_list[mode_idx];
-            let completion = start + g.weights()[i] / s;
-            if completion + self.tail[i] > self.deadline * (1.0 + 1e-12) {
-                stats.pruned_infeasible += 1;
-                continue;
-            }
-            let e = energy + self.p.energy_at_speed(g.weights()[i], s);
-            ecl[i] = completion;
-            let rem_lb = self.rem_lb(depth + 1, &ecl);
-            if e + rem_lb >= incumbent_energy * (1.0 - 1e-12) {
-                stats.pruned_bound += 1;
-                continue;
-            }
-            let mut child = Vec::with_capacity(depth + 1);
-            child.extend_from_slice(prefix);
-            child.push(mode_idx);
-            out.push(child);
+        start + self.g.weight(task) / s
+    }
+
+    /// The one branching test: extend `at`, which assigns the first
+    /// `depth` tasks in topological order, by mode `mode_idx` for the
+    /// next one. A surviving child is written into `at` and returns
+    /// `true`; a cut child is counted in `stats` as a deadline or a
+    /// bound prune. The frontier enumeration and the subtree search
+    /// both branch through here, because they must prune identically:
+    /// otherwise the partitions stop tiling the space the sequential
+    /// search covers. It and [`Self::completion`] are inlined into the
+    /// search loop: as calls they cost ~10% per node.
+    #[inline(always)]
+    fn branch(
+        &self,
+        at: &mut Partial,
+        depth: usize,
+        mode_idx: usize,
+        incumbent: f64,
+        stats: &mut BnbStats,
+    ) -> bool {
+        let i = self.order[depth].0;
+        let s = self.speeds_list[mode_idx];
+        let completion = self.completion(depth, s, &at.ecl);
+        // Deadline prune: this task's completion plus the fastest
+        // possible tail must fit.
+        if completion + self.tail[i] > self.deadline * (1.0 + 1e-12) {
+            stats.pruned_infeasible += 1;
+            return false;
         }
+        let e = at.energy[depth] + self.p.energy_at_speed(self.g.weights()[i], s);
+        // Energy lower bound for the unassigned suffix; the chain
+        // frontiers read this task's completion. The bound is not
+        // monotone in the mode index (a faster mode frees the chain
+        // windows), so a cut child does not end the task's candidates.
+        at.ecl[i] = completion;
+        if e + self.rem_lb(depth + 1, &at.ecl) >= incumbent * (1.0 - 1e-12) {
+            stats.pruned_bound += 1;
+            return false;
+        }
+        at.energy[depth + 1] = e;
+        at.assign[i] = mode_idx;
+        true
     }
 
     /// Depth-first search of the subtree rooted at `prefix` (mode
@@ -529,88 +561,37 @@ impl<'a> SearchCtx<'a> {
         incumbent: &mut Incumbent,
         stats: &mut BnbStats,
     ) -> SubtreeOutcome {
-        let g = self.g;
         let n = self.n;
         let base = prefix.len();
-        let mut assign = vec![usize::MAX; n]; // mode index per task
-        let mut ecl = vec![0.0f64; n]; // completion of assigned tasks
-        let mut energy_prefix = vec![0.0f64; n + 1];
-        // Replay the fixed prefix (already vetted by enumeration).
-        for (k, &mode_idx) in prefix.iter().enumerate() {
-            let task = self.order[k];
-            let i = task.0;
-            let s = self.speeds_list[mode_idx];
-            let start = g
-                .preds(task)
-                .iter()
-                .map(|&q| ecl[q.0])
-                .fold(0.0f64, f64::max);
-            ecl[i] = start + g.weights()[i] / s;
-            assign[i] = mode_idx;
-            energy_prefix[k + 1] = energy_prefix[k] + self.p.energy_at_speed(g.weights()[i], s);
-        }
-
-        struct Frame {
-            /// Index into `cand[task]` tried next.
-            next: usize,
-        }
-        let mut frames: Vec<Frame> = vec![Frame { next: 0 }];
-        'search: while let Some(rel) = frames.len().checked_sub(1) {
+        // The fixed prefix was already vetted by the enumeration.
+        let mut at = self.replay(prefix);
+        // Per open depth, how many of its task's candidates were tried.
+        let mut tried: Vec<usize> = vec![0];
+        'search: while let Some(rel) = tried.len().checked_sub(1) {
             let depth = base + rel;
             if depth == n {
                 // Complete assignment: record incumbent.
-                if energy_prefix[n] < incumbent.energy {
-                    incumbent.energy = energy_prefix[n];
-                    incumbent.modes = Some(assign.clone());
+                if at.energy[n] < incumbent.energy {
+                    incumbent.energy = at.energy[n];
+                    incumbent.modes = Some(at.assign.clone());
                 }
-                frames.pop();
+                tried.pop();
                 continue;
             }
-            let task = self.order[depth];
-            let i = task.0;
-            loop {
-                let frame = frames.last_mut().unwrap();
-                let Some(&mode_idx) = self.cand[i].get(frame.next) else {
-                    // Exhausted this task's modes: backtrack.
-                    assign[i] = usize::MAX;
-                    frames.pop();
-                    continue 'search;
-                };
-                frame.next += 1;
+            let i = self.order[depth].0;
+            for mode_idx in self.lo[i] + tried[rel]..self.m {
+                tried[rel] += 1;
                 stats.nodes += 1;
                 if stats.nodes > node_budget {
                     return SubtreeOutcome::Budget;
                 }
-                let s = self.speeds_list[mode_idx];
-                let d = g.weights()[i] / s;
-                let start = g
-                    .preds(task)
-                    .iter()
-                    .map(|&q| ecl[q.0])
-                    .fold(0.0f64, f64::max);
-                let completion = start + d;
-                // Deadline prune: this task's completion plus the
-                // fastest possible tail must fit.
-                if completion + self.tail[i] > self.deadline * (1.0 + 1e-12) {
-                    stats.pruned_infeasible += 1;
-                    continue;
+                if self.branch(&mut at, depth, mode_idx, incumbent.energy, stats) {
+                    tried.push(0);
+                    continue 'search;
                 }
-                let e = energy_prefix[depth] + self.p.energy_at_speed(g.weights()[i], s);
-                // Energy lower bound for the unassigned suffix.
-                ecl[i] = completion; // chain frontiers read it
-                let rem_lb = self.rem_lb(depth + 1, &ecl);
-                if e + rem_lb >= incumbent.energy * (1.0 - 1e-12) {
-                    // The chain bound is not monotone in the mode
-                    // index (a faster mode frees the chain windows):
-                    // try the next candidate.
-                    stats.pruned_bound += 1;
-                    continue;
-                }
-                assign[i] = mode_idx;
-                energy_prefix[depth + 1] = e;
-                frames.push(Frame { next: 0 });
-                continue 'search;
             }
+            // Exhausted this task's modes: backtrack.
+            tried.pop();
         }
         SubtreeOutcome::Complete
     }
@@ -710,11 +691,7 @@ pub fn exact(
                 best = Some((e, mi));
             }
         }
-        stats.absorb(BnbStats {
-            nodes: report.nodes,
-            pruned_infeasible: report.pruned_infeasible,
-            pruned_bound: report.pruned_bound,
-        });
+        stats.absorb(report.stats);
         partitions.push(report);
     }
     taskgraph::profiling::record(|c| {
@@ -770,9 +747,7 @@ fn run_one(
     let outcome = ctx.search_subtree(prefix, budget, &mut inc, &mut stats);
     let report = PartitionReport {
         key: prefix.to_vec(),
-        nodes: stats.nodes,
-        pruned_infeasible: stats.pruned_infeasible,
-        pruned_bound: stats.pruned_bound,
+        stats,
         complete: outcome == SubtreeOutcome::Complete,
         energy: inc.modes.as_ref().map(|_| inc.energy),
     };

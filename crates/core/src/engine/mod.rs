@@ -217,6 +217,35 @@ fn finite_range_error() -> SolveError {
     SolveError::Unsupported("the factor range's deadlines are not finite numbers".into())
 }
 
+/// The reference deadline a curve's factors scale, once the range
+/// `0 < lo_factor < hi_factor` checks out: the critical path at top
+/// speed, or at unit speed for unbounded Continuous.
+fn curve_base(
+    prep: &PreparedGraph<'_>,
+    model: &EnergyModel,
+    lo_factor: f64,
+    hi_factor: f64,
+) -> Result<f64, SolveError> {
+    if !(lo_factor > 0.0 && hi_factor > lo_factor) {
+        return Err(SolveError::Unsupported(
+            "need 0 < lo_factor < hi_factor".into(),
+        ));
+    }
+    let cp = prep.critical_path_weight();
+    Ok(model.top_speed().map_or(cp, |sm| cp / sm))
+}
+
+/// Drop a warm handle built over another mode ladder than `modes`: its
+/// flow lives on another network and cannot serve this solve.
+fn drop_foreign_warm(warm: &mut Option<VddWarm>, modes: &DiscreteModes) {
+    if warm
+        .as_ref()
+        .is_some_and(|w| w.modes().speeds() != modes.speeds())
+    {
+        *warm = None;
+    }
+}
+
 /// The solver engine: a power law plus tuning options, with batch and
 /// sweep entry points that amortize graph analysis and fan out over
 /// threads.
@@ -477,14 +506,7 @@ impl Engine {
         let EnergyModel::VddHopping(modes) = model else {
             return self.solve(prep, model, deadline);
         };
-        // A handle built over a different mode ladder cannot serve
-        // this solve.
-        if warm
-            .as_ref()
-            .is_some_and(|w| w.modes().speeds() != modes.speeds())
-        {
-            *warm = None;
-        }
+        drop_foreign_warm(warm, modes);
         continuous::check_feasible_prepared(prep, deadline, model.top_speed())?;
         if let Some(w) = warm.as_mut() {
             // Feasibility was just established, so a warm Infeasible,
@@ -637,15 +659,7 @@ impl Engine {
                 "energy_curve takes at most {MAX_CURVE_POINTS} points, got {points}"
             )));
         }
-        if !(lo_factor > 0.0 && hi_factor > lo_factor) {
-            return Err(SolveError::Unsupported(
-                "need 0 < lo_factor < hi_factor".into(),
-            ));
-        }
-        let base = match model.top_speed() {
-            Some(sm) => prep.critical_path_weight() / sm,
-            None => prep.critical_path_weight(),
-        };
+        let base = curve_base(prep, model, lo_factor, hi_factor)?;
         let ratio = (hi_factor / lo_factor).powf(1.0 / (points - 1) as f64);
         let mut deadlines = Vec::with_capacity(points);
         let mut f = lo_factor;
@@ -739,16 +753,10 @@ impl Engine {
         hi_factor: f64,
         warm: &mut Option<VddWarm>,
     ) -> Result<ExactCurve, SolveError> {
-        if !(lo_factor > 0.0 && hi_factor > lo_factor) {
-            return Err(SolveError::Unsupported(
-                "need 0 < lo_factor < hi_factor".into(),
-            ));
-        }
-        let cp = prep.critical_path_weight();
-        let (base, dmin) = match model.top_speed() {
-            Some(sm) => (cp / sm, Some(cp / sm)),
-            None => (cp, None),
-        };
+        let base = curve_base(prep, model, lo_factor, hi_factor)?;
+        // With a top speed the reference deadline is the minimum
+        // makespan.
+        let dmin = model.top_speed().map(|_| base);
         let mut d_lo = lo_factor * base;
         if let Some(dm) = dmin {
             // Clamp the infeasible prefix away, mirroring the sampled
@@ -791,12 +799,7 @@ impl Engine {
 
         // Vdd-Hopping: the augmentation record, warm when possible.
         if let EnergyModel::VddHopping(modes) = model {
-            if warm
-                .as_ref()
-                .is_some_and(|w| w.modes().speeds() != modes.speeds())
-            {
-                *warm = None;
-            }
+            drop_foreign_warm(warm, modes);
             let segments = match warm.as_mut().map(|w| w.deadline_ray(prep, d_lo, d_hi)) {
                 Some(held @ (Ok(_) | Err(SolveError::Infeasible { .. }))) => held,
                 spent => {

@@ -3,7 +3,7 @@
 //! flight, responses matched by `id` in whatever order the daemon
 //! finishes them).
 
-use crate::daemon::{Endpoint, Stream};
+use crate::daemon::{self, Endpoint, Stream};
 use crate::proto::{
     read_frame, write_frame, ErrorBody, ErrorKind, FrameError, Request, RequestEnvelope,
     ResponseEnvelope,
@@ -58,7 +58,7 @@ impl Client {
     /// Connect once.
     pub fn connect(ep: &Endpoint) -> io::Result<Client> {
         Ok(Client {
-            stream: Stream::connect(ep)?,
+            stream: daemon::connect(ep)?,
             next_id: 1,
             timeout_ms: None,
             as_of: None,
@@ -69,7 +69,7 @@ impl Client {
     /// against a scripted in-process peer this way).
     pub fn from_unix(stream: std::os::unix::net::UnixStream) -> Client {
         Client {
-            stream: Stream::Unix(stream),
+            stream: Box::new(stream),
             next_id: 1,
             timeout_ms: None,
             as_of: None,

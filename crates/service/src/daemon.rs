@@ -163,23 +163,17 @@ pub fn config_from_args(args: &[String]) -> Result<DaemonConfig, String> {
                 .ok_or_else(|| format!("{flag} requires a value"))
                 .cloned()
         };
+        let count = |v: String| {
+            v.parse::<usize>()
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| format!("{flag} needs an integer ≥ 1"))
+        };
         match flag.as_str() {
             "--socket" => cfg.socket = PathBuf::from(value()?),
             "--tcp" => cfg.tcp = Some(value()?),
-            "--workers" => {
-                cfg.workers = value()?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or("--workers needs an integer ≥ 1")?;
-            }
-            "--cache-entries" => {
-                cfg.cache.max_entries = value()?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or("--cache-entries needs an integer ≥ 1")?;
-            }
+            "--workers" => cfg.workers = count(value()?)?,
+            "--cache-entries" => cfg.cache.max_entries = count(value()?)?,
             "--cache-bytes" => {
                 cfg.cache.max_bytes = value()?
                     .parse::<usize>()
@@ -192,20 +186,8 @@ pub fn config_from_args(args: &[String]) -> Result<DaemonConfig, String> {
                 }
                 cfg.power = PowerLaw::new(a);
             }
-            "--max-connections" => {
-                cfg.max_connections = value()?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or("--max-connections needs an integer ≥ 1")?;
-            }
-            "--max-inflight" => {
-                cfg.max_inflight = value()?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or("--max-inflight needs an integer ≥ 1")?;
-            }
+            "--max-connections" => cfg.max_connections = count(value()?)?,
+            "--max-inflight" => cfg.max_inflight = count(value()?)?,
             "--store" => cfg.store = Some(PathBuf::from(value()?)),
             "--store-fsync" => cfg.store_fsync = true,
             other => return Err(format!("unknown flag {other:?}")),
@@ -219,66 +201,39 @@ enum Listener {
     Tcp(TcpListener),
 }
 
-/// Either stream type, as one readable/writable object.
-pub(crate) enum Stream {
-    /// Unix-domain.
-    Unix(UnixStream),
-    /// TCP.
-    Tcp(TcpStream),
+/// A connected socket of either family: what the poll loop and the
+/// client need of it (`Sync` keeps [`crate::client::Client`] `Sync`).
+pub(crate) trait Socket: Read + Write + AsRawFd + Send + Sync {
+    /// Switch between blocking and nonblocking I/O.
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
 }
 
-impl Stream {
+impl Socket for UnixStream {
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_nonblocking(nonblocking),
-            Stream::Tcp(s) => s.set_nonblocking(nonblocking),
-        }
-    }
-
-    fn as_raw_fd(&self) -> RawFd {
-        match self {
-            Stream::Unix(s) => s.as_raw_fd(),
-            Stream::Tcp(s) => s.as_raw_fd(),
-        }
-    }
-
-    pub(crate) fn connect(ep: &Endpoint) -> io::Result<Stream> {
-        Ok(match ep {
-            Endpoint::Unix(p) => Stream::Unix(UnixStream::connect(p)?),
-            Endpoint::Tcp(a) => {
-                let s = TcpStream::connect(a)?;
-                // Frames are small request/response pairs; latency
-                // beats batching.
-                s.set_nodelay(true)?;
-                Stream::Tcp(s)
-            }
-        })
+        UnixStream::set_nonblocking(self, nonblocking)
     }
 }
 
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
+impl Socket for TcpStream {
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        TcpStream::set_nonblocking(self, nonblocking)
     }
 }
 
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
+/// A connected socket, as one readable/writable object.
+pub(crate) type Stream = Box<dyn Socket>;
 
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
+/// Connect to `ep`. TCP sockets send at once: frames are small
+/// request/response pairs, and latency beats batching.
+pub(crate) fn connect(ep: &Endpoint) -> io::Result<Stream> {
+    Ok(match ep {
+        Endpoint::Unix(p) => Box::new(UnixStream::connect(p)?),
+        Endpoint::Tcp(a) => {
+            let s = TcpStream::connect(a)?;
+            s.set_nodelay(true)?;
+            Box::new(s)
         }
-    }
+    })
 }
 
 struct State {
@@ -601,10 +556,10 @@ impl EventLoop {
                 return;
             };
             let accepted = match listener {
-                Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+                Listener::Unix(l) => l.accept().map(|(s, _)| Box::new(s) as Stream),
                 Listener::Tcp(l) => l.accept().map(|(s, _)| {
                     let _ = s.set_nodelay(true);
-                    Stream::Tcp(s)
+                    Box::new(s) as Stream
                 }),
             };
             match accepted {
@@ -1420,4 +1375,66 @@ fn timed_solve(
         cached,
         worker: worker_id as u64,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(words: &[&str]) -> Result<DaemonConfig, String> {
+        let args: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        config_from_args(&args)
+    }
+
+    #[test]
+    fn every_flag_error_names_its_flag() {
+        for flag in [
+            "--workers",
+            "--cache-entries",
+            "--max-connections",
+            "--max-inflight",
+        ] {
+            for bad in ["0", "x", "-1"] {
+                let want = format!("{flag} needs an integer ≥ 1");
+                assert_eq!(parse(&[flag, bad]).unwrap_err(), want);
+            }
+            let want = format!("{flag} requires a value");
+            assert_eq!(parse(&[flag]).unwrap_err(), want);
+        }
+        let err = |words: &[&str]| parse(words).unwrap_err();
+        assert_eq!(
+            err(&["--cache-bytes", "x"]),
+            "--cache-bytes needs an integer"
+        );
+        assert_eq!(err(&["--alpha", "1"]), "--alpha must be finite and > 1");
+        assert_eq!(err(&["--warp"]), r#"unknown flag "--warp""#);
+
+        let cfg = parse(&[
+            "--tcp",
+            "127.0.0.1:0",
+            "--workers",
+            "3",
+            "--cache-entries",
+            "8",
+            "--cache-bytes",
+            "4096",
+            "--alpha",
+            "2.5",
+            "--max-connections",
+            "5",
+            "--max-inflight",
+            "2",
+            "--store",
+            "store-dir",
+            "--store-fsync",
+        ])
+        .unwrap();
+        assert_eq!(cfg.tcp.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(cfg.workers, 3);
+        assert_eq!((cfg.cache.max_entries, cfg.cache.max_bytes), (8, 4096));
+        assert_eq!(cfg.power.alpha(), 2.5);
+        assert_eq!((cfg.max_connections, cfg.max_inflight), (5, 2));
+        assert_eq!(cfg.store, Some(PathBuf::from("store-dir")));
+        assert!(cfg.store_fsync);
+    }
 }

@@ -156,54 +156,72 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one frame. `Ok(None)` means the peer closed the stream cleanly
-/// at a frame boundary; ending anywhere else is [`FrameError::Truncated`].
-pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, FrameError> {
-    // Length header: decimal digits up to '\n'.
-    let mut header = Vec::with_capacity(16);
-    let mut byte = [0u8; 1];
-    loop {
-        match r.read(&mut byte) {
-            Ok(0) => {
-                if header.is_empty() {
-                    return Ok(None); // clean end-of-session
-                }
-                return Err(FrameError::Truncated("EOF inside length header".into()));
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    break;
-                }
-                if header.len() >= 20 {
-                    return Err(FrameError::Truncated("length header too long".into()));
-                }
-                header.push(byte[0]);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
+/// Longest length header, in digits (`u64::MAX` has 20).
+const MAX_HEADER: usize = 20;
+
+/// Parse the length header at the start of `bytes`: decimal digits up
+/// to `'\n'`, at most [`MAX_HEADER`] of them, naming at most
+/// [`MAX_FRAME`] payload bytes. `Ok(Some((len, body)))` once the
+/// `'\n'` is in, with the payload starting at `body`; `Ok(None)` while
+/// more bytes may still complete the header.
+fn frame_header(bytes: &[u8]) -> Result<Option<(usize, usize)>, FrameError> {
+    let Some(end) = bytes.iter().take(MAX_HEADER + 1).position(|&b| b == b'\n') else {
+        if bytes.len() > MAX_HEADER {
+            return Err(FrameError::Truncated("length header too long".into()));
         }
-    }
-    let len: usize = std::str::from_utf8(&header)
+        return Ok(None);
+    };
+    let header = &bytes[..end];
+    let len: usize = std::str::from_utf8(header)
         .ok()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| {
             FrameError::Truncated(format!(
                 "bad length header {:?}",
-                String::from_utf8_lossy(&header)
+                String::from_utf8_lossy(header)
             ))
         })?;
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
+    Ok(Some((len, end + 1)))
+}
+
+/// A payload read together with its terminator (`len + 1` bytes) as
+/// text: the terminator must be `'\n'` and the payload UTF-8. The bytes
+/// move into the `String` without a copy.
+fn frame_payload(mut bytes: Vec<u8>) -> Result<String, FrameError> {
+    if bytes.pop() != Some(b'\n') {
+        return Err(FrameError::Truncated("missing frame terminator".into()));
+    }
+    String::from_utf8(bytes).map_err(|_| FrameError::Truncated("payload is not UTF-8".into()))
+}
+
+/// Read one frame. `Ok(None)` means the peer closed the stream cleanly
+/// at a frame boundary; ending anywhere else is [`FrameError::Truncated`].
+/// The header is read byte by byte, so nothing past the frame is
+/// consumed.
+pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, FrameError> {
+    let mut header = Vec::with_capacity(MAX_HEADER + 1);
+    let mut byte = [0u8; 1];
+    let len = loop {
+        match r.read(&mut byte) {
+            Ok(0) if header.is_empty() => return Ok(None), // clean end-of-session
+            Ok(0) => return Err(FrameError::Truncated("EOF inside length header".into())),
+            Ok(_) => {
+                header.push(byte[0]);
+                if let Some((len, _)) = frame_header(&header)? {
+                    break len;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        }
+    };
     let mut payload = vec![0u8; len + 1];
     r.read_exact(&mut payload)
         .map_err(|_| FrameError::Truncated(format!("EOF inside {len}-byte payload")))?;
-    if payload.pop() != Some(b'\n') {
-        return Err(FrameError::Truncated("missing frame terminator".into()));
-    }
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|_| FrameError::Truncated("payload is not UTF-8".into()))
+    frame_payload(payload).map(Some)
 }
 
 /// An incremental frame decoder for nonblocking transports: bytes go
@@ -245,36 +263,13 @@ impl FrameBuffer {
     /// [`read_frame`] and poison the stream.
     pub fn next_frame(&mut self) -> Result<Option<String>, FrameError> {
         let avail = &self.buf[self.pos..];
-        // Length header: decimal digits up to '\n', at most 20 digits.
-        let header_end = match avail.iter().take(21).position(|&b| b == b'\n') {
-            Some(i) => i,
-            None if avail.len() > 20 => {
-                return Err(FrameError::Truncated("length header too long".into()))
-            }
-            None => return Ok(None),
+        let Some((len, body)) = frame_header(avail)? else {
+            return Ok(None);
         };
-        let len: usize = std::str::from_utf8(&avail[..header_end])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                FrameError::Truncated(format!(
-                    "bad length header {:?}",
-                    String::from_utf8_lossy(&avail[..header_end])
-                ))
-            })?;
-        if len > MAX_FRAME {
-            return Err(FrameError::TooLarge(len));
-        }
-        let body = header_end + 1;
         if avail.len() < body + len + 1 {
             return Ok(None);
         }
-        if avail[body + len] != b'\n' {
-            return Err(FrameError::Truncated("missing frame terminator".into()));
-        }
-        let payload = std::str::from_utf8(&avail[body..body + len])
-            .map_err(|_| FrameError::Truncated("payload is not UTF-8".into()))?
-            .to_string();
+        let payload = frame_payload(avail[body..=body + len].to_vec())?;
         self.pos += body + len + 1;
         if self.pos == self.buf.len() || self.pos >= 64 * 1024 {
             self.buf.drain(..self.pos);
@@ -2038,6 +2033,28 @@ mod tests {
         assert!(matches!(read_frame(&mut r), Err(FrameError::TooLarge(_))));
         let mut r: &[u8] = b"abc\nxyz\n";
         assert!(matches!(read_frame(&mut r), Err(FrameError::Truncated(_))));
+    }
+
+    #[test]
+    fn both_frame_readers_agree_on_every_complete_frame() {
+        let oversized = format!("{}\n", MAX_FRAME + 1);
+        let cases: [&[u8]; 7] = [
+            &frame(r#"{"v":1,"type":"stats"}"#),
+            b"12a\nxyz\n",
+            b"3\nabcX",
+            b"2\n\xff\xfe\n",
+            oversized.as_bytes(),
+            b"999999999999999999999",
+            b"0\n\n",
+        ];
+        for bytes in cases {
+            let mut r = bytes;
+            let blocking = format!("{:?}", read_frame(&mut r));
+            let mut fb = FrameBuffer::new();
+            fb.push(bytes);
+            let buffered = format!("{:?}", fb.next_frame());
+            assert_eq!(blocking, buffered, "{bytes:?}");
+        }
     }
 
     #[test]

@@ -433,12 +433,8 @@ impl Store {
                 continue;
             };
             // First recorded parent wins (mirrors record_patch).
-            if let std::collections::hash_map::Entry::Vacant(slot) = index.entry(child) {
-                slot.insert((parent, edits));
-                kept.push(payload);
-            } else {
-                kept.push(payload);
-            }
+            index.entry(child).or_insert((parent, edits));
+            kept.push(payload);
         }
         drop(index);
         if damaged {
@@ -547,19 +543,18 @@ impl Store {
     /// Record one applied patch in the lineage log: `parent` was
     /// edited with `edits` to produce `child`. The first recorded
     /// parent of a child wins; re-recording is a no-op (idempotent
-    /// under repeated identical patch traffic).
+    /// under repeated identical patch traffic). The index learns a hop
+    /// only once its record is appended, so after a failed append the
+    /// next identical patch writes it; the log lock keeps racing
+    /// records of one child to one record.
     pub fn record_patch(&self, parent: u128, edits: &[GraphEdit], child: u128) -> io::Result<()> {
         if parent == child {
             return Ok(()); // an identity patch carries no history
         }
-        {
-            let mut index = self.lineage.lock().expect("store lock poisoned");
-            match index.entry(child) {
-                std::collections::hash_map::Entry::Occupied(_) => return Ok(()),
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert((parent, edits.to_vec()));
-                }
-            }
+        let _guard = self.log.lock().expect("store lock poisoned");
+        let index = || self.lineage.lock().expect("store lock poisoned");
+        if index().contains_key(&child) {
+            return Ok(());
         }
         let hop = LineageHop {
             parent,
@@ -567,7 +562,6 @@ impl Store {
             child,
         };
         let record = encode_record(&hop.to_json().encode());
-        let _guard = self.log.lock().expect("store lock poisoned");
         let append = || {
             let mut f = fs::OpenOptions::new()
                 .create(true)
@@ -579,7 +573,9 @@ impl Store {
             }
             Ok(())
         };
-        self.counted(append())
+        self.counted(append())?;
+        index().insert(child, (parent, hop.edits));
+        Ok(())
     }
 
     /// Pass a write's outcome through, counting a failure in
@@ -853,6 +849,24 @@ mod tests {
         let store = Store::open(&dir, false).unwrap();
         assert_eq!(store.lineage_of(k2).len(), 2);
         assert!(store.materialize(k1).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_lineage_append_is_written_by_the_next_identical_patch() {
+        let dir = tmpdir("failed-append");
+        let store = Store::open(&dir, false).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        let edits = vec![GraphEdit::SetWeight {
+            task: 1,
+            weight: 2.5,
+        }];
+        assert!(store.record_patch(1, &edits, 2).is_err());
+        assert_eq!(store.stats().write_failures, 1);
+        fs::create_dir_all(&dir).unwrap();
+        store.record_patch(1, &edits, 2).unwrap();
+        let reopened = Store::open(&dir, false).unwrap();
+        assert_eq!(reopened.parent_of(2), Some((1, edits)));
         let _ = fs::remove_dir_all(&dir);
     }
 
