@@ -38,7 +38,7 @@ impl Default for GenOptions {
 /// Build the application graph for a family spec like
 /// `fft 3`, `lu 4`, `stencil 5 5`, `chain 8`, `fork 6`, `sp 12`,
 /// `layered 4 3`, `ge 8`, `dac 3 2`.
-pub fn family_graph(family: &str, params: &[usize], seed: u64) -> Result<TaskGraph, String> {
+fn family_graph(family: &str, params: &[usize], seed: u64) -> Result<TaskGraph, String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let p = |i: usize, d: usize| params.get(i).copied().unwrap_or(d);
     Ok(match family {

@@ -8,7 +8,6 @@
 pub mod edits;
 pub mod gen;
 pub mod instance;
-pub mod pareto;
 
 pub use edits::{parse_edits, EditParseError};
 pub use gen::{generate, GenOptions};

@@ -15,7 +15,7 @@ use taskgraph::{PreparedGraph, TaskGraph};
 /// Energy a bounded-speed model can never go below (every task at the
 /// slowest admissible speed), or `None` for unbounded Continuous
 /// (energy → 0 as D → ∞).
-pub fn energy_floor(g: &TaskGraph, model: &EnergyModel, p: PowerLaw) -> Option<f64> {
+fn energy_floor(g: &TaskGraph, model: &EnergyModel, p: PowerLaw) -> Option<f64> {
     model
         .bottom_speed()
         .map(|s1| g.weights().iter().map(|&w| p.energy_at_speed(w, s1)).sum())

@@ -226,7 +226,7 @@ fn assign_window(tree: &SpTree, g: &TaskGraph, window: f64, p: PowerLaw, speeds:
 /// `s_max` is given and the unconstrained optimum violates it, the
 /// caller should fall back to [`solve_general_warm`] (the dispatcher
 /// [`solve_dispatched`] does).
-pub fn tree_decomposition(g: &TaskGraph) -> Option<SpTree> {
+fn tree_decomposition(g: &TaskGraph) -> Option<SpTree> {
     if !structure::is_out_tree(g) {
         return None;
     }

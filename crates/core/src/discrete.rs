@@ -230,7 +230,7 @@ impl<'a> SearchCtx<'a> {
     /// which an edit may have shifted — so a patched instance branches
     /// exactly like a rebuilt one.
     fn new(
-        prep: &PreparedGraph<'a>,
+        prep: &'a PreparedGraph<'_>,
         deadline: f64,
         modes: &DiscreteModes,
         p: PowerLaw,

@@ -7,8 +7,9 @@
 //! shape classification, SP decomposition, and critical path on every
 //! call. This module amortizes all of that:
 //!
-//! * [`taskgraph::PreparedGraph`] caches the graph analysis once per
-//!   graph (lazily, thread-safely);
+//! * a [`taskgraph::PreparedInstance`] caches the graph analysis once
+//!   per graph (lazily, thread-safely), and every solve reads it
+//!   through the [`taskgraph::PreparedGraph`] handle;
 //! * one private routing `match` holds the paper's model → algorithm
 //!   table (Continuous → Theorem 1/2 closed forms or the §2.1
 //!   geometric program; Vdd-Hopping → the Theorem 3 min-cost flow; Discrete →
@@ -1798,6 +1799,43 @@ mod tests {
     }
 
     #[test]
+    fn curve_is_monotone_decreasing() {
+        let g = generators::diamond([1.0, 2.0, 3.0, 1.0]);
+        let engine = Engine::new(P);
+        let prep = PreparedGraph::new(&g);
+        let modes = DiscreteModes::new(&[0.5, 1.0, 2.0]).unwrap();
+        for model in [
+            EnergyModel::continuous(2.0),
+            EnergyModel::VddHopping(modes.clone()),
+            EnergyModel::Discrete(modes),
+        ] {
+            let curve = engine.energy_curve(&prep, &model, 6, 1.05, 4.0).unwrap();
+            assert!(curve.len() >= 5, "{}", model.name());
+            for w in curve.windows(2) {
+                assert!(w[0].deadline < w[1].deadline);
+                assert!(
+                    w[1].energy <= w[0].energy * (1.0 + 1e-6),
+                    "{}: energy must decrease along the front",
+                    model.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unbounded_continuous_uses_unit_speed_reference() {
+        let g = generators::chain(&[2.0, 2.0]);
+        let prep = PreparedGraph::new(&g);
+        let curve = Engine::new(P)
+            .energy_curve(&prep, &EnergyModel::continuous_unbounded(), 3, 0.5, 2.0)
+            .unwrap();
+        assert_eq!(curve.len(), 3);
+        // E(D) = (Σw)³/D²: check the first point.
+        let d0 = curve[0].deadline;
+        assert!((curve[0].energy - 64.0 / (d0 * d0)).abs() < 1e-6);
+    }
+
+    #[test]
     fn infeasible_points_are_skipped_not_fatal() {
         let g = generators::chain(&[4.0]);
         let engine = Engine::new(P);
@@ -1824,5 +1862,42 @@ mod tests {
             engine.energy_curve(&prep, &model, 4, 2.0, 1.0),
             Err(SolveError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn rejects_bad_factors() {
+        let g = generators::chain(&[1.0]);
+        let engine = Engine::new(P);
+        let prep = PreparedGraph::new(&g);
+        let model = EnergyModel::continuous_unbounded();
+        for (lo, hi) in [
+            (2.0, 1.0),
+            (1.5, 1.5),
+            (0.0, 2.0),
+            (-1.0, 2.0),
+            (f64::NAN, 2.0),
+        ] {
+            assert!(
+                matches!(
+                    engine.energy_curve(&prep, &model, 3, lo, hi),
+                    Err(SolveError::Unsupported(_))
+                ),
+                "factors ({lo}, {hi})"
+            );
+        }
+    }
+
+    #[test]
+    fn too_few_points_error_instead_of_panicking() {
+        let g = generators::chain(&[1.0]);
+        let engine = Engine::new(P);
+        let prep = PreparedGraph::new(&g);
+        let model = EnergyModel::continuous_unbounded();
+        for points in [0, 1] {
+            assert!(matches!(
+                engine.energy_curve(&prep, &model, points, 1.0, 2.0),
+                Err(SolveError::Unsupported(_))
+            ));
+        }
     }
 }

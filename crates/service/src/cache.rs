@@ -331,31 +331,25 @@ impl InstanceCache {
     /// live in RAM (recency refreshed, no hit counted), or else
     /// re-materialized by the attached store — from its record, or by
     /// replaying the lineage from the nearest stored ancestor — and
-    /// inserted as an entry, counting one miss. A replayed version is
-    /// written through, so the next restart finds its record. `None`
-    /// when `key` is neither live nor materializable (or no store is
-    /// attached).
+    /// inserted as an entry, counting one miss. `None` when `key` is
+    /// neither live nor materializable (or no store is attached).
     pub fn materialize(&self, key: u128) -> Option<(Arc<Entry>, Prepared)> {
         if let Some(entry) = self.lookup_quiet(key) {
             return Some((entry, Prepared::Hit));
         }
-        let store = self.store.as_ref()?;
-        let stored = store.materialize(key)?;
+        let stored = self.store.as_ref()?.materialize(key)?;
         self.counts.misses.fetch_add(1, Ordering::Relaxed);
         let entry = Entry::new(key, stored.inst, stored.model, stored.curve);
-        let (entry, inserted) = self.insert(entry, false, None);
-        // Still no record under `key` after materializing: the version
-        // was replayed.
-        if inserted && !store.contains(key) {
-            self.spill(&entry);
-        }
+        let (entry, _) = self.insert(entry, false, None);
         Some((entry, Prepared::StoreHit))
     }
 
     /// Apply an edit batch to the cached instance `base`, re-keying
     /// the entry in place (see the module docs). A base missing from
-    /// RAM but present in the attached store re-materializes from
-    /// disk first (eviction and restarts don't break patch chains).
+    /// RAM but materializable by the attached store — from its record,
+    /// or by replaying the lineage — comes back first (eviction,
+    /// restarts and a crash before a child's spill don't break patch
+    /// chains).
     /// On success the cache holds the patched entry under its new key
     /// and no longer holds `base`; in-flight solves against the base
     /// handle are unaffected (`Arc`). Also returns the nanoseconds
@@ -377,7 +371,7 @@ impl InstanceCache {
             // re-materializes and the patch proceeds as a hit — the
             // Vdd warm slot starts empty (live flow handles are never
             // persisted) and rebuilds lazily.
-            None => match self.store.as_ref().and_then(|s| s.load(base)) {
+            None => match self.store.as_ref().and_then(|s| s.materialize(base)) {
                 Some(stored) => Arc::new(Entry::new(base, stored.inst, stored.model, None)),
                 None => {
                     self.counts.patch_misses.fetch_add(1, Ordering::Relaxed);
@@ -923,6 +917,36 @@ mod tests {
         let (parent, hop_edits) = store.parent_of(patched.key).expect("lineage hop recorded");
         assert_eq!(parent, base_key);
         assert_eq!(hop_edits.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn patch_base_in_the_lineage_only_is_replayed() {
+        // A crash between `record_patch` and the child's spill leaves
+        // the hop k0 → k1 on disk with no k1 record.
+        let dir = std::env::temp_dir().join(format!("reclaim-cache-plo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = StdArc::new(crate::store::Store::open(&dir, false).unwrap());
+        let m = model();
+        let set = |task, weight| [GraphEdit::SetWeight { task, weight }];
+        let (e1, e2) = (set(1, 6.0), set(2, 5.0));
+        let g0 = generators::diamond([1.0, 2.0, 3.0, 4.0]);
+        let (g1, _) = taskgraph::edit::apply_edits(&g0, &e1).unwrap();
+        let (g2, _) = taskgraph::edit::apply_edits(&g1, &e2).unwrap();
+        let (k0, k1) = (content_key(&g0, &m), content_key(&g1, &m));
+        let root = PreparedInstance::new(StdArc::new(g0));
+        store.save(k0, &m, &root, None).unwrap();
+        store.record_patch(k0, &e1, k1).unwrap();
+        assert!(store.load(k1).is_none());
+
+        let cache = InstanceCache::with_store(CacheConfig::default(), Some(StdArc::clone(&store)));
+        let (patched, _) = cache.patch(k1, &e2).expect("the lineage reaches k1");
+        assert_eq!(patched.key, content_key(&g2, &m));
+        assert_eq!(store.stats().replays, 1);
+        assert!(
+            store.load(k1).is_some(),
+            "the replayed base is written through"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,7 +5,7 @@
 
 use crate::daemon::{self, Endpoint, Stream};
 use crate::proto::{
-    read_frame, write_frame, ErrorBody, ErrorKind, FrameError, Request, RequestEnvelope,
+    read_frame, write_frame, ErrorBody, ErrorKind, FrameError, Request, RequestEnvelope, Response,
     ResponseEnvelope,
 };
 use std::collections::HashSet;
@@ -116,24 +116,44 @@ impl Client {
 
     /// Send one request and block for its response. Ids are assigned
     /// automatically and verified on the way back (this client does
-    /// not pipeline, so responses arrive in order). The envelope rides
-    /// the lowest protocol version able to carry the request, so
+    /// not pipeline, so responses arrive in order): a response under
+    /// another id is a [`ClientError::Protocol`] error, except an
+    /// error under id 0, which is how the daemon answers a frame it
+    /// cannot attribute (a framing violation, a connection-limit
+    /// rejection) and is returned as it is. The envelope rides the
+    /// lowest protocol version able to carry the request, so
     /// everything but `patch` stays v1-compatible.
-    pub fn roundtrip(
-        &mut self,
-        request: crate::proto::Request,
-    ) -> Result<ResponseEnvelope, ClientError> {
+    pub fn roundtrip(&mut self, request: Request) -> Result<ResponseEnvelope, ClientError> {
+        let id = self.write_request(request)?;
+        let resp = self.read_response()?;
+        let unattributed = resp.id == 0 && matches!(resp.response, Response::Error(_));
+        if resp.id != id && !unattributed {
+            return Err(protocol_error(format!(
+                "response id {} answers no request (sent {id})",
+                resp.id
+            )));
+        }
+        Ok(resp)
+    }
+
+    /// Write `request` in an envelope under the next id, carrying this
+    /// client's queue-wait budget and `as_of` depth. Returns the id.
+    fn write_request(&mut self, request: Request) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
         let env = RequestEnvelope::new(id, request)
             .with_timeout_ms(self.timeout_ms)
             .with_as_of(self.as_of);
         write_frame(&mut self.stream, &env.encode())?;
+        Ok(id)
+    }
+
+    /// Read and decode the next response frame.
+    fn read_response(&mut self) -> Result<ResponseEnvelope, ClientError> {
         let payload = read_frame(&mut self.stream)
             .map_err(ClientError::Frame)?
             .ok_or(ClientError::Closed)?;
-        let resp = ResponseEnvelope::decode(&payload).map_err(ClientError::Protocol)?;
-        Ok(resp)
+        ResponseEnvelope::decode(&payload).map_err(ClientError::Protocol)
     }
 
     /// Start a pipelined exchange: up to `window` requests in flight
@@ -221,12 +241,7 @@ impl Pipeline<'_> {
             let resp = self.recv_matched()?;
             self.ready.push(resp);
         }
-        let id = self.client.next_id;
-        self.client.next_id += 1;
-        let env = RequestEnvelope::new(id, request)
-            .with_timeout_ms(self.client.timeout_ms)
-            .with_as_of(self.client.as_of);
-        write_frame(&mut self.client.stream, &env.encode())?;
+        let id = self.client.write_request(request)?;
         self.pending.insert(id);
         Ok(id)
     }
@@ -266,16 +281,62 @@ impl Pipeline<'_> {
     }
 
     fn recv_matched(&mut self) -> Result<ResponseEnvelope, ClientError> {
-        let payload = read_frame(&mut self.client.stream)
-            .map_err(ClientError::Frame)?
-            .ok_or(ClientError::Closed)?;
-        let resp = ResponseEnvelope::decode(&payload).map_err(ClientError::Protocol)?;
+        let resp = self.client.read_response()?;
         if !self.pending.remove(&resp.id) {
-            return Err(ClientError::Protocol(ErrorBody::new(
-                ErrorKind::Protocol,
-                format!("response id {} matches no pending request", resp.id),
+            return Err(protocol_error(format!(
+                "response id {} matches no pending request",
+                resp.id
             )));
         }
         Ok(resp)
+    }
+}
+
+/// A response that decoded but answers no request this client sent.
+fn protocol_error(message: String) -> ClientError {
+    ClientError::Protocol(ErrorBody::new(ErrorKind::Protocol, message))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::unix::net::UnixStream;
+
+    /// Send one `stats` request to a scripted peer that answers
+    /// `response` under `id`.
+    fn answered_under(id: u64, response: Response) -> Result<ResponseEnvelope, ClientError> {
+        let (ours, mut theirs) = UnixStream::pair().unwrap();
+        let peer = std::thread::spawn(move || {
+            let payload = read_frame(&mut theirs).unwrap().expect("one request");
+            let req = RequestEnvelope::decode(&payload).unwrap();
+            let resp = ResponseEnvelope {
+                version: req.version,
+                id,
+                response,
+            };
+            write_frame(&mut theirs, &resp.encode()).unwrap();
+        });
+        let got = Client::from_unix(ours).roundtrip(Request::Stats);
+        peer.join().unwrap();
+        got
+    }
+
+    #[test]
+    fn roundtrip_rejects_a_reply_under_another_id() {
+        match answered_under(99, Response::Shutdown) {
+            Err(ClientError::Protocol(e)) => {
+                assert_eq!(e.kind, ErrorKind::Protocol);
+                assert!(e.message.contains("response id 99"), "{}", e.message);
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert!(answered_under(1, Response::Shutdown).is_ok());
+    }
+
+    #[test]
+    fn roundtrip_returns_an_unattributed_error_as_it_is() {
+        let body = ErrorBody::new(ErrorKind::Protocol, "bad length header");
+        let resp = answered_under(0, Response::Error(body.clone())).unwrap();
+        assert_eq!((resp.id, resp.response), (0, Response::Error(body)));
     }
 }

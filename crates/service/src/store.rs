@@ -159,32 +159,17 @@ fn parse_record(data: &[u8], pos: &mut usize) -> Result<Option<String>, RecordDa
 // Payload codecs (deterministic: insertion-ordered objects)
 // ---------------------------------------------------------------
 
-fn shape_wire(s: Shape) -> &'static str {
-    match s {
-        Shape::Single => "single",
-        Shape::Chain => "chain",
-        Shape::Fork => "fork",
-        Shape::Join => "join",
-        Shape::OutTree => "out_tree",
-        Shape::InTree => "in_tree",
-        Shape::SeriesParallel => "series_parallel",
-        Shape::General => "general",
-    }
-}
-
-fn shape_from_wire(s: &str) -> Option<Shape> {
-    Some(match s {
-        "single" => Shape::Single,
-        "chain" => Shape::Chain,
-        "fork" => Shape::Fork,
-        "join" => Shape::Join,
-        "out_tree" => Shape::OutTree,
-        "in_tree" => Shape::InTree,
-        "series_parallel" => Shape::SeriesParallel,
-        "general" => Shape::General,
-        _ => return None,
-    })
-}
+/// Every shape with its record name.
+const SHAPES: [(Shape, &str); 8] = [
+    (Shape::Single, "single"),
+    (Shape::Chain, "chain"),
+    (Shape::Fork, "fork"),
+    (Shape::Join, "join"),
+    (Shape::OutTree, "out_tree"),
+    (Shape::InTree, "in_tree"),
+    (Shape::SeriesParallel, "series_parallel"),
+    (Shape::General, "general"),
+];
 
 /// SP trees encode compactly: a leaf is its task id, a series node is
 /// `{"s":[…]}`, a parallel node `{"p":[…]}`.
@@ -228,7 +213,11 @@ fn snapshot_to_json(s: &AnalysisSnapshot) -> Json {
         ));
     }
     if let Some((shape, tree)) = &s.class {
-        pairs.push(("shape".into(), Json::str(shape_wire(*shape))));
+        let (_, name) = SHAPES
+            .iter()
+            .find(|(known, _)| known == shape)
+            .expect("SHAPES lists every shape");
+        pairs.push(("shape".into(), Json::str(*name)));
         if let Some(tree) = tree {
             pairs.push(("sp".into(), sp_to_json(tree)));
         }
@@ -249,8 +238,8 @@ fn snapshot_from_json(v: &Json) -> AnalysisSnapshot {
     let class = v
         .get("shape")
         .and_then(Json::as_str)
-        .and_then(shape_from_wire)
-        .map(|shape| (shape, v.get("sp").and_then(sp_from_json)));
+        .and_then(|name| SHAPES.iter().find(|(_, n)| *n == name))
+        .map(|&(shape, _)| (shape, v.get("sp").and_then(sp_from_json)));
     AnalysisSnapshot { topo, class }
 }
 
@@ -472,14 +461,6 @@ impl Store {
         Ok(())
     }
 
-    /// Whether `key` has an instance file on disk.
-    pub fn contains(&self, key: u128) -> bool {
-        self.sizes
-            .lock()
-            .expect("store lock poisoned")
-            .contains_key(&key)
-    }
-
     /// Spill one instance (and optionally its retained curve) to disk
     /// under its content key. Content-addressed writes are idempotent;
     /// re-saving an existing key refreshes the persisted analyses and
@@ -635,7 +616,9 @@ impl Store {
     /// ancestor and replaying the recorded edit chain forward —
     /// O(edits), one `replays` bump per hop. The result is verified to
     /// hash back to `key` before being returned (a lineage chain that
-    /// no longer reproduces its child reads as absent, not wrong).
+    /// no longer reproduces its child reads as absent, not wrong), and
+    /// a replayed version is written through, so the next restart finds
+    /// its record.
     pub fn materialize(&self, key: u128) -> Option<StoredEntry> {
         if let Some(entry) = self.load(key) {
             return Some(entry);
@@ -661,6 +644,7 @@ impl Store {
                 if content_key(inst.graph(), &base.model) != key {
                     return None;
                 }
+                let _ = self.save(key, &base.model, &inst, None);
                 return Some(StoredEntry {
                     inst,
                     model: base.model,
@@ -763,7 +747,7 @@ mod tests {
         let store = Store::open(&dir, false).unwrap();
         let (i, m, key) = inst(4.0);
         store.save(key, &m, &i, None).unwrap();
-        assert!(store.contains(key));
+        assert_eq!(store.stats().entries, 1);
         let loaded = store.load(key).unwrap();
         assert_eq!(loaded.inst.graph(), i.graph());
         assert_eq!(loaded.inst.snapshot(), i.snapshot());
@@ -972,7 +956,7 @@ mod tests {
         assert!(store.load(key).is_none(), "damage is not served");
         assert_eq!(store.stats().corrupt_skipped, 1);
         assert!(!path.exists(), "damaged file removed after accounting");
-        assert!(!store.contains(key));
+        assert_eq!(store.stats().entries, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }

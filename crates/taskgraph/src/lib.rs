@@ -14,9 +14,10 @@
 //!   per-task earliest/latest completion windows ([`analysis`]);
 //! * structure detection: chains, forks, joins, in/out-trees, and
 //!   series–parallel decomposition ([`structure`], [`sp`]);
-//! * cached analysis for repeated solves on one graph
-//!   ([`PreparedGraph`]), with once-only guarantees observable via
-//!   [`profiling`];
+//! * cached analysis for repeated solves on one graph: a
+//!   [`PreparedInstance`] owns the graph and every analysis cache, and
+//!   solvers take its [`PreparedGraph`] handle; once-only guarantees
+//!   are observable via [`profiling`];
 //! * incremental edits ([`edit`], [`GraphEdit`]) applied through
 //!   [`PreparedInstance::apply`] with **selective cache invalidation**:
 //!   a weight change keeps the topological order, shape class, SP

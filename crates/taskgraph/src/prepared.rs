@@ -3,16 +3,20 @@
 //! Solving `MinEnergy(Ĝ, D)` many times on one graph — deadline
 //! sweeps, budget bisections, model comparisons — re-derives the same
 //! topological order, shape classification, SP decomposition, critical
-//! path, and transitive reduction on every call. [`PreparedGraph`]
-//! computes each of these **at most once** (lazily, on first use) and
-//! hands out shared references, so a thousand solves pay for one
-//! analysis.
+//! path, and transitive reduction on every call. A
+//! [`PreparedInstance`] owns a graph and computes each of these **at
+//! most once** (lazily, on first use), handing out shared references,
+//! so a thousand solves pay for one analysis. Solvers take the
+//! [`PreparedGraph`] handle, which dereferences to an instance: a view
+//! of one ([`PreparedInstance::view`]) or one built over a bare graph
+//! ([`PreparedGraph::new`]).
 //!
-//! All caches are [`OnceLock`]s, so a `&PreparedGraph` can be shared
+//! All caches are [`OnceLock`]s, so a `&PreparedInstance` can be shared
 //! across scoped threads: whichever solve needs a pass first fills the
 //! cache for everyone. The once-only guarantee is observable through
 //! [`crate::profiling`].
 
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use crate::analysis;
@@ -21,175 +25,14 @@ use crate::graph::{TaskGraph, TaskId};
 use crate::sp::SpTree;
 use crate::structure::{self, Shape};
 
-/// The lazily filled analysis caches, separated from the graph borrow
-/// so both [`PreparedGraph`] (borrowed) and [`PreparedInstance`]
-/// (owned, `'static`) can share one set behind an [`Arc`]: a view
-/// produced by [`PreparedInstance::view`] fills the *owner's* caches.
-#[derive(Debug, Default)]
-struct Caches {
-    topo: OnceLock<Vec<TaskId>>,
-    /// Shape and SP tree, behind an [`Arc`] so weight-only carryover
-    /// shares the tree instead of copying it.
-    class: OnceLock<Arc<(Shape, Option<SpTree>)>>,
-    cp_weight: OnceLock<f64>,
-    /// The bitset reduction pass, filled only for a graph whose class
-    /// is `General` or not yet known (see [`Caches::reduced`]).
-    reduced: OnceLock<TaskGraph>,
-    /// Earliest completion times at unit speed (durations = weights):
-    /// the critical-path weight is its maximum, and a cached copy is
-    /// what the cone-bounded relaxation repairs after an edit. Not
-    /// exported by [`PreparedInstance::snapshot`] — it recomputes
-    /// lazily after a restore.
-    ecl: OnceLock<Vec<f64>>,
-}
-
-impl Caches {
-    fn topo(&self, g: &TaskGraph) -> &[TaskId] {
-        self.topo.get_or_init(|| analysis::topo_order(g))
-    }
-
-    fn classification(&self, g: &TaskGraph) -> &(Shape, Option<SpTree>) {
-        self.class
-            .get_or_init(|| Arc::new(structure::classify_with_tree(g, Some(self.topo(g)))))
-    }
-
-    fn ecl(&self, g: &TaskGraph) -> &[f64] {
-        self.ecl
-            .get_or_init(|| analysis::earliest_completion_ordered(g, g.weights(), self.topo(g)))
-    }
-
-    fn cp_weight(&self, g: &TaskGraph) -> f64 {
-        *self
-            .cp_weight
-            .get_or_init(|| self.ecl(g).iter().fold(0.0f64, |a, &b| a.max(b)))
-    }
-
-    /// The transitive reduction. A graph whose class is known and is
-    /// not `General` is its own reduction — SP graphs have only
-    /// junction edges, and chains, forks, joins and trees have no
-    /// second path — so it is returned as it is and nothing is cached.
-    /// Otherwise the bitset pass runs once. The class is consulted, never
-    /// computed: a bare graph pays no SP recognition for its reduction.
-    fn reduced<'a>(&'a self, g: &'a TaskGraph) -> &'a TaskGraph {
-        self.known_reduction(g).unwrap_or_else(|| {
-            self.reduced
-                .get_or_init(|| analysis::transitive_reduction_ordered(g, self.topo(g)))
-        })
-    }
-
-    /// The reduction if it is known without a pass: the graph itself
-    /// under a filled class other than `General`, else the cached pass.
-    fn known_reduction<'a>(&'a self, g: &'a TaskGraph) -> Option<&'a TaskGraph> {
-        match self.class.get() {
-            Some(c) if c.0 != Shape::General => {
-                debug_assert!(analysis::is_reduced(g), "{:?} with a redundant edge", c.0);
-                Some(g)
-            }
-            _ => self.reduced.get(),
-        }
-    }
-}
-
-/// A task graph plus lazily cached analysis results.
+/// A task graph plus its lazily filled analysis caches.
 ///
-/// Borrowing (rather than owning) the graph keeps preparation free and
-/// lets call sites wrap any `&TaskGraph` without cloning:
-///
-/// ```
-/// use taskgraph::{generators, PreparedGraph, Shape};
-///
-/// let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
-/// let prep = PreparedGraph::new(&g);
-/// assert_eq!(prep.shape(), Shape::SeriesParallel);
-/// assert_eq!(prep.critical_path_weight(), 8.0);
-/// // Second call: served from the cache, no re-analysis.
-/// assert_eq!(prep.shape(), Shape::SeriesParallel);
-/// ```
-///
-/// For a cacheable, owning variant (daemon caches, cross-request
-/// reuse) see [`PreparedInstance`].
-#[derive(Debug)]
-pub struct PreparedGraph<'g> {
-    g: &'g TaskGraph,
-    caches: Arc<Caches>,
-}
-
-impl<'g> PreparedGraph<'g> {
-    /// Wrap a graph. No analysis runs until a cache is first used.
-    pub fn new(g: &'g TaskGraph) -> Self {
-        PreparedGraph {
-            g,
-            caches: Arc::new(Caches::default()),
-        }
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &'g TaskGraph {
-        self.g
-    }
-
-    /// The cached topological order ([`analysis::topo_order`]).
-    pub fn topo(&self) -> &[TaskId] {
-        self.caches.topo(self.g)
-    }
-
-    /// The cached shape classification ([`structure::classify`]).
-    pub fn shape(&self) -> Shape {
-        self.caches.classification(self.g).0
-    }
-
-    /// The cached series–parallel decomposition: `Some` exactly when
-    /// [`Self::shape`] is [`Shape::SeriesParallel`]. (More specific
-    /// shapes — chains, forks, trees — have cheaper dedicated closed
-    /// forms and skip the SP tree.)
-    pub fn sp_tree(&self) -> Option<&SpTree> {
-        self.caches.classification(self.g).1.as_ref()
-    }
-
-    /// The cached critical-path weight
-    /// ([`analysis::critical_path_weight`]).
-    pub fn critical_path_weight(&self) -> f64 {
-        self.caches.cp_weight(self.g)
-    }
-
-    /// The transitive reduction ([`analysis::transitive_reduction`]):
-    /// same precedence relation, minimal edge set — what the flow and
-    /// barrier substrates want. Once the shape is known and is not
-    /// [`Shape::General`] this is the graph itself; otherwise the
-    /// reduction pass runs once and is cached.
-    pub fn reduced(&self) -> &TaskGraph {
-        self.caches.reduced(self.g)
-    }
-
-    /// [`analysis::earliest_completion`] using the cached order.
-    pub fn earliest_completion(&self, durations: &[f64]) -> Vec<f64> {
-        analysis::earliest_completion_ordered(self.g, durations, self.topo())
-    }
-
-    /// [`analysis::latest_completion`] using the cached order.
-    pub fn latest_completion(&self, durations: &[f64], deadline: f64) -> Vec<f64> {
-        analysis::latest_completion_ordered(self.g, durations, deadline, self.topo())
-    }
-
-    /// [`analysis::makespan`] using the cached order.
-    pub fn makespan(&self, durations: &[f64]) -> f64 {
-        self.earliest_completion(durations)
-            .into_iter()
-            .fold(0.0f64, f64::max)
-    }
-}
-
-/// An **owning** prepared graph: [`Arc<TaskGraph>`] plus the same
-/// lazily filled analysis caches as [`PreparedGraph`].
-///
-/// `PreparedGraph` borrows its graph, which makes it free to create
-/// but impossible to store in a `'static` cache (a daemon serving
-/// requests, an LRU of hot instances). `PreparedInstance` owns the
-/// graph and is `Send + Sync + 'static`, so it can live in an
-/// `Arc` shared across worker threads and requests. [`Self::view`]
-/// hands out a `PreparedGraph` borrowing from `self` that **shares**
-/// the caches: analysis filled through any view (or by
-/// [`Self::warm`]) is permanently retained by the instance.
+/// The instance owns the graph and is `Send + Sync + 'static`, so it
+/// can live in an `Arc` shared across worker threads and requests (a
+/// daemon's cache, an LRU of hot instances). [`Self::view`] hands out
+/// a [`PreparedGraph`] borrowing from `self`: analysis filled through
+/// any view (or by [`Self::warm`]) is permanently retained by the
+/// instance.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -203,18 +46,46 @@ impl<'g> PreparedGraph<'g> {
 /// ```
 #[derive(Debug)]
 pub struct PreparedInstance {
-    g: Arc<TaskGraph>,
-    caches: Arc<Caches>,
+    g: TaskGraph,
+    topo: OnceLock<Vec<TaskId>>,
+    /// Shape and SP tree, behind an [`Arc`] so weight-only carryover
+    /// shares the tree instead of copying it.
+    class: OnceLock<Arc<(Shape, Option<SpTree>)>>,
+    cp_weight: OnceLock<f64>,
+    /// The bitset reduction pass, filled only for a graph whose class
+    /// is `General` or not yet known (see [`Self::reduced`]).
+    reduction: OnceLock<TaskGraph>,
+    /// Earliest completion times at unit speed (durations = weights):
+    /// the critical-path weight is its maximum, and a cached copy is
+    /// what the cone-bounded relaxation repairs after an edit. Not
+    /// exported by [`Self::snapshot`] — it recomputes lazily after a
+    /// restore.
+    ecl: OnceLock<Vec<f64>>,
 }
 
 impl PreparedInstance {
     /// Wrap an owned graph. No analysis runs until first use (or
-    /// [`Self::warm`]).
+    /// [`Self::warm`]). A unique `Arc` is unwrapped without a copy.
     pub fn new(g: Arc<TaskGraph>) -> Self {
+        Self::bare(Arc::unwrap_or_clone(g))
+    }
+
+    /// An instance over `g` with every cache empty.
+    fn bare(g: TaskGraph) -> Self {
         PreparedInstance {
             g,
-            caches: Arc::new(Caches::default()),
+            topo: OnceLock::new(),
+            class: OnceLock::new(),
+            cp_weight: OnceLock::new(),
+            reduction: OnceLock::new(),
+            ecl: OnceLock::new(),
         }
+    }
+
+    /// A borrowed [`PreparedGraph`] handle on this instance — pass it to
+    /// anything taking `&PreparedGraph`.
+    pub fn view(&self) -> PreparedGraph<'_> {
+        PreparedGraph(Handle::View(self))
     }
 
     /// The underlying graph.
@@ -222,13 +93,87 @@ impl PreparedInstance {
         &self.g
     }
 
-    /// A borrowed [`PreparedGraph`] view sharing this instance's
-    /// caches — pass it to anything taking `&PreparedGraph`.
-    pub fn view(&self) -> PreparedGraph<'_> {
-        PreparedGraph {
-            g: &self.g,
-            caches: Arc::clone(&self.caches),
+    /// The cached topological order ([`analysis::topo_order`]).
+    pub fn topo(&self) -> &[TaskId] {
+        self.topo.get_or_init(|| analysis::topo_order(&self.g))
+    }
+
+    fn classification(&self) -> &(Shape, Option<SpTree>) {
+        self.class
+            .get_or_init(|| Arc::new(structure::classify_with_tree(&self.g, Some(self.topo()))))
+    }
+
+    /// The cached shape classification ([`structure::classify`]).
+    pub fn shape(&self) -> Shape {
+        self.classification().0
+    }
+
+    /// The cached series–parallel decomposition: `Some` exactly when
+    /// [`Self::shape`] is [`Shape::SeriesParallel`]. (More specific
+    /// shapes — chains, forks, trees — have cheaper dedicated closed
+    /// forms and skip the SP tree.)
+    pub fn sp_tree(&self) -> Option<&SpTree> {
+        self.classification().1.as_ref()
+    }
+
+    fn ecl(&self) -> &[f64] {
+        self.ecl.get_or_init(|| {
+            analysis::earliest_completion_ordered(&self.g, self.g.weights(), self.topo())
+        })
+    }
+
+    /// The cached critical-path weight
+    /// ([`analysis::critical_path_weight`]).
+    pub fn critical_path_weight(&self) -> f64 {
+        *self
+            .cp_weight
+            .get_or_init(|| self.ecl().iter().fold(0.0f64, |a, &b| a.max(b)))
+    }
+
+    /// The transitive reduction ([`analysis::transitive_reduction`]):
+    /// same precedence relation, minimal edge set — what the flow and
+    /// barrier substrates want. A graph whose class is known and is not
+    /// [`Shape::General`] is its own reduction — SP graphs have only
+    /// junction edges, and chains, forks, joins and trees have no
+    /// second path — so it is returned as it is and nothing is cached.
+    /// Otherwise the bitset pass runs once. The class is consulted,
+    /// never computed: a bare graph pays no SP recognition for its
+    /// reduction.
+    pub fn reduced(&self) -> &TaskGraph {
+        self.known_reduction().unwrap_or_else(|| {
+            self.reduction
+                .get_or_init(|| analysis::transitive_reduction_ordered(&self.g, self.topo()))
+        })
+    }
+
+    /// The reduction if it is known without a pass: the graph itself
+    /// under a filled class other than `General`, else the cached pass.
+    fn known_reduction(&self) -> Option<&TaskGraph> {
+        let g = &self.g;
+        match self.class.get() {
+            Some(c) if c.0 != Shape::General => {
+                debug_assert!(analysis::is_reduced(g), "{:?} with a redundant edge", c.0);
+                Some(g)
+            }
+            _ => self.reduction.get(),
         }
+    }
+
+    /// [`analysis::earliest_completion`] using the cached order.
+    pub fn earliest_completion(&self, durations: &[f64]) -> Vec<f64> {
+        analysis::earliest_completion_ordered(&self.g, durations, self.topo())
+    }
+
+    /// [`analysis::latest_completion`] using the cached order.
+    pub fn latest_completion(&self, durations: &[f64], deadline: f64) -> Vec<f64> {
+        analysis::latest_completion_ordered(&self.g, durations, deadline, self.topo())
+    }
+
+    /// [`analysis::makespan`] using the cached order.
+    pub fn makespan(&self, durations: &[f64]) -> f64 {
+        self.earliest_completion(durations)
+            .into_iter()
+            .fold(0.0f64, f64::max)
     }
 
     /// Eagerly fill every cache (topological order, classification,
@@ -239,19 +184,18 @@ impl PreparedInstance {
     /// `General` graph runs a reduction pass. Returns `self` for
     /// chaining.
     pub fn warm(&self) -> &Self {
-        let v = self.view();
-        v.topo();
-        let _ = v.sp_tree();
-        v.critical_path_weight();
-        v.reduced();
+        self.topo();
+        let _ = self.sp_tree();
+        self.critical_path_weight();
+        self.reduced();
         self
     }
 
     /// Apply an edit batch, producing a **new** prepared instance that
     /// keeps every analysis cache the edits cannot have dirtied and
     /// **locally repairs** the ones they did (copy-on-write: `self`
-    /// and anything sharing its caches are untouched, so a daemon can
-    /// patch an instance other requests are still solving against).
+    /// and every view of it are untouched, so a daemon can patch an
+    /// instance other requests are still solving against).
     ///
     /// Cache carryover and repair, by edit class (see
     /// [`crate::edit::EditEffect`]):
@@ -321,107 +265,102 @@ impl PreparedInstance {
         // Feed the cached order (when filled) into the edge-insertion
         // validity check, so patching never re-derives what the
         // instance already knows.
-        let cached_order = self.caches.topo.get().map(Vec::as_slice);
+        let cached_order = self.topo.get().map(Vec::as_slice);
         let (edited, effect) = edit::apply_edits_ordered(&self.g, edits, cached_order)?;
-        let caches = Caches::default();
-        if !effect.task_set_changed {
-            // — topological order: carried, or already locally
-            //   repaired by the edit layer.
-            let order: Option<Vec<TaskId>> = if effect.topo_preserved {
-                self.caches.topo.get().cloned()
-            } else {
-                effect.repaired_order
-            };
+        let out = PreparedInstance::bare(edited);
+        if effect.task_set_changed {
+            return Ok(out);
+        }
+        let edited = &out.g;
+        // — topological order: carried, or already locally repaired by
+        //   the edit layer.
+        let order: Option<Vec<TaskId>> = if effect.topo_preserved {
+            self.topo.get().cloned()
+        } else {
+            effect.repaired_order
+        };
 
-            // — completion times / critical path: cone-bounded forward
-            //   relaxation seeded at re-weighted tasks and the targets
-            //   of changed edges.
-            if let (Some(order), Some(old_ecl)) = (&order, self.caches.ecl.get()) {
-                let mut seeds: Vec<usize> = effect.reweighted.clone();
-                seeds.extend(
-                    effect
-                        .inserted_edges
-                        .iter()
-                        .chain(&effect.removed_edges)
-                        .map(|&(_, v)| v),
-                );
-                seeds.sort_unstable();
-                seeds.dedup();
-                let ecl = analysis::repair_earliest_completion(
-                    &edited,
-                    edited.weights(),
-                    order,
-                    old_ecl,
-                    &seeds,
-                );
-                let cp = ecl.iter().fold(0.0f64, |a, &b| a.max(b));
-                let _ = caches.ecl.set(ecl);
-                let _ = caches.cp_weight.set(cp);
+        // — completion times / critical path: cone-bounded forward
+        //   relaxation seeded at re-weighted tasks and the targets of
+        //   changed edges.
+        if let (Some(order), Some(old_ecl)) = (&order, self.ecl.get()) {
+            let mut seeds: Vec<usize> = effect.reweighted.clone();
+            seeds.extend(
+                effect
+                    .inserted_edges
+                    .iter()
+                    .chain(&effect.removed_edges)
+                    .map(|&(_, v)| v),
+            );
+            seeds.sort_unstable();
+            seeds.dedup();
+            let ecl = analysis::repair_earliest_completion(
+                edited,
+                edited.weights(),
+                order,
+                old_ecl,
+                &seeds,
+            );
+            let cp = ecl.iter().fold(0.0f64, |a, &b| a.max(b));
+            let _ = out.ecl.set(ecl);
+            let _ = out.cp_weight.set(cp);
+        }
+
+        if effect.weight_only {
+            // Structure untouched: the edited graph already shares the
+            // base's topology; the classification is shared as it is,
+            // and a cached reduction keeps its own topology under the
+            // new weights (no reduction pass, no profiling bump).
+            if let Some(c) = self.class.get() {
+                let _ = out.class.set(Arc::clone(c));
             }
-
-            if effect.weight_only {
-                // Structure untouched: the edited graph already shares
-                // the base's topology; the classification is shared as
-                // it is, and a cached reduction keeps its own topology
-                // under the new weights (no reduction pass, no
-                // profiling bump).
-                if let Some(c) = self.caches.class.get() {
-                    let _ = caches.class.set(Arc::clone(c));
-                }
-                if let Some(r) = self.caches.reduced.get() {
-                    let refreshed = r
-                        .with_weights(edited.weights().to_vec())
-                        .expect("the edited graph's weights are valid");
-                    let _ = caches.reduced.set(refreshed);
-                }
-            } else if let Some(order) = &order {
-                // — classification: a cheap specific shape decides
-                //   outright (keeping the verdict identical to a fresh
-                //   classify); otherwise splice the SP tree around the
-                //   touched region. A miss drops the cache.
-                if let Some(s) = structure::specific_shape(&edited) {
-                    let _ = caches.class.set(Arc::new((s, None)));
-                } else if let Some((Shape::SeriesParallel, Some(tree))) =
-                    self.caches.class.get().map(|c| &**c)
-                {
-                    let touched: Vec<TaskId> = effect.touched.iter().map(|&i| TaskId(i)).collect();
-                    if let Some(repaired) = tree.splice(&edited, order, &touched) {
-                        let _ = caches
-                            .class
-                            .set(Arc::new((Shape::SeriesParallel, Some(repaired))));
-                    }
-                }
-
-                // — transitive reduction: none to keep while the class
-                //   stays other than `General`; otherwise re-test only
-                //   the edges inside a changed edge's topological
-                //   window of the base's reduction.
-                let specific = caches.class.get().is_some_and(|c| c.0 != Shape::General);
-                if !specific {
-                    if let (Some(red0), Some(order0)) =
-                        (self.caches.known_reduction(&self.g), self.caches.topo.get())
-                    {
-                        let repaired = analysis::repair_reduction(
-                            red0,
-                            order0,
-                            &edited,
-                            order,
-                            &effect.inserted_edges,
-                            &effect.removed_edges,
-                        );
-                        let _ = caches.reduced.set(repaired);
-                    }
+            if let Some(r) = self.reduction.get() {
+                let refreshed = r
+                    .with_weights(edited.weights().to_vec())
+                    .expect("the edited graph's weights are valid");
+                let _ = out.reduction.set(refreshed);
+            }
+        } else if let Some(order) = &order {
+            // — classification: a cheap specific shape decides outright
+            //   (keeping the verdict identical to a fresh classify);
+            //   otherwise splice the SP tree around the touched region.
+            //   A miss drops the cache.
+            if let Some(s) = structure::specific_shape(edited) {
+                let _ = out.class.set(Arc::new((s, None)));
+            } else if let Some((Shape::SeriesParallel, Some(tree))) = self.class.get().map(|c| &**c)
+            {
+                let touched: Vec<TaskId> = effect.touched.iter().map(|&i| TaskId(i)).collect();
+                if let Some(repaired) = tree.splice(edited, order, &touched) {
+                    let _ = out
+                        .class
+                        .set(Arc::new((Shape::SeriesParallel, Some(repaired))));
                 }
             }
 
-            if let Some(order) = order {
-                let _ = caches.topo.set(order);
+            // — transitive reduction: none to keep while the class stays
+            //   other than `General`; otherwise re-test only the edges
+            //   inside a changed edge's topological window of the
+            //   base's reduction.
+            let specific = out.class.get().is_some_and(|c| c.0 != Shape::General);
+            if !specific {
+                if let (Some(red0), Some(order0)) = (self.known_reduction(), self.topo.get()) {
+                    let repaired = analysis::repair_reduction(
+                        red0,
+                        order0,
+                        edited,
+                        order,
+                        &effect.inserted_edges,
+                        &effect.removed_edges,
+                    );
+                    let _ = out.reduction.set(repaired);
+                }
             }
         }
-        Ok(PreparedInstance {
-            g: Arc::new(edited),
-            caches: Arc::new(caches),
-        })
+
+        if let Some(order) = order {
+            let _ = out.topo.set(order);
+        }
+        Ok(out)
     }
 
     /// Export what a persistence layer must keep for [`Self::restore`]
@@ -433,12 +372,8 @@ impl PreparedInstance {
     /// transitive reduction from the class.
     pub fn snapshot(&self) -> AnalysisSnapshot {
         AnalysisSnapshot {
-            topo: self
-                .caches
-                .topo
-                .get()
-                .map(|t| t.iter().map(|id| id.0).collect()),
-            class: self.caches.class.get().map(|c| (**c).clone()),
+            topo: self.topo.get().map(|t| t.iter().map(|id| id.0).collect()),
+            class: self.class.get().map(|c| (**c).clone()),
         }
     }
 
@@ -458,19 +393,20 @@ impl PreparedInstance {
     /// class leaves the reduction to [`Self::warm`], which also
     /// derives the critical path.
     pub fn restore(g: Arc<TaskGraph>, snap: &AnalysisSnapshot) -> PreparedInstance {
-        let caches = Caches::default();
+        let out = PreparedInstance::new(g);
+        let g = &out.g;
         if let Some(topo) = &snap.topo {
             let ids: Vec<TaskId> = topo.iter().map(|&i| TaskId(i)).collect();
-            if topo.len() == g.n() && analysis::is_topo_order(&g, &ids) {
-                let _ = caches.topo.set(ids);
+            if topo.len() == g.n() && analysis::is_topo_order(g, &ids) {
+                let _ = out.topo.set(ids);
             }
         }
         if let Some((shape, tree)) = &snap.class {
             // Keep exactly the verdict a fresh classification reaches.
-            let confirmed = match (tree, structure::specific_shape(&g)) {
+            let confirmed = match (tree, structure::specific_shape(g)) {
                 (None, Some(specific)) => *shape == specific,
                 (None, None) => *shape == Shape::General,
-                (Some(t), None) => *shape == Shape::SeriesParallel && t.validates(&g),
+                (Some(t), None) => *shape == Shape::SeriesParallel && t.validates(g),
                 (Some(_), Some(_)) => false,
             };
             if confirmed {
@@ -478,13 +414,10 @@ impl PreparedInstance {
                 // recognition builds, so a patch chain that passes
                 // through the store still depends on the graph alone.
                 let tree = tree.clone().map(SpTree::canonical);
-                let _ = caches.class.set(Arc::new((*shape, tree)));
+                let _ = out.class.set(Arc::new((*shape, tree)));
             }
         }
-        PreparedInstance {
-            g,
-            caches: Arc::new(caches),
-        }
+        out
     }
 
     /// A coarse estimate of the resident size of the graph plus every
@@ -498,22 +431,68 @@ impl PreparedInstance {
             std::mem::size_of::<TaskGraph>() + 8 * g.n() + 16 * g.m() + 16 * g.m() + 16 * g.n()
         }
         let mut total = graph_bytes(&self.g);
-        if let Some(t) = self.caches.topo.get() {
+        if let Some(t) = self.topo.get() {
             total += 8 * t.len();
         }
-        if let Some((_, tree)) = self.caches.class.get().map(|c| &**c) {
+        if let Some((_, tree)) = self.class.get().map(|c| &**c) {
             // SP tree: roughly one node per task plus internal nodes.
             if tree.is_some() {
                 total += 64 * self.g.n();
             }
         }
-        if let Some(r) = self.caches.reduced.get() {
+        if let Some(r) = self.reduction.get() {
             total += graph_bytes(r);
         }
-        if let Some(e) = self.caches.ecl.get() {
+        if let Some(e) = self.ecl.get() {
             total += 8 * e.len();
         }
         total + std::mem::size_of::<Self>()
+    }
+}
+
+/// The prepared graph solvers take: a [`PreparedInstance`], borrowed
+/// or owned, that it dereferences to.
+///
+/// [`PreparedInstance::view`] borrows an existing instance, so every
+/// solve through it fills the instance's caches.
+/// [`PreparedGraph::new`] builds an instance of its own over a bare
+/// graph (copying the weights, sharing the topology):
+///
+/// ```
+/// use taskgraph::{generators, PreparedGraph, Shape};
+///
+/// let g = generators::diamond([1.0, 2.0, 3.0, 4.0]);
+/// let prep = PreparedGraph::new(&g);
+/// assert_eq!(prep.shape(), Shape::SeriesParallel);
+/// assert_eq!(prep.critical_path_weight(), 8.0);
+/// // Second call: served from the cache, no re-analysis.
+/// assert_eq!(prep.shape(), Shape::SeriesParallel);
+/// ```
+#[derive(Debug)]
+pub struct PreparedGraph<'g>(Handle<'g>);
+
+#[derive(Debug)]
+enum Handle<'g> {
+    Owned(PreparedInstance),
+    View(&'g PreparedInstance),
+}
+
+impl PreparedGraph<'static> {
+    /// Prepare a bare graph. No analysis runs until a cache is first
+    /// used.
+    pub fn new(g: &TaskGraph) -> Self {
+        PreparedGraph(Handle::Owned(PreparedInstance::bare(g.clone())))
+    }
+}
+
+impl Deref for PreparedGraph<'_> {
+    type Target = PreparedInstance;
+
+    fn deref(&self) -> &PreparedInstance {
+        match &self.0 {
+            Handle::Owned(inst) => inst,
+            Handle::View(inst) => inst,
+        }
     }
 }
 
@@ -653,7 +632,7 @@ mod tests {
         let (base_red, red) = (base_view.reduced(), view.reduced());
         assert!(red.shares_topology(base_red));
         assert_eq!(red.weights(), patched.graph().weights());
-        let (base_class, class) = (inst.caches.class.get(), patched.caches.class.get());
+        let (base_class, class) = (inst.class.get(), patched.class.get());
         assert!(Arc::ptr_eq(base_class.unwrap(), class.unwrap()));
         // The base is untouched.
         assert_eq!(inst.graph(), &g);
@@ -791,7 +770,7 @@ mod tests {
         );
         // The graph stayed SP, so it is its own reduction: nothing was
         // repaired or cached for it.
-        assert!(patched.caches.reduced.get().is_none());
+        assert!(patched.reduction.get().is_none());
         assert!(std::ptr::eq(patched.view().reduced(), patched.graph()));
     }
 

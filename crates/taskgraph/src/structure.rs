@@ -62,7 +62,7 @@ pub fn is_fork(g: &TaskGraph) -> bool {
 
 /// Whether the graph is a join (reverse of a fork): one sink, every
 /// other task is its parent and has no predecessor.
-pub fn is_join(g: &TaskGraph) -> bool {
+fn is_join(g: &TaskGraph) -> bool {
     let Some(root) = only_sink(g) else {
         return false;
     };
@@ -86,7 +86,7 @@ pub fn is_out_tree(g: &TaskGraph) -> bool {
 
 /// Whether the graph is an in-tree (every non-sink task has exactly one
 /// successor, single sink).
-pub fn is_in_tree(g: &TaskGraph) -> bool {
+fn is_in_tree(g: &TaskGraph) -> bool {
     let Some(root) = only_sink(g) else {
         return false;
     };
