@@ -37,9 +37,12 @@
 //! the splice counters surface per worker in `stats` after a
 //! structural patch request.
 //!
-//! **Scale.** The structural-patch arm also runs on a 4,001-task chain
-//! (no cold arm: re-preparing it costs seconds per step); its
-//! per-patch time is reported as `apply_us_4k`, not gated.
+//! **Scale.** The structural-patch arm also runs on a 4,001-task chain;
+//! its per-patch time is reported as `apply_us_4k` and the cold
+//! re-prepare of the same chain per step as `cold_us_4k`, neither
+//! gated. The SP tree nodes each splice visits or builds
+//! (`sp_splice_nodes`) are reported per patch at both sizes: a splice
+//! costs its region plus the tree's depth, so the two must be equal.
 //!
 //! `X13_SMOKE=1` shrinks the instances for quick CI runs; every gate
 //! holds at every scale.
@@ -240,8 +243,11 @@ pub fn run() -> Outcome {
     let edits_big: Vec<Vec<GraphEdit>> = (1..=patches)
         .map(|i| block_conversion(i * big / patches))
         .collect();
-    let (_, big_secs, _) = patch_arm(&base_big, &edits_big);
+    let (_, big_secs, delta_big) = patch_arm(&base_big, &edits_big);
     let apply_us_big = big_secs * 1e6 / patches as f64;
+    let (_, cold_big_secs) = cold_arm(base_big.graph(), &edits_big);
+    let cold_us_big = cold_big_secs * 1e6 / patches as f64;
+    let per_patch = |c: u64| c as f64 / patches as f64;
 
     // Zero full recomputes on the splice path, one splice per patch.
     let zero_recomputes = delta.topo_order == 0
@@ -297,6 +303,7 @@ pub fn run() -> Outcome {
     row("cold re-prepare", cold_secs);
     row("weight patch (floor)", weight_secs);
     row(&format!("structural patch, {n_big} tasks"), big_secs);
+    row(&format!("cold re-prepare, {n_big} tasks"), cold_big_secs);
 
     Outcome {
         id: "X13",
@@ -316,6 +323,15 @@ pub fn run() -> Outcome {
             ("speedup_x", speedup),
             ("structural_vs_weight", structural_vs_weight),
             ("apply_us_4k", apply_us_big),
+            ("cold_us_4k", cold_us_big),
+            (
+                "sp_splice_nodes_per_patch",
+                per_patch(delta.sp_splice_nodes),
+            ),
+            (
+                "sp_splice_nodes_per_patch_4k",
+                per_patch(delta_big.sp_splice_nodes),
+            ),
             ("sp_splice", delta.sp_splice as f64),
             ("sp_splice_miss", delta.sp_splice_miss as f64),
             ("topo_order_recomputes", delta.topo_order as f64),
@@ -341,8 +357,9 @@ pub fn run() -> Outcome {
             "{}: {patches} block-conversion patches on {n} tasks, {:.1} µs/patch vs \
              {:.1} µs cold ({speedup:.1}×, want ≥ {GATE_RATIO}×), {:.1}× the \
              weight-edit floor (want ≤ {WEIGHT_RATIO_BAR}×), {apply_us_big:.1} µs/patch \
-             on {n_big} tasks, {} splices / {} misses / {} full recomputes, \
-             {} cone nodes per patch, energies {}, daemon reported {} splices",
+             on {n_big} tasks ({cold_us_big:.1} µs cold), {} splices / {} misses / {} full \
+             recomputes, {} cone nodes and {} / {} tree nodes per patch, energies {}, \
+             daemon reported {} splices",
             if pass { "PASS" } else { "FAIL" },
             patch_secs * 1e6 / patches as f64,
             cold_secs * 1e6 / patches as f64,
@@ -351,6 +368,8 @@ pub fn run() -> Outcome {
             delta.sp_splice_miss,
             delta.topo_order + delta.classify + delta.sp_from_graph + delta.transitive_reduction,
             delta.cone_nodes / patches as u64,
+            per_patch(delta.sp_splice_nodes),
+            per_patch(delta_big.sp_splice_nodes),
             if equivalent && four_model_identical {
                 "bit-identical"
             } else {

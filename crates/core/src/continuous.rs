@@ -24,7 +24,7 @@ use convex::{BarrierSolution, BarrierSolver, LinearConstraint, Objective, WarmSt
 use models::PowerLaw;
 use taskgraph::analysis::critical_path_weight;
 use taskgraph::structure::{self, Shape};
-use taskgraph::{PreparedGraph, SpTree, TaskGraph, TaskId};
+use taskgraph::{PreparedGraph, SpKind, SpNode, SpTree, TaskGraph, TaskId};
 
 /// Total energy of running each task at the given constant speed.
 pub fn energy_of_speeds(g: &TaskGraph, speeds: &[f64], p: PowerLaw) -> f64 {
@@ -175,11 +175,36 @@ fn fork_speeds(
 /// Equivalent weight of an SP decomposition subtree
 /// (Theorem 2's folding rule).
 pub fn equivalent_weight(tree: &SpTree, g: &TaskGraph, p: PowerLaw) -> f64 {
-    match tree {
-        SpTree::Leaf(t) => g.weight(*t),
-        SpTree::Series(cs) => cs.iter().map(|c| equivalent_weight(c, g, p)).sum(),
-        SpTree::Parallel(cs) => p.parallel_combine(cs.iter().map(|c| equivalent_weight(c, g, p))),
+    match tree.root().kind() {
+        SpKind::Leaf(t) => g.weight(t),
+        _ => equivalent_weights(tree.root(), g, p)[0],
     }
+}
+
+/// The equivalent weight of every composite under the composite
+/// `root`, in pre-order (the order [`assign_window`] meets them in):
+/// one bottom-up fold, each subtree folded once. A leaf's is its
+/// task's weight.
+fn equivalent_weights(root: SpNode<'_>, g: &TaskGraph, p: PowerLaw) -> Vec<f64> {
+    fn fold(node: SpNode<'_>, g: &TaskGraph, p: PowerLaw, w: &mut Vec<f64>) -> f64 {
+        let slot = w.len();
+        w.push(0.0);
+        let v = {
+            let mut kids = node.children().map(|c| match c.kind() {
+                SpKind::Leaf(t) => g.weight(t),
+                _ => fold(c, g, p, w),
+            });
+            match node.kind() {
+                SpKind::Parallel => p.parallel_combine(kids.by_ref()),
+                _ => kids.by_ref().sum(),
+            }
+        };
+        w[slot] = v;
+        v
+    }
+    let mut w = Vec::new();
+    fold(root, g, p, &mut w);
+    w
 }
 
 /// Theorem 2 (series–parallel case, `s_max = +∞`): exact speeds by
@@ -194,75 +219,107 @@ pub fn solve_sp(
 ) -> Result<Vec<f64>, SolveError> {
     check_feasible(g, deadline, None)?;
     let mut speeds = vec![0.0; g.n()];
-    assign_window(tree, g, deadline, p, &mut speeds);
+    match tree.root().kind() {
+        SpKind::Leaf(t) => speeds[t.0] = g.weight(t) / deadline,
+        _ => {
+            let w = equivalent_weights(tree.root(), g, p);
+            assign_window(tree.root(), g, deadline, &w, &mut 0, &mut speeds);
+        }
+    }
     Ok(speeds)
 }
 
-fn assign_window(tree: &SpTree, g: &TaskGraph, window: f64, p: PowerLaw, speeds: &mut [f64]) {
-    match tree {
-        SpTree::Leaf(t) => speeds[t.0] = g.weight(*t) / window,
-        SpTree::Series(cs) => {
-            let ws: Vec<f64> = cs.iter().map(|c| equivalent_weight(c, g, p)).collect();
-            let total: f64 = ws.iter().sum();
-            for (c, w) in cs.iter().zip(&ws) {
-                assign_window(c, g, window * w / total, p, speeds);
-            }
-        }
-        SpTree::Parallel(cs) => {
-            for c in cs {
-                assign_window(c, g, window, p, speeds);
-            }
+/// Give every leaf under the composite `node` its speed for `window`:
+/// series children split the window in proportion to their
+/// equivalent weights, parallel children inherit it whole. `node` is
+/// the `next`-th composite in pre-order, its weight `w[next]`.
+fn assign_window(
+    node: SpNode<'_>,
+    g: &TaskGraph,
+    window: f64,
+    w: &[f64],
+    next: &mut usize,
+    speeds: &mut [f64],
+) {
+    let total = w[*next];
+    *next += 1;
+    let series = node.kind() == SpKind::Series;
+    for c in node.children() {
+        let share = |wc: f64| if series { window * wc / total } else { window };
+        match c.kind() {
+            SpKind::Leaf(t) => speeds[t.0] = g.weight(t) / share(g.weight(t)),
+            _ => assign_window(c, g, share(w[*next]), w, next, speeds),
         }
     }
 }
 
 /// Theorem 2 (tree case): an out-tree *is* series–parallel under the
-/// node semantics (`root` in series with the parallel composition of
-/// its child subtrees), so we build the decomposition directly in
-/// linear time and reuse [`solve_sp`]. In-trees are handled by edge
-/// reversal (time reversal preserves both feasibility and energy).
+/// node semantics — each task in series with the parallel composition
+/// of its child subtrees (the subtree itself when it has one child) —
+/// so the same fold runs over the adjacency in linear time, with no
+/// tree built. An in-tree is folded over its predecessors, which is
+/// the out-tree of its time reversal (reversal preserves both
+/// feasibility and energy).
 ///
 /// `s_max` caveat: the closed form assumes unbounded speeds. When an
 /// `s_max` is given and the unconstrained optimum violates it, the
 /// caller should fall back to [`solve_general_warm`] (the dispatcher
 /// [`solve_dispatched`] does).
-fn tree_decomposition(g: &TaskGraph) -> Option<SpTree> {
-    if !structure::is_out_tree(g) {
-        return None;
-    }
-    let root = g.sources()[0];
-    Some(tree_sub(g, root))
-}
-
-fn tree_sub(g: &TaskGraph, node: TaskId) -> SpTree {
-    let children = g.succs(node);
-    if children.is_empty() {
-        SpTree::Leaf(node)
-    } else {
-        let subs: Vec<SpTree> = children.iter().map(|&c| tree_sub(g, c)).collect();
-        let par = if subs.len() == 1 {
-            subs.into_iter().next().unwrap()
-        } else {
-            SpTree::Parallel(subs)
-        };
-        SpTree::Series(vec![SpTree::Leaf(node), par])
-    }
-}
-
-/// Solve an out-tree or in-tree exactly (unbounded speeds).
 pub fn solve_tree(g: &TaskGraph, deadline: f64, p: PowerLaw) -> Result<Vec<f64>, SolveError> {
-    if let Some(tree) = tree_decomposition(g) {
-        return solve_sp(g, &tree, deadline, p);
+    let out_tree = structure::is_out_tree(g);
+    if !out_tree && !structure::is_in_tree(g) {
+        return Err(SolveError::Unsupported(
+            "solve_tree requires an out- or in-tree".into(),
+        ));
     }
-    let rev = g.reversed();
-    if let Some(tree) = tree_decomposition(&rev) {
-        // Same durations (hence speeds) are optimal for the reversed
-        // instance.
-        return solve_sp(&rev, &tree, deadline, p);
+    let children = |u: TaskId| if out_tree { g.succs(u) } else { g.preds(u) };
+    let root = if out_tree {
+        g.sources()[0]
+    } else {
+        g.sinks()[0]
+    };
+    check_feasible(g, deadline, None)?;
+    // Breadth-first from the root: parents before children.
+    let mut order = vec![root];
+    let mut i = 0;
+    while let Some(&u) = order.get(i) {
+        order.extend_from_slice(children(u));
+        i += 1;
     }
-    Err(SolveError::Unsupported(
-        "solve_tree requires an out- or in-tree".into(),
-    ))
+    // Bottom-up: each task's subtree weight `w` and its children's
+    // composition `par`.
+    let (mut w, mut par) = (vec![0.0; g.n()], vec![0.0; g.n()]);
+    for &u in order.iter().rev() {
+        w[u.0] = match children(u) {
+            [] => g.weight(u),
+            [c] => {
+                par[u.0] = w[c.0];
+                g.weight(u) + par[u.0]
+            }
+            cs => {
+                par[u.0] = p.parallel_combine(cs.iter().map(|c| w[c.0]));
+                g.weight(u) + par[u.0]
+            }
+        };
+    }
+    // Top-down: a task's window splits between the task and its
+    // children's composition in proportion to their weights.
+    let mut window = vec![0.0; g.n()];
+    window[root.0] = deadline;
+    let mut speeds = vec![0.0; g.n()];
+    for &u in &order {
+        let (x, total) = (window[u.0], w[u.0]);
+        let cs = children(u);
+        if cs.is_empty() {
+            speeds[u.0] = g.weight(u) / x;
+            continue;
+        }
+        speeds[u.0] = g.weight(u) / (x * g.weight(u) / total);
+        for c in cs {
+            window[c.0] = x * par[u.0] / total;
+        }
+    }
+    Ok(speeds)
 }
 
 /// The MinEnergy objective `Σ w_i^α / d_i^{α−1}` over

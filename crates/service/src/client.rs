@@ -280,8 +280,15 @@ impl Pipeline<'_> {
         Ok(out)
     }
 
+    /// The next response, which must answer a pending request. An
+    /// id-0 `Error` answers none: the daemon's framing-violation or
+    /// connection-limit verdict comes back as that error, and every
+    /// request stays pending.
     fn recv_matched(&mut self) -> Result<ResponseEnvelope, ClientError> {
         let resp = self.client.read_response()?;
+        if let (0, Response::Error(body)) = (resp.id, &resp.response) {
+            return Err(ClientError::Protocol(body.clone()));
+        }
         if !self.pending.remove(&resp.id) {
             return Err(protocol_error(format!(
                 "response id {} matches no pending request",
@@ -302,9 +309,9 @@ mod tests {
     use super::*;
     use std::os::unix::net::UnixStream;
 
-    /// Send one `stats` request to a scripted peer that answers
+    /// A client whose scripted peer reads one request and answers
     /// `response` under `id`.
-    fn answered_under(id: u64, response: Response) -> Result<ResponseEnvelope, ClientError> {
+    fn scripted(id: u64, response: Response) -> (Client, std::thread::JoinHandle<()>) {
         let (ours, mut theirs) = UnixStream::pair().unwrap();
         let peer = std::thread::spawn(move || {
             let payload = read_frame(&mut theirs).unwrap().expect("one request");
@@ -316,7 +323,14 @@ mod tests {
             };
             write_frame(&mut theirs, &resp.encode()).unwrap();
         });
-        let got = Client::from_unix(ours).roundtrip(Request::Stats);
+        (Client::from_unix(ours), peer)
+    }
+
+    /// Send one `stats` request to a scripted peer that answers
+    /// `response` under `id`.
+    fn answered_under(id: u64, response: Response) -> Result<ResponseEnvelope, ClientError> {
+        let (mut client, peer) = scripted(id, response);
+        let got = client.roundtrip(Request::Stats);
         peer.join().unwrap();
         got
     }
@@ -338,5 +352,22 @@ mod tests {
         let body = ErrorBody::new(ErrorKind::Protocol, "bad length header");
         let resp = answered_under(0, Response::Error(body.clone())).unwrap();
         assert_eq!((resp.id, resp.response), (0, Response::Error(body)));
+    }
+
+    #[test]
+    fn a_pipeline_surfaces_an_unattributed_error() {
+        let body = ErrorBody::new(ErrorKind::Protocol, "connection limit reached");
+        let (mut client, peer) = scripted(0, Response::Error(body));
+        let mut pipe = client.pipeline(4);
+        pipe.send(Request::Stats).unwrap();
+        match pipe.recv() {
+            Err(ClientError::Protocol(e)) => {
+                assert_eq!(e.kind, ErrorKind::Protocol);
+                assert_eq!(e.message, "connection limit reached");
+            }
+            other => panic!("expected the daemon's own error, got {other:?}"),
+        }
+        assert_eq!(pipe.outstanding(), 1, "the request stays pending");
+        peer.join().unwrap();
     }
 }

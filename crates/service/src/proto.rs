@@ -1646,6 +1646,7 @@ mod tests {
                         classify: 3,
                         sp_from_graph: 2,
                         transitive_reduction: 1,
+                        sp_splice_nodes: 26,
                     },
                     WorkerStatsReport::default(),
                 ],

@@ -71,7 +71,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use taskgraph::edit::GraphEdit;
-use taskgraph::{AnalysisSnapshot, PreparedInstance, Shape, SpTree, TaskGraph, TaskId};
+use taskgraph::{
+    AnalysisSnapshot, PreparedInstance, Shape, SpKind, SpNode, SpTree, TaskGraph, TaskId,
+};
 
 /// FNV-1a 64-bit — the record checksum (the content keys themselves
 /// are the engine's FNV-128; the store only needs to detect damage,
@@ -174,22 +176,24 @@ const SHAPES: [(Shape, &str); 8] = [
 /// SP trees encode compactly: a leaf is its task id, a series node is
 /// `{"s":[…]}`, a parallel node `{"p":[…]}`.
 fn sp_to_json(t: &SpTree) -> Json {
-    match t {
-        SpTree::Leaf(id) => Json::num(id.index() as f64),
-        SpTree::Series(cs) => Json::Obj(vec![(
-            "s".into(),
-            Json::Arr(cs.iter().map(sp_to_json).collect()),
-        )]),
-        SpTree::Parallel(cs) => Json::Obj(vec![(
-            "p".into(),
-            Json::Arr(cs.iter().map(sp_to_json).collect()),
-        )]),
+    fn node(n: SpNode<'_>) -> Json {
+        let key = match n.kind() {
+            SpKind::Leaf(id) => return Json::num(id.index() as f64),
+            SpKind::Series => "s",
+            SpKind::Parallel => "p",
+        };
+        Json::Obj(vec![(
+            key.into(),
+            Json::Arr(n.children().map(node).collect()),
+        )])
     }
+    node(t.root())
 }
 
 fn sp_from_json(v: &Json) -> Option<SpTree> {
     if let Some(id) = v.as_u64() {
-        return Some(SpTree::Leaf(TaskId(id as usize)));
+        // A leaf's task id must fit in 31 bits (`SpTree::leaf`).
+        return (id < 1 << 31).then(|| SpTree::leaf(TaskId(id as usize)));
     }
     let (children, series) = match (v.get("s"), v.get("p")) {
         (Some(cs), None) => (cs.as_arr()?, true),
@@ -197,10 +201,13 @@ fn sp_from_json(v: &Json) -> Option<SpTree> {
         _ => return None,
     };
     let cs: Vec<SpTree> = children.iter().map(sp_from_json).collect::<Option<_>>()?;
+    if cs.is_empty() {
+        return None;
+    }
     Some(if series {
-        SpTree::Series(cs)
+        SpTree::series(cs)
     } else {
-        SpTree::Parallel(cs)
+        SpTree::parallel(cs)
     })
 }
 
@@ -742,6 +749,19 @@ mod tests {
     }
 
     #[test]
+    fn sp_codec_refuses_what_no_tree_holds() {
+        let (i, _, _) = inst(4.0);
+        let tree = i.view().sp_tree().expect("the diamond is SP").clone();
+        assert_eq!(sp_from_json(&sp_to_json(&tree)), Some(tree));
+        // A leaf id past 31 bits or a childless composite reads as no
+        // tree, so restore recomputes it; neither may panic.
+        for bad in ["2147483648", r#"{"s":[]}"#, r#"{"p":[0,{"s":[]}]}"#] {
+            assert!(sp_from_json(&json::parse(bad).unwrap()).is_none(), "{bad}");
+        }
+        assert!(sp_from_json(&json::parse("2147483647").unwrap()).is_some());
+    }
+
+    #[test]
     fn save_load_round_trips_instance_and_curve() {
         let dir = tmpdir("roundtrip");
         let store = Store::open(&dir, false).unwrap();
@@ -833,6 +853,55 @@ mod tests {
         let store = Store::open(&dir, false).unwrap();
         assert_eq!(store.lineage_of(k2).len(), 2);
         assert!(store.materialize(k1).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reopened_store_replays_each_missing_hop_once() {
+        let dir = tmpdir("replay-reopen");
+        let (root, m, k0) = inst(4.0);
+        let hops = [
+            vec![GraphEdit::SetWeight {
+                task: 1,
+                weight: 5.0,
+            }],
+            vec![GraphEdit::RemoveEdge { from: 0, to: 2 }],
+            vec![GraphEdit::SetWeight {
+                task: 3,
+                weight: 0.5,
+            }],
+        ];
+        let mut g = root.graph().clone();
+        let mut key = k0;
+        {
+            // The root record, then k hops with no child records.
+            let store = Store::open(&dir, false).unwrap();
+            store.save(k0, &m, &root, None).unwrap();
+            for edits in &hops {
+                g = taskgraph::edit::apply_edits(&g, edits).unwrap().0;
+                let child = content_key(&g, &m);
+                store.record_patch(key, edits, child).unwrap();
+                key = child;
+            }
+        }
+        let store = Store::open(&dir, false).unwrap();
+        let leaf = store.materialize(key).expect("replay succeeds");
+        assert_eq!(store.stats().replays, hops.len() as u64);
+        let rebuilt = PreparedInstance::new(Arc::new(g));
+        rebuilt.warm();
+        assert_eq!(leaf.inst.graph(), rebuilt.graph());
+        assert_eq!(leaf.inst.view().shape(), rebuilt.view().shape());
+        assert_eq!(
+            leaf.inst.view().critical_path_weight(),
+            rebuilt.view().critical_path_weight()
+        );
+        // The replayed leaf was written through: the next reopen reads
+        // its record.
+        drop(store);
+        let store = Store::open(&dir, false).unwrap();
+        let again = store.materialize(key).expect("the leaf's own record");
+        assert_eq!(store.stats().replays, 0);
+        assert_eq!(again.inst.graph(), rebuilt.graph());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -176,6 +176,7 @@ fn stats() -> StatsReport {
             classify: 3,
             sp_from_graph: 2,
             transitive_reduction: 1,
+            sp_splice_nodes: 26,
         }],
         net: NetStatsReport {
             connections: 4,
@@ -318,7 +319,7 @@ fn response_variants_encode_to_golden_bytes() {
         (
             5,
             Response::Stats(stats()),
-            r#"{"v":5,"id":9,"ok":true,"type":"stats","result":{"cache":{"entries":2,"bytes":4096,"hits":10,"misses":3,"evictions":1,"patch_hits":6,"patch_misses":2,"rekeys":5},"workers":[{"requests":5,"solves":9,"solve_ns":777,"warm_lost":2,"bnb_nodes":123456,"bnb_steals":7,"sp_splice":11,"sp_splice_miss":1,"cone_nodes":42,"topo_order":13,"classify":3,"sp_from_graph":2,"transitive_reduction":1}],"net":{"connections":4,"queue_depth":1,"inflight":3,"rejected":2,"timeouts":1},"store":{"entries":7,"bytes":8192,"recovered":6,"corrupt_skipped":1,"replays":4,"write_failures":3}}}"#,
+            r#"{"v":5,"id":9,"ok":true,"type":"stats","result":{"cache":{"entries":2,"bytes":4096,"hits":10,"misses":3,"evictions":1,"patch_hits":6,"patch_misses":2,"rekeys":5},"workers":[{"requests":5,"solves":9,"solve_ns":777,"warm_lost":2,"bnb_nodes":123456,"bnb_steals":7,"sp_splice":11,"sp_splice_miss":1,"cone_nodes":42,"topo_order":13,"classify":3,"sp_from_graph":2,"transitive_reduction":1,"sp_splice_nodes":26}],"net":{"connections":4,"queue_depth":1,"inflight":3,"rejected":2,"timeouts":1},"store":{"entries":7,"bytes":8192,"recovered":6,"corrupt_skipped":1,"replays":4,"write_failures":3}}}"#,
         ),
         (
             1,

@@ -42,5 +42,5 @@ pub mod workflows;
 pub use edit::{EditError, GraphEdit};
 pub use graph::{GraphError, TaskGraph, TaskId};
 pub use prepared::{AnalysisSnapshot, PreparedGraph, PreparedInstance};
-pub use sp::SpTree;
+pub use sp::{SpKind, SpNode, SpTree};
 pub use structure::Shape;

@@ -330,7 +330,7 @@ impl PreparedInstance {
             } else if let Some((Shape::SeriesParallel, Some(tree))) = self.class.get().map(|c| &**c)
             {
                 let touched: Vec<TaskId> = effect.touched.iter().map(|&i| TaskId(i)).collect();
-                if let Some(repaired) = tree.splice(edited, order, &touched) {
+                if let Some(repaired) = tree.splice(edited, &touched) {
                     let _ = out
                         .class
                         .set(Arc::new((Shape::SeriesParallel, Some(repaired))));
@@ -907,9 +907,9 @@ mod tests {
             // Consistent in itself, but wrong for the graph.
             (&diamond, |s| s.class = Some((Shape::Chain, None))),
             (&general, |s| {
-                let leaf = |i| SpTree::Leaf(TaskId(i));
-                let pair = |a, b| SpTree::Parallel(vec![leaf(a), leaf(b)]);
-                let tree = SpTree::Series(vec![pair(0, 1), pair(2, 3), leaf(4)]);
+                let leaf = |i| SpTree::leaf(TaskId(i));
+                let pair = |a, b| SpTree::parallel(vec![leaf(a), leaf(b)]);
+                let tree = SpTree::series(vec![pair(0, 1), pair(2, 3), leaf(4)]);
                 s.class = Some((Shape::SeriesParallel, Some(tree)));
             }),
         ];

@@ -177,6 +177,13 @@ counters! {
         /// invalidation promises weight-only edits never re-run the
         /// reduction; this counter makes that assertable.
         transitive_reduction,
+        /// SP tree nodes [`crate::SpTree::splice`] visited or built:
+        /// the paths from the touched leaves to the root, the region,
+        /// its ends, the junctions climbed and the grafted subtree. It
+        /// grows with the region and the tree's depth, not with the
+        /// graph. A graft that changes a composite's child count also
+        /// rewrites that composite's child list, which is not counted.
+        sp_splice_nodes,
     }
 }
 

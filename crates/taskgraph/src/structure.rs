@@ -86,7 +86,7 @@ pub fn is_out_tree(g: &TaskGraph) -> bool {
 
 /// Whether the graph is an in-tree (every non-sink task has exactly one
 /// successor, single sink).
-fn is_in_tree(g: &TaskGraph) -> bool {
+pub fn is_in_tree(g: &TaskGraph) -> bool {
     let Some(root) = only_sink(g) else {
         return false;
     };
