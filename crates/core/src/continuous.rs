@@ -49,6 +49,13 @@ pub fn check_feasible_prepared(
     check_feasible_inner(|| prep.critical_path_weight(), deadline, s_max)
 }
 
+/// `cp / cap`, the least makespan a speed cap allows: 0 without one
+/// (`cap` = +∞). The `max` keeps that 0 when `cp` itself overflowed,
+/// where ∞/∞ would be NaN.
+fn least_makespan(cp: f64, cap: f64) -> f64 {
+    (cp / cap).max(0.0)
+}
+
 fn check_feasible_inner(
     cp: impl FnOnce() -> f64,
     deadline: f64,
@@ -89,13 +96,12 @@ pub fn solve_chain(
 /// [`solve_chain`] past its feasibility check.
 fn chain_speeds(g: &TaskGraph, deadline: f64, s_max: Option<f64>) -> Result<Vec<f64>, SolveError> {
     let s = g.total_work() / deadline;
-    if let Some(sm) = s_max {
-        if s > sm * (1.0 + 1e-12) {
-            return Err(SolveError::Infeasible {
-                deadline,
-                min_makespan: g.total_work() / sm,
-            });
-        }
+    let sm = s_max.unwrap_or(f64::INFINITY);
+    if s > sm * (1.0 + 1e-12) {
+        return Err(SolveError::Infeasible {
+            deadline,
+            min_makespan: g.total_work() / sm,
+        });
     }
     Ok(vec![s; g.n()])
 }
@@ -140,33 +146,31 @@ fn fork_speeds(
     let combined = p.parallel_combine(children.iter().map(|&c| g.weight(c)));
     let s0 = (combined + w0) / deadline;
     let mut speeds = vec![0.0; g.n()];
-    match s_max {
-        Some(sm) if s0 > sm * (1.0 + 1e-12) => {
-            // Saturated: the source runs flat out.
-            let d_prime = deadline - w0 / sm;
-            if d_prime <= 0.0 {
+    let sm = s_max.unwrap_or(f64::INFINITY);
+    if s0 > sm * (1.0 + 1e-12) {
+        // Saturated: the source runs flat out.
+        let d_prime = deadline - w0 / sm;
+        if d_prime <= 0.0 {
+            return Err(SolveError::Infeasible {
+                deadline,
+                min_makespan: cp() / sm,
+            });
+        }
+        speeds[root.0] = sm;
+        for &c in &children {
+            let s = g.weight(c) / d_prime;
+            if s > sm * (1.0 + 1e-12) {
                 return Err(SolveError::Infeasible {
                     deadline,
                     min_makespan: cp() / sm,
                 });
             }
-            speeds[root.0] = sm;
-            for &c in &children {
-                let s = g.weight(c) / d_prime;
-                if s > sm * (1.0 + 1e-12) {
-                    return Err(SolveError::Infeasible {
-                        deadline,
-                        min_makespan: cp() / sm,
-                    });
-                }
-                speeds[c.0] = s;
-            }
+            speeds[c.0] = s;
         }
-        _ => {
-            speeds[root.0] = s0;
-            for &c in &children {
-                speeds[c.0] = s0 * g.weight(c) / combined;
-            }
+    } else {
+        speeds[root.0] = s0;
+        for &c in &children {
+            speeds[c.0] = s0 * g.weight(c) / combined;
         }
     }
     Ok(speeds)
@@ -440,12 +444,11 @@ pub fn solve_general_warm(
     warm: &mut SweepWarm,
 ) -> Result<Vec<f64>, SolveError> {
     check_feasible_prepared(prep, deadline, s_max)?;
-    if let (Some(lo), Some(hi)) = (s_min, s_max) {
-        if lo >= hi * (1.0 - 1e-5) {
-            return Err(SolveError::Unsupported(
-                "degenerate speed box (s_min ≈ s_max); assign the single speed directly".into(),
-            ));
-        }
+    let (lo, hi) = (s_min.unwrap_or(0.0), s_max.unwrap_or(f64::INFINITY));
+    if s_min.is_some() && s_max.is_some() && lo >= hi * (1.0 - 1e-5) {
+        return Err(SolveError::Unsupported(
+            "degenerate speed box (s_min ≈ s_max); assign the single speed directly".into(),
+        ));
     }
     // Two numerical safeguards (found by edge-case tests):
     //
@@ -458,8 +461,7 @@ pub fn solve_general_warm(
     //    d → d/D scales the objective by D^{1−α} and the speed box by
     //    D), so the barrier's absolute tolerances are meaningful at
     //    any deadline magnitude.
-    let cp = prep.critical_path_weight();
-    let t_min_abs = s_max.map_or(0.0, |sm| cp / sm);
+    let t_min_abs = least_makespan(prep.critical_path_weight(), hi);
     let eps_bump = 1e-7;
     let needs_bump = deadline - t_min_abs < 1e-9 * deadline;
     let eff_deadline = if needs_bump {
@@ -482,8 +484,8 @@ pub fn solve_general_warm(
     });
     let (scaled, bar) = solve_normalized(
         prep,
-        s_min.map(|s| s * eff_deadline),
-        s_max.map(|s| s * eff_deadline),
+        (s_min.is_some(), lo * eff_deadline),
+        (s_max.is_some(), hi * eff_deadline),
         p,
         precision_k,
         hint.as_ref(),
@@ -493,28 +495,28 @@ pub fn solve_general_warm(
     warm.stats.warm_seeded += u64::from(hint.is_some());
     warm.state = Some((bar.x, eff_deadline, bar.t_final));
     let mut speeds: Vec<f64> = scaled.iter().map(|s| s / deadline).collect();
-    if needs_bump {
+    if needs_bump && s_max.is_some() {
         // The (1+ε) speed-up may push critical tasks a hair past
         // s_max; clamping is safe because the all-at-s_max schedule
         // meets this (boundary) deadline.
-        if let Some(sm) = s_max {
-            for s in &mut speeds {
-                *s = s.min(sm);
-            }
+        for s in &mut speeds {
+            *s = s.min(hi);
         }
     }
     Ok(speeds)
 }
 
 /// The barrier solve at deadline exactly 1 (see
-/// [`solve_general_warm`] for the scaling). Bounds are already
-/// scaled; returned speeds are in normalized units (divide by the real
-/// deadline to recover them). The raw [`BarrierSolution`] rides along
-/// so sweep callers can chain warm starts and account Newton steps.
+/// [`solve_general_warm`] for the scaling). Each bound is a pair
+/// (given, value), already scaled; an absent one's value is a neutral
+/// 0 or +∞ that is never read. Returned speeds are in normalized units
+/// (divide by the real deadline to recover them). The raw
+/// [`BarrierSolution`] rides along so sweep callers can chain warm
+/// starts and account Newton steps.
 fn solve_normalized(
     prep: &PreparedGraph<'_>,
-    s_min: Option<f64>,
-    s_max: Option<f64>,
+    (has_lo, lo): (bool, f64),
+    (has_hi, hi): (bool, f64),
     p: PowerLaw,
     precision_k: Option<u32>,
     warm: Option<&WarmStart>,
@@ -544,14 +546,14 @@ fn solve_normalized(
         ));
         // t_i ≤ D
         cons.push(LinearConstraint::new(vec![(t_var(i), 1.0)], deadline));
-        if let Some(sm) = s_max {
+        if has_hi {
             // w_i/s_max − d_i ≤ 0
             cons.push(LinearConstraint::new(
                 vec![(d_var(i), -1.0)],
-                -(g.weight(TaskId(i)) / sm),
+                -(g.weight(TaskId(i)) / hi),
             ));
         }
-        if let Some(lo) = s_min {
+        if has_lo {
             // d_i ≤ w_i/s_min  (speed at least s_min)
             cons.push(LinearConstraint::new(
                 vec![(d_var(i), 1.0)],
@@ -564,10 +566,10 @@ fn solve_normalized(
     // between the minimum (cp/s_max, or 0) and D, then stretch the
     // completion times into the interior.
     let cp = prep.critical_path_weight();
-    let t_min = s_max.map_or(0.0, |sm| cp / sm);
+    let t_min = least_makespan(cp, hi);
     let target_makespan = 0.5 * (t_min + deadline);
     let mut s0 = cp / target_makespan;
-    if let Some(lo) = s_min {
+    if has_lo {
         // Stay strictly above the speed floor; running faster than
         // necessary is always feasible (tasks simply finish early).
         let floor = lo * (1.0 + 1e-6);
@@ -597,13 +599,14 @@ fn solve_normalized(
         .minimize_warm(&obj, &cons, x0, warm)
         .map_err(|e| SolveError::Numerical(e.to_string()))?;
 
-    let mut speeds = vec![0.0; n];
-    for (i, s) in speeds.iter_mut().enumerate() {
-        *s = g.weight(TaskId(i)) / bar.x[d_var(i)];
-        if let Some(sm) = s_max {
-            // The barrier keeps d strictly inside, so speeds sit
-            // strictly below s_max; clamp residual slack for cleanliness.
-            *s = s.min(sm);
+    let mut speeds: Vec<f64> = (0..n)
+        .map(|i| g.weight(TaskId(i)) / bar.x[d_var(i)])
+        .collect();
+    if has_hi {
+        // The barrier keeps d strictly inside, so speeds sit strictly
+        // below s_max; clamp residual slack for cleanliness.
+        for s in &mut speeds {
+            *s = s.min(hi);
         }
     }
     Ok((speeds, bar))

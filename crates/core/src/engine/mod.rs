@@ -232,8 +232,9 @@ fn curve_base(
             "need 0 < lo_factor < hi_factor".into(),
         ));
     }
-    let cp = prep.critical_path_weight();
-    Ok(model.top_speed().map_or(cp, |sm| cp / sm))
+    // Unit speed stands in for an absent cap before the division, so
+    // the division never reads an absent cap's payload.
+    Ok(prep.critical_path_weight() / model.top_speed().unwrap_or(1.0))
 }
 
 /// Drop a warm handle built over another mode ladder than `modes`: its

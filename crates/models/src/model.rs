@@ -64,7 +64,10 @@ impl EnergyModel {
             return false;
         }
         match self {
-            EnergyModel::Continuous { s_max } => s_max.is_none_or(|m| s <= m * (1.0 + 1e-9)),
+            // The bound is chosen before any arithmetic: an absent cap
+            // is +∞, never the undefined payload of `None`, which a
+            // branchless `is_none_or` would multiply for every task.
+            EnergyModel::Continuous { s_max } => s <= s_max.unwrap_or(f64::INFINITY) * (1.0 + 1e-9),
             EnergyModel::Discrete(m) => m.contains(s),
             EnergyModel::VddHopping(m) => {
                 s >= m.s_min() * (1.0 - 1e-9) && s <= m.s_max() * (1.0 + 1e-9)

@@ -11,7 +11,7 @@
 //! * non-finite numbers are unrepresentable — [`Json::num`] panics on
 //!   NaN/∞ rather than emitting invalid JSON.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects are ordered association lists.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,14 +133,16 @@ impl Json {
 
 fn write_num(v: f64, out: &mut String) {
     debug_assert!(v.is_finite());
-    if v == v.trunc() && v.abs() < 9.0e15 {
+    // Formatting straight into `out` allocates nothing per number;
+    // writing to a `String` cannot fail.
+    let _ = if v == v.trunc() && v.abs() < 9.0e15 {
         // Integral doubles print without a fraction ("5", not "5.0"),
         // matching how lengths/counters read on the wire.
-        out.push_str(&format!("{}", v as i64));
+        write!(out, "{}", v as i64)
     } else {
         // Rust's f64 Display is the shortest round-trip representation.
-        out.push_str(&format!("{v}"));
-    }
+        write!(out, "{v}")
+    };
 }
 
 fn write_str(s: &str, out: &mut String) {
@@ -194,7 +196,9 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
     Ok(v)
 }
 
-const MAX_DEPTH: usize = 64;
+/// [`parse`] refuses a value nested inside `MAX_DEPTH` or more
+/// containers ("nesting too deep").
+pub(crate) const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -398,6 +402,14 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
+        match small_integer(&self.bytes[start..self.pos]) {
+            Some(v) => Ok(Json::Num(v)),
+            None => self.parsed_number(start),
+        }
+    }
+
+    /// The number token from `start` to here, through `str::parse`.
+    fn parsed_number(&self, start: usize) -> Result<Json, JsonError> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         let v: f64 = text
             .parse()
@@ -407,6 +419,25 @@ impl Parser<'_> {
         }
         Ok(Json::Num(v))
     }
+}
+
+/// The value of a token that is `-?[0-9]{1,15}`, else `None`. Such an
+/// integer is below 10^15 < 2^53, so `acc as f64` is exact: the value
+/// `str::parse` returns, `-0` as `-0.0` included. Edge lists and
+/// counters are all integers, so most numbers on the wire take this
+/// path.
+fn small_integer(token: &[u8]) -> Option<f64> {
+    let (negative, digits) = match token {
+        [b'-', rest @ ..] => (true, rest),
+        _ => (false, token),
+    };
+    if digits.is_empty() || digits.len() > 15 || !digits.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    let acc = digits
+        .iter()
+        .fold(0u64, |acc, d| 10 * acc + u64::from(d - b'0'));
+    Some(if negative { -(acc as f64) } else { acc as f64 })
 }
 
 fn utf8_len(first: u8) -> usize {
@@ -421,6 +452,7 @@ fn utf8_len(first: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn scalar_round_trips() {
@@ -508,6 +540,95 @@ mod tests {
         // Depth bomb stops at the cap instead of overflowing the stack.
         let deep = "[".repeat(100_000);
         assert!(parse(&deep).is_err());
+    }
+
+    /// What the parser makes of a whole number token through
+    /// `str::parse` alone, the path every token took before the
+    /// integer fast path.
+    fn via_str_parse(token: &str) -> Result<Json, JsonError> {
+        let end = Parser {
+            bytes: token.as_bytes(),
+            pos: token.len(),
+            depth: 0,
+        };
+        end.parsed_number(0)
+    }
+
+    /// Equal results, numbers compared by their bits (`-0.0 != 0.0`).
+    fn assert_same(token: &str, got: Result<Json, JsonError>, want: Result<Json, JsonError>) {
+        match (&got, &want) {
+            (Ok(Json::Num(a)), Ok(Json::Num(b))) => {
+                assert_eq!(a.to_bits(), b.to_bits(), "{token:?}: {a} vs {b}")
+            }
+            _ => assert_eq!(got, want, "{token:?}"),
+        }
+    }
+
+    /// A token the number scanner consumes whole: a signed integer of
+    /// 1–20 digits (past 15 it leaves the fast path), a decimal with an
+    /// optional exponent, or a random run over the scanner's alphabet,
+    /// which is mostly malformed.
+    fn arb_number_token() -> impl Strategy<Value = String> {
+        fn pick(
+            alphabet: &'static [u8],
+            len: std::ops::Range<usize>,
+        ) -> impl Strategy<Value = String> {
+            prop::collection::vec(0..alphabet.len(), len)
+                .prop_map(move |ix| ix.iter().map(|&i| alphabet[i] as char).collect())
+        }
+        const DIGITS: &[u8] = b"0123456789";
+        let sign = || prop_oneof![Just(""), Just("-")];
+        prop_oneof![
+            (sign(), pick(DIGITS, 1..21)).prop_map(|(s, d)| format!("{s}{d}")),
+            (sign(), pick(DIGITS, 1..9), pick(DIGITS, 1..9))
+                .prop_map(|(s, i, f)| format!("{s}{i}.{f}")),
+            (
+                sign(),
+                pick(DIGITS, 1..4),
+                pick(b"eE", 1..2),
+                pick(b"+-", 0..2),
+                pick(DIGITS, 1..4)
+            )
+                .prop_map(|(s, m, e, es, x)| format!("{s}{m}{e}{es}{x}")),
+            pick(b"0123456789.eE+-", 1..12),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn integer_fast_path_matches_str_parse(token in arb_number_token()) {
+            // Scanning is shared, so equal token values and errors mean
+            // equal documents.
+            assert_same(&token, parse(&token), via_str_parse(&token));
+        }
+    }
+
+    #[test]
+    fn edge_tokens_match_str_parse() {
+        for token in [
+            "0",
+            "-0",
+            "00",
+            "-007",
+            "999999999999999",
+            "-999999999999999",
+            "1000000000000000",
+            "9007199254740993",
+            "-",
+            "--1",
+            "1-",
+            "+1",
+            "-+1",
+            "1e999",
+            "-1e999",
+            "1.",
+            ".5",
+            "1e",
+            "01",
+        ] {
+            assert_same(token, parse(token), via_str_parse(token));
+        }
     }
 
     #[test]

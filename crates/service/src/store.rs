@@ -173,6 +173,14 @@ const SHAPES: [(Shape, &str); 8] = [
     (Shape::General, "general"),
 ];
 
+/// The deepest SP tree (a leaf has depth 1) a record can carry. The
+/// tree sits two JSON levels deep in its record (record → `analysis`
+/// → `sp`), each composite adds two more (object and child array), so
+/// a depth-`d` tree's leaves parse at nesting `2d`, and [`json::parse`]
+/// refuses nesting of [`json::MAX_DEPTH`] or more. A deeper tree is
+/// left out of its record; `restore` recomputes it.
+const MAX_SP_DEPTH: usize = (json::MAX_DEPTH - 1) / 2;
+
 /// SP trees encode compactly: a leaf is its task id, a series node is
 /// `{"s":[…]}`, a parallel node `{"p":[…]}`.
 fn sp_to_json(t: &SpTree) -> Json {
@@ -225,7 +233,7 @@ fn snapshot_to_json(s: &AnalysisSnapshot) -> Json {
             .find(|(known, _)| known == shape)
             .expect("SHAPES lists every shape");
         pairs.push(("shape".into(), Json::str(*name)));
-        if let Some(tree) = tree {
+        if let Some(tree) = tree.as_ref().filter(|t| t.depth() <= MAX_SP_DEPTH) {
             pairs.push(("sp".into(), sp_to_json(tree)));
         }
     }
@@ -759,6 +767,54 @@ mod tests {
             assert!(sp_from_json(&json::parse(bad).unwrap()).is_none(), "{bad}");
         }
         assert!(sp_from_json(&json::parse("2147483647").unwrap()).is_some());
+    }
+
+    /// An SP graph of `k` nested levels, `3k + 1` tasks and tree depth
+    /// `2k + 1`: each level runs a task, then the level below beside
+    /// one task, then a task.
+    fn nested(k: usize) -> TaskGraph {
+        use taskgraph::sp::SpShape;
+        let mut shape = SpShape::Leaf(1.0);
+        for _ in 0..k {
+            shape = SpShape::Series(vec![
+                SpShape::Leaf(1.0),
+                SpShape::Parallel(vec![shape, SpShape::Leaf(1.0)]),
+                SpShape::Leaf(1.0),
+            ]);
+        }
+        shape.build().0
+    }
+
+    #[test]
+    fn deep_sp_records_load_back() {
+        let dir = tmpdir("deep-sp");
+        let m = EnergyModel::continuous_unbounded();
+        // Depth 31 is the deepest tree a record carries, 33 the
+        // shallowest it leaves out; 1,001 is far past the parser's cap.
+        let cases = [(15, true), (16, false), (500, false)];
+        {
+            let store = Store::open(&dir, false).unwrap();
+            for (k, carried) in cases {
+                let g = nested(k);
+                let inst = PreparedInstance::new(Arc::new(g.clone()));
+                assert_eq!(inst.warm().sp_tree().map(SpTree::depth), Some(2 * k + 1));
+                let key = content_key(&g, &m);
+                store.save(key, &m, &inst, None).unwrap();
+                let record = fs::read_to_string(store.instance_path(key)).unwrap();
+                assert_eq!(record.contains("\"sp\":"), carried, "depth {}", 2 * k + 1);
+            }
+        }
+        let store = Store::open(&dir, false).unwrap();
+        for (k, _) in cases {
+            let g = nested(k);
+            let loaded = store.load(content_key(&g, &m)).expect("the record loads");
+            let fresh = PreparedInstance::new(Arc::new(g));
+            assert_eq!(loaded.inst.view().shape(), Shape::SeriesParallel);
+            assert_eq!(loaded.inst.view().sp_tree(), fresh.view().sp_tree());
+        }
+        let stats = store.stats();
+        assert_eq!((stats.recovered, stats.corrupt_skipped), (3, 0));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
